@@ -93,7 +93,6 @@ from .subspace import (
     leq,
     meet,
     ortho,
-    projector,
     random_subspace,
     span_of,
     zero_subspace,

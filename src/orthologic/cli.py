@@ -9,10 +9,15 @@ CSV files on request):
                      isomorphism, classical or quantum
   truth-demo         oscillator energies, truth values, eigenfunctions
 
+The laws themselves are defined in ``laws`` and the composite axioms
+in ``composite``; lattice-check runs each sampled law as one entry of
+_LATTICE_CHECKS (sampler, checker, reported fields).
+
 Exit codes: 0 when the expected pattern holds, 1 on verification
-failure, 2 on usage errors.  Identical configuration (including the
-seed) yields a byte-identical report; all randomness is derived from
-the single --seed flag via subseed(seed, command_name, trial_index).
+failure, 2 on usage errors (including --trials below 1).  Identical
+configuration (including the seed) yields a byte-identical report; all
+randomness is derived from the single --seed flag via
+subseed(seed, command_name, trial_index).
 The environment variable ORTHOLOGIC_TOL overrides eps_eq globally.
 """
 
@@ -23,6 +28,7 @@ import csv
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,7 +37,7 @@ from . import laws
 from . import subspace as sub
 from .composite import canonical_h, verify_axioms, verify_tensor_isomorphism
 from .core import DEFAULT_TOL, Tolerance, random_unitary, random_vector, subseed
-from .errors import OrthologicError
+from .errors import OrthologicError, PreconditionViolated
 from .oscillator import (
     OscillatorModel,
     energies,
@@ -55,10 +61,18 @@ def _tolerance() -> Tolerance:
         raise SystemExit(2)
 
 
-def _emit(report: dict, output: str | None) -> None:
+def _emit(args, config: tuple, results: dict) -> None:
+    """Write the report: the command, the config arguments named in
+    ``config`` and the results, to --output or standard output."""
+    report = {
+        "schema": SCHEMA,
+        "command": args.command,
+        "config": {name: getattr(args, name) for name in config},
+        "results": results,
+    }
     text = json.dumps(report, indent=2, sort_keys=True)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
@@ -77,123 +91,106 @@ def _nested_pair(d: int, seed: int, tol: Tolerance):
 
 def _mixed_pair(d: int, mode: int, seed: int, tol: Tolerance):
     """Pair sampler mixing compatible-by-construction and generic pairs."""
-    rng = np.random.default_rng(seed)
     if mode == 0:
-        frame = random_unitary(d, seed)
-        k1 = int(rng.integers(1, d + 1))
-        k2 = int(rng.integers(1, d + 1))
-        cols1 = sorted(rng.permutation(d)[:k1].tolist())
-        cols2 = sorted(rng.permutation(d)[:k2].tolist())
-        return sub.Subspace(d, frame[:, cols1]), sub.Subspace(d, frame[:, cols2])
+        return sub.compatible_pair(d, seed)
     if mode == 1:
-        p = sub.random_subspace(d, int(rng.integers(1, d)), seed)
+        (p,) = sub.random_family((d,), seed, proper=True)
         return p, sub.ortho(p, tol)
     if mode == 2:
         return _nested_pair(d, seed, tol)
-    p = sub.random_subspace(d, int(rng.integers(1, d)), seed)
-    q = sub.random_subspace(d, int(rng.integers(1, d)), seed + 1)
+    p, q = sub.random_family((d, d), seed, proper=True)
     return p, q
+
+
+def _covering_instance(d: int, seed: int):
+    """A subspace of dimension below d - 1 and a ray, for the covering law."""
+    rng = np.random.default_rng(seed)
+    a = sub.random_subspace(d, int(rng.integers(0, d - 1)), seed)
+    return a, sub.Ray.from_vector(random_vector(d, seed + 1))
+
+
+class _Check(NamedTuple):
+    """One sampled lattice-check law: ``sample(d, trial, seed, tol)`` draws
+    the arguments that ``check(*args, seed, tol)`` turns into a LawReport."""
+
+    key: str  # result key
+    tag: str  # subseed name of the trials
+    per: int  # one trial per ``per`` of --trials, at least one
+    sample: Callable
+    check: Callable
+    fields: tuple  # the statistics it reports (see _quantum_lattice_report)
+    holds: bool = True  # the verdict the paper predicts
+
+
+# Samplers and checkers are looked up by name when a check runs, so a
+# rebound module function (as the benchmark tracer installs) is used.
+_LATTICE_CHECKS = (
+    _Check(
+        "orthomodular", "lattice-om", 1,
+        lambda d, t, s, tol: _nested_pair(d, s, tol),
+        lambda p, q, s, tol: laws.check_orthomodular(p, q, tol),
+        ("holds", "trials", "worst_residual"),
+    ),
+    _Check(
+        "distributive", "lattice-dist", 1,
+        lambda d, t, s, tol: sub.random_family((d, d, d), s, proper=True),
+        lambda a, b, c, s, tol: laws.check_distributive(a, b, c, tol),
+        ("holds", "failures", "trials", "counterexample"),
+        holds=False,
+    ),
+    _Check(
+        "compatibility_criteria", "lattice-compat", 1,
+        lambda d, t, s, tol: _mixed_pair(d, t % 4, s, tol),
+        lambda p, q, s, tol: laws.check_compatibility_criteria(p, q, tol),
+        ("agree", "trials"),
+    ),
+    _Check(
+        "de_morgan", "lattice-dm", 1,
+        lambda d, t, s, tol: (sub.random_family((d, d, d), s, proper=True),),
+        lambda family, s, tol: laws.check_de_morgan(family, tol),
+        ("holds", "worst_residual"),
+    ),
+    _Check(
+        "modular_pairs", "lattice-mp", 10,
+        lambda d, t, s, tol: sub.random_family((d, d), s, proper=True),
+        lambda p, q, s, tol: laws.is_modular_pair(p, q, samples=8, seed=s, tol=tol),
+        ("holds",),
+    ),
+    _Check(
+        "covering", "lattice-cov", 10,
+        lambda d, t, s, tol: _covering_instance(d, s),
+        lambda a, ray, s, tol: laws.check_covering(ray, a, tol),
+        ("holds",),
+    ),
+)
 
 
 def _quantum_lattice_report(d: int, trials: int, seed: int, tol: Tolerance) -> dict:
     results: dict = {}
-
-    worst = 0.0
-    holds = True
-    for t in range(trials):
-        p, q = _nested_pair(d, subseed(seed, "lattice-om", t), tol)
-        rep = laws.check_orthomodular(p, q, tol)
-        holds = holds and rep.holds
-        worst = max(worst, rep.worst_residual)
-    results["orthomodular"] = {"holds": holds, "trials": trials, "worst_residual": worst}
-
-    failures, first_ce = 0, None
-    for t in range(trials):
-        s = subseed(seed, "lattice-dist", t)
-        rng = np.random.default_rng(s)
-        a = sub.random_subspace(d, int(rng.integers(1, d)), s)
-        b = sub.random_subspace(d, int(rng.integers(1, d)), s + 1)
-        c = sub.random_subspace(d, int(rng.integers(1, d)), s + 2)
-        rep = laws.check_distributive(a, b, c, tol)
-        if not rep.holds:
-            failures += 1
-            if first_ce is None:
-                first_ce = rep.counterexample
-    results["distributive"] = {
-        "holds": failures == 0,
-        "failures": failures,
-        "trials": trials,
-        "counterexample": first_ce,
-    }
-    results["nondistributivity_witness"] = laws.nondistributivity_witness(tol=tol).to_json()
-
-    agree = True
-    for t in range(trials):
-        s = subseed(seed, "lattice-compat", t)
-        p, q = _mixed_pair(d, t % 4, s, tol)
-        c1 = laws.compatible(p, q, tol)
-        c2 = laws.compatible_second_criterion(p, q, tol)
-        c3 = laws.commuting_projectors(p, q, tol)
-        agree = agree and (c1 == c2 == c3)
-    results["compatibility_criteria"] = {"agree": agree, "trials": trials}
-
-    worst_dm = 0.0
-    for t in range(trials):
-        s = subseed(seed, "lattice-dm", t)
-        rng = np.random.default_rng(s)
-        family = [
-            sub.random_subspace(d, int(rng.integers(1, d)), s + j) for j in range(3)
-        ]
-        joined = sub.join(sub.join(family[0], family[1], tol), family[2], tol)
-        met = sub.meet(sub.meet(family[0], family[1], tol), family[2], tol)
-        lhs1 = sub.meet(
-            sub.meet(sub.ortho(family[0], tol), sub.ortho(family[1], tol), tol),
-            sub.ortho(family[2], tol),
-            tol,
-        )
-        lhs2 = sub.join(
-            sub.join(sub.ortho(family[0], tol), sub.ortho(family[1], tol), tol),
-            sub.ortho(family[2], tol),
-            tol,
-        )
-        worst_dm = max(
-            worst_dm,
-            sub.projector_distance(lhs1, sub.ortho(joined, tol)),
-            sub.projector_distance(lhs2, sub.ortho(met, tol)),
-        )
-    results["de_morgan"] = {"worst_residual": worst_dm, "holds": worst_dm < 1e-8}
-
-    holds_mp = True
-    for t in range(max(1, trials // 10)):
-        s = subseed(seed, "lattice-mp", t)
-        rng = np.random.default_rng(s)
-        p = sub.random_subspace(d, int(rng.integers(1, d)), s)
-        q = sub.random_subspace(d, int(rng.integers(1, d)), s + 1)
-        rep = laws.is_modular_pair(p, q, samples=8, seed=s, tol=tol)
-        holds_mp = holds_mp and rep.holds
-    results["modular_pairs"] = {"holds": holds_mp}
-
-    holds_cov = True
-    for t in range(max(1, trials // 10)):
-        s = subseed(seed, "lattice-cov", t)
-        rng = np.random.default_rng(s)
-        a = sub.random_subspace(d, int(rng.integers(0, d - 1)), s)
-        ray = sub.Ray.from_vector(random_vector(d, s + 1))
-        if sub.meet(a, ray.subspace, tol).dim != 0:
-            continue
-        rep = laws.check_covering(ray, a, tol)
-        holds_cov = holds_cov and rep.holds
-    results["covering"] = {"holds": holds_cov}
-
-    results["expected_pattern"] = (
-        results["orthomodular"]["holds"]
-        and failures > 0
-        and not results["nondistributivity_witness"]["holds"]
-        and agree
-        and results["de_morgan"]["holds"]
-        and holds_mp
-        and holds_cov
-    )
+    expected = True
+    for check in _LATTICE_CHECKS:
+        # Trial reports are folded in one by one; only the first
+        # counterexample is kept.
+        stats = {"failures": 0, "trials": 0, "worst_residual": 0.0, "counterexample": None}
+        for t in range(max(1, trials // check.per)):
+            s = subseed(seed, check.tag, t)
+            try:
+                report = check.check(*check.sample(d, t, s, tol), s, tol)
+            except PreconditionViolated:  # an instance outside the law's hypothesis
+                continue
+            stats["trials"] += 1
+            stats["worst_residual"] = max(stats["worst_residual"], report.worst_residual)
+            if not report.holds:
+                stats["failures"] += 1
+                if stats["counterexample"] is None:
+                    stats["counterexample"] = report.counterexample
+        # compatibility_criteria reports its verdict as "agree"
+        stats["holds"] = stats["agree"] = stats["failures"] == 0
+        results[check.key] = {field: stats[field] for field in check.fields}
+        expected = expected and stats["holds"] == check.holds
+    witness = laws.nondistributivity_witness(tol=tol).to_json()
+    results["nondistributivity_witness"] = witness
+    results["expected_pattern"] = expected and not witness["holds"]
     return results
 
 
@@ -217,12 +214,7 @@ def _classical_lattice_report(omega: int, tol: Tolerance) -> dict:
     ok_atomic = all(
         any(p.contains(atom) for atom in atoms) for p in props if p.members
     )
-    ok_dm = all(
-        cl.prop_not(cl.prop_or(a, b)).members
-        == cl.prop_and(cl.prop_not(a), cl.prop_not(b)).members
-        for a in props
-        for b in props
-    )
+    ok_dm = all(laws.check_de_morgan((a, b)).holds for a in props for b in props)
     return {
         "omega": omega,
         "prop_count": len(props),
@@ -241,19 +233,7 @@ def cmd_lattice_check(args) -> int:
         results = _classical_lattice_report(args.omega, tol)
     else:
         results = _quantum_lattice_report(args.dim1, args.trials, args.seed, tol)
-    report = {
-        "schema": SCHEMA,
-        "command": "lattice-check",
-        "config": {
-            "classical": args.classical,
-            "dim1": args.dim1,
-            "omega": args.omega,
-            "trials": args.trials,
-            "seed": args.seed,
-        },
-        "results": results,
-    }
-    _emit(report, args.output)
+    _emit(args, ("classical", "dim1", "omega", "trials", "seed"), results)
     return 0 if results["expected_pattern"] else 1
 
 
@@ -282,24 +262,9 @@ def cmd_composite_verify(args) -> int:
             "isomorphism": iso.to_json(),
         }
         passed = all(r.passed for r in axioms) and iso.passed
-    report = {
-        "schema": SCHEMA,
-        "command": "composite-verify",
-        "config": {
-            "classical": args.classical,
-            "dim1": args.dim1,
-            "dim2": args.dim2,
-            "n1": args.n1,
-            "n2": args.n2,
-            "trials": args.trials,
-            "seed": args.seed,
-            "twist": args.twist,
-            "conjugate_h1": args.conjugate_h1,
-            "conjugate_h2": args.conjugate_h2,
-        },
-        "results": results,
-    }
-    _emit(report, args.output)
+    config = ("classical", "dim1", "dim2", "n1", "n2", "trials", "seed", "twist",
+              "conjugate_h1", "conjugate_h2")
+    _emit(args, config, results)
     return 0 if passed else 1
 
 
@@ -345,13 +310,7 @@ def cmd_truth_demo(args) -> int:
             for t, (x, p) in zip(sample.times, sample.states):
                 writer.writerow([f"{t:.12g}", f"{x:.12g}", f"{p:.12g}"])
         results["curve_csv"] = args.curve_csv
-    report = {
-        "schema": SCHEMA,
-        "command": "truth-demo",
-        "config": {"nmax": args.nmax},
-        "results": results,
-    }
-    _emit(report, args.output)
+    _emit(args, ("nmax",), results)
     ok = abs(tv.value - 0.75) < 1e-12 and abs(tv_complement.value - 0.25) < 1e-12
     return 0 if ok else 1
 
@@ -370,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lat.add_argument("--classical", action="store_true")
     p_lat.add_argument("--omega", type=int, default=4, help="|phase space| (classical)")
     p_lat.add_argument("--output", default=None)
-    p_lat.add_argument("--format", choices=["json"], default="json")
     p_lat.set_defaults(func=cmd_lattice_check)
 
     p_comp = subparsers.add_parser("composite-verify", help="composite-system verification")
@@ -402,6 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("lattice-check", "composite-verify"):
+        if not args.classical and args.trials < 1:
+            parser.error("--trials must be at least 1 for the quantum branch")
     if args.command == "lattice-check":
         if not args.classical and args.dim1 < 2:
             parser.error("--dim1 must be at least 2 for the quantum branch")
@@ -412,6 +373,8 @@ def main(argv=None) -> int:
             parser.error("--dim1/--dim2 must be at least 3 for the quantum branch")
         if args.classical and (args.n1 < 1 or args.n2 < 1):
             parser.error("--n1/--n2 must be at least 1")
+    if args.command == "truth-demo" and args.nmax < 2:
+        parser.error("--nmax must be at least 2")
     try:
         return args.func(args)
     except OrthologicError as exc:

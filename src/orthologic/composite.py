@@ -9,6 +9,10 @@ composite lattice, subject to three axioms:
   II  (no disturbance) images h1(p1) and h2(p2) are always compatible,
   III (no information loss) images of atoms meet in an atom.
 
+Each axiom sub-check is defined once in _AXIOM_CHECKS, keyed by the
+counterexample kind it records: verify_axioms runs it on seeded
+samples and recheck_axiom_counterexample replays it from the JSON.
+
 The theorems verified here are existence statements over abstract
 pairs (h1, h2).  To make every derived object computable, this module
 fixes a concrete generative family: tensor-cylinder embeddings
@@ -27,13 +31,15 @@ lift to subspaces is verified to be a lattice isomorphism.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import subspace as sub
-from .core import DEFAULT_TOL, Tolerance, as_vector, random_unitary, random_vector, subseed
+from .core import DEFAULT_TOL, Tolerance, as_vector, random_vector, subseed
+# Not called here; kept as the module binding that bench/tracer.py patches.
+from .core import random_unitary  # noqa: F401
 from .errors import (
     AnchorNotInMeet,
     AxiomViolation,
@@ -254,22 +260,65 @@ class AxiomReport:
         return out
 
 
-def _random_dims(rng, d):
-    return int(rng.integers(1, d))
+def _same(lhs: Subspace, rhs: Subspace, tol: Tolerance):
+    return sub.equal(lhs, rhs, tol), sub.projector_distance(lhs, rhs)
 
 
-def _compatible_source_pair(d, seed):
-    """A pair of subspaces compatible by construction: coordinate
-    subspaces seen through a common random unitary frame."""
-    frame = random_unitary(d, seed)
-    rng = np.random.default_rng(seed ^ 0x5EED)
-    k1 = int(rng.integers(1, d + 1))
-    k2 = int(rng.integers(1, d + 1))
-    idx1 = rng.permutation(d)[:k1]
-    idx2 = rng.permutation(d)[:k2]
-    p = Subspace(d, frame[:, sorted(idx1)])
-    q = Subspace(d, frame[:, sorted(idx2)])
-    return p, q
+def _commuting(a: Subspace, b: Subspace, tol: Tolerance):
+    return compatible(a, b, tol), sub.commutator_norm(a, b)
+
+
+def _atom(m: Subspace):
+    return m.dim == 1, float(abs(m.dim - 1))
+
+
+# Counterexample kind -> its check.  A check takes the morphism under
+# test (the pair h1, h2 for the cross axioms II and III), then its
+# subspaces and tol, and returns (holds, residual).
+_AXIOM_CHECKS = {
+    "unitarity": lambda h, tol: (
+        sub.equal(h(full_subspace(h.source_dim)), full_subspace(h.target_dim), tol), 0.0
+    ),
+    "zero": lambda h, tol: (h(zero_subspace(h.source_dim)).dim == 0, 0.0),
+    "join": lambda h, p, q, tol: _same(h(sub.join(p, q, tol)), sub.join(h(p), h(q), tol), tol),
+    "family_join": lambda h, p, q, r, tol: _same(
+        h(sub.join(sub.join(p, q, tol), r, tol)),
+        sub.join(sub.join(h(p), h(q), tol), h(r), tol),
+        tol,
+    ),
+    "complement": lambda h, p, tol: _same(
+        h(sub.ortho(p, tol)),
+        sub.meet(sub.ortho(h(p), tol), h(full_subspace(h.source_dim)), tol),
+        tol,
+    ),
+    "compat_preservation": lambda h, p, q, tol: (compatible(h(p), h(q), tol), 0.0),
+    "compatibility": lambda h1, h2, p, q, tol: _commuting(h1(p), h2(q), tol),
+    "atom_meet": lambda h1, h2, p, q, tol: _atom(sub.meet(h1(p), h2(q), tol)),
+}
+
+
+def _axiom_ce(kind: str, side, subspaces) -> dict:
+    ce = {"kind": kind}
+    if side is not None:
+        ce["side"] = side
+    for name, s in zip("pqr", subspaces):
+        ce[name] = sub.subspace_to_json(s)
+    return ce
+
+
+def _sweep(morphisms: tuple, side, trials: int, sample, tol: Tolerance):
+    """Run the checks ``sample(trial)`` lists as (kind, subspaces) pairs,
+    trial by trial, up to the first failure.  Returns the worst residual,
+    the counterexample of that failure (None if all hold) and the number
+    of trials run."""
+    worst = 0.0
+    for trial in range(trials):
+        for kind, subspaces in sample(trial):
+            holds, residual = _AXIOM_CHECKS[kind](*morphisms, *subspaces, tol)
+            worst = max(worst, residual)
+            if not holds:
+                return worst, _axiom_ce(kind, side, subspaces), trial + 1
+    return worst, None, trials
 
 
 def verify_axioms(
@@ -286,102 +335,58 @@ def verify_axioms(
     """
     if h1.target_dim != h2.target_dim:
         raise DimensionMismatch("morphisms must share a target space")
-    d_target = h1.target_dim
-    reports = []
 
-    # Axiom I: each h alone must be a unitary c-morphism.
-    passed, worst, ce = True, 0.0, None
-    samples = 0
+    # Axiom I: each h alone must be a unitary c-morphism.  A map failing
+    # unitarity or zero is not sampled; the other map still is.
+    worst, ce, samples = 0.0, None, 0
     for side, h in ((1, h1), (2, h2)):
         d = h.source_dim
-        full_image = h(full_subspace(d))
         samples += 1
-        if not sub.equal(full_image, full_subspace(d_target), tol):
-            passed, ce = False, {"kind": "unitarity", "side": side}
+        if not _AXIOM_CHECKS["unitarity"](h, tol)[0]:
+            ce = _axiom_ce("unitarity", side, ())
             continue
-        zero_image = h(zero_subspace(d))
         samples += 1
-        if zero_image.dim != 0:
-            passed, ce = False, {"kind": "zero", "side": side}
+        if not _AXIOM_CHECKS["zero"](h, tol)[0]:
+            ce = _axiom_ce("zero", side, ())
             continue
-        for trial in range(trials):
+
+        def c_morphism_checks(trial):
             s = subseed(seed, f"axiom1_side{side}", trial)
-            rng = np.random.default_rng(s)
-            p = sub.random_subspace(d, _random_dims(rng, d + 1), s)
-            q = sub.random_subspace(d, _random_dims(rng, d + 1), s + 1)
-            r = sub.random_subspace(d, _random_dims(rng, d + 1), s + 2)
-            samples += 1
-            lhs = h(sub.join(p, q, tol))
-            rhs = sub.join(h(p), h(q), tol)
-            res = sub.projector_distance(lhs, rhs)
-            worst = max(worst, res)
-            if not sub.equal(lhs, rhs, tol):
-                passed = False
-                ce = _axiom_ce("join", side, p=p, q=q)
-                break
-            lhs3 = h(sub.join(sub.join(p, q, tol), r, tol))
-            rhs3 = sub.join(sub.join(h(p), h(q), tol), h(r), tol)
-            worst = max(worst, sub.projector_distance(lhs3, rhs3))
-            if not sub.equal(lhs3, rhs3, tol):
-                passed = False
-                ce = _axiom_ce("family_join", side, p=p, q=q, r=r)
-                break
-            lhs_c = h(sub.ortho(p, tol))
-            rhs_c = sub.meet(sub.ortho(h(p), tol), full_image, tol)
-            worst = max(worst, sub.projector_distance(lhs_c, rhs_c))
-            if not sub.equal(lhs_c, rhs_c, tol):
-                passed = False
-                ce = _axiom_ce("complement", side, p=p)
-                break
-            cp, cq = _compatible_source_pair(d, subseed(seed, f"compat{side}", trial))
-            if not compatible(h(cp), h(cq), tol):
-                passed = False
-                ce = _axiom_ce("compat_preservation", side, p=cp, q=cq)
-                break
-        if not passed:
+            p, q, r = sub.random_family((d, d, d), s, proper=False)
+            cp, cq = sub.compatible_pair(d, subseed(seed, f"compat{side}", trial))
+            return (
+                ("join", (p, q)),
+                ("family_join", (p, q, r)),
+                ("complement", (p,)),
+                ("compat_preservation", (cp, cq)),
+            )
+
+        side_worst, failure, run = _sweep((h,), side, trials, c_morphism_checks, tol)
+        worst, samples = max(worst, side_worst), samples + run
+        if failure is not None:
+            ce = failure
             break
-    reports.append(AxiomReport("I_c_morphism", passed, samples, worst, ce))
+    reports = [AxiomReport("I_c_morphism", ce is None, samples, worst, ce)]
 
     # Axiom II: cross-images are compatible.
-    passed, worst, ce = True, 0.0, None
-    for trial in range(trials):
+    def cross_checks(trial):
         s = subseed(seed, "axiom2", trial)
-        rng = np.random.default_rng(s)
-        p1 = sub.random_subspace(h1.source_dim, _random_dims(rng, h1.source_dim + 1), s)
-        p2 = sub.random_subspace(h2.source_dim, _random_dims(rng, h2.source_dim + 1), s + 1)
-        a, b = h1(p1), h2(p2)
-        pa, pb = a.projector(), b.projector()
-        res = float(np.linalg.norm(pa @ pb - pb @ pa))
-        worst = max(worst, res)
-        if not compatible(a, b, tol):
-            passed = False
-            ce = _axiom_ce("compatibility", None, p=p1, q=p2)
-            break
-    reports.append(AxiomReport("II_compatibility", passed, trials, worst, ce))
+        p1, p2 = sub.random_family((h1.source_dim, h2.source_dim), s, proper=False)
+        return (("compatibility", (p1, p2)),)
+
+    worst, ce, _ = _sweep((h1, h2), None, trials, cross_checks, tol)
+    reports.append(AxiomReport("II_compatibility", ce is None, trials, worst, ce))
 
     # Axiom III: atom images meet in an atom.
-    passed, worst, ce = True, 0.0, None
-    for trial in range(trials):
+    def atom_checks(trial):
         s = subseed(seed, "axiom3", trial)
         r1 = span_of([random_vector(h1.source_dim, s)], tol)
         r2 = span_of([random_vector(h2.source_dim, s + 1)], tol)
-        m = sub.meet(h1(r1), h2(r2), tol)
-        worst = max(worst, float(abs(m.dim - 1)))
-        if m.dim != 1:
-            passed = False
-            ce = _axiom_ce("atom_meet", None, p=r1, q=r2)
-            break
-    reports.append(AxiomReport("III_atoms", passed, trials, worst, ce))
+        return (("atom_meet", (r1, r2)),)
+
+    worst, ce, _ = _sweep((h1, h2), None, trials, atom_checks, tol)
+    reports.append(AxiomReport("III_atoms", ce is None, trials, worst, ce))
     return reports
-
-
-def _axiom_ce(kind: str, side, **subspaces) -> dict:
-    ce = {"kind": kind}
-    if side is not None:
-        ce["side"] = side
-    for name, s in subspaces.items():
-        ce[name] = sub.subspace_to_json(s)
-    return ce
 
 
 def recheck_axiom_counterexample(
@@ -394,36 +399,14 @@ def recheck_axiom_counterexample(
 
     Returns True when the recorded failure reproduces.
     """
-    kind = ce["kind"]
-    h = h1 if ce.get("side") == 1 else h2 if ce.get("side") == 2 else None
-    get = lambda name: sub.subspace_from_json(ce[name])
-    if kind == "unitarity":
-        return not sub.equal(h(full_subspace(h.source_dim)), full_subspace(h.target_dim), tol)
-    if kind == "zero":
-        return h(zero_subspace(h.source_dim)).dim != 0
-    if kind == "join":
-        p, q = get("p"), get("q")
-        return not sub.equal(h(sub.join(p, q, tol)), sub.join(h(p), h(q), tol), tol)
-    if kind == "family_join":
-        p, q, r = get("p"), get("q"), get("r")
-        lhs = h(sub.join(sub.join(p, q, tol), r, tol))
-        rhs = sub.join(sub.join(h(p), h(q), tol), h(r), tol)
-        return not sub.equal(lhs, rhs, tol)
-    if kind == "complement":
-        p = get("p")
-        lhs = h(sub.ortho(p, tol))
-        rhs = sub.meet(sub.ortho(h(p), tol), h(full_subspace(h.source_dim)), tol)
-        return not sub.equal(lhs, rhs, tol)
-    if kind == "compat_preservation":
-        p, q = get("p"), get("q")
-        return not compatible(h(p), h(q), tol)
-    if kind == "compatibility":
-        p, q = get("p"), get("q")
-        return not compatible(h1(p), h2(q), tol)
-    if kind == "atom_meet":
-        p, q = get("p"), get("q")
-        return sub.meet(h1(p), h2(q), tol).dim != 1
-    raise ValueError(f"unknown counterexample kind {kind!r}")
+    check = _AXIOM_CHECKS.get(ce["kind"])
+    if check is None:
+        raise ValueError(f"unknown counterexample kind {ce['kind']!r}")
+    side = ce.get("side")
+    morphisms = (h1, h2) if side is None else ((h1, h2)[side - 1],)
+    subspaces = [sub.subspace_from_json(ce[name]) for name in "pqr" if name in ce]
+    holds, _ = check(*morphisms, *subspaces, tol)
+    return not holds
 
 
 def restriction_iso_u(
@@ -454,20 +437,7 @@ def restriction_iso_v(
     h1: SubspaceMorphism, h2: SubspaceMorphism, x1, tol: Tolerance = DEFAULT_TOL
 ) -> SubspaceMorphism:
     """Mirror slice map p2 -> h1(<x1>) meet h2(p2)."""
-    x1v = as_vector(x1)
-    if float(np.linalg.norm(x1v)) < tol.eps_rank:
-        raise ZeroState("slice ray label must be nonzero")
-    slice_image = h1.map_ray(x1v)
-
-    def mapped(p2: Subspace) -> Subspace:
-        return sub.meet(h2(p2), slice_image, tol)
-
-    return SubspaceMorphism(
-        source_dim=h2.source_dim,
-        target_dim=h2.target_dim,
-        map=mapped,
-        label="restriction_v",
-    )
+    return replace(restriction_iso_u(h2, h1, x1, tol), label="restriction_v")
 
 
 def check_commutation(
@@ -774,12 +744,7 @@ def build_basis_map(
     d1, d2 = h1.source_dim, h2.source_dim
     e = _check_onb(basis1, d1, tol, "basis1")
     f = _check_onb(basis2, d2, tol, "basis2")
-    u_map, _ = build_U_V(h1, h2, anchors, tol)
-    columns = []
-    for i in range(d1):
-        for j in range(d2):
-            columns.append(u_map(f[:, j], e[:, i]))
-    matrix = np.column_stack(columns)
+    matrix = np.column_stack(composite_onb(h1, h2, basis1, basis2, anchors, tol))
     dual = lin1 != lin2
     conj_coeffs = (lin1 == ANTILINEAR and lin2 == ANTILINEAR) or (
         lin1 == LINEAR and lin2 == ANTILINEAR
@@ -854,7 +819,7 @@ def verify_tensor_isomorphism(
     worst = 0.0
     failures: list[str] = []
 
-    def note(check: str, res: float, ok: bool):
+    def note(check: str, ok: bool, res: float):
         nonlocal worst
         worst = max(worst, res)
         if not ok:
@@ -867,31 +832,17 @@ def verify_tensor_isomorphism(
         g2 = sub.random_subspace(dim, int(rng.integers(1, dim)), s + 1)
         l1, l2 = bm.lift(g1, tol), bm.lift(g2, tol)
 
-        lhs = bm.lift(sub.join(g1, g2, tol), tol)
-        rhs = sub.join(l1, l2, tol)
-        note(f"join@{trial}", sub.projector_distance(lhs, rhs), sub.equal(lhs, rhs, tol))
-
-        lhs = bm.lift(sub.meet(g1, g2, tol), tol)
-        rhs = sub.meet(l1, l2, tol)
-        note(f"meet@{trial}", sub.projector_distance(lhs, rhs), sub.equal(lhs, rhs, tol))
-
-        lhs = bm.lift(sub.ortho(g1, tol), tol)
-        rhs = sub.ortho(l1, tol)
-        note(f"ortho@{trial}", sub.projector_distance(lhs, rhs), sub.equal(lhs, rhs, tol))
-
+        for op, g, image in (
+            ("join", sub.join(g1, g2, tol), sub.join(l1, l2, tol)),
+            ("meet", sub.meet(g1, g2, tol), sub.meet(l1, l2, tol)),
+            ("ortho", sub.ortho(g1, tol), sub.ortho(l1, tol)),
+        ):
+            note(f"{op}@{trial}", *_same(bm.lift(g, tol), image, tol))
         atom = span_of([random_vector(dim, s + 2)], tol)
-        image_atom = bm.lift(atom, tol)
-        note(f"atom@{trial}", float(abs(image_atom.dim - 1)), image_atom.dim == 1)
-
-        back = bm.lift_inverse(l1, tol)
-        note(f"roundtrip@{trial}", sub.projector_distance(back, g1), sub.equal(back, g1, tol))
-
+        note(f"atom@{trial}", *_atom(bm.lift(atom, tol)))
+        note(f"roundtrip@{trial}", *_same(bm.lift_inverse(l1, tol), g1, tol))
         if sub.leq(g1, sub.join(g1, g2, tol), tol):
-            note(
-                f"leq@{trial}",
-                0.0,
-                sub.leq(l1, sub.join(l1, l2, tol), tol),
-            )
+            note(f"leq@{trial}", sub.leq(l1, sub.join(l1, l2, tol), tol), 0.0)
 
     return TensorIsoReport(
         target=bm.target,

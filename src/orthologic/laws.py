@@ -10,13 +10,15 @@ satisfies every law here, the subspace lattice does not.
 Compatibility of two subspaces is decided lattice-theoretically by the
 constructive criterion (a meet b) join (a' meet b) = b; the second
 criterion (a join b') meet b = a meet b and the projector-commutator
-test are exposed separately so independence of the three routes can be
-asserted in tests.
+test are exposed separately, and check_compatibility_criteria checks
+that the three routes agree.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -35,6 +37,8 @@ __all__ = [
     "compatible",
     "compatible_second_criterion",
     "commuting_projectors",
+    "check_compatibility_criteria",
+    "check_de_morgan",
     "check_foulis_distributivity",
     "check_triple_distributive",
     "check_covering",
@@ -69,58 +73,64 @@ class LawReport:
         return out
 
 
-class _Ops:
-    """Uniform lattice interface over Subspace and ClassicalProp."""
-
-    def __init__(self, sample):
-        if isinstance(sample, Subspace):
-            self.kind = "subspace"
-        elif isinstance(sample, cl.ClassicalProp):
-            self.kind = "classical"
-        else:
-            raise TypeError(f"unsupported proposition type {type(sample)!r}")
-
-    def join(self, a, b, tol):
-        if self.kind == "subspace":
-            return sub.join(a, b, tol)
-        return cl.prop_or(a, b)
-
-    def meet(self, a, b, tol):
-        if self.kind == "subspace":
-            return sub.meet(a, b, tol)
-        return cl.prop_and(a, b)
-
-    def ortho(self, a, tol):
-        if self.kind == "subspace":
-            return sub.ortho(a, tol)
-        return cl.prop_not(a)
-
-    def equal(self, a, b, tol):
-        if self.kind == "subspace":
-            return sub.equal(a, b, tol)
-        return a.members == b.members
-
-    def leq(self, a, b, tol):
-        if self.kind == "subspace":
-            return sub.leq(a, b, tol)
-        return b.contains(a)
-
-    def residual(self, a, b) -> float:
-        if self.kind == "subspace":
-            return sub.projector_distance(a, b)
-        return float(bin(a.members ^ b.members).count("1"))
-
-    def serialize(self, a) -> dict:
-        if self.kind == "subspace":
-            return sub.subspace_to_json(a)
-        return a.to_json()
+# The lattice operations of each proposition type, chosen once per check
+# by _lattice().  Each entry looks its module function up when called, so
+# a rebound module function (as the benchmark tracer installs) is used.
+_SUBSPACE = SimpleNamespace(
+    join=lambda a, b, tol: sub.join(a, b, tol),
+    meet=lambda a, b, tol: sub.meet(a, b, tol),
+    ortho=lambda a, tol: sub.ortho(a, tol),
+    equal=lambda a, b, tol: sub.equal(a, b, tol),
+    leq=lambda a, b, tol: sub.leq(a, b, tol),
+    residual=lambda a, b: sub.projector_distance(a, b),
+    serialize=lambda a: sub.subspace_to_json(a),
+)
+_CLASSICAL = SimpleNamespace(
+    join=lambda a, b, tol: cl.prop_or(a, b),
+    meet=lambda a, b, tol: cl.prop_and(a, b),
+    ortho=lambda a, tol: cl.prop_not(a),
+    equal=lambda a, b, tol: a.members == b.members,
+    leq=lambda a, b, tol: b.contains(a),
+    residual=lambda a, b: float(bin(a.members ^ b.members).count("1")),
+    serialize=lambda a: a.to_json(),
+)
 
 
-def _counterexample(ops: _Ops, inputs: dict, left, right) -> dict:
+def _lattice(sample) -> SimpleNamespace:
+    """The lattice operations for propositions of the type of ``sample``."""
+    if isinstance(sample, Subspace):
+        return _SUBSPACE
+    if isinstance(sample, cl.ClassicalProp):
+        return _CLASSICAL
+    raise TypeError(f"unsupported proposition type {type(sample)!r}")
+
+
+def _fold(op, items, tol):
+    """op over items from the left: op(op(x0, x1), x2) and so on."""
+    return functools.reduce(lambda x, y: op(x, y, tol), items)
+
+
+def _distributive_sides(join, meet, a, b, c, tol):
+    """Both sides of a join (b meet c) = (a join b) meet (a join c); with
+    join and meet exchanged, both sides of its dual."""
+    return join(a, meet(b, c, tol), tol), meet(join(a, b, tol), join(a, c, tol), tol)
+
+
+def _counterexample(ops, inputs: dict, left, right) -> dict:
     ce = {"inputs": {k: ops.serialize(v) for k, v in inputs.items()}}
     ce["left"] = ops.serialize(left)
     ce["right"] = ops.serialize(right)
     return ce
+
+
+def _compare(ops, law_name: str, inputs: dict, left, right, tol) -> LawReport:
+    """The report of the identity left = right, with the residual and a
+    counterexample when it fails."""
+    if ops.equal(left, right, tol):
+        return LawReport(law_name, True)
+    report = LawReport(law_name, False, worst_residual=ops.residual(left, right))
+    report.counterexample = _counterexample(ops, inputs, left, right)
+    return report
 
 
 def check_distributive(a, b, c, tol: Tolerance = DEFAULT_TOL) -> LawReport:
@@ -129,20 +139,9 @@ def check_distributive(a, b, c, tol: Tolerance = DEFAULT_TOL) -> LawReport:
     Holds for every classical triple; fails for generic subspace
     triples, which is the structural split between the two logics.
     """
-    ops = _Ops(a)
-    left = ops.join(a, ops.meet(b, c, tol), tol)
-    right = ops.meet(ops.join(a, b, tol), ops.join(a, c, tol), tol)
-    holds = ops.equal(left, right, tol)
-    report = LawReport(
-        "distributive",
-        holds,
-        worst_residual=0.0 if holds else ops.residual(left, right),
-    )
-    if not holds:
-        report.counterexample = _counterexample(
-            ops, {"a": a, "b": b, "c": c}, left, right
-        )
-    return report
+    ops = _lattice(a)
+    left, right = _distributive_sides(ops.join, ops.meet, a, b, c, tol)
+    return _compare(ops, "distributive", {"a": a, "b": b, "c": c}, left, right, tol)
 
 
 def nondistributivity_witness(
@@ -165,7 +164,6 @@ def nondistributivity_witness(
     left = sub.join(p3, sub.meet(p1, p2, tol), tol)
     right = sub.meet(sub.join(p3, p1, tol), sub.join(p1, p2, tol), tol)
     holds = sub.equal(left, right, tol)
-    ops = _Ops(p1)
     report = LawReport(
         "distributive",
         holds,
@@ -173,24 +171,18 @@ def nondistributivity_witness(
         detail={"left_dim": left.dim, "right_dim": right.dim},
     )
     report.counterexample = _counterexample(
-        ops, {"p1": p1, "p2": p2, "p3": p3}, left, right
+        _SUBSPACE, {"p1": p1, "p2": p2, "p3": p3}, left, right
     )
     return report
 
 
 def check_orthomodular(p, q, tol: Tolerance = DEFAULT_TOL) -> LawReport:
     """For p <= q, check q = p join (q meet p')."""
-    ops = _Ops(p)
+    ops = _lattice(p)
     if not ops.leq(p, q, tol):
         return LawReport("orthomodular", True, applicable=False)
     rebuilt = ops.join(p, ops.meet(q, ops.ortho(p, tol), tol), tol)
-    holds = ops.equal(rebuilt, q, tol)
-    report = LawReport(
-        "orthomodular", holds, worst_residual=ops.residual(rebuilt, q) if not holds else 0.0
-    )
-    if not holds:
-        report.counterexample = _counterexample(ops, {"p": p, "q": q}, rebuilt, q)
-    return report
+    return _compare(ops, "orthomodular", {"p": p, "q": q}, rebuilt, q, tol)
 
 
 def compatible(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -213,8 +205,42 @@ def commuting_projectors(
     a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
     """Operator-side oracle: do the orthogonal projectors commute."""
-    pa, pb = a.projector(), b.projector()
-    return float(np.linalg.norm(pa @ pb - pb @ pa)) < tol.eps_eq * a.ambient_dim
+    return sub.commutator_norm(a, b) < tol.eps_eq * a.ambient_dim
+
+
+def check_compatibility_criteria(
+    a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL
+) -> LawReport:
+    """Check that both lattice criteria and the projector oracle agree."""
+    verdicts = (
+        compatible(a, b, tol),
+        compatible_second_criterion(a, b, tol),
+        commuting_projectors(a, b, tol),
+    )
+    return LawReport("compatibility_criteria", verdicts[0] == verdicts[1] == verdicts[2])
+
+
+def check_de_morgan(family, tol: Tolerance = DEFAULT_TOL) -> LawReport:
+    """Check both de Morgan laws on a family: the meet of the complements
+    is the complement of the join, and the join of the complements is the
+    complement of the meet.
+
+    The verdict compares the worst residual with a fixed 1e-8.
+    """
+    ops = _lattice(family[0])
+    orthos = [ops.ortho(a, tol) for a in family]
+    sides = [
+        (_fold(ops.meet, orthos, tol), ops.ortho(_fold(ops.join, family, tol), tol)),
+        (_fold(ops.join, orthos, tol), ops.ortho(_fold(ops.meet, family, tol), tol)),
+    ]
+    residuals = [ops.residual(left, right) for left, right in sides]
+    worst = max(residuals)
+    report = LawReport("de_morgan", worst < 1e-8, worst_residual=worst)
+    if not report.holds:
+        left, right = sides[residuals.index(worst)]
+        inputs = {f"a{k}": a for k, a in enumerate(family)}
+        report.counterexample = _counterexample(ops, inputs, left, right)
+    return report
 
 
 def check_foulis_distributivity(
@@ -222,38 +248,26 @@ def check_foulis_distributivity(
 ) -> LawReport:
     """For b compatible with every a_i, check
     join_i (b meet a_i) = b meet (join_i a_i)."""
-    ops = _Ops(b)
+    ops = _lattice(b)
     family = list(family)
-    if ops.kind == "subspace":
+    if ops is _SUBSPACE:
         if not all(compatible(b, a, tol) for a in family):
             return LawReport("foulis_distributivity", True, applicable=False)
     if not family:
         return LawReport("foulis_distributivity", True, applicable=False)
-    left = ops.meet(b, family[0], tol)
-    joined = family[0]
-    for a in family[1:]:
-        left = ops.join(left, ops.meet(b, a, tol), tol)
-        joined = ops.join(joined, a, tol)
-    right = ops.meet(b, joined, tol)
-    holds = ops.equal(left, right, tol)
-    report = LawReport(
-        "foulis_distributivity",
-        holds,
-        trials=len(family),
-        worst_residual=0.0 if holds else ops.residual(left, right),
-    )
-    if not holds:
-        inputs = {"b": b}
-        inputs.update({f"a{k}": a for k, a in enumerate(family)})
-        report.counterexample = _counterexample(ops, inputs, left, right)
+    left = _fold(ops.join, [ops.meet(b, a, tol) for a in family], tol)
+    right = ops.meet(b, _fold(ops.join, family, tol), tol)
+    inputs = {"b": b, **{f"a{k}": a for k, a in enumerate(family)}}
+    report = _compare(ops, "foulis_distributivity", inputs, left, right, tol)
+    report.trials = len(family)
     return report
 
 
 def check_triple_distributive(a, b, c, tol: Tolerance = DEFAULT_TOL) -> LawReport:
     """If some element is compatible with the other two, the triple must
     satisfy all six distributivity identities."""
-    ops = _Ops(a)
-    if ops.kind == "subspace":
+    ops = _lattice(a)
+    if ops is _SUBSPACE:
         hypothesis = (
             (compatible(a, b, tol) and compatible(a, c, tol))
             or (compatible(b, a, tol) and compatible(b, c, tol))
@@ -263,29 +277,16 @@ def check_triple_distributive(a, b, c, tol: Tolerance = DEFAULT_TOL) -> LawRepor
             return LawReport("triple_distributive", True, applicable=False)
     worst = 0.0
     for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
-        left = ops.join(x, ops.meet(y, z, tol), tol)
-        right = ops.meet(ops.join(x, y, tol), ops.join(x, z, tol), tol)
-        if not ops.equal(left, right, tol):
-            report = LawReport(
-                "triple_distributive", False, worst_residual=ops.residual(left, right)
-            )
-            report.counterexample = _counterexample(
-                ops, {"a": a, "b": b, "c": c}, left, right
-            )
-            return report
-        dual_left = ops.meet(x, ops.join(y, z, tol), tol)
-        dual_right = ops.join(ops.meet(x, y, tol), ops.meet(x, z, tol), tol)
-        if not ops.equal(dual_left, dual_right, tol):
-            report = LawReport(
-                "triple_distributive",
-                False,
-                worst_residual=ops.residual(dual_left, dual_right),
-            )
-            report.counterexample = _counterexample(
-                ops, {"a": a, "b": b, "c": c}, dual_left, dual_right
-            )
-            return report
-        worst = max(worst, ops.residual(left, right), ops.residual(dual_left, dual_right))
+        for join, meet in ((ops.join, ops.meet), (ops.meet, ops.join)):
+            left, right = _distributive_sides(join, meet, x, y, z, tol)
+            residual = ops.residual(left, right)
+            if not ops.equal(left, right, tol):
+                report = LawReport("triple_distributive", False, worst_residual=residual)
+                report.counterexample = _counterexample(
+                    ops, {"a": a, "b": b, "c": c}, left, right
+                )
+                return report
+            worst = max(worst, residual)
     return LawReport("triple_distributive", True, trials=6, worst_residual=worst)
 
 
@@ -323,7 +324,7 @@ def check_covering(p: Ray, a: Subspace, tol: Tolerance = DEFAULT_TOL) -> LawRepo
     )
     if not holds:
         report.counterexample = _counterexample(
-            _Ops(a), {"a": a, "p": ray}, a, top
+            _SUBSPACE, {"a": a, "p": ray}, a, top
         )
     return report
 
@@ -356,7 +357,7 @@ def is_modular_pair(
                 "modular_pair", False, trials=trial + 1, worst_residual=worst
             )
             report.counterexample = _counterexample(
-                _Ops(p), {"p": p, "q": q, "r": r}, left, right
+                _SUBSPACE, {"p": p, "q": q, "r": r}, left, right
             )
             return report
     return LawReport("modular_pair", True, trials=samples, worst_residual=worst)

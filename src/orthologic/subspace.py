@@ -25,15 +25,17 @@ __all__ = [
     "span_of",
     "zero_subspace",
     "full_subspace",
-    "projector",
     "meet",
     "join",
     "ortho",
     "leq",
     "equal",
     "projector_distance",
+    "commutator_norm",
     "is_atom",
     "random_subspace",
+    "random_family",
+    "compatible_pair",
     "subspace_to_json",
     "subspace_from_json",
 ]
@@ -64,6 +66,7 @@ class Subspace:
         return self.basis.shape[1]
 
     def projector(self) -> np.ndarray:
+        """Orthogonal projector onto this subspace (Hermitian, idempotent)."""
         return self.basis @ self.basis.conj().T
 
     def contains(self, vector, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -118,11 +121,6 @@ def full_subspace(d: int) -> Subspace:
     return Subspace(d, np.eye(d, dtype=complex))
 
 
-def projector(q: Subspace) -> np.ndarray:
-    """Orthogonal projector onto q (Hermitian, idempotent, image = q)."""
-    return q.projector()
-
-
 def _check_same_ambient(p: Subspace, q: Subspace) -> None:
     if p.ambient_dim != q.ambient_dim:
         raise DimensionMismatch(
@@ -173,6 +171,13 @@ def projector_distance(p: Subspace, q: Subspace) -> float:
     return float(np.linalg.norm(p.projector() - q.projector()))
 
 
+def commutator_norm(p: Subspace, q: Subspace) -> float:
+    """Frobenius norm of PQ - QP; zero exactly when p and q are compatible."""
+    _check_same_ambient(p, q)
+    pp, pq = p.projector(), q.projector()
+    return float(np.linalg.norm(pp @ pq - pq @ pp))
+
+
 def is_atom(p: Subspace) -> bool:
     """Atoms of the subspace lattice are exactly the one-dimensional ones."""
     return p.dim == 1
@@ -188,6 +193,29 @@ def random_subspace(d: int, k: int, seed: int) -> Subspace:
     if k == 0:
         return zero_subspace(d)
     return Subspace(d, random_unitary(d, seed)[:, :k])
+
+
+def random_family(dims, seed: int, proper: bool) -> list[Subspace]:
+    """``random_subspace(d, k, seed + j)`` for the j-th d in ``dims``, with k
+    drawn by ``default_rng(seed)`` from 1..d-1 if ``proper``, else 1..d."""
+    rng = np.random.default_rng(seed)
+    family = []
+    for j, d in enumerate(dims):
+        k = int(rng.integers(1, d if proper else d + 1))
+        family.append(random_subspace(d, k, seed + j))
+    return family
+
+
+def compatible_pair(d: int, seed: int) -> tuple[Subspace, Subspace]:
+    """Two subspaces compatible by construction: coordinate subspaces of
+    one seeded random unitary frame, of dimensions drawn from 1..d."""
+    rng = np.random.default_rng(seed)
+    frame = random_unitary(d, seed)
+    k1 = int(rng.integers(1, d + 1))
+    k2 = int(rng.integers(1, d + 1))
+    cols1 = sorted(rng.permutation(d)[:k1].tolist())
+    cols2 = sorted(rng.permutation(d)[:k2].tolist())
+    return Subspace(d, frame[:, cols1]), Subspace(d, frame[:, cols2])
 
 
 def subspace_to_json(p: Subspace) -> dict:

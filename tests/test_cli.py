@@ -201,3 +201,20 @@ class TestToleranceOverride:
         with pytest.raises(SystemExit) as exc:
             main(["composite-verify", "--classical", "--n1", "0"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["composite-verify", "--trials", "0"],
+        ["composite-verify", "--trials", "-1"],
+        ["lattice-check", "--trials", "0"],
+        ["lattice-check", "--trials", "-3"],
+        ["truth-demo", "--nmax", "1"],
+    ],
+)
+def test_vacuous_or_invalid_runs_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

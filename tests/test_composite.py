@@ -1,5 +1,7 @@
 """Composite-system machinery: axioms, intertwiners, basis maps, isomorphism."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,54 @@ def make_gemischt(d1=3, d2=4):
     )
 
 
+def make_zero_to_full(d1=3, d2=3):
+    """Canonical, except that the zero subspace goes to the full space."""
+    base = canonical_h(1, d1, d2)
+
+    def embed(p):
+        return base.map(p) if p.dim else full_subspace(d1 * d2)
+
+    return SubspaceMorphism(d1, d1 * d2, embed, label="zero-to-full")
+
+
+def make_oblique(d1=3, d2=3):
+    """Join-preserving but not complement-preserving: p -> W(p tensor C^d2)
+    for an invertible, non-unitary diagonal W."""
+    w = np.diag(np.arange(1.0, d1 * d2 + 1.0))
+
+    def embed(p):
+        if p.dim == 0:
+            return zero_subspace(d1 * d2)
+        return span_of(list((w @ np.kron(p.basis, np.eye(d2))).T))
+
+    return SubspaceMorphism(d1, d1 * d2, embed, label="oblique")
+
+
+# tampered pair -> the counterexample kind each failing axiom must record
+TAMPERED_PAIRS = {
+    "slice-embedding": (
+        lambda: (make_slice_embedding(), canonical_h(2, 3, 3)),
+        {"I_c_morphism": "unitarity"},
+    ),
+    "zero-to-full": (
+        lambda: (make_zero_to_full(), canonical_h(2, 3, 3)),
+        {"I_c_morphism": "zero"},
+    ),
+    "rank-inflating": (
+        lambda: (make_rank_inflating(), canonical_h(2, 3, 3)),
+        {"I_c_morphism": "join"},
+    ),
+    "oblique": (
+        lambda: (make_oblique(), canonical_h(2, 3, 3)),
+        {"I_c_morphism": "complement"},
+    ),
+    "same-factor": (
+        lambda: (canonical_h(1, 3, 3), canonical_h(1, 3, 3)),
+        {"II_compatibility": "compatibility", "III_atoms": "atom_meet"},
+    ),
+}
+
+
 class TestCanonicalH:
     def test_full_space_maps_to_full_space(self, pair33):
         h1, _ = pair33
@@ -178,6 +228,21 @@ class TestVerifyAxioms:
         for report in reports:
             if report.counterexample is not None:
                 assert recheck_axiom_counterexample(fake, h2, report.counterexample)
+
+
+    @pytest.mark.parametrize("name", sorted(TAMPERED_PAIRS))
+    def test_every_failure_replays_from_json(self, pair33, name):
+        make, expected = TAMPERED_PAIRS[name]
+        h1, h2 = make()
+        reports = verify_axioms(h1, h2, trials=10, seed=6)
+        failed = {r.axiom: r.counterexample["kind"] for r in reports if not r.passed}
+        assert expected.items() <= failed.items()
+        for report in reports:
+            if report.passed:
+                continue
+            ce = json.loads(json.dumps(report.counterexample))
+            assert recheck_axiom_counterexample(h1, h2, ce)
+            assert not recheck_axiom_counterexample(*pair33, ce)
 
 
 class TestRestrictionIso:

@@ -21,6 +21,7 @@ from orthologic.laws import (
 from orthologic.subspace import (
     Ray,
     Subspace,
+    compatible_pair,
     equal,
     full_subspace,
     join,
@@ -178,6 +179,16 @@ class TestCompatibility:
         assert not compatible(a, b)
         pa, pb = a.projector(), b.projector()
         assert np.linalg.norm(pa @ pb - pb @ pa) > 0.1
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+    def test_compatible_pair_sampler_is_compatible(self, d):
+        for seed in range(200):
+            p, q = compatible_pair(d, seed)
+            pp, pq = p.projector(), q.projector()
+            assert np.linalg.norm(pp @ pq - pq @ pp) < 1e-10
+            assert compatible(p, q)
+            assert compatible_second_criterion(p, q)
+            assert commuting_projectors(p, q)
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_criteria_and_commutator_oracle_agree(self, d):

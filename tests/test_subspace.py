@@ -14,7 +14,6 @@ from orthologic.subspace import (
     leq,
     meet,
     ortho,
-    projector,
     projector_distance,
     random_subspace,
     span_of,
@@ -233,13 +232,13 @@ class TestLatticeInvariants:
 
 class TestProjector:
     def test_full_space_projector_is_identity(self):
-        assert np.allclose(projector(full_subspace(3)), np.eye(3))
+        assert np.allclose(full_subspace(3).projector(), np.eye(3))
 
     def test_zero_projector(self):
-        assert np.allclose(projector(zero_subspace(3)), np.zeros((3, 3)))
+        assert np.allclose(zero_subspace(3).projector(), np.zeros((3, 3)))
 
     def test_hermitian_idempotent(self):
-        p = projector(random_subspace(5, 2, 17))
+        p = random_subspace(5, 2, 17).projector()
         assert np.linalg.norm(p - p.conj().T) < 1e-12
         assert np.linalg.norm(p @ p - p) < 1e-12
 
