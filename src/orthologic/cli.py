@@ -78,26 +78,23 @@ def _emit(args, config: tuple, results: dict) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _nested_pair(d: int, seed: int, tol: Tolerance):
+def _nested_pair(d: int, seed: int):
     rng = np.random.default_rng(seed)
     kq = int(rng.integers(1, d + 1))
     q = sub.random_subspace(d, kq, seed)
     kp = int(rng.integers(0, kq + 1))
-    if kp == 0:
-        return sub.zero_subspace(d), q
-    inner = sub.random_subspace(kq, kp, seed + 1)
-    return sub.span_of(list((q.basis @ inner.basis).T), tol), q
+    return sub.random_subspace_of(q, kp, seed + 1), q
 
 
-def _mixed_pair(d: int, mode: int, seed: int, tol: Tolerance):
+def _mixed_pair(d: int, mode: int, seed: int):
     """Pair sampler mixing compatible-by-construction and generic pairs."""
     if mode == 0:
         return sub.compatible_pair(d, seed)
     if mode == 1:
         (p,) = sub.random_family((d,), seed, proper=True)
-        return p, sub.ortho(p, tol)
+        return p, sub.ortho(p)
     if mode == 2:
-        return _nested_pair(d, seed, tol)
+        return _nested_pair(d, seed)
     p, q = sub.random_family((d, d), seed, proper=True)
     return p, q
 
@@ -127,7 +124,7 @@ class _Check(NamedTuple):
 _LATTICE_CHECKS = (
     _Check(
         "orthomodular", "lattice-om", 1,
-        lambda d, t, s, tol: _nested_pair(d, s, tol),
+        lambda d, t, s, tol: _nested_pair(d, s),
         lambda p, q, s, tol: laws.check_orthomodular(p, q, tol),
         ("holds", "trials", "worst_residual"),
     ),
@@ -140,7 +137,7 @@ _LATTICE_CHECKS = (
     ),
     _Check(
         "compatibility_criteria", "lattice-compat", 1,
-        lambda d, t, s, tol: _mixed_pair(d, t % 4, s, tol),
+        lambda d, t, s, tol: _mixed_pair(d, t % 4, s),
         lambda p, q, s, tol: laws.check_compatibility_criteria(p, q, tol),
         ("agree", "trials"),
     ),
@@ -277,7 +274,7 @@ def cmd_truth_demo(args) -> int:
     state[1] = np.sqrt(1.0 / 4.0)
     ground = proposition_from_eigenstates({0}, dim)
     tv = truth_value(state, ground, tol)
-    tv_complement = truth_value(state, sub.ortho(ground, tol), tol)
+    tv_complement = truth_value(state, sub.ortho(ground), tol)
     results: dict = {
         "state": [[float(z.real), float(z.imag)] for z in state],
         "proposition": [0],

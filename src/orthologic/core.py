@@ -4,6 +4,9 @@ Inner products follow the convention of being conjugate-linear in the
 FIRST argument and linear in the second.  Many linear algebra libraries
 use the opposite convention; everything downstream relies on this one.
 
+Numerical rank is decided in one place, ``orthonormalize``, from the
+singular values of numpy's SVD.
+
 All randomness is generated by numpy's PCG64 generator seeded from a
 64-bit integer, so fixtures are reproducible run to run.
 """
@@ -37,9 +40,10 @@ __all__ = [
 class Tolerance:
     """Numerical thresholds used throughout the package.
 
-    eps_rank decides numerical rank (relative to the largest column
-    norm), eps_eq decides equality of subspaces/operators, eps_prob
-    decides truth-value classification.
+    eps_rank decides numerical rank (singular values relative to the
+    largest one) and, as a bound on the sines of principal angles,
+    which directions two subspaces share; eps_eq decides equality of
+    subspaces/operators, eps_prob decides truth-value classification.
     """
 
     eps_rank: float = 1e-9
@@ -97,81 +101,24 @@ def polarization_inner(x, y) -> complex:
     return complex(polarization_r(x, yv) - 1j * polarization_r(x, 1j * yv))
 
 
-def _mgs(columns, eps_rank: float, ref_scale: float | None = None):
-    """Modified Gram-Schmidt with a single re-orthogonalization pass.
-
-    Returns (Q, order) where Q has orthonormal columns spanning the
-    input columns and order[k] is the input index chosen at step k.
-    Pivoting selects the remaining column of largest norm, which makes
-    the result deterministic and rank decisions stable.
-
-    The rank threshold is eps_rank relative to the largest column norm,
-    or to ``ref_scale`` when the caller knows the natural scale of the
-    input (needed when all columns may legitimately be noise).
-    """
-    work = [as_vector(c).copy() for c in columns]
-    n = len(work)
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex), []
-    d = work[0].shape[0]
-    for w in work:
-        if w.shape[0] != d:
-            raise DimensionMismatch("columns must share a dimension")
-    ref = ref_scale if ref_scale is not None else max(
-        float(np.linalg.norm(w)) for w in work
-    )
-    if ref == 0.0:
-        return np.zeros((d, 0), dtype=complex), []
-    qs: list[np.ndarray] = []
-    order: list[int] = []
-    used = [False] * n
-    for _ in range(n):
-        best, best_norm = -1, -1.0
-        for k in range(n):
-            if used[k]:
-                continue
-            nrm = float(np.linalg.norm(work[k]))
-            if nrm > best_norm:
-                best, best_norm = k, nrm
-        if best < 0 or best_norm <= eps_rank * ref:
-            break
-        used[best] = True
-        v = work[best]
-        for _ in range(2):
-            for q in qs:
-                v = v - q * np.vdot(q, v)
-        nrm = float(np.linalg.norm(v))
-        if nrm <= eps_rank * ref:
-            continue
-        q = v / nrm
-        qs.append(q)
-        order.append(best)
-        for k in range(n):
-            if not used[k]:
-                work[k] = work[k] - q * np.vdot(q, work[k])
-    if not qs:
-        return np.zeros((d, 0), dtype=complex), []
-    return np.column_stack(qs), order
-
-
-def orthonormalize(
-    vectors, tol: Tolerance = DEFAULT_TOL, ref_scale: float | None = None
-) -> np.ndarray:
+def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (d x k matrix) for the span of the given vectors.
 
     Accepts a sequence of 1-d arrays or a d x n matrix whose columns are
-    the vectors.  k is the numerical rank under ``tol.eps_rank``,
-    measured against the largest column norm or against ``ref_scale``
-    when given.  An empty input yields a d x 0 matrix.
+    the vectors.  The basis is the leading k left singular vectors, where
+    k, the numerical rank, counts the singular values above
+    ``tol.eps_rank`` times the largest one.  An empty input yields a
+    d x 0 matrix.
     """
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        cols = [vectors[:, k] for k in range(vectors.shape[1])]
-        if not cols:
-            return np.zeros((vectors.shape[0], 0), dtype=complex)
+        mat = as_vector(vectors).reshape(vectors.shape)
     else:
-        cols = list(vectors)
-    q, _ = _mgs(cols, tol.eps_rank, ref_scale)
-    return q
+        cols = [as_vector(v) for v in vectors]
+        if len({c.shape[0] for c in cols}) > 1:
+            raise DimensionMismatch("columns must share a dimension")
+        mat = np.column_stack(cols) if cols else np.zeros((0, 0), dtype=complex)
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    return u[:, : int(np.count_nonzero(s > tol.eps_rank * s.max(initial=0.0)))]
 
 
 def rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -185,22 +132,18 @@ def rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
 def random_unitary(d: int, seed: int) -> np.ndarray:
     """Deterministic pseudo-random d x d unitary for a given seed.
 
-    A complex Gaussian matrix is orthonormalized column by column; the
-    phase of each basis column is then fixed so that the diagonal of
-    the triangular factor is real and positive.  This pins the result
-    uniquely (and close to Haar-distributed) per seed.
+    The Q factor of a complex Gaussian matrix G = QR, with the phase of
+    each column fixed so that the diagonal of R is real and positive
+    (Mezzadri, Notices AMS 2007).  This pins the result uniquely per
+    seed and makes it Haar-distributed.
     """
     if d < 1:
         raise DimensionMismatch("d must be >= 1")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, order = _mgs([g[:, k] for k in range(d)], eps_rank=1e-12)
-    if q.shape[1] != d:  # pragma: no cover - zero-probability event
-        raise ArithmeticError("random Gaussian matrix was numerically singular")
-    for k in range(d):
-        r = np.vdot(q[:, k], g[:, order[k]])
-        q[:, k] = q[:, k] * (np.conj(r) / abs(r))
-    return q
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
 
 
 def random_vector(d: int, seed: int) -> np.ndarray:

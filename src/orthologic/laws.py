@@ -25,7 +25,7 @@ import numpy as np
 
 from . import classical as cl
 from . import subspace as sub
-from .core import DEFAULT_TOL, Tolerance, random_vector
+from .core import DEFAULT_TOL, Tolerance
 from .errors import DimensionMismatch, PreconditionViolated
 from .subspace import Ray, Subspace
 
@@ -79,7 +79,7 @@ class LawReport:
 _SUBSPACE = SimpleNamespace(
     join=lambda a, b, tol: sub.join(a, b, tol),
     meet=lambda a, b, tol: sub.meet(a, b, tol),
-    ortho=lambda a, tol: sub.ortho(a, tol),
+    ortho=lambda a, tol: sub.ortho(a),
     equal=lambda a, b, tol: sub.equal(a, b, tol),
     leq=lambda a, b, tol: sub.leq(a, b, tol),
     residual=lambda a, b: sub.projector_distance(a, b),
@@ -188,7 +188,7 @@ def check_orthomodular(p, q, tol: Tolerance = DEFAULT_TOL) -> LawReport:
 def compatible(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Compatibility via (a meet b) join (a' meet b) = b."""
     rebuilt = sub.join(
-        sub.meet(a, b, tol), sub.meet(sub.ortho(a, tol), b, tol), tol
+        sub.meet(a, b, tol), sub.meet(sub.ortho(a), b, tol), tol
     )
     return sub.equal(rebuilt, b, tol)
 
@@ -197,7 +197,7 @@ def compatible_second_criterion(
     a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
     """Compatibility via (a join b') meet b = a meet b."""
-    left = sub.meet(sub.join(a, sub.ortho(b, tol), tol), b, tol)
+    left = sub.meet(sub.join(a, sub.ortho(b), tol), b, tol)
     return sub.equal(left, sub.meet(a, b, tol), tol)
 
 
@@ -341,14 +341,7 @@ def is_modular_pair(
         raise DimensionMismatch("ambient dims differ")
     worst = 0.0
     for trial in range(samples):
-        k = trial % (q.dim + 1)
-        if k == 0:
-            r = sub.zero_subspace(q.ambient_dim)
-        else:
-            coeffs = np.column_stack(
-                [random_vector(q.dim, seed + 7919 * trial + j) for j in range(k)]
-            )
-            r = sub.span_of(list((q.basis @ coeffs).T), tol)
+        r = sub.random_subspace_of(q, trial % (q.dim + 1), seed + 7919 * trial)
         left = sub.meet(sub.join(p, r, tol), q, tol)
         right = sub.join(sub.meet(p, q, tol), r, tol)
         worst = max(worst, sub.projector_distance(left, right))

@@ -122,6 +122,20 @@ class TestOrthonormalize:
         p1 = mine @ mine.conj().T
         p2 = oracle @ oracle.conj().T
         assert np.linalg.norm(p1 - p2) < 1e-10
+        # rank-deficient and mixed-scale inputs (scales 1e-3 .. 1e3)
+        for d in (2, 3, 5, 8, 16):
+            for r in range(1, d + 1):
+                seed = 1000 * d + 10 * r
+                frame = np.column_stack([random_vector(d, seed + j) for j in range(r)])
+                for n in (r, r + 2):
+                    combos = [frame @ random_vector(r, seed + 100 + k) for k in range(n)]
+                    scaled = [10.0 ** (k % 7 - 3) * v for k, v in enumerate(combos)]
+                    for vectors in (combos, scaled):
+                        mine, oracle = orthonormalize(vectors), pairwise_gs(vectors)
+                        assert mine.shape[1] == oracle.shape[1] == r, (d, r, n)
+                        p1 = mine @ mine.conj().T
+                        p2 = oracle @ oracle.conj().T
+                        assert np.linalg.norm(p1 - p2) < 1e-8, (d, r, n)
 
     def test_idempotent(self):
         vectors = [random_vector(6, 40 + k) for k in range(4)]
@@ -168,6 +182,16 @@ class TestRandomUnitary:
     def test_determinant_modulus(self):
         w = random_unitary(4, 7)
         assert abs(abs(np.linalg.det(w)) - 1) < 1e-10
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16])
+    def test_triangular_factor_has_positive_diagonal(self, d):
+        # W is the Q of the seeded Gaussian G = QR with diag(R) > 0
+        rng = np.random.default_rng(42)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        r = random_unitary(d, 42).conj().T @ g
+        assert np.linalg.norm(np.tril(r, -1)) < 1e-10
+        assert np.all(np.abs(np.diagonal(r).imag) < 1e-10)
+        assert np.all(np.diagonal(r).real > 0)
 
     def test_deterministic_per_seed(self):
         assert np.array_equal(random_unitary(5, 9), random_unitary(5, 9))

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from orthologic.core import random_unitary
 from orthologic.errors import DimensionMismatch, InvalidDimension
 from orthologic.subspace import (
     Ray,
     Subspace,
     equal,
     full_subspace,
+    inclusion,
     is_atom,
     join,
     leq,
@@ -16,6 +18,7 @@ from orthologic.subspace import (
     ortho,
     projector_distance,
     random_subspace,
+    random_subspace_of,
     span_of,
     subspace_from_json,
     subspace_to_json,
@@ -36,6 +39,23 @@ def nullspace_meet_oracle(p, q, tol=1e-9):
     if not null_rows:
         return zero_subspace(d)
     return Subspace(d, np.conj(np.column_stack(null_rows)))
+
+
+def shared_direction_pairs():
+    """(p, q, dim of their meet) in C^d: both contain the first s columns
+    of a seeded frame, plus kp and kq generic directions of the rest,
+    which meet generically in max(0, kp + kq - (d - s)) more."""
+    for d in (3, 4, 8, 16):
+        frame = random_unitary(d, d)
+        for s in range(d):
+            shared, rest = frame[:, :s], Subspace(d, frame[:, s:])
+            for kp, kq in ((1, 1), (d - s, 1), (d - s - 1, 2), (d - s, d - s)):
+                if not (0 <= kp <= d - s and 0 <= kq <= d - s):
+                    continue
+                seed = 100 * d + 10 * s + kp
+                p = Subspace(d, np.hstack([shared, random_subspace_of(rest, kp, seed).basis]))
+                q = Subspace(d, np.hstack([shared, random_subspace_of(rest, kq, seed + 1).basis]))
+                yield p, q, s + max(0, kp + kq - (d - s))
 
 
 class TestSpan:
@@ -65,6 +85,11 @@ class TestSpan:
         with pytest.raises(DimensionMismatch):
             span_of([[1, 0], [1, 0, 0]])
 
+    def test_rank_is_relative_to_the_largest_scale(self):
+        e = np.eye(2)
+        assert span_of([1e6 * e[0], 1e-4 * e[1]]).dim == 1
+        assert span_of([1e3 * e[0], 1e-3 * e[1]]).dim == 2
+
 
 class TestMeetJoin:
     def test_meet_idempotent(self):
@@ -85,6 +110,24 @@ class TestMeetJoin:
                 assert np.linalg.norm(v - p.projector() @ v) < 1e-8
                 assert np.linalg.norm(v - q.projector() @ v) < 1e-8
             assert equal(m, nullspace_meet_oracle(p, q))
+        for p, q, dim in shared_direction_pairs():
+            m = meet(p, q)
+            assert m.dim == dim
+            assert equal(m, nullspace_meet_oracle(p, q))
+            assert equal(m, ortho(join(ortho(p), ortho(q))))
+
+    def test_planes_sharing_a_line_meet_in_that_line(self):
+        # 1 - cos(4.5e-5) is about 1e-9, so a cosine test would merge the
+        # planes; their sine, 4.5e-5, keeps them apart.
+        theta = 4.5e-5
+        for d in (3, 8, 16):
+            w = random_unitary(d, d)
+            p = Subspace(d, w[:, :2])
+            tilted = np.cos(theta) * w[:, 1] + np.sin(theta) * w[:, 2]
+            q = Subspace(d, np.column_stack([w[:, 0], tilted]))
+            m = meet(p, q)
+            assert m.dim == 1
+            assert equal(m, Subspace(d, w[:, :1]))
 
     def test_meet_dimension_formula(self):
         p = random_subspace(5, 3, 1)
@@ -133,6 +176,8 @@ class TestOrderAndEquality:
 
     def test_skew_ray_not_below(self):
         assert not leq(span_of([E3[0] + E3[1]]), span_of([E3[0]]))
+        included, residual = inclusion(span_of([E3[0] + E3[1]]), span_of([E3[0]]))
+        assert not included and residual == pytest.approx(np.sqrt(0.5))
 
     def test_leq_agrees_with_join_dimension(self):
         p = random_subspace(5, 2, 31)
@@ -183,6 +228,14 @@ class TestRandomSubspace:
     def test_bad_k_rejected(self):
         with pytest.raises(InvalidDimension):
             random_subspace(3, 4, 0)
+
+    def test_subspace_of(self):
+        q = random_subspace(6, 3, 4)
+        for k in range(4):
+            r = random_subspace_of(q, k, 7)
+            assert r.dim == k and r.ambient_dim == 6 and leq(r, q)
+        with pytest.raises(InvalidDimension):
+            random_subspace_of(q, 4, 7)
 
 
 class TestLatticeInvariants:
