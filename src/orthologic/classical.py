@@ -225,44 +225,55 @@ class ProductIsoReport:
         }
 
 
+# Pairs per broadcast comparison: each int64 temporary of a chunk takes
+# 128 KB, whatever the number of propositions.
+_CHUNK = 1 << 14
+
+
+def _preserves(op, table: np.ndarray) -> bool:
+    """Whether table[op(a, b)] == op(table[a], table[b]) for every pair of
+    masks below len(table), compared by broadcasting over a chunk of rows
+    a at a time, at most _CHUNK pairs per chunk."""
+    b = np.arange(len(table), dtype=np.int64)
+    rows = max(1, _CHUNK // len(table))
+    chunks = (b[start:start + rows, None] for start in range(0, len(b), rows))
+    return all(np.array_equal(table[op(a, b)], op(table[a], table[b])) for a in chunks)
+
+
 def _check_classical_axioms(
     s1: PhaseSpace, s2: PhaseSpace, h1: ClassicalMorphism, h2: ClassicalMorphism
-) -> dict[tuple, int]:
-    """Validate the composition conditions and return the atom-pair map.
+) -> np.ndarray:
+    """Validate the composition conditions and return the atom images.
 
-    Returns, for every pair of factor points, the bitmask index of the
-    composite atom h1({x1}) meet h2({x2}).  Raises AxiomViolation with
-    the failed condition named.
+    Tabulates each morphism once and returns, for every pair of factor
+    points in product order, the bitmask of the composite atom h1({x1})
+    meet h2({x2}).  Raises AxiomViolation with the failed condition named.
     """
     if h1.target != h2.target:
         raise AxiomViolation("I_c_morphism: morphism targets differ")
-    target = h1.target
-    full_target = ClassicalProp.full(target)
+    full_target = ClassicalProp.full(h1.target).members
+    tables = []
     for name, h, s in (("h1", h1, s1), ("h2", h2, s2)):
-        if h(ClassicalProp.full(s)).members != full_target.members:
+        table = np.array([h(ClassicalProp(s, m)).members for m in range(1 << s.size)])
+        if table[-1] != full_target:
             raise AxiomViolation(f"I_c_morphism: {name} is not unitary")
-        if h(ClassicalProp.empty(s)).members != 0:
+        if table[0] != 0:
             raise AxiomViolation(f"I_c_morphism: {name} does not send empty to empty")
-        for a in all_props(s):
-            for b in all_props(s):
-                if h(prop_or(a, b)).members != (h(a).members | h(b).members):
-                    raise AxiomViolation(
-                        f"I_c_morphism: {name} does not preserve joins"
-                    )
-    atom_map: dict[tuple, int] = {}
-    for x1 in s1.points:
-        for x2 in s2.points:
-            image = prop_and(
-                h1(ClassicalProp.from_labels(s1, [x1])),
-                h2(ClassicalProp.from_labels(s2, [x2])),
-            )
-            if image.size != 1:
+        if not _preserves(np.bitwise_or, table):
+            raise AxiomViolation(f"I_c_morphism: {name} does not preserve joins")
+        tables.append(table)
+    atoms = []
+    for i, x1 in enumerate(s1.points):
+        for j, x2 in enumerate(s2.points):
+            image = int(tables[0][1 << i] & tables[1][1 << j])
+            size = bin(image).count("1")
+            if size != 1:
                 raise AxiomViolation(
                     "III_atoms: atom images must meet in an atom, got size "
-                    f"{image.size} for pair ({x1!r}, {x2!r})"
+                    f"{size} for pair ({x1!r}, {x2!r})"
                 )
-            atom_map[(x1, x2)] = image.members
-    return atom_map
+            atoms.append(image)
+    return np.array(atoms, dtype=np.int64)
 
 
 def product_space_isomorphism(
@@ -272,46 +283,35 @@ def product_space_isomorphism(
 
     The atom-pair map sends {(x1, x2)} to h1({x1}) meet h2({x2}); the
     induced map eta sends a composite proposition A to the set of pairs
-    whose atom image is contained in A.  Verification is exhaustive
-    over all propositions, so it is intended for small spaces.
+    whose atom image is contained in A.  eta is one lookup table over every
+    composite bitmask, read by the returned callable.  The check is
+    exhaustive: bijective means every product proposition is hit exactly
+    once, complement is one vector comparison, and union and intersection
+    compare all 4^N pairs by broadcasting, at most 2^14 pairs at a time.
     """
-    atom_map = _check_classical_axioms(s1, s2, h1, h2)
+    atoms = _check_classical_axioms(s1, s2, h1, h2)
     target = h1.target
     product = product_phase_space(s1, s2)
-    union_of_atoms = 0
-    for mask in atom_map.values():
-        union_of_atoms |= mask
-    if union_of_atoms != ClassicalProp.full(target).members:
+    full_target = ClassicalProp.full(target).members
+    if np.bitwise_or.reduce(atoms) != full_target:
         raise AxiomViolation("III_atoms: atom images do not cover the composite space")
+    masks = np.arange(1 << target.size, dtype=np.int64)
+    inside = (atoms & ~masks[:, None]) == 0
+    table = (inside * (1 << np.arange(product.size, dtype=np.int64))).sum(axis=1)
 
     def eta(a: ClassicalProp) -> ClassicalProp:
         if a.space != target:
             raise SpaceMismatch("input does not live on the composite space")
-        mask = 0
-        for k, pair in enumerate(product.points):
-            if atom_map[pair] & ~a.members == 0:
-                mask |= 1 << k
-        return ClassicalProp(product, mask)
+        return ClassicalProp(product, int(table[a.members]))
 
-    images = set()
-    ok_union = ok_inter = ok_compl = True
-    props = list(all_props(target))
-    for a in props:
-        images.add(eta(a).members)
-        if eta(prop_not(a)).members != prop_not(eta(a)).members:
-            ok_compl = False
-    for a in props:
-        for b in props:
-            if eta(prop_or(a, b)).members != prop_or(eta(a), eta(b)).members:
-                ok_union = False
-            if eta(prop_and(a, b)).members != prop_and(eta(a), eta(b)).members:
-                ok_inter = False
     report = ProductIsoReport(
-        prop_count=len(props),
-        bijective=len(images) == len(props),
-        preserves_union=ok_union,
-        preserves_intersection=ok_inter,
-        preserves_complement=ok_compl,
+        prop_count=len(table),
+        bijective=bool((np.bincount(table, minlength=1 << product.size) == 1).all()),
+        preserves_union=_preserves(np.bitwise_or, table),
+        preserves_intersection=_preserves(np.bitwise_and, table),
+        preserves_complement=np.array_equal(
+            table[full_target ^ masks], table ^ ClassicalProp.full(product).members
+        ),
     )
     return eta, report
 

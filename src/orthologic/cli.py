@@ -14,7 +14,8 @@ in ``composite``; lattice-check runs each sampled law as one entry of
 _LATTICE_CHECKS (sampler, checker, reported fields).
 
 Exit codes: 0 when the expected pattern holds, 1 on verification
-failure, 2 on usage errors (including --trials below 1).  Identical
+failure, 2 on usage errors (including --trials below 1 and classical
+sizes past MAX_PRODUCT_POINTS or MAX_OMEGA).  Identical
 configuration (including the seed) yields a byte-identical report; all
 randomness is derived from the single --seed flag via
 subseed(seed, command_name, trial_index).
@@ -211,7 +212,7 @@ def _classical_lattice_report(omega: int, tol: Tolerance) -> dict:
     ok_atomic = all(
         any(p.contains(atom) for atom in atoms) for p in props if p.members
     )
-    ok_dm = all(laws.check_de_morgan((a, b)).holds for a in props for b in props)
+    ok_dm = all(laws.check_de_morgan((a, b), tol).holds for a in props for b in props)
     return {
         "omega": omega,
         "prop_count": len(props),
@@ -354,6 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Largest exhaustive classical sizes.  composite-verify proves 2^12
+# composite propositions in well under a second; lattice-check sweeps
+# 2^(3 omega) triples in Python, about 16 s at omega = 6.
+MAX_PRODUCT_POINTS = 12
+MAX_OMEGA = 6
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -365,11 +373,15 @@ def main(argv=None) -> int:
             parser.error("--dim1 must be at least 2 for the quantum branch")
         if args.classical and args.omega < 1:
             parser.error("--omega must be at least 1")
+        if args.classical and args.omega > MAX_OMEGA:
+            parser.error(f"--omega must be at most {MAX_OMEGA}")
     if args.command == "composite-verify":
         if not args.classical and (args.dim1 < 3 or args.dim2 < 3):
             parser.error("--dim1/--dim2 must be at least 3 for the quantum branch")
         if args.classical and (args.n1 < 1 or args.n2 < 1):
             parser.error("--n1/--n2 must be at least 1")
+        if args.classical and args.n1 * args.n2 > MAX_PRODUCT_POINTS:
+            parser.error(f"--n1 times --n2 must be at most {MAX_PRODUCT_POINTS}")
     if args.command == "truth-demo" and args.nmax < 2:
         parser.error("--nmax must be at least 2")
     try:

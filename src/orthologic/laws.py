@@ -225,7 +225,7 @@ def check_de_morgan(family, tol: Tolerance = DEFAULT_TOL) -> LawReport:
     is the complement of the join, and the join of the complements is the
     complement of the meet.
 
-    The verdict compares the worst residual with a fixed 1e-8.
+    The verdict compares the worst residual with ``tol.eps_eq``.
     """
     ops = _lattice(family[0])
     orthos = [ops.ortho(a, tol) for a in family]
@@ -235,7 +235,7 @@ def check_de_morgan(family, tol: Tolerance = DEFAULT_TOL) -> LawReport:
     ]
     residuals = [ops.residual(left, right) for left, right in sides]
     worst = max(residuals)
-    report = LawReport("de_morgan", worst < 1e-8, worst_residual=worst)
+    report = LawReport("de_morgan", worst < tol.eps_eq, worst_residual=worst)
     if not report.holds:
         left, right = sides[residuals.index(worst)]
         inputs = {f"a{k}": a for k, a in enumerate(family)}

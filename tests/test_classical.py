@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from orthologic import classical
 from orthologic.classical import (
     ClassicalMorphism,
     ClassicalProp,
     PhaseSpace,
+    ProductIsoReport,
     all_props,
     canonical_h_classical,
     classical_atoms,
@@ -213,6 +215,188 @@ class TestProductIsomorphism:
         )
         with pytest.raises(AxiomViolation, match="III_atoms"):
             product_space_isomorphism(s1, s2, scrambled, h2)
+
+
+def loop_product_space_isomorphism(s1, s2, h1, h2):
+    """Independent oracle: the exhaustive check as plain Python loops over
+    every pair of propositions, with eta rebuilt bit by bit on each call.
+    Its ``bijective`` counts distinct images only (injectivity)."""
+    if h1.target != h2.target:
+        raise AxiomViolation("I_c_morphism: morphism targets differ")
+    target = h1.target
+    full_target = ClassicalProp.full(target)
+    for name, h, s in (("h1", h1, s1), ("h2", h2, s2)):
+        if h(ClassicalProp.full(s)).members != full_target.members:
+            raise AxiomViolation(f"I_c_morphism: {name} is not unitary")
+        if h(ClassicalProp.empty(s)).members != 0:
+            raise AxiomViolation(f"I_c_morphism: {name} does not send empty to empty")
+        for a in all_props(s):
+            for b in all_props(s):
+                if h(prop_or(a, b)).members != (h(a).members | h(b).members):
+                    raise AxiomViolation(f"I_c_morphism: {name} does not preserve joins")
+    atom_map = {}
+    for x1 in s1.points:
+        for x2 in s2.points:
+            image = prop_and(
+                h1(ClassicalProp.from_labels(s1, [x1])),
+                h2(ClassicalProp.from_labels(s2, [x2])),
+            )
+            if image.size != 1:
+                raise AxiomViolation(
+                    "III_atoms: atom images must meet in an atom, got size "
+                    f"{image.size} for pair ({x1!r}, {x2!r})"
+                )
+            atom_map[(x1, x2)] = image.members
+    product = product_phase_space(s1, s2)
+    union_of_atoms = 0
+    for mask in atom_map.values():
+        union_of_atoms |= mask
+    if union_of_atoms != full_target.members:
+        raise AxiomViolation("III_atoms: atom images do not cover the composite space")
+
+    def eta(a):
+        mask = 0
+        for k, pair in enumerate(product.points):
+            if atom_map[pair] & ~a.members == 0:
+                mask |= 1 << k
+        return ClassicalProp(product, mask)
+
+    images = set()
+    ok_union = ok_inter = ok_compl = True
+    props = list(all_props(target))
+    for a in props:
+        images.add(eta(a).members)
+        if eta(prop_not(a)).members != prop_not(eta(a)).members:
+            ok_compl = False
+    for a in props:
+        for b in props:
+            if eta(prop_or(a, b)).members != prop_or(eta(a), eta(b)).members:
+                ok_union = False
+            if eta(prop_and(a, b)).members != prop_and(eta(a), eta(b)).members:
+                ok_inter = False
+    report = ProductIsoReport(len(props), len(images) == len(props), ok_union, ok_inter, ok_compl)
+    return eta, report
+
+
+def remapped(h, remap):
+    """h with every image mask m replaced by remap(source mask, m)."""
+    return ClassicalMorphism(
+        h.source, h.target, lambda p: ClassicalProp(h.target, remap(p.members, h(p).members))
+    )
+
+
+def canonical_pair(s1, s2):
+    return canonical_h_classical(1, s1, s2), canonical_h_classical(2, s1, s2)
+
+
+def point_dropping_pair(s1, s2):
+    h1, h2 = canonical_pair(s1, s2)
+    return remapped(h1, lambda m, image: image & ~1), h2
+
+
+def scrambled_pair(s1, s2):
+    """h1 conjugated by a transposition of two composite points that is no
+    product map: joins and the full space survive, an atom meet empties."""
+    if s1.size < 2 or s2.size < 2:
+        return None
+    h1, h2 = canonical_pair(s1, s2)
+    i = h1.target.index((s1.points[0], s2.points[0]))
+    j = h1.target.index((s1.points[1], s2.points[1]))
+
+    def swap_bits(m, mask):
+        bit_i, bit_j = mask >> i & 1, mask >> j & 1
+        return mask & ~((1 << i) | (1 << j)) | bit_i << j | bit_j << i
+
+    return remapped(h1, swap_bits), h2
+
+
+def join_breaking_pair(s1, s2):
+    """One factor map sends its first atom to the empty set and is
+    canonical elsewhere: full and empty are kept, and only a mixed pair
+    ({x0}, b) with b missing x0 breaks join preservation."""
+    h1, h2 = canonical_pair(s1, s2)
+    if s2.size >= 2:
+        return h1, remapped(h2, lambda m, image: 0 if m == 1 else image)
+    if s1.size >= 2:
+        return remapped(h1, lambda m, image: 0 if m == 1 else image), h2
+    return None
+
+
+def uncovering_pair(s1, s2):
+    """Both factor maps miss the first composite point, so no atom image
+    covers it.  Join preservation makes h(full) the union of the atom
+    images of h, so unitarity already rejects every such pair."""
+    h1, h2 = canonical_pair(s1, s2)
+    drop = lambda m, image: image & ~1
+    return remapped(h1, drop), remapped(h2, drop)
+
+
+PAIRS = (canonical_pair, point_dropping_pair, scrambled_pair, join_breaking_pair, uncovering_pair)
+SIZES = [(n1, n2) for n1 in range(1, 7) for n2 in range(1, 7) if n1 * n2 <= 6]
+
+
+def factor_spaces(n1, n2):
+    return (
+        PhaseSpace(tuple(f"a{k}" for k in range(n1))),
+        PhaseSpace(tuple(f"b{k}" for k in range(n2))),
+    )
+
+
+def outcome(isomorphism, s1, s2, h1, h2):
+    """The report and every value of eta, or the AxiomViolation message."""
+    try:
+        eta, report = isomorphism(s1, s2, h1, h2)
+    except AxiomViolation as exc:
+        return str(exc)
+    return report.to_json(), [eta(a).members for a in all_props(h1.target)]
+
+
+class TestProductIsomorphismOracle:
+    @pytest.mark.parametrize("chunk", [classical._CHUNK, 8])
+    @pytest.mark.parametrize("pair", PAIRS, ids=lambda f: f.__name__)
+    def test_tables_match_loop_oracle(self, pair, chunk, monkeypatch):
+        # chunk = 8 splits every sweep into chunks of one or two rows
+        monkeypatch.setattr(classical, "_CHUNK", chunk)
+        checked = 0
+        for n1, n2 in SIZES:
+            s1, s2 = factor_spaces(n1, n2)
+            morphisms = pair(s1, s2)
+            if morphisms is None:
+                continue
+            mine = outcome(product_space_isomorphism, s1, s2, *morphisms)
+            oracle = outcome(loop_product_space_isomorphism, s1, s2, *morphisms)
+            assert mine == oracle, (n1, n2)
+            checked += 1
+        assert checked >= 3  # the scrambled pair needs two points per factor
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            (join_breaking_pair, "I_c_morphism: h2 does not preserve joins"),
+            (uncovering_pair, "I_c_morphism: h1 is not unitary"),
+        ],
+        ids=["join_breaking", "uncovering"],
+    )
+    def test_each_broken_pair_fails_its_own_check(self, pair, message):
+        s1, s2 = factor_spaces(2, 3)
+        with pytest.raises(AxiomViolation) as exc:
+            product_space_isomorphism(s1, s2, *pair(s1, s2))
+        assert str(exc.value).startswith(message)
+
+    def test_collapsed_target_is_not_bijective(self):
+        # h1 forgets the first factor: every atom meet is one point of a
+        # target with only |s2| points, so eta is injective but not onto
+        # the 2^(n1 n2) product propositions (the loop oracle counts only
+        # distinct images and reports it bijective)
+        s1, s2 = factor_spaces(2, 3)
+        h2 = ClassicalMorphism(s2, s2, lambda p: p)
+        h1 = ClassicalMorphism(
+            s1, s2, lambda p: ClassicalProp.full(s2) if p.members else ClassicalProp.empty(s2)
+        )
+        _, report = product_space_isomorphism(s1, s2, h1, h2)
+        assert report.prop_count == 8
+        assert not report.bijective
+        assert not report.passed
 
 
 class TestComplementAxioms:

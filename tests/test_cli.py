@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +107,15 @@ class TestCompositeVerify:
         classical = json.loads(out)["results"]["classical"]
         assert classical["passed"]
         assert classical["prop_count"] == 64
+
+    def test_largest_exhaustive_product(self, capsys):
+        code, out = run_cli(
+            capsys, "composite-verify", "--classical", "--n1", "3", "--n2", "4"
+        )
+        assert code == 0
+        classical = json.loads(out)["results"]["classical"]
+        assert classical["prop_count"] == 4096
+        assert classical["passed"]
 
     def test_small_quantum_dims_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -211,6 +224,9 @@ class TestToleranceOverride:
         ["lattice-check", "--trials", "0"],
         ["lattice-check", "--trials", "-3"],
         ["truth-demo", "--nmax", "1"],
+        ["composite-verify", "--classical", "--n1", "3", "--n2", "5"],
+        ["composite-verify", "--classical", "--n1", "13", "--n2", "1"],
+        ["lattice-check", "--classical", "--omega", "7"],
     ],
 )
 def test_vacuous_or_invalid_runs_are_usage_errors(capsys, argv):
@@ -218,3 +234,16 @@ def test_vacuous_or_invalid_runs_are_usage_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_module_entry_point(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "orthologic", "composite-verify", "--classical",
+         "--n1", "1", "--n2", "2"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        cwd=tmp_path, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["results"]["classical"]["passed"]

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from orthologic.classical import PhaseSpace, all_props
-from orthologic.core import random_vector
+from orthologic.core import Tolerance, random_vector
 from orthologic.errors import PreconditionViolated
 from orthologic.laws import (
     check_compatibility_criteria,
     check_covering,
+    check_de_morgan,
     check_distributive,
     check_foulis_distributivity,
     check_orthomodular,
@@ -226,6 +227,21 @@ class TestCompatibility:
             partner_vec = p.basis[:, 0] + 0.5 * ortho(p).basis[:, 0]
             partner = span_of([partner_vec])
             assert not compatible(p, partner)
+
+
+class TestDeMorgan:
+    def test_verdict_uses_the_callers_eps_eq(self):
+        # two planes in general position in C^4: every meet is zero and every
+        # join is the whole space, so the residual is rounding alone, far
+        # below the default eps_eq and far above a tight one
+        family = (random_subspace(4, 2, 0), random_subspace(4, 2, 50))
+        loose = check_de_morgan(family)
+        residual = loose.worst_residual
+        assert loose.holds and 0 < residual < 1e-12
+        tight = check_de_morgan(family, Tolerance(eps_rank=residual / 1000, eps_eq=residual / 10))
+        assert tight.worst_residual == residual
+        assert not tight.holds
+        assert tight.counterexample is not None
 
 
 class TestFoulisDistributivity:
