@@ -69,13 +69,22 @@ class PhaseSpace:
 
 @dataclass(frozen=True)
 class ClassicalProp:
-    """A proposition: a subset of a phase space, stored as a bitmask."""
+    """A proposition: a subset of a phase space, stored as a bitmask.
+
+    ``members`` is one bitmask (an int) or a batch: a numpy integer array
+    of bitmasks over the same space, each element one proposition.  The
+    connectives act elementwise and broadcast, so prop_and(p, q) on
+    batches of shapes (n, 1) and (1, n) holds all n^2 meets; ``contains``
+    is elementwise too.  ``size``, ``labels`` and the JSON forms are for
+    one bitmask.  A batch is not hashable and is never compared with
+    ``==``: the ``laws`` checkers compare the bitmasks themselves.
+    """
 
     space: PhaseSpace
-    members: int = field(default=0)
+    members: int | np.ndarray = field(default=0)
 
     def __post_init__(self) -> None:
-        if self.members < 0 or self.members >= (1 << self.space.size):
+        if np.any((self.members < 0) | (self.members >= 1 << self.space.size)):
             raise InvalidParameter("bitmask out of range for this phase space")
 
     @classmethod
@@ -181,15 +190,18 @@ def canonical_h_classical(side: int, s1: PhaseSpace, s2: PhaseSpace) -> Classica
         raise InvalidParameter("side must be 1 or 2")
     product = product_phase_space(s1, s2)
     source = s1 if side == 1 else s2
+    # cylinders[i]: the product points whose side coordinate is source point i
+    cylinders = [0] * source.size
+    for k, point in enumerate(product.points):
+        cylinders[source.index(point[side - 1])] |= 1 << k
 
     def extend(p: ClassicalProp) -> ClassicalProp:
         if p.space != source:
             raise SpaceMismatch("proposition does not live on the morphism source")
         mask = 0
-        for k, (x1, x2) in enumerate(product.points):
-            lab = x1 if side == 1 else x2
-            if p.members >> source.index(lab) & 1:
-                mask |= 1 << k
+        for i, cylinder in enumerate(cylinders):
+            if p.members >> i & 1:
+                mask |= cylinder
         return ClassicalProp(product, mask)
 
     return ClassicalMorphism(source, product, extend)
@@ -293,8 +305,7 @@ def product_space_isomorphism(
     target = h1.target
     product = product_phase_space(s1, s2)
     full_target = ClassicalProp.full(target).members
-    if np.bitwise_or.reduce(atoms) != full_target:
-        raise AxiomViolation("III_atoms: atom images do not cover the composite space")
+    # Atom images cover: their union is h1(full) meet h2(full) (joins preserved) = full (unitary).
     masks = np.arange(1 << target.size, dtype=np.int64)
     inside = (atoms & ~masks[:, None]) == 0
     table = (inside * (1 << np.arange(product.size, dtype=np.int64))).sum(axis=1)

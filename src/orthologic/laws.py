@@ -7,6 +7,16 @@ sides).  The checkers work both on quantum propositions (Subspace) and
 classical ones (ClassicalProp); the classical power-set lattice
 satisfies every law here, the subspace lattice does not.
 
+A classical argument may be a batch (a ClassicalProp holding an array
+of bitmasks), and the same checker bodies then decide the law on every
+element at once, broadcasting the arguments against each other: the
+sides are equal when every element is, p <= q when every element is
+included, and the residual is the largest number of points in which
+the two sides differ.  When a batch fails, the counterexample holds the
+inputs and sides of its first failing element (in C order over the
+broadcast shape) as single propositions, so it replays through the same
+checker on scalars.
+
 Compatibility of two subspaces is decided lattice-theoretically by the
 constructive criterion (a meet b) join (a' meet b) = b; the second
 criterion (a join b') meet b = a meet b and the projector-commutator
@@ -73,6 +83,29 @@ class LawReport:
         return out
 
 
+def _most_bits(masks) -> float:
+    """The largest number of set bits among the bitmasks ``masks`` (an int
+    or an integer array): one shift per bit up to the highest set one."""
+    count = 0
+    while np.any(masks):
+        count, masks = count + (masks & 1), masks >> 1
+    return float(np.max(count))
+
+
+def _first_failure(inputs: dict, left, right):
+    """The inputs and both sides at the first element, in C order over
+    the broadcast shape, where the sides differ, as single propositions.
+    A single proposition is its own first element."""
+    differ = left.members != right.members
+    shape = np.broadcast_shapes(np.shape(differ), *(np.shape(p.members) for p in inputs.values()))
+    at = np.unravel_index(np.argmax(np.broadcast_to(differ, shape)), shape)
+
+    def element(p):
+        return cl.ClassicalProp(p.space, int(np.broadcast_to(p.members, shape)[at]))
+
+    return {k: element(p) for k, p in inputs.items()}, element(left), element(right)
+
+
 # The lattice operations of each proposition type, chosen once per check
 # by _lattice().  Each entry looks its module function up when called, so
 # a rebound module function (as the benchmark tracer installs) is used.
@@ -84,15 +117,17 @@ _SUBSPACE = SimpleNamespace(
     leq=lambda a, b, tol: sub.leq(a, b, tol),
     residual=lambda a, b: sub.projector_distance(a, b),
     serialize=lambda a: sub.subspace_to_json(a),
+    first_failure=lambda inputs, left, right: (inputs, left, right),
 )
 _CLASSICAL = SimpleNamespace(
     join=lambda a, b, tol: cl.prop_or(a, b),
     meet=lambda a, b, tol: cl.prop_and(a, b),
     ortho=lambda a, tol: cl.prop_not(a),
-    equal=lambda a, b, tol: a.members == b.members,
-    leq=lambda a, b, tol: b.contains(a),
-    residual=lambda a, b: float(bin(a.members ^ b.members).count("1")),
+    equal=lambda a, b, tol: bool(np.all(a.members == b.members)),
+    leq=lambda a, b, tol: bool(np.all(b.contains(a))),
+    residual=lambda a, b: _most_bits(a.members ^ b.members),
     serialize=lambda a: a.to_json(),
+    first_failure=_first_failure,
 )
 
 
@@ -117,6 +152,7 @@ def _distributive_sides(join, meet, a, b, c, tol):
 
 
 def _counterexample(ops, inputs: dict, left, right) -> dict:
+    inputs, left, right = ops.first_failure(inputs, left, right)
     ce = {"inputs": {k: ops.serialize(v) for k, v in inputs.items()}}
     ce["left"] = ops.serialize(left)
     ce["right"] = ops.serialize(right)

@@ -45,6 +45,13 @@ class TestLatticeCheck:
         assert results["atomic"]
         assert results["de_morgan"]
 
+    def test_classical_past_the_old_cap(self, capsys):
+        code, out = run_cli(capsys, "lattice-check", "--classical", "--omega", "7")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["prop_count"] == 128
+        assert results["expected_pattern"]
+
     def test_byte_identical_reports_for_same_config(self, capsys):
         argv = ["lattice-check", "--dim1", "3", "--trials", "25", "--seed", "7"]
         _, first = run_cli(capsys, *argv)
@@ -226,7 +233,7 @@ class TestToleranceOverride:
         ["truth-demo", "--nmax", "1"],
         ["composite-verify", "--classical", "--n1", "3", "--n2", "5"],
         ["composite-verify", "--classical", "--n1", "13", "--n2", "1"],
-        ["lattice-check", "--classical", "--omega", "7"],
+        ["lattice-check", "--classical", "--omega", "9"],
     ],
 )
 def test_vacuous_or_invalid_runs_are_usage_errors(capsys, argv):

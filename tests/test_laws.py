@@ -1,11 +1,16 @@
 """Lattice-law checkers: distributivity, orthomodularity, compatibility."""
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 
-from orthologic.classical import PhaseSpace, all_props
+from orthologic import classical
+from orthologic.classical import ClassicalProp, PhaseSpace, all_props, prop_and
+from orthologic.cli import main
 from orthologic.core import Tolerance, random_vector
-from orthologic.errors import PreconditionViolated
+from orthologic.errors import InvalidParameter, PreconditionViolated
 from orthologic.laws import (
     check_compatibility_criteria,
     check_covering,
@@ -342,3 +347,138 @@ class TestModularPairs:
             report = is_modular_pair(p, q, samples=10, seed=seed)
             assert report.holds
             assert report.worst_residual < 1e-8
+
+
+def lossy_join(a, b):
+    """A broken join: the union loses point 0 when both sides hold it or
+    when the union holds point 1."""
+    union = a.members | b.members
+    return ClassicalProp(a.space, union & ~((a.members & b.members | union >> 1) & 1))
+
+
+def batch_axes(space, dims):
+    """One batch per axis of a dims-dimensional grid of every bitmask."""
+    masks = np.arange(1 << space.size)
+    return [
+        ClassicalProp(space, masks.reshape([-1 if k == axis else 1 for k in range(dims)]))
+        for axis in range(dims)
+    ]
+
+
+def scalar_sweep(check, props, arity):
+    """(every report holds, worst residual) of check over every tuple."""
+    reports = [check(*args) for args in itertools.product(props, repeat=arity)]
+    return all(r.holds for r in reports), max(r.worst_residual for r in reports)
+
+
+def replay(check, counterexample, space):
+    """check on the counterexample's inputs, rebuilt from its JSON."""
+    inputs = counterexample["inputs"]
+    return check(*(ClassicalProp.from_json(space, inputs[name]) for name in sorted(inputs)))
+
+
+class TestClassicalBatches:
+    """A batch runs the same checker body as a scalar, on every element."""
+
+    @pytest.fixture(params=["intact", "lossy_join"])
+    def join(self, request, monkeypatch):
+        if request.param == "lossy_join":
+            monkeypatch.setattr(classical, "prop_or", lossy_join)
+        return request.param
+
+    @pytest.mark.parametrize("omega", [1, 2, 3])
+    def test_batches_match_scalar_sweeps(self, join, omega):
+        space = PhaseSpace(tuple(f"w{k}" for k in range(omega)))
+        props = list(all_props(space))
+        col, row = batch_axes(space, 2)
+        # orthomodularity over every nested pair, de Morgan over every pair
+        assert not check_orthomodular(col, row).applicable
+        nested = check_orthomodular(prop_and(col, row), col)
+        om = scalar_sweep(check_orthomodular, props, 2)
+        assert (nested.holds, nested.worst_residual) == om
+        dm = check_de_morgan((col, row))
+        assert (dm.holds, dm.worst_residual) == scalar_sweep(
+            lambda a, b: check_de_morgan((a, b)), props, 2
+        )
+        # every triple in one batch, and as one batch per first element
+        triples = check_triple_distributive(*batch_axes(space, 3))
+        per_a = [check_triple_distributive(a, col, row) for a in props]
+        holds, worst = scalar_sweep(check_triple_distributive, props, 3)
+        assert triples.holds == all(r.holds for r in per_a) == holds
+        # a failing batch reports the residual of its first failing identity
+        # over every triple, each scalar report that of its own, so only
+        # the verdicts compare when the join is broken
+        if holds:
+            assert triples.worst_residual == max(r.worst_residual for r in per_a) == worst == 0
+        assert holds == (join == "intact")
+
+    def test_failing_batch_counterexample_replays_on_scalars(self, monkeypatch):
+        monkeypatch.setattr(classical, "prop_or", lossy_join)
+        space = PhaseSpace(("u", "v", "w"))
+        col, row = batch_axes(space, 2)
+        for report, check in (
+            (check_triple_distributive(*batch_axes(space, 3)), check_triple_distributive),
+            (check_orthomodular(prop_and(col, row), col), check_orthomodular),
+            (check_de_morgan((col, row)), lambda *family: check_de_morgan(family)),
+            (check_distributive(*batch_axes(space, 3)), check_distributive),
+        ):
+            assert report.holds is False and report.worst_residual >= 1
+            ce = report.counterexample
+            for prop in (*ce["inputs"].values(), ce["left"], ce["right"]):
+                assert len(prop["members"]) == space.size
+            assert ce["left"] != ce["right"]
+            assert replay(check, ce, space).holds is False
+
+    def test_residual_counts_every_differing_point(self, monkeypatch):
+        # with the complement as the identity, de Morgan compares a meet b
+        # with a join b, which differ in every point of a xor b
+        monkeypatch.setattr(classical, "prop_not", lambda a: a)
+        space = PhaseSpace(tuple(f"w{k}" for k in range(5)))
+        col, row = batch_axes(space, 2)
+        assert check_de_morgan((col, row)).worst_residual == 5.0
+        pair = (ClassicalProp.from_labels(space, ["w1", "w3"]), ClassicalProp.full(space))
+        assert check_de_morgan(pair).worst_residual == 3.0
+
+    def test_counterexample_is_the_first_failing_element(self, monkeypatch):
+        monkeypatch.setattr(classical, "prop_or", lossy_join)
+        space = PhaseSpace(("u", "v"))
+        a, b, c = batch_axes(space, 3)
+        report = check_distributive(a, b, c)
+        first = next(
+            args for args in itertools.product(all_props(space), repeat=3)
+            if not check_distributive(*args).holds
+        )
+        assert report.counterexample == check_distributive(*first).counterexample
+
+    def test_classical_lattice_check_sees_a_broken_join(self, monkeypatch, capsys):
+        monkeypatch.setattr(classical, "prop_or", lossy_join)
+        assert main(["lattice-check", "--classical", "--omega", "3"]) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        broken = ("distributive", "orthomodular", "absorption", "de_morgan")
+        assert not any(results[law] for law in broken)
+        assert results["atomic"]
+
+    def test_batches_are_never_hashed_or_compared_whole(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a ClassicalProp was hashed or compared with ==")
+
+        monkeypatch.setattr(ClassicalProp, "__eq__", refuse)
+        monkeypatch.setattr(ClassicalProp, "__hash__", refuse)
+        space = PhaseSpace(("u", "v", "w"))
+        col, row = batch_axes(space, 2)
+        # passing and failing batches, the latter building counterexamples
+        for join in (classical.prop_or, lossy_join):
+            monkeypatch.setattr(classical, "prop_or", join)
+            check_triple_distributive(*batch_axes(space, 3))
+            check_orthomodular(prop_and(col, row), col)
+            check_de_morgan((col, row))
+            check_foulis_distributivity(col, [row, col])
+            main(["lattice-check", "--classical", "--omega", "3"])
+        capsys.readouterr()
+
+    def test_batch_bitmasks_are_range_checked(self):
+        space = PhaseSpace(("u", "v"))
+        with pytest.raises(InvalidParameter):
+            ClassicalProp(space, np.array([[0, 4]]))
+        with pytest.raises(InvalidParameter):
+            ClassicalProp(space, np.array([-1, 3]))
