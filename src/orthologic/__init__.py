@@ -62,7 +62,6 @@ from .errors import (
     OrthologicError,
     PreconditionViolated,
     SpaceMismatch,
-    UnknownLinearity,
     ZeroState,
 )
 from .laws import (

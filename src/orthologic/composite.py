@@ -14,15 +14,17 @@ counterexample kind it records: verify_axioms runs it on seeded
 samples and recheck_axiom_counterexample replays it from the JSON.
 
 The theorems verified here are existence statements over abstract
-pairs (h1, h2).  To make every derived object computable, this module
-fixes a concrete generative family: tensor-cylinder embeddings
-p -> p tensor C^{d2} (and mirror), optionally twisted by a unitary on
-the composite space and optionally entrywise conjugated (the
-antilinear variant).  The family provably satisfies axioms I-III, and
-user-supplied morphisms can be plugged in through the same interface.
+pairs (h1, h2).  The module ships one concrete family to run them on:
+tensor-cylinder embeddings p -> p tensor C^{d2} (and mirror),
+optionally twisted by a unitary on the composite space and optionally
+entrywise conjugated (the antilinear variant).  The family provably
+satisfies axioms I-III.  A user morphism needs only its lattice map:
+nothing below reads how the map was built.
 
-From an axiom-satisfying pair the module constructs the ray
-intertwiners F/K, the norm-preserving maps U/V they generate, the
+From an axiom-satisfying pair the module derives the ray intertwiners
+F/K from the lattice maps alone (h(<x - y>) is the graph of F_{y,x}),
+classifies each map as linear or antilinear by the scalar action of
+F_{i x, x}, and builds the norm-preserving maps U/V they generate, the
 product orthonormal basis of the composite space, and finally the
 basis map onto the tensor space (or its dual-twisted variant), whose
 lift to subspaces is verified to be a lattice isomorphism.
@@ -37,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import subspace as sub
-from .core import DEFAULT_TOL, Tolerance, as_vector, random_vector, subseed
+from .core import DEFAULT_TOL, Tolerance, as_vector, random_vector, rank, subseed
 # Not called here; kept as the module binding that bench/tracer.py patches.
 from .core import random_unitary  # noqa: F401
 from .errors import (
@@ -48,7 +50,6 @@ from .errors import (
     NotInDomain,
     NotOrthonormal,
     PreconditionViolated,
-    UnknownLinearity,
     ZeroState,
 )
 from .laws import LawReport, compatible
@@ -80,26 +81,19 @@ __all__ = [
 LINEAR = "linear"
 ANTILINEAR = "antilinear"
 GEMISCHT = "gemischt"
-UNKNOWN = "unknown"
 
 
 @dataclass
 class SubspaceMorphism:
-    """A map between subspace lattices, with cached metadata.
+    """A map between subspace lattices.
 
-    ``map`` acts on Subspace values; ``intertwiner`` (when available)
-    produces, for nonzero x and any y in the source space, the linear
-    map from the image of <x> to the image of <y>.  The canonical
-    family fills both in; hand-built morphisms may leave intertwiner
-    unset, in which case linearity cannot be classified.
+    ``map`` acts on Subspace values and is all a morphism needs: the
+    ray intertwiners and the linearity class are derived from it.
     """
 
     source_dim: int
     target_dim: int
     map: Callable[[Subspace], Subspace]
-    linearity_class: str = UNKNOWN
-    anchors: Optional[tuple] = None
-    intertwiner: Optional[Callable[[np.ndarray, np.ndarray], Callable]] = None
     label: str = ""
 
     def __call__(self, p: Subspace) -> Subspace:
@@ -111,10 +105,6 @@ class SubspaceMorphism:
 
     def map_ray(self, x) -> Subspace:
         return self(span_of([as_vector(x)]))
-
-
-def _maybe_conj(v: np.ndarray, conjugate: bool) -> np.ndarray:
-    return np.conj(v) if conjugate else v
 
 
 def canonical_h(
@@ -154,7 +144,7 @@ def canonical_h(
     def embed(p: Subspace) -> Subspace:
         if p.dim == 0:
             return zero_subspace(dim)
-        block = _maybe_conj(p.basis, conjugate)
+        block = np.conj(p.basis) if conjugate else p.basis
         if side == 1:
             cols = np.kron(block, np.eye(other_dim, dtype=complex))
         else:
@@ -163,71 +153,68 @@ def canonical_h(
             cols = twist @ cols
         return Subspace(dim, cols)
 
-    def make_intertwiner(y, x):
-        return _canonical_ray_map(side, d1, d2, twist, conjugate, y, x, tol)
-
     return SubspaceMorphism(
         source_dim=source_dim,
         target_dim=dim,
         map=embed,
-        linearity_class=ANTILINEAR if conjugate else LINEAR,
-        intertwiner=make_intertwiner,
         label=f"canonical_h{side}"
         + ("_conj" if conjugate else "")
         + ("_twist" if twist is not None else ""),
     )
 
 
-def _canonical_ray_map(side, d1, d2, twist, conjugate, y, x, tol: Tolerance):
-    """Factor-decomposition realization of the ray intertwiner.
+def _ray_matrix(h: SubspaceMorphism, y, x, tol: Tolerance) -> np.ndarray:
+    """Matrix of the ray intertwiner F_{y,x}, derived from h.map alone.
 
-    On the image of <x>, every vector is the image of x tensor v (side
-    1; mirrored for side 2) for a unique v; the map replaces the x
-    factor by y.  Vectors failing the decomposition residual are
-    rejected as outside the domain.
+    For independent x and y, h(<x - y>) is the graph {u - F u : u in
+    h(<x>)} of F_{y,x} (the m-morphism property).  Solving
+    [B_x, -B_y] [a; b] = B_{x-y} by least squares on the basis matrices
+    of the three images gives F = B_y b a^-1 B_x^H.  Parallel labels go
+    through the coordinate vector z on which x has the least weight:
+    F_{y,x} = F_{y,z} F_{z,x}.  F_{0,x} is the zero map.
     """
     xv, yv = as_vector(x), as_vector(y)
     if float(np.linalg.norm(xv)) < tol.eps_rank:
         raise ZeroState("intertwiner source ray label must be nonzero")
-    xc = _maybe_conj(xv, conjugate)
-    yc = _maybe_conj(yv, conjugate)
-    xnorm2 = float(np.linalg.norm(xv)) ** 2
+    if float(np.linalg.norm(yv)) < tol.eps_rank:
+        return np.zeros((h.target_dim, h.target_dim), dtype=complex)
+    if rank(np.column_stack([xv, yv]), tol) < 2:
+        if h.source_dim < 2:
+            raise InvalidDimension("parallel labels need a source of dimension >= 2")
+        z = np.eye(h.source_dim, dtype=complex)[int(np.argmin(np.abs(xv)))]
+        return _ray_matrix(h, yv, z, tol) @ _ray_matrix(h, z, xv, tol)
+    bx, by, bd = (h.map_ray(v).basis for v in (xv, yv, xv - yv))
+    if not bx.shape == by.shape == bd.shape:
+        raise AxiomViolation("m_morphism fails: the ray images differ in dimension")
+    graph = np.hstack([bx, -by])
+    coef = np.linalg.lstsq(graph, bd, rcond=None)[0]
+    if np.linalg.norm(graph @ coef - bd) > tol.eps_eq * np.sqrt(bd.shape[1]):
+        raise AxiomViolation("m_morphism fails: h(<x - y>) is no graph over h(<x>)")
+    k = bx.shape[1]
+    return by @ np.linalg.solve(coef[:k].T, coef[k:].T).T @ bx.conj().T
+
+
+def intertwiner_F(h: SubspaceMorphism, y, x, tol: Tolerance = DEFAULT_TOL):
+    """The map from the image of <x> to the image of <y> under h.
+
+    Derived from h.map alone (see _ray_matrix); vectors outside the
+    image of <x> raise NotInDomain.
+    """
+    matrix = _ray_matrix(h, y, x, tol)
+    domain = h.map_ray(x)
 
     def apply(u) -> np.ndarray:
         uv = as_vector(u)
-        if uv.shape[0] != d1 * d2:
-            raise DimensionMismatch("vector does not live in the composite space")
-        t = twist.conj().T @ uv if twist is not None else uv
-        m = t.reshape(d1, d2)
-        if side == 1:
-            v = (np.conj(xc) @ m) / xnorm2
-            reconstructed = np.outer(xc, v)
-            out = np.outer(yc, v)
-        else:
-            w = (m @ np.conj(xc)) / xnorm2
-            reconstructed = np.outer(w, xc)
-            out = np.outer(w, yc)
-        scale = max(float(np.linalg.norm(uv)), 1.0)
-        if float(np.linalg.norm(m - reconstructed)) > tol.eps_eq * scale:
+        if not domain.contains(uv, tol):
             raise NotInDomain("vector is not in the image of the source ray")
-        flat = out.reshape(-1)
-        return twist @ flat if twist is not None else flat
+        return matrix @ uv
 
     return apply
 
 
-def intertwiner_F(h: SubspaceMorphism, y, x):
-    """The map from the image of <x> to the image of <y> under h."""
-    if h.intertwiner is None:
-        raise UnknownLinearity(
-            "this morphism carries no intertwiner realization"
-        )
-    return h.intertwiner(y, x)
-
-
 def extended_intertwiner(h: SubspaceMorphism, y, x, tol: Tolerance = DEFAULT_TOL):
     """Extension acting as the identity off the image of <x>."""
-    base = intertwiner_F(h, y, x)
+    base = intertwiner_F(h, y, x, tol)
 
     def apply(u) -> np.ndarray:
         try:
@@ -470,8 +457,8 @@ def check_commutation(
     start = sub.meet(h1.map_ray(x1v), h2.map_ray(x2v), tol)
     if start.dim == 0:
         raise PreconditionViolated("the atom meet is empty; axioms fail upstream")
-    f_map = intertwiner_F(h1, y1v, x1v)
-    k_map = intertwiner_F(h2, y2v, x2v)
+    f_map = intertwiner_F(h1, y1v, x1v, tol)
+    k_map = intertwiner_F(h2, y2v, x2v, tol)
     meet_f = sub.meet(h1.map_ray(y1v), h2.map_ray(x2v), tol)
     meet_k = sub.meet(h1.map_ray(x1v), h2.map_ray(y2v), tol)
     worst = 0.0
@@ -503,40 +490,21 @@ def _c2pair(z: complex):
 
 
 def classify_linearity(
-    h: SubspaceMorphism, probes: int = 8, seed: int = 0, tol: Tolerance = DEFAULT_TOL
+    h: SubspaceMorphism, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> str:
-    """Classify h by the scalar action of F_{lambda x, x}.
+    """Classify h by the scalar action of F_{i x, x} on all of h(<x>).
 
-    The map multiplies domain vectors either by lambda (linear) or by
-    its conjugate (antilinear); any other behavior is reported as
-    "gemischt", which a valid composite-system morphism never exhibits.
+    The map multiplies every domain vector either by i (linear) or by
+    -i (antilinear); any other action is reported as "gemischt", which
+    a valid composite-system morphism never exhibits.  ``seed`` draws x.
     """
-    if h.intertwiner is None:
-        raise UnknownLinearity("morphism carries no intertwiner to probe")
-    saw_linear, saw_antilinear = False, False
-    for probe in range(probes):
-        s = subseed(seed, "classify", probe)
-        x = random_vector(h.source_dim, s)
-        rng = np.random.default_rng(s)
-        lam = complex(rng.standard_normal(), 0.5 + abs(rng.standard_normal()))
-        for lam_probe in (1j, lam):
-            f_scale = h.intertwiner(lam_probe * x, x)
-            domain = h.map_ray(x)
-            coeff = rng.standard_normal(domain.dim) + 1j * rng.standard_normal(domain.dim)
-            u = domain.basis @ coeff
-            out = f_scale(u)
-            scale = max(1.0, float(np.linalg.norm(out)))
-            lin_res = float(np.linalg.norm(out - lam_probe * u)) / scale
-            anti_res = float(np.linalg.norm(out - np.conj(lam_probe) * u)) / scale
-            if lin_res < tol.eps_eq:
-                saw_linear = True
-            elif anti_res < tol.eps_eq:
-                saw_antilinear = True
-            else:
-                return GEMISCHT
-    if saw_linear and saw_antilinear:
-        return GEMISCHT
-    return LINEAR if saw_linear else ANTILINEAR
+    x = random_vector(h.source_dim, subseed(seed, "classify", 0))
+    basis = h.map_ray(x).basis
+    image = _ray_matrix(h, 1j * x, x, tol) @ basis
+    for scalar, linearity in ((1j, LINEAR), (-1j, ANTILINEAR)):
+        if np.linalg.norm(image - scalar * basis) < tol.eps_eq * np.sqrt(basis.shape[1]):
+            return linearity
+    return GEMISCHT
 
 
 def check_m_morphism(
@@ -582,7 +550,8 @@ def default_anchors(
 
     z1 and z2 default to the first coordinate vectors of the factors;
     z is computed from the lattice itself, so the choice also works for
-    twisted morphisms where no closed form is available.
+    twisted morphisms where no closed form is available.  Image rays
+    that do not meet fail axiom III (AxiomViolation).
     """
     z1 = np.zeros(h1.source_dim, dtype=complex)
     z1[0] = 1.0
@@ -590,7 +559,7 @@ def default_anchors(
     z2[0] = 1.0
     m = sub.meet(h1.map_ray(z1), h2.map_ray(z2), tol)
     if m.dim == 0:
-        raise AnchorNotInMeet("image rays of the default anchors do not meet")
+        raise AxiomViolation("III_atoms fails: the default anchors' image rays do not meet")
     z = m.basis[:, 0]
     # Fix the arbitrary phase of the meet's basis vector (an SVD factor):
     # its largest coordinate becomes real positive, so untwisted canonical
@@ -598,6 +567,19 @@ def default_anchors(
     k = int(np.argmax(np.abs(z)))
     z = z * (np.conj(z[k]) / abs(z[k]))
     return z1, z2, z
+
+
+def _anchored(h1: SubspaceMorphism, h2: SubspaceMorphism, anchors, tol: Tolerance):
+    """The validated anchor triple (z1, z2, z) and alpha = |z1| |z2| / |z|."""
+    if anchors is None:
+        anchors = default_anchors(h1, h2, tol)
+    z1, z2, z = (as_vector(a) for a in anchors)
+    if min(float(np.linalg.norm(v)) for v in (z1, z2, z)) < tol.eps_rank:
+        raise ZeroState("anchors must be nonzero")
+    anchor_meet = sub.meet(h1.map_ray(z1), h2.map_ray(z2), tol)
+    if not anchor_meet.contains(z, tol):
+        raise AnchorNotInMeet("z must lie in the meet of the anchor ray images")
+    return z1, z2, z, float(np.linalg.norm(z1) * np.linalg.norm(z2) / np.linalg.norm(z))
 
 
 def build_U_V(
@@ -613,29 +595,21 @@ def build_U_V(
     according to the linearity class of the corresponding morphism,
     and U(x2, x1) spans h1(<x1>) meet h2(<x2>).
     """
-    if anchors is None:
-        anchors = default_anchors(h1, h2, tol)
-    z1, z2, z = (as_vector(a) for a in anchors)
-    if min(float(np.linalg.norm(v)) for v in (z1, z2, z)) < tol.eps_rank:
-        raise ZeroState("anchors must be nonzero")
-    anchor_meet = sub.meet(h1.map_ray(z1), h2.map_ray(z2), tol)
-    if not anchor_meet.contains(z, tol):
-        raise AnchorNotInMeet("z must lie in the meet of the anchor ray images")
-    alpha = float(np.linalg.norm(z1) * np.linalg.norm(z2) / np.linalg.norm(z))
+    z1, z2, z, alpha = _anchored(h1, h2, anchors, tol)
 
     def u_map(x2, x1) -> np.ndarray:
         x2v, x1v = as_vector(x2), as_vector(x1)
         if float(np.linalg.norm(x2v)) < tol.eps_rank:
             raise ZeroState("the slice ray label must be nonzero")
-        k_step = intertwiner_F(h2, x2v, z2)(z)
-        return (alpha / float(np.linalg.norm(x2v))) * intertwiner_F(h1, x1v, z1)(k_step)
+        k_step = intertwiner_F(h2, x2v, z2, tol)(z)
+        return (alpha / float(np.linalg.norm(x2v))) * intertwiner_F(h1, x1v, z1, tol)(k_step)
 
     def v_map(x1, x2) -> np.ndarray:
         x1v, x2v = as_vector(x1), as_vector(x2)
         if float(np.linalg.norm(x1v)) < tol.eps_rank:
             raise ZeroState("the slice ray label must be nonzero")
-        f_step = intertwiner_F(h1, x1v, z1)(z)
-        return (alpha / float(np.linalg.norm(x1v))) * intertwiner_F(h2, x2v, z2)(f_step)
+        f_step = intertwiner_F(h1, x1v, z1, tol)(z)
+        return (alpha / float(np.linalg.norm(x1v))) * intertwiner_F(h2, x2v, z2, tol)(f_step)
 
     return u_map, v_map
 
@@ -662,15 +636,17 @@ def composite_onb(
     """Orthonormal basis {U(f_j, e_i)} of the composite space.
 
     Ordered by the flattening (i, j) -> i * d2 + j of the factor
-    indices; the defaults are the coordinate bases.
+    indices; the defaults are the coordinate bases.  Each factor
+    intertwiner is derived once, d1 + d2 derivations in all:
+    U(f_j, e_i) = alpha F_{e_i,z1} K_{f_j,z2} z.
     """
     e = _check_onb(basis1, h1.source_dim, tol, "basis1")
     f = _check_onb(basis2, h2.source_dim, tol, "basis2")
-    u_map, _ = build_U_V(h1, h2, anchors, tol)
+    z1, z2, z, alpha = _anchored(h1, h2, anchors, tol)
+    k_steps = np.column_stack([_ray_matrix(h2, f[:, j], z2, tol) @ z for j in range(f.shape[1])])
     vectors = []
     for i in range(e.shape[1]):
-        for j in range(f.shape[1]):
-            vectors.append(u_map(f[:, j], e[:, i]))
+        vectors.extend((alpha * (_ray_matrix(h1, e[:, i], z1, tol) @ k_steps)).T)
     return vectors
 
 
@@ -731,14 +707,12 @@ def build_basis_map(
     tensor C^{d2} as the domain (with coefficients conjugated in the
     antilinear-antilinear case); mixed classes move the first factor to
     its dual.  The coefficient of the (i, j) product basis vector is
-    carried onto U(f_j, e_i).
+    carried onto U(f_j, e_i).  Both linearity classes are derived here;
+    a gemischt morphism is refused (AxiomViolation) by name.
     """
-    lin1, lin2 = h1.linearity_class, h2.linearity_class
-    for lin in (lin1, lin2):
-        if lin not in (LINEAR, ANTILINEAR):
-            raise UnknownLinearity(
-                f"linearity class {lin!r}; classify the morphisms first"
-            )
+    lin1, lin2 = classify_linearity(h1, tol=tol), classify_linearity(h2, tol=tol)
+    if GEMISCHT in (lin1, lin2):
+        raise AxiomViolation("gemischt morphisms admit no basis map")
     d1, d2 = h1.source_dim, h2.source_dim
     e = _check_onb(basis1, d1, tol, "basis1")
     f = _check_onb(basis2, d2, tol, "basis2")
@@ -798,21 +772,19 @@ def verify_tensor_isomorphism(
 ) -> TensorIsoReport:
     """Constructively verify that the composite lattice is the tensor one.
 
-    Refuses (AxiomViolation) unless axioms I-III verify first.  Then
-    the basis map is lifted to subspaces and join, meet, complement,
-    atom and round-trip preservation are checked on seeded instances;
-    the report names which tensor space (plain or dual-first) applied.
+    Refuses (AxiomViolation, naming the axiom) unless axioms I-III
+    verify.  The basis map is built before that sweep: it derives both
+    linearity classes and so refuses a gemischt pair by name first.
+    Then the basis map is lifted to subspaces and join, meet,
+    complement, atom and round-trip preservation are checked on seeded
+    instances; the report names which tensor space (plain or
+    dual-first) applied.
     """
+    bm = build_basis_map(h1, h2, tol=tol)
     axiom_reports = verify_axioms(h1, h2, trials=axiom_trials, seed=seed, tol=tol)
     for report in axiom_reports:
         if not report.passed:
             raise AxiomViolation(f"axiom {report.axiom} fails; no isomorphism is built")
-    for h in (h1, h2):
-        if h.linearity_class == UNKNOWN:
-            h.linearity_class = classify_linearity(h, seed=seed, tol=tol)
-        if h.linearity_class == GEMISCHT:
-            raise AxiomViolation("gemischt morphisms admit no basis map")
-    bm = build_basis_map(h1, h2, tol=tol)
     dim = bm.index.dim
     worst = 0.0
     failures: list[str] = []

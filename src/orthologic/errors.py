@@ -45,9 +45,5 @@ class NotOrthonormal(OrthologicError):
     """A supplied family of vectors is not orthonormal."""
 
 
-class UnknownLinearity(OrthologicError):
-    """A morphism's linearity class is needed but not determined."""
-
-
 class AnchorNotInMeet(OrthologicError):
     """A supplied anchor vector does not lie in the required intersection."""

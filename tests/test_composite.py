@@ -1,5 +1,6 @@
 """Composite-system machinery: axioms, intertwiners, basis maps, isomorphism."""
 
+import itertools
 import json
 
 import numpy as np
@@ -24,7 +25,7 @@ from orthologic.composite import (
     verify_axioms,
     verify_tensor_isomorphism,
 )
-from orthologic.core import random_unitary, random_vector
+from orthologic.core import Tolerance, as_vector, random_unitary, random_vector
 from orthologic.errors import (
     AnchorNotInMeet,
     AxiomViolation,
@@ -32,7 +33,6 @@ from orthologic.errors import (
     NotInDomain,
     NotOrthonormal,
     PreconditionViolated,
-    UnknownLinearity,
     ZeroState,
 )
 from orthologic.subspace import (
@@ -81,33 +81,48 @@ def make_rank_inflating(d1=3, d2=3):
 
 
 def make_gemischt(d1=3, d2=4):
-    """Scalar action lambda P1 + conj(lambda) P2 with both parts nonzero."""
-    base = canonical_h(1, d1, d2)
-    split = d2 // 2
+    """p -> (p tensor A) + (conj(p) tensor B) with A + B = C^{d2}: the
+    scalar action lambda P1 + conj(lambda) P2 with both parts nonzero."""
+    f = np.eye(d2, dtype=complex)
+    a, b = f[:, : d2 // 2], f[:, d2 // 2 :]
 
-    def mixed_intertwiner(y, x):
-        xv = np.asarray(x, dtype=complex).reshape(-1)
-        yv = np.asarray(y, dtype=complex).reshape(-1)
-        lam = np.vdot(xv, yv) / np.vdot(xv, xv)
+    def embed(p):
+        if p.dim == 0:
+            return zero_subspace(d1 * d2)
+        cols = np.hstack([np.kron(p.basis, a), np.kron(np.conj(p.basis), b)])
+        return Subspace(d1 * d2, cols)
 
-        def apply(u):
-            m = np.asarray(u, dtype=complex).reshape(d1, d2)
-            v = (np.conj(xv) @ m) / float(np.vdot(xv, xv).real)
-            head, tail = v.copy(), v.copy()
-            head[split:] = 0.0
-            tail[:split] = 0.0
-            out = lam * np.outer(xv, head) + np.conj(lam) * np.outer(xv, tail)
-            return out.reshape(-1)
+    return SubspaceMorphism(d1, d1 * d2, embed, label="gemischt-action")
 
-        return apply
 
-    return SubspaceMorphism(
-        source_dim=d1,
-        target_dim=d1 * d2,
-        map=base.map,
-        intertwiner=mixed_intertwiner,
-        label="gemischt-action",
-    )
+def map_only(h):
+    """The lattice map of h alone, in a morphism built by hand."""
+    return SubspaceMorphism(h.source_dim, h.target_dim, h.map)
+
+
+def canonical_ray_map(side, d1, d2, twist, conjugate, y, x):
+    """Closed-form ray intertwiner of canonical_h, the differential oracle.
+
+    On the image of <x>, every vector is the image of x tensor v (side
+    1; mirrored for side 2) for a unique v; the map replaces the x
+    factor by y.
+    """
+    xc, yc = (np.conj(as_vector(v)) if conjugate else as_vector(v) for v in (x, y))
+    xnorm2 = float(np.linalg.norm(xc)) ** 2
+
+    def apply(u):
+        uv = as_vector(u)
+        m = (twist.conj().T @ uv if twist is not None else uv).reshape(d1, d2)
+        if side == 1:
+            out = np.outer(yc, np.conj(xc) @ m / xnorm2)
+        else:
+            out = np.outer(m @ np.conj(xc) / xnorm2, yc)
+        return twist @ out.reshape(-1) if twist is not None else out.reshape(-1)
+
+    return apply
+
+
+FLAG_PAIRS = list(itertools.product((False, True), repeat=2))
 
 
 def make_zero_to_full(d1=3, d2=3):
@@ -388,6 +403,58 @@ class TestIntertwinerDomain:
         with pytest.raises(ZeroState):
             intertwiner_F(h1, np.eye(3)[1], np.zeros(3))
 
+    def test_caller_tolerance_decides_the_domain(self, pair33):
+        h1, _ = pair33
+        e = np.eye(3)
+        v = random_vector(3, 3)
+        near = np.kron(e[0], v) + 1e-6 * np.kron(e[2], e[0])
+        loose = Tolerance(eps_eq=1e-4)
+        for make in (intertwiner_F, extended_intertwiner):
+            assert np.linalg.norm(make(h1, e[1], e[0], loose)(near) - np.kron(e[1], v)) < 1e-5
+        with pytest.raises(NotInDomain):
+            intertwiner_F(h1, e[1], e[0])(near)
+        assert np.array_equal(extended_intertwiner(h1, e[1], e[0])(near), near)
+
+    def test_degenerate_labels(self, pair33):
+        h1, _ = pair33
+        x = random_vector(3, 4)
+        u = domain_vector(h1, x, 5)
+        assert np.array_equal(intertwiner_F(h1, np.zeros(3), x)(u), np.zeros(9))
+        with pytest.warns(UserWarning):
+            h = canonical_h(1, 1, 3)
+        with pytest.raises(InvalidDimension):
+            intertwiner_F(h, 2.0 * np.ones(1), np.ones(1))
+
+    def test_rank_inflating_map_is_no_graph(self):
+        fake = make_rank_inflating()
+        for seed in range(3):
+            x, y = random_vector(3, seed), random_vector(3, seed + 10)
+            with pytest.raises(AxiomViolation, match="m_morphism"):
+                intertwiner_F(fake, y, x)
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (3, 4), (4, 4), (5, 3)])
+@pytest.mark.parametrize("twisted,conjugate", FLAG_PAIRS)
+def test_derived_intertwiner_matches_the_closed_form(dims, twisted, conjugate):
+    d1, d2 = dims
+    twist = random_unitary(d1 * d2, 17 * d1 + d2) if twisted else None
+    lam = 0.6 - 1.3j
+    for side in (1, 2):
+        h = canonical_h(side, d1, d2, twist=twist, conjugate=conjugate)
+        d = h.source_dim
+        x = random_vector(d, 10 * side + d1)
+        domain = h.map_ray(x).basis
+        for y in (random_vector(d, 10 * side + d2 + 100), lam * x, x):
+            oracle = canonical_ray_map(side, d1, d2, twist, conjugate, y, x)
+            derived = intertwiner_F(h, y, x)
+            for u in domain.T:
+                expected = oracle(u)
+                scale = max(1.0, float(np.linalg.norm(expected)))
+                assert np.linalg.norm(derived(u) - expected) / scale < 1e-12
+        scalar = np.conj(lam) if conjugate else lam
+        action = np.column_stack([intertwiner_F(h, lam * x, x)(u) for u in domain.T])
+        assert np.linalg.norm(action - scalar * domain) / abs(lam) < 1e-12
+
 
 class TestCommutation:
     def test_coordinate_vectors_commute_exactly(self, pair33):
@@ -465,10 +532,14 @@ class TestClassifyLinearity:
         fake = make_gemischt()
         assert classify_linearity(fake, seed=5) == GEMISCHT
 
-    def test_morphism_without_intertwiner_rejected(self):
-        fake = make_slice_embedding()
-        with pytest.raises(UnknownLinearity):
-            classify_linearity(fake)
+    def test_map_only_morphisms_classify_and_commute(self):
+        for conj1, conj2 in FLAG_PAIRS:
+            h1 = map_only(canonical_h(1, 3, 3, conjugate=conj1))
+            h2 = map_only(canonical_h(2, 3, 3, conjugate=conj2))
+            assert classify_linearity(h1) == ("antilinear" if conj1 else "linear")
+            assert classify_linearity(h2) == ("antilinear" if conj2 else "linear")
+            labels = (random_vector(3, s) for s in range(4))
+            assert check_commutation(h1, h2, *labels).holds
 
 
 class TestMMorphism:
@@ -690,11 +761,13 @@ class TestBasisMap:
             v = random_vector(9, seed)
             assert np.linalg.norm(bm_std.apply(v) - bm_alt.apply(v)) < 1e-8
 
-    def test_unknown_linearity_rejected(self, pair33):
-        _, h2 = pair33
-        nameless = make_slice_embedding()
-        with pytest.raises(UnknownLinearity):
-            build_basis_map(nameless, h2)
+    def test_map_only_pairs_verify_with_the_canonical_target(self):
+        for conj1, conj2 in FLAG_PAIRS:
+            h1 = map_only(canonical_h(1, 3, 3, conjugate=conj1))
+            h2 = map_only(canonical_h(2, 3, 3, conjugate=conj2))
+            report = verify_tensor_isomorphism(h1, h2, trials=10, seed=7, axiom_trials=10)
+            assert report.passed
+            assert report.target == ("H1*xH2" if conj1 != conj2 else "H1xH2")
 
     def test_round_trip(self):
         h1 = canonical_h(1, 3, 3, conjugate=True)
@@ -751,3 +824,11 @@ class TestTensorIsomorphism:
         _, h2 = pair33
         with pytest.raises(AxiomViolation):
             verify_tensor_isomorphism(make_slice_embedding(), h2, trials=5, seed=5)
+
+    def test_refuses_when_the_anchor_rays_do_not_meet(self):
+        # the basis map is built before the axiom sweep, so its anchors
+        # are the first thing such a pair fails
+        h1 = canonical_h(1, 3, 3)
+        h2 = canonical_h(2, 3, 3, twist=random_unitary(9, 99))
+        with pytest.raises(AxiomViolation, match="III_atoms"):
+            verify_tensor_isomorphism(h1, h2, trials=5, seed=5)
