@@ -310,7 +310,7 @@ def cmd_truth_demo(args) -> int:
                 writer.writerow([f"{t:.12g}", f"{x:.12g}", f"{p:.12g}"])
         results["curve_csv"] = args.curve_csv
     _emit(args, ("nmax",), results)
-    ok = abs(tv.value - 0.75) < 1e-12 and abs(tv_complement.value - 0.25) < 1e-12
+    ok = max(abs(tv.value - 0.75), abs(tv_complement.value - 0.25)) < tol.eps_prob
     return 0 if ok else 1
 
 

@@ -39,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import subspace as sub
-from .core import DEFAULT_TOL, Tolerance, as_vector, random_vector, rank, subseed
+from .core import DEFAULT_TOL, Tolerance, as_columns, as_vector, random_vector, rank, subseed
 # Not called here; kept as the module binding that bench/tracer.py patches.
 from .core import random_unitary  # noqa: F401
 from .errors import (
@@ -133,11 +133,7 @@ def canonical_h(
         )
     dim = d1 * d2
     if twist is not None:
-        twist = np.asarray(twist, dtype=complex)
-        if twist.shape != (dim, dim):
-            raise InvalidDimension(f"twist must be {dim} x {dim}")
-        if np.linalg.norm(twist.conj().T @ twist - np.eye(dim)) > tol.eps_eq * dim:
-            raise NotOrthonormal("twist matrix is not unitary")
+        twist = _check_onb(twist, dim, tol, "twist")
     source_dim = d1 if side == 1 else d2
     other_dim = d2 if side == 1 else d1
 
@@ -615,9 +611,10 @@ def build_U_V(
 
 
 def _check_onb(basis, d, tol: Tolerance, what: str) -> np.ndarray:
+    """The d x d unitary whose columns are the basis (see as_columns)."""
     if basis is None:
         return np.eye(d, dtype=complex)
-    b = np.column_stack([as_vector(v) for v in basis])
+    b = as_columns(basis)
     if b.shape != (d, d):
         raise NotOrthonormal(f"{what} must consist of {d} vectors of dim {d}")
     if np.linalg.norm(b.conj().T @ b - np.eye(d)) > tol.eps_eq * d:
@@ -642,12 +639,14 @@ def composite_onb(
     """
     e = _check_onb(basis1, h1.source_dim, tol, "basis1")
     f = _check_onb(basis2, h2.source_dim, tol, "basis2")
+    return list(_onb_matrix(h1, h2, e, f, anchors, tol).T)
+
+
+def _onb_matrix(h1, h2, e: np.ndarray, f: np.ndarray, anchors, tol: Tolerance) -> np.ndarray:
+    """composite_onb as the columns of one matrix, for validated bases."""
     z1, z2, z, alpha = _anchored(h1, h2, anchors, tol)
-    k_steps = np.column_stack([_ray_matrix(h2, f[:, j], z2, tol) @ z for j in range(f.shape[1])])
-    vectors = []
-    for i in range(e.shape[1]):
-        vectors.extend((alpha * (_ray_matrix(h1, e[:, i], z1, tol) @ k_steps)).T)
-    return vectors
+    k_steps = np.column_stack([_ray_matrix(h2, y, z2, tol) @ z for y in f.T])
+    return alpha * np.hstack([_ray_matrix(h1, x, z1, tol) @ k_steps for x in e.T])
 
 
 @dataclass
@@ -716,7 +715,7 @@ def build_basis_map(
     d1, d2 = h1.source_dim, h2.source_dim
     e = _check_onb(basis1, d1, tol, "basis1")
     f = _check_onb(basis2, d2, tol, "basis2")
-    matrix = np.column_stack(composite_onb(h1, h2, basis1, basis2, anchors, tol))
+    matrix = _onb_matrix(h1, h2, e, f, anchors, tol)
     dual = lin1 != lin2
     conj_coeffs = (lin1 == ANTILINEAR and lin2 == ANTILINEAR) or (
         lin1 == LINEAR and lin2 == ANTILINEAR

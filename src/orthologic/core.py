@@ -24,8 +24,8 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "as_vector",
+    "as_columns",
     "inner",
-    "norm",
     "polarization_inner",
     "polarization_r",
     "orthonormalize",
@@ -38,21 +38,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical thresholds used throughout the package.
+    """Numerical thresholds: eps_eq is the one knob of every lattice verdict.
 
-    eps_rank decides numerical rank (singular values relative to the
-    largest one) and, as a bound on the sines of principal angles,
-    which directions two subspaces share; eps_eq decides equality of
-    subspaces/operators, eps_prob decides truth-value classification.
+    eps_eq bounds the inclusion residual that decides order and equality.
+    eps_rank = eps_eq / 10 decides numerical rank (singular values relative
+    to the largest one) and, as a bound on principal-angle sines, which
+    directions two subspaces share.  eps_prob classifies truth values.
     """
 
-    eps_rank: float = 1e-9
     eps_eq: float = 1e-8
     eps_prob: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.eps_rank < self.eps_eq < 1.0):
-            raise ValueError("need 0 < eps_rank < eps_eq < 1")
+        if not (0.0 < self.eps_eq < 1.0):
+            raise ValueError("need 0 < eps_eq < 1")
+
+    @property
+    def eps_rank(self) -> float:
+        return self.eps_eq / 10
 
 
 DEFAULT_TOL = Tolerance()
@@ -68,16 +71,22 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def as_columns(vectors) -> np.ndarray:
+    """The d x n matrix of n vectors, given as 1-d arrays or as its columns."""
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        return as_vector(vectors).reshape(vectors.shape)
+    cols = [as_vector(v) for v in vectors]
+    if len({c.shape[0] for c in cols}) > 1:
+        raise DimensionMismatch("columns must share a dimension")
+    return np.column_stack(cols) if cols else np.zeros((0, 0), dtype=complex)
+
+
 def inner(x, y) -> complex:
     """Complex inner product, conjugate-linear in the first argument."""
     xv, yv = as_vector(x), as_vector(y)
     if xv.shape[0] != yv.shape[0]:
         raise DimensionMismatch(f"dims {xv.shape[0]} != {yv.shape[0]}")
     return complex(np.vdot(xv, yv))
-
-
-def norm(x) -> float:
-    return float(np.linalg.norm(as_vector(x)))
 
 
 def polarization_r(x, y) -> float:
@@ -104,29 +113,18 @@ def polarization_inner(x, y) -> complex:
 def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (d x k matrix) for the span of the given vectors.
 
-    Accepts a sequence of 1-d arrays or a d x n matrix whose columns are
-    the vectors.  The basis is the leading k left singular vectors, where
-    k, the numerical rank, counts the singular values above
-    ``tol.eps_rank`` times the largest one.  An empty input yields a
-    d x 0 matrix.
+    Takes the vectors as ``as_columns`` does.  The basis is the leading k
+    left singular vectors, where k, the numerical rank, counts the
+    singular values above ``tol.eps_rank`` times the largest one.  An
+    empty input yields a d x 0 matrix.
     """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        mat = as_vector(vectors).reshape(vectors.shape)
-    else:
-        cols = [as_vector(v) for v in vectors]
-        if len({c.shape[0] for c in cols}) > 1:
-            raise DimensionMismatch("columns must share a dimension")
-        mat = np.column_stack(cols) if cols else np.zeros((0, 0), dtype=complex)
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    u, s, _ = np.linalg.svd(as_columns(vectors), full_matrices=False)
     return u[:, : int(np.count_nonzero(s > tol.eps_rank * s.max(initial=0.0)))]
 
 
 def rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Numerical rank: the number of columns orthonormalize retains."""
-    mat = np.asarray(m, dtype=complex)
-    if mat.ndim == 1:
-        mat = mat.reshape(-1, 1)
-    return orthonormalize(mat, tol).shape[1]
+    return orthonormalize(np.atleast_2d(m), tol).shape[1]
 
 
 def random_unitary(d: int, seed: int) -> np.ndarray:

@@ -240,8 +240,8 @@ def compatible_second_criterion(
 def commuting_projectors(
     a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
-    """Operator-side oracle: do the orthogonal projectors commute."""
-    return sub.commutator_norm(a, b) < tol.eps_eq * a.ambient_dim
+    """Operator-side oracle: ||PQ - QP||_2 <= eps_rank, meet's bound on sines."""
+    return sub.commutator_norm(a, b) <= tol.eps_rank
 
 
 def check_compatibility_criteria(
@@ -257,25 +257,24 @@ def check_compatibility_criteria(
 
 
 def check_de_morgan(family, tol: Tolerance = DEFAULT_TOL) -> LawReport:
-    """Check both de Morgan laws on a family: the meet of the complements
-    is the complement of the join, and the join of the complements is the
-    complement of the meet.
+    """Check both de Morgan laws on a family: the complement of the join
+    is the meet of the complements, and the complement of the meet is the
+    join of the complements.
 
-    The verdict compares the worst residual with ``tol.eps_eq``.
-    """
+    Each is decided by ``equal``, complement side first; the residual is
+    the worse side distance, the counterexample the first failing law."""
     ops = _lattice(family[0])
     orthos = [ops.ortho(a, tol) for a in family]
     sides = [
-        (_fold(ops.meet, orthos, tol), ops.ortho(_fold(ops.join, family, tol), tol)),
-        (_fold(ops.join, orthos, tol), ops.ortho(_fold(ops.meet, family, tol), tol)),
+        (ops.ortho(_fold(ops.join, family, tol), tol), _fold(ops.meet, orthos, tol)),
+        (ops.ortho(_fold(ops.meet, family, tol), tol), _fold(ops.join, orthos, tol)),
     ]
-    residuals = [ops.residual(left, right) for left, right in sides]
-    worst = max(residuals)
-    report = LawReport("de_morgan", worst < tol.eps_eq, worst_residual=worst)
-    if not report.holds:
-        left, right = sides[residuals.index(worst)]
+    worst = max(ops.residual(left, right) for left, right in sides)
+    failed = [(left, right) for left, right in sides if not ops.equal(left, right, tol)]
+    report = LawReport("de_morgan", not failed, worst_residual=worst)
+    if failed:
         inputs = {f"a{k}": a for k, a in enumerate(family)}
-        report.counterexample = _counterexample(ops, inputs, left, right)
+        report.counterexample = _counterexample(ops, inputs, *failed[0])
     return report
 
 

@@ -1,9 +1,9 @@
 """Closed subspaces of C^d and their lattice operations.
 
 A subspace is stored as a d x k matrix with orthonormal columns; the
-zero subspace is the d x 0 matrix.  Basis matrices are not unique, so
-equality and ordering are always decided through the orthogonal
-projector P = B B^dagger, which is canonical.
+zero subspace is the d x 0 matrix.  One basis-independent residual,
+||(I - B_q B_q^dagger) B_p||_F, decides order and equality: p <= q when
+it is below eps_eq sqrt(d), and p = q when also dim p = dim q.
 
 Join and span decide rank through ``core.orthonormalize`` (one SVD); the
 complement comes from a complete QR, exact in dimension; meet keeps the
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerance, as_vector, orthonormalize, random_unitary
+from .core import DEFAULT_TOL, Tolerance, as_columns, as_vector, orthonormalize, random_unitary
 from .errors import DimensionMismatch, InvalidDimension
 
 __all__ = [
@@ -104,11 +104,11 @@ class Ray:
 
 
 def span_of(vectors, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Subspace spanned by the given vectors (closure is automatic here)."""
-    cols = [as_vector(v) for v in vectors]
-    if not cols:
+    """Subspace spanned by the given vectors, read as ``as_columns`` reads them."""
+    mat = as_columns(vectors)
+    if not mat.shape[1]:
         raise DimensionMismatch("cannot infer ambient dimension from no vectors")
-    return Subspace(cols[0].shape[0], orthonormalize(cols, tol))
+    return Subspace(mat.shape[0], orthonormalize(mat, tol))
 
 
 def zero_subspace(d: int) -> Subspace:
@@ -164,7 +164,7 @@ def inclusion(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> tuple[b
     """(p <= q, residual): the residual is the Frobenius norm of
     (I - P_q) B_p, and inclusion holds when it is below eps_eq sqrt(d)."""
     residual = float(np.linalg.norm(_outside(p, q)))
-    return residual < tol.eps_eq * np.sqrt(p.ambient_dim), residual
+    return bool(residual < tol.eps_eq * np.sqrt(p.ambient_dim)), residual
 
 
 def leq(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -173,9 +173,9 @@ def leq(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def equal(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Subspace equality through the canonical projectors."""
+    """Equal dimensions and p <= q: one residual decides order and equality."""
     _check_same_ambient(p, q)
-    return float(np.linalg.norm(p.projector() - q.projector())) < tol.eps_eq * p.ambient_dim
+    return p.dim == q.dim and inclusion(p, q, tol)[0]
 
 
 def projector_distance(p: Subspace, q: Subspace) -> float:
@@ -185,10 +185,10 @@ def projector_distance(p: Subspace, q: Subspace) -> float:
 
 
 def commutator_norm(p: Subspace, q: Subspace) -> float:
-    """Frobenius norm of PQ - QP; zero exactly when p and q are compatible."""
+    """Spectral norm of PQ - QP: max sin(t) cos(t) over principal angles t (Halmos 1969)."""
     _check_same_ambient(p, q)
     pp, pq = p.projector(), q.projector()
-    return float(np.linalg.norm(pp @ pq - pq @ pp))
+    return float(np.linalg.norm(pp @ pq - pq @ pp, 2))
 
 
 def is_atom(p: Subspace) -> bool:

@@ -197,21 +197,34 @@ class TestToleranceOverride:
         assert json.loads(out)["results"]["orthomodular"]["holds"]
 
     def test_absurdly_loose_tolerance_is_a_verification_failure(self, capsys, monkeypatch):
-        # with eps_eq ~ 0.5 all small subspaces compare equal, so the
-        # distributivity failures disappear and the pattern check trips
-        monkeypatch.setenv("ORTHOLOGIC_TOL", "0.5")
+        # with eps_eq = 0.9 the inclusion bound 0.9 sqrt(3) exceeds the unit
+        # residual of the C^3 witness's two planes, which then compare
+        # equal, so the pattern check trips
+        monkeypatch.setenv("ORTHOLOGIC_TOL", "0.9")
         code, out = run_cli(
             capsys, "lattice-check", "--dim1", "3", "--trials", "15", "--seed", "3"
         )
         assert code == 1
-        assert json.loads(out)["results"]["distributive"]["failures"] == 0
+        assert json.loads(out)["results"]["nondistributivity_witness"]["holds"]
 
     def test_invalid_env_value_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("ORTHOLOGIC_TOL", "1e-12")  # below eps_rank
-        with pytest.raises(SystemExit) as exc:
-            main(["lattice-check", "--trials", "5"])
-        capsys.readouterr()
-        assert exc.value.code == 2
+        for raw in ("0", "1", "-1e-8", "nan", "abc"):  # eps_eq must lie in (0, 1)
+            monkeypatch.setenv("ORTHOLOGIC_TOL", raw)
+            with pytest.raises(SystemExit) as exc:
+                main(["lattice-check", "--trials", "5"])
+            assert exc.value.code == 2, raw
+            assert "invalid ORTHOLOGIC_TOL" in capsys.readouterr().err
+
+    def test_tight_tolerance_still_verifies(self, capsys, monkeypatch):
+        # eps_eq = 1e-12 gives eps_rank = 1e-13, still well above rounding
+        monkeypatch.setenv("ORTHOLOGIC_TOL", "1e-12")
+        for dim in ("8", "16"):
+            code, out = run_cli(capsys, "lattice-check", "--dim1", dim, "--trials", "20")
+            assert code == 0
+            assert json.loads(out)["results"]["expected_pattern"]
+        code, out = run_cli(capsys, "composite-verify", "--twist", "--trials", "5")
+        assert code == 0
+        assert json.loads(out)["results"]["isomorphism"]["passed"]
 
     def test_bad_classical_sizes_are_usage_errors(self, capsys):
         with pytest.raises(SystemExit) as exc:

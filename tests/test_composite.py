@@ -761,6 +761,26 @@ class TestBasisMap:
             v = random_vector(9, seed)
             assert np.linalg.norm(bm_std.apply(v) - bm_alt.apply(v)) < 1e-8
 
+    def test_matrix_basis_is_read_by_columns(self):
+        # a basis given as a matrix means its columns, as a list of vectors
+        # means its entries; a unitary's rows are another basis, so reading
+        # the rows would give a different map
+        w = random_unitary(9, 98)
+        h1 = canonical_h(1, 3, 3, twist=w, conjugate=True)
+        h2 = canonical_h(2, 3, 3, twist=w)
+        e, f = random_unitary(3, 99), random_unitary(3, 100)
+        from_matrix = build_basis_map(h1, h2, basis1=e, basis2=f)
+        from_columns = build_basis_map(h1, h2, basis1=list(e.T), basis2=list(f.T))
+        from_rows = build_basis_map(h1, h2, basis1=list(e), basis2=list(f))
+        assert np.array_equal(from_matrix.matrix, from_columns.matrix)
+        assert np.array_equal(
+            from_matrix.coefficient_transform, from_columns.coefficient_transform
+        )
+        assert not np.allclose(from_matrix.matrix, from_rows.matrix)
+        assert np.array_equal(
+            np.column_stack(composite_onb(h1, h2, basis1=e, basis2=f)), from_matrix.matrix
+        )
+
     def test_map_only_pairs_verify_with_the_canonical_target(self):
         for conj1, conj2 in FLAG_PAIRS:
             h1 = map_only(canonical_h(1, 3, 3, conjugate=conj1))

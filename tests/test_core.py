@@ -203,5 +203,11 @@ class TestTolerance:
         assert 0 < DEFAULT_TOL.eps_rank < DEFAULT_TOL.eps_eq < 1
 
     def test_rejects_bad_ordering(self):
-        with pytest.raises(ValueError):
-            Tolerance(eps_rank=1e-6, eps_eq=1e-9)
+        for eps_eq in (0.0, 1.0, -1e-8, 2.0, float("nan")):
+            with pytest.raises(ValueError):
+                Tolerance(eps_eq=eps_eq)
+
+    def test_eps_rank_is_derived_from_eps_eq(self):
+        for eps_eq in (1e-14, 1e-12, 1e-3, 0.5):
+            assert Tolerance(eps_eq=eps_eq).eps_rank == eps_eq / 10
+        assert DEFAULT_TOL.eps_rank == 1e-9 and DEFAULT_TOL.eps_eq == 1e-8

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from orthologic.core import random_unitary
+from orthologic.core import Tolerance, random_unitary
 from orthologic.errors import DimensionMismatch, InvalidDimension
 from orthologic.subspace import (
     Ray,
@@ -84,6 +84,12 @@ class TestSpan:
     def test_mismatched_dims_rejected(self):
         with pytest.raises(DimensionMismatch):
             span_of([[1, 0], [1, 0, 0]])
+
+    def test_matrix_is_read_by_columns(self):
+        m = random_unitary(4, 3)[:, :2]
+        assert equal(span_of(m), span_of([m[:, 0], m[:, 1]]))
+        with pytest.raises(DimensionMismatch):
+            span_of([])
 
     def test_rank_is_relative_to_the_largest_scale(self):
         e = np.eye(2)
@@ -190,6 +196,21 @@ class TestOrderAndEquality:
 
     def test_perturbed_ray_not_equal(self):
         assert not equal(span_of([E3[0]]), span_of([E3[0] + 1e-3 * E3[1]]))
+
+    def test_verdicts_are_python_bools(self):
+        # reports are written with json.dumps, which refuses numpy bools
+        ray, plane = span_of([E3[0]]), span_of([E3[0], E3[1]])
+        for p, q in ((ray, plane), (plane, ray), (ray, ray)):
+            assert type(leq(p, q)) is type(equal(p, q)) is type(inclusion(p, q)[0]) is bool
+
+    def test_equal_needs_equal_dimension_and_inclusion(self):
+        ray, plane = span_of([E3[0]]), span_of([E3[0], E3[1]])
+        assert leq(ray, plane) and not equal(ray, plane) and not equal(plane, ray)
+        # a loose bound admits the unit residual of a different plane, but
+        # never a subspace of another dimension
+        loose = Tolerance(eps_eq=0.9)
+        other = span_of([E3[0], E3[2]])
+        assert equal(plane, other, loose) and not equal(ray, plane, loose)
 
 
 class TestAtoms:
