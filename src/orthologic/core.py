@@ -4,11 +4,13 @@ Inner products follow the convention of being conjugate-linear in the
 FIRST argument and linear in the second.  Many linear algebra libraries
 use the opposite convention; everything downstream relies on this one.
 
-Numerical rank is decided in one place, ``orthonormalize``, from the
-singular values of numpy's SVD.
+Numerical rank is decided in one place, ``orthonormal_bases``, from the
+singular values of numpy's SVD.  Kernels take one matrix or an (n, ...)
+stack of them alike; ``each`` runs one on a batch, stacked by shape.
 
 All randomness is generated by numpy's PCG64 generator seeded from a
-64-bit integer, so fixtures are reproducible run to run.
+64-bit integer, so fixtures are reproducible run to run.  A batch takes
+its seeds as an object array of Python ints, so ``seed + k`` is exact.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ __all__ = [
     "DEFAULT_TOL",
     "as_vector",
     "as_columns",
+    "each",
     "inner",
     "polarization_inner",
     "polarization_r",
     "orthonormalize",
+    "orthonormal_bases",
     "rank",
     "random_unitary",
     "random_vector",
@@ -110,16 +114,50 @@ def polarization_inner(x, y) -> complex:
     return complex(polarization_r(x, yv) - 1j * polarization_r(x, 1j * yv))
 
 
-def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (d x k matrix) for the span of the given vectors.
+# Elements per stacked call: splitting larger groups bounds the transient
+# stacks, and with them the peak memory of a batch.
+MAX_STACK = 32
 
-    Takes the vectors as ``as_columns`` does.  The basis is the leading k
-    left singular vectors, where k, the numerical rank, counts the
-    singular values above ``tol.eps_rank`` times the largest one.  An
+
+def each(kernel, *args):
+    """``kernel`` on one array per argument, or on the elements of tuples of
+    arrays (a batch) with one call per group of equally shaped elements,
+    on their (n, ...) stacks, giving a tuple in element order.  On a stack
+    ``kernel`` gives a sequence of n results."""
+    if not isinstance(args[0], tuple):
+        return kernel(*args)
+    groups: dict = {}
+    out = [None] * len(args[0])
+    for i, shapes in enumerate(zip(*([a.shape for a in arg] for arg in args))):
+        groups.setdefault(shapes, []).append(i)
+    for group in groups.values():
+        for at in range(0, len(group), MAX_STACK):
+            idx = group[at:at + MAX_STACK]
+            stacks = [arg[idx[0]][None] if len(idx) == 1 else np.array([arg[i] for i in idx])
+                      for arg in args]
+            for i, result in zip(idx, kernel(*stacks)):
+                out[i] = result
+    return tuple(out)
+
+
+def orthonormal_bases(m: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+    """Orthonormal basis of a matrix's column span, or the list of them of
+    a stack: the leading k left singular vectors, where k, the numerical
+    rank, counts the singular values above ``tol.eps_rank`` times the
+    largest (the first) one."""
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    kept = s > tol.eps_rank * s[..., :1]
+    if u.ndim == 2:
+        return u[:, :np.count_nonzero(kept)]
+    return [b[:, :k] for b, k in zip(u, kept.sum(axis=-1))]
+
+
+def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (d x k matrix) for the span of the given vectors,
+    read as ``as_columns`` reads them: ``orthonormal_bases`` of one.  An
     empty input yields a d x 0 matrix.
     """
-    u, s, _ = np.linalg.svd(as_columns(vectors), full_matrices=False)
-    return u[:, : int(np.count_nonzero(s > tol.eps_rank * s.max(initial=0.0)))]
+    return orthonormal_bases(as_columns(vectors), tol)
 
 
 def rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -127,21 +165,33 @@ def rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     return orthonormalize(np.atleast_2d(m), tol).shape[1]
 
 
-def random_unitary(d: int, seed: int) -> np.ndarray:
+def random_unitary(d, seed) -> np.ndarray:
     """Deterministic pseudo-random d x d unitary for a given seed.
 
     The Q factor of a complex Gaussian matrix G = QR, with the phase of
     each column fixed so that the diagonal of R is real and positive
     (Mezzadri, Notices AMS 2007).  This pins the result uniquely per
-    seed and makes it Haar-distributed.
+    seed and makes it Haar-distributed.  For an array of seeds, and d
+    one size or one per seed, the tuple of their unitaries, with one
+    stacked QR per size.
     """
+    if not isinstance(seed, np.ndarray):
+        return _haar(_gaussian(d, seed))
+    return each(_haar, tuple(map(_gaussian, np.broadcast_to(d, seed.shape), seed)))
+
+
+def _gaussian(d: int, seed: int) -> np.ndarray:
     if d < 1:
         raise DimensionMismatch("d must be >= 1")
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def _haar(g: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (diag / np.abs(diag))[..., None, :]
+    return q
 
 
 def random_vector(d: int, seed: int) -> np.ndarray:

@@ -15,7 +15,9 @@ included, and the residual is the largest number of points in which
 the two sides differ.  When a batch fails, the counterexample holds the
 inputs and sides of its first failing element (in C order over the
 broadcast shape) as single propositions, so it replays through the same
-checker on scalars.
+checker on scalars.  A subspace batch is checked element by element: the
+counts add up, worst_residual is the largest, and the counterexample is
+the first failing element's.
 
 Compatibility of two subspaces is decided lattice-theoretically by the
 constructive criterion (a meet b) join (a' meet b) = b; the second
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import classical as cl
 from . import subspace as sub
-from .core import DEFAULT_TOL, Tolerance
+from .core import DEFAULT_TOL, Tolerance, each, orthonormal_bases
 from .errors import DimensionMismatch, PreconditionViolated
 from .subspace import Ray, Subspace
 
@@ -67,6 +69,11 @@ class LawReport:
     worst_residual: float = 0.0
     counterexample: Optional[dict] = None
     detail: dict = field(default_factory=dict)
+    failures: Optional[int] = None  # failing elements of a batch; else 0 or 1
+
+    def __post_init__(self) -> None:
+        if self.failures is None:
+            self.failures = int(not self.holds)
 
     def to_json(self) -> dict:
         out = {
@@ -92,7 +99,7 @@ def _most_bits(masks) -> float:
     return float(np.max(count))
 
 
-def _first_failure(inputs: dict, left, right):
+def _first_failure(inputs: dict, left, right, failed):
     """The inputs and both sides at the first element, in C order over
     the broadcast shape, where the sides differ, as single propositions.
     A single proposition is its own first element."""
@@ -102,6 +109,17 @@ def _first_failure(inputs: dict, left, right):
 
     def element(p):
         return cl.ClassicalProp(p.space, int(np.broadcast_to(p.members, shape)[at]))
+
+    return {k: element(p) for k, p in inputs.items()}, element(left), element(right)
+
+
+def _first_failed(inputs: dict, left, right, failed):
+    """The first element of each subspace batch that ``failed`` marks; a
+    single subspace is its own first element."""
+
+    def element(p):
+        batch = isinstance(p.basis, tuple)
+        return Subspace(p.ambient_dim, p.basis[np.argmax(failed)]) if batch else p
 
     return {k: element(p) for k, p in inputs.items()}, element(left), element(right)
 
@@ -117,7 +135,7 @@ _SUBSPACE = SimpleNamespace(
     leq=lambda a, b, tol: sub.leq(a, b, tol),
     residual=lambda a, b: sub.projector_distance(a, b),
     serialize=lambda a: sub.subspace_to_json(a),
-    first_failure=lambda inputs, left, right: (inputs, left, right),
+    first_failure=_first_failed,
 )
 _CLASSICAL = SimpleNamespace(
     join=lambda a, b, tol: cl.prop_or(a, b),
@@ -151,21 +169,28 @@ def _distributive_sides(join, meet, a, b, c, tol):
     return join(a, meet(b, c, tol), tol), meet(join(a, b, tol), join(a, c, tol), tol)
 
 
-def _counterexample(ops, inputs: dict, left, right) -> dict:
-    inputs, left, right = ops.first_failure(inputs, left, right)
+def _counterexample(ops, inputs: dict, left, right, failed=True) -> dict:
+    inputs, left, right = ops.first_failure(inputs, left, right, failed)
     ce = {"inputs": {k: ops.serialize(v) for k, v in inputs.items()}}
     ce["left"] = ops.serialize(left)
     ce["right"] = ops.serialize(right)
     return ce
 
 
-def _compare(ops, law_name: str, inputs: dict, left, right, tol) -> LawReport:
-    """The report of the identity left = right, with the residual and a
-    counterexample when it fails."""
-    if ops.equal(left, right, tol):
-        return LawReport(law_name, True)
-    report = LawReport(law_name, False, worst_residual=ops.residual(left, right))
-    report.counterexample = _counterexample(ops, inputs, left, right)
+def _report(law_name: str, failed, **fields) -> LawReport:
+    """The report of a law failing on the elements ``failed`` marks."""
+    fields.setdefault("trials", int(np.size(failed)))
+    return LawReport(law_name, not np.any(failed), failures=int(np.count_nonzero(failed)), **fields)
+
+
+def _compare(ops, law_name: str, inputs: dict, left, right, tol, applies=True) -> LawReport:
+    """The report of the identity left = right where it ``applies``, with
+    the residual and a counterexample where it fails."""
+    failed = np.logical_and(applies, np.logical_not(ops.equal(left, right, tol)))
+    report = _report(law_name, failed)
+    if not report.holds:
+        report.worst_residual = float(np.max(ops.residual(left, right), where=failed, initial=0.0))
+        report.counterexample = _counterexample(ops, inputs, left, right, failed)
     return report
 
 
@@ -215,10 +240,11 @@ def nondistributivity_witness(
 def check_orthomodular(p, q, tol: Tolerance = DEFAULT_TOL) -> LawReport:
     """For p <= q, check q = p join (q meet p')."""
     ops = _lattice(p)
-    if not ops.leq(p, q, tol):
-        return LawReport("orthomodular", True, applicable=False)
+    nested = ops.leq(p, q, tol)
+    if not np.any(nested):
+        return LawReport("orthomodular", True, trials=int(np.size(nested)), applicable=False)
     rebuilt = ops.join(p, ops.meet(q, ops.ortho(p, tol), tol), tol)
-    return _compare(ops, "orthomodular", {"p": p, "q": q}, rebuilt, q, tol)
+    return _compare(ops, "orthomodular", {"p": p, "q": q}, rebuilt, q, tol, applies=nested)
 
 
 def compatible(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -253,7 +279,8 @@ def check_compatibility_criteria(
         compatible_second_criterion(a, b, tol),
         commuting_projectors(a, b, tol),
     )
-    return LawReport("compatibility_criteria", verdicts[0] == verdicts[1] == verdicts[2])
+    agree = (verdicts[0] == verdicts[1]) & (verdicts[1] == verdicts[2])
+    return _report("compatibility_criteria", np.logical_not(agree))
 
 
 def check_de_morgan(family, tol: Tolerance = DEFAULT_TOL) -> LawReport:
@@ -269,12 +296,15 @@ def check_de_morgan(family, tol: Tolerance = DEFAULT_TOL) -> LawReport:
         (ops.ortho(_fold(ops.join, family, tol), tol), _fold(ops.meet, orthos, tol)),
         (ops.ortho(_fold(ops.meet, family, tol), tol), _fold(ops.join, orthos, tol)),
     ]
-    worst = max(ops.residual(left, right) for left, right in sides)
-    failed = [(left, right) for left, right in sides if not ops.equal(left, right, tol)]
-    report = LawReport("de_morgan", not failed, worst_residual=worst)
-    if failed:
+    worst = max(float(np.max(ops.residual(left, right))) for left, right in sides)
+    same = [ops.equal(left, right, tol) for left, right in sides]
+    failed = np.logical_not(np.logical_and(*same))
+    report = _report("de_morgan", failed, worst_residual=worst)
+    if not report.holds:  # the first failing law at the first failing element
+        at = np.argmax(failed)
+        left, right = next(side for side, ok in zip(sides, same) if not np.ravel(ok)[at])
         inputs = {f"a{k}": a for k, a in enumerate(family)}
-        report.counterexample = _counterexample(ops, inputs, *failed[0])
+        report.counterexample = _counterexample(ops, inputs, left, right, failed)
     return report
 
 
@@ -336,31 +366,29 @@ def check_covering(p: Ray, a: Subspace, tol: Tolerance = DEFAULT_TOL) -> LawRepo
     all collapse onto one of the two endpoints.
     """
     ray = p.subspace
-    if sub.meet(a, ray, tol).dim != 0:
+    inside = sub.meet(a, ray, tol).dim == 0  # of a batch, the elements checked
+    if not np.any(inside):
         raise PreconditionViolated("the atom must intersect a only in zero")
     top = sub.join(a, ray, tol)
     holds = top.dim == a.dim + 1
     candidates = [a, top]
-    for k in range(3):
-        mix = ray.basis[:, 0] + 0.25 * (k + 1) * (
-            a.basis[:, 0] if a.dim else np.zeros(a.ambient_dim)
-        )
-        candidate = sub.join(a, sub.span_of([mix], tol), tol)
-        candidates.append(candidate)
+    for c in (0.25, 0.5, 0.75):  # rays of the gap: p plus c times a's first direction
+        mix = each(lambda r, b: r + c * (b[..., :1] if b.shape[-1] else np.zeros_like(r)),
+                   ray.basis, a.basis)
+        span = each(lambda m: orthonormal_bases(m, tol), mix)
+        candidates.append(sub.join(a, Subspace(a.ambient_dim, span), tol))
     for b in candidates:
-        between = sub.leq(a, b, tol) and sub.leq(b, top, tol)
-        if between and not (sub.equal(b, a, tol) or sub.equal(b, top, tol)):
-            holds = False
-    report = LawReport(
+        between = np.logical_and(sub.leq(a, b, tol), sub.leq(b, top, tol))
+        holds = holds & (np.logical_not(between) | sub.equal(b, a, tol) | sub.equal(b, top, tol))
+    failed = np.logical_and(inside, np.logical_not(holds))
+    report = _report(
         "covering",
-        holds,
-        trials=len(candidates),
-        detail={"dim_a": a.dim, "dim_join": top.dim},
+        failed,
+        trials=len(candidates) * np.count_nonzero(inside),
+        detail={"dim_a": np.asarray(a.dim).tolist(), "dim_join": np.asarray(top.dim).tolist()},
     )
-    if not holds:
-        report.counterexample = _counterexample(
-            _SUBSPACE, {"a": a, "p": ray}, a, top
-        )
+    if not report.holds:
+        report.counterexample = _counterexample(_SUBSPACE, {"a": a, "p": ray}, a, top, failed)
     return report
 
 
@@ -370,22 +398,30 @@ def is_modular_pair(
     """Check (p join r) meet q = (p meet q) join r for sampled r <= q.
 
     In finite dimension every pair is modular, so this checker doubles
-    as a consistency test of the lattice operations themselves.
+    as a consistency test of the lattice operations themselves.  All
+    samples of all elements are checked as one batch; an element's
+    trials and worst residual end at its first failing sample.
     """
     if p.ambient_dim != q.ambient_dim:
         raise DimensionMismatch("ambient dims differ")
-    worst = 0.0
-    for trial in range(samples):
-        r = sub.random_subspace_of(q, trial % (q.dim + 1), seed + 7919 * trial)
-        left = sub.meet(sub.join(p, r, tol), q, tol)
-        right = sub.join(sub.meet(p, q, tol), r, tol)
-        worst = max(worst, sub.projector_distance(left, right))
-        if not sub.equal(left, right, tol):
-            report = LawReport(
-                "modular_pair", False, trials=trial + 1, worst_residual=worst
-            )
-            report.counterexample = _counterexample(
-                _SUBSPACE, {"p": p, "q": q, "r": r}, left, right
-            )
-            return report
-    return LawReport("modular_pair", True, trials=samples, worst_residual=worst)
+    seeds = seed if isinstance(seed, np.ndarray) else np.array([seed], dtype=object)
+    trial = np.arange(samples)
+
+    def repeat(x):  # each element once per sample
+        bases = x.basis if isinstance(x.basis, tuple) else (x.basis,)
+        return Subspace(x.ambient_dim, tuple(b for b in bases for _ in trial))
+
+    ps, qs = repeat(p), repeat(q)
+    offsets = np.array([s + 7919 * t for s in seeds for t in range(samples)], dtype=object)
+    r = sub.random_subspace_of(qs, np.tile(trial, len(seeds)) % (qs.dim + 1), offsets)
+    left = sub.meet(sub.join(ps, r, tol), qs, tol)
+    right = sub.join(repeat(sub.meet(p, q, tol)), r, tol)
+    ok = sub.equal(left, right, tol).reshape(-1, samples)
+    counted = trial <= np.where(ok.all(axis=1), samples, np.argmin(ok, axis=1))[:, None]
+    residual = sub.projector_distance(left, right).reshape(ok.shape)
+    report = _report("modular_pair", np.logical_not(ok.all(axis=1)), trials=int(counted.sum()),
+                     worst_residual=float(np.max(residual, where=counted, initial=0.0)))
+    if not report.holds:
+        report.counterexample = _counterexample(
+            _SUBSPACE, {"p": ps, "q": qs, "r": r}, left, right, np.ravel(counted & ~ok))
+    return report

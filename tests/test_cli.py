@@ -10,7 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from orthologic import cli, laws
+from orthologic import subspace as sub
 from orthologic.cli import main
+from orthologic.core import DEFAULT_TOL, Tolerance, random_vector, subseed
+from orthologic.errors import PreconditionViolated
 
 
 def run_cli(capsys, *argv):
@@ -267,3 +271,194 @@ def test_module_entry_point(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["results"]["classical"]["passed"]
+
+
+# The per-trial fold lattice-check ran before it checked each law's trials
+# as one batch, with the single-instance samplers of that time: the
+# reference the batched report must reproduce.
+
+
+def oracle_nested_pair(d, seed):
+    rng = np.random.default_rng(seed)
+    kq = int(rng.integers(1, d + 1))
+    q = sub.random_subspace(d, kq, seed)
+    kp = int(rng.integers(0, kq + 1))
+    return sub.random_subspace_of(q, kp, seed + 1), q
+
+
+def oracle_mixed_pair(d, mode, seed):
+    if mode == 0:
+        return sub.compatible_pair(d, seed)
+    if mode == 1:
+        (p,) = sub.random_family((d,), seed, proper=True)
+        return p, sub.ortho(p)
+    if mode == 2:
+        return oracle_nested_pair(d, seed)
+    p, q = sub.random_family((d, d), seed, proper=True)
+    return p, q
+
+
+def oracle_covering_instance(d, seed):
+    rng = np.random.default_rng(seed)
+    a = sub.random_subspace(d, int(rng.integers(0, d - 1)), seed)
+    return a, sub.Ray.from_vector(random_vector(d, seed + 1))
+
+
+ORACLE_SAMPLERS = {
+    "orthomodular": lambda d, t, s: oracle_nested_pair(d, s),
+    "distributive": lambda d, t, s: sub.random_family((d, d, d), s, proper=True),
+    "compatibility_criteria": lambda d, t, s: oracle_mixed_pair(d, t % 4, s),
+    "de_morgan": lambda d, t, s: (sub.random_family((d, d, d), s, proper=True),),
+    "modular_pairs": lambda d, t, s: sub.random_family((d, d), s, proper=True),
+    "covering": lambda d, t, s: oracle_covering_instance(d, s),
+}
+
+
+def per_trial_report(d, trials, seed, tol):
+    results: dict = {}
+    expected = True
+    for check in cli._LATTICE_CHECKS:
+        stats = {"failures": 0, "trials": 0, "worst_residual": 0.0, "counterexample": None}
+        for t in range(max(1, trials // check.per)):
+            s = subseed(seed, check.tag, t)
+            try:
+                report = check.check(*ORACLE_SAMPLERS[check.key](d, t, s), s, tol)
+            except PreconditionViolated:
+                continue
+            stats["trials"] += 1
+            stats["worst_residual"] = max(stats["worst_residual"], report.worst_residual)
+            if not report.holds:
+                stats["failures"] += 1
+                if stats["counterexample"] is None:
+                    stats["counterexample"] = report.counterexample
+        stats["holds"] = stats["agree"] = stats["failures"] == 0
+        results[check.key] = {field: stats[field] for field in check.fields}
+        expected = expected and stats["holds"] == check.holds
+    witness = laws.nondistributivity_witness(tol=tol).to_json()
+    results["nondistributivity_witness"] = witness
+    results["expected_pattern"] = expected and not witness["holds"]
+    return results
+
+
+def report_every_statistic(monkeypatch):
+    """Make every check report all its statistics; a trial count only where
+    each instance is one trial (the covering and modular-pair reports count
+    candidates and samples)."""
+    counted = ("orthomodular", "distributive", "compatibility_criteria", "de_morgan")
+    checks = tuple(
+        check._replace(fields=("holds", "failures", "worst_residual", "counterexample")
+                       + (("trials",) if check.key in counted else ()))
+        for check in cli._LATTICE_CHECKS
+    )
+    monkeypatch.setattr(cli, "_LATTICE_CHECKS", checks)
+
+
+def batched_and_per_trial(d, trials, seed, tol=DEFAULT_TOL):
+    return cli._quantum_lattice_report(d, trials, seed, tol), per_trial_report(d, trials, seed, tol)
+
+
+class TestBatchedReportOracle:
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    @pytest.mark.parametrize("trials", [1, 3, 40])
+    def test_batched_report_equals_the_per_trial_fold(self, d, trials):
+        for seed in (0, 7, 2024) if d < 16 else (0, 7):
+            batched, oracle = batched_and_per_trial(d, trials, seed)
+            assert batched == oracle, (d, trials, seed)
+
+    def test_every_statistic_agrees(self, monkeypatch):
+        report_every_statistic(monkeypatch)
+        for d, trials, seed in ((3, 40, 1), (8, 40, 2), (16, 20, 3)):
+            batched, oracle = batched_and_per_trial(d, trials, seed)
+            assert batched == oracle
+            assert batched["distributive"]["failures"] > 0
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_agrees_under_a_broken_join(self, monkeypatch, d):
+        # join(p, q) = p: orthomodularity, de Morgan and covering fail on
+        # some trials and not others, with residuals and counterexamples
+        report_every_statistic(monkeypatch)
+        monkeypatch.setattr(sub, "join", lambda p, q, tol=DEFAULT_TOL: p)
+        for trials in (3, 40):
+            batched, oracle = batched_and_per_trial(d, trials, 5)
+            assert batched == oracle
+        assert 0 < batched["orthomodular"]["failures"] < 40
+        assert batched["orthomodular"]["worst_residual"] > 0.5
+        assert batched["de_morgan"]["counterexample"] is not None
+        assert not batched["covering"]["holds"]
+
+    def test_agrees_under_a_lossy_join(self, monkeypatch):
+        # a join that loses its last direction when it spans four fails
+        # each de Morgan law on different trials
+        report_every_statistic(monkeypatch)
+        join = sub.join
+
+        def lossy(p, q, tol=DEFAULT_TOL):
+            cut = (lambda b: b[:, :3] if b.shape[1] == 4 else b)
+            j = join(p, q, tol)
+            bases = tuple(map(cut, j.basis)) if isinstance(j.basis, tuple) else cut(j.basis)
+            return sub.Subspace(j.ambient_dim, bases)
+
+        monkeypatch.setattr(sub, "join", lossy)
+        batched, oracle = batched_and_per_trial(6, 100, 8)
+        assert batched == oracle
+        assert 0 < batched["de_morgan"]["failures"] < 100
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_samplers_draw_each_trial_alone(self, d):
+        trials = np.arange(13)
+        seeds = np.array([subseed(4, "samplers", t) for t in trials], dtype=object)
+        batches = {
+            "orthomodular": cli._nested_pair(d, seeds),
+            "compatibility_criteria": cli._mixed_pair(d, trials % 4, seeds),
+            "covering": cli._covering_instance(d, seeds),
+        }
+        def subspaces(args):
+            return [x.subspace if isinstance(x, sub.Ray) else x for x in args]
+
+        for key, batch in batches.items():
+            for t, s in zip(trials.tolist(), seeds):
+                for b, x in zip(subspaces(batch), subspaces(ORACLE_SAMPLERS[key](d, t, s))):
+                    assert np.array_equal(b.basis[t], x.basis), (key, t)
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_agrees_where_covering_skips_instances(self, monkeypatch, d):
+        # meet(a, ray) = ray where dim a is even: those covering instances
+        # fall outside the law's hypothesis and are skipped (all of them at
+        # d = 2, where dim a = 0); a join that drops q makes the rest fail
+        report_every_statistic(monkeypatch)
+        meet = sub.meet
+
+        def broken_meet(p, q, tol=DEFAULT_TOL):
+            met = meet(p, q, tol)
+            if isinstance(p.basis, tuple):
+                bases = zip(p.basis, q.basis, met.basis)
+                kept = tuple(m if a.shape[1] % 2 else b for a, b, m in bases)
+                return sub.Subspace(p.ambient_dim, kept)
+            return met if p.dim % 2 else q
+
+        monkeypatch.setattr(sub, "meet", broken_meet)
+        monkeypatch.setattr(sub, "join", lambda p, q, tol=DEFAULT_TOL: p)
+        batched, oracle = batched_and_per_trial(d, 200, 11)
+        assert batched == oracle
+        # 20 instances: the even-dimensional ones skipped, the rest failing
+        failures = batched["covering"]["failures"]
+        assert failures == 0 if d == 2 else 0 < failures < 20
+
+
+class TestToleranceFloor:
+    def test_below_what_doubles_resolve_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("ORTHOLOGIC_TOL", "1e-14")
+        with pytest.raises(SystemExit) as exc:
+            main(["lattice-check", "--dim1", "8", "--trials", "40"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "invalid ORTHOLOGIC_TOL" in captured.err and captured.out == ""
+
+    def test_the_floor_itself_verifies(self, capsys, monkeypatch):
+        assert cli.MIN_TOL == 1000 * np.finfo(float).eps  # about 2.2e-13
+        Tolerance(eps_eq=1e-14)  # the library still takes any eps_eq in (0, 1)
+        monkeypatch.setenv("ORTHOLOGIC_TOL", repr(cli.MIN_TOL))
+        for dim in ("3", "8", "16"):
+            code, out = run_cli(capsys, "lattice-check", "--dim1", dim, "--trials", "40")
+            assert code == 0, dim
+            assert json.loads(out)["results"]["expected_pattern"]

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from orthologic import classical
+from orthologic import subspace as sub
 from orthologic.classical import ClassicalProp, PhaseSpace, all_props, prop_and
 from orthologic.cli import main
-from orthologic.core import Tolerance, random_unitary, random_vector
+from orthologic.core import DEFAULT_TOL, Tolerance, random_unitary, random_vector
 from orthologic.errors import InvalidParameter, PreconditionViolated
 from orthologic.laws import (
+    LawReport,
     check_compatibility_criteria,
     check_covering,
     check_de_morgan,
@@ -364,6 +366,53 @@ class TestModularPairs:
             report = is_modular_pair(p, q, samples=10, seed=seed)
             assert report.holds
             assert report.worst_residual < 1e-8
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_batch_and_single_pairs_match_the_sample_loop(self, monkeypatch, broken):
+        if broken:  # a join that loses a direction whenever it spans three
+            join = sub.join
+
+            def lossy(p, q, tol=DEFAULT_TOL):
+                j = join(p, q, tol)
+                cut = (lambda b: b[:, :2] if b.shape[1] == 3 else b)
+                if isinstance(j.basis, tuple):
+                    return Subspace(j.ambient_dim, tuple(map(cut, j.basis)))
+                return Subspace(j.ambient_dim, cut(j.basis))
+
+            monkeypatch.setattr(sub, "join", lossy)
+        seeds = np.array([101 + 17 * k for k in range(12)], dtype=object)
+        p, q = sub.random_family((6, 6), seeds, proper=True)
+        batch = is_modular_pair(p, q, samples=6, seed=seeds)
+        loops = [per_sample_modular_pair(Subspace(6, a), Subspace(6, b), 6, s)
+                 for a, b, s in zip(p.basis, q.basis, seeds)]
+        for a, b, s, loop in zip(p.basis, q.basis, seeds, loops):
+            single = is_modular_pair(Subspace(6, a), Subspace(6, b), samples=6, seed=s)
+            assert single.to_json() == loop.to_json()
+        failing = [r for r in loops if not r.holds]
+        assert bool(failing) == broken and (not broken or len(failing) < len(loops))
+        assert batch.holds == (not failing) and batch.failures == len(failing)
+        assert batch.trials == sum(r.trials for r in loops)
+        assert batch.worst_residual == max(r.worst_residual for r in loops)
+        assert batch.counterexample == (failing[0].counterexample if failing else None)
+
+
+def per_sample_modular_pair(p, q, samples, seed, tol=DEFAULT_TOL):
+    """is_modular_pair as one sample at a time, up to the first failure."""
+    worst = 0.0
+    for trial in range(samples):
+        r = sub.random_subspace_of(q, trial % (q.dim + 1), seed + 7919 * trial)
+        left = sub.meet(sub.join(p, r, tol), q, tol)
+        right = sub.join(sub.meet(p, q, tol), r, tol)
+        worst = max(worst, sub.projector_distance(left, right))
+        if not sub.equal(left, right, tol):
+            report = LawReport("modular_pair", False, trials=trial + 1, worst_residual=worst)
+            report.counterexample = {
+                "inputs": {k: sub.subspace_to_json(x) for k, x in (("p", p), ("q", q), ("r", r))},
+                "left": sub.subspace_to_json(left),
+                "right": sub.subspace_to_json(right),
+            }
+            return report
+    return LawReport("modular_pair", True, trials=samples, worst_residual=worst)
 
 
 def lossy_join(a, b):

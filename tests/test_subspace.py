@@ -1,5 +1,7 @@
 """Subspace lattice: span, meet, join, complement, ordering, atoms."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from orthologic.errors import DimensionMismatch, InvalidDimension
 from orthologic.subspace import (
     Ray,
     Subspace,
+    commutator_norm,
+    compatible_pair,
     equal,
     full_subspace,
     inclusion,
@@ -17,6 +21,7 @@ from orthologic.subspace import (
     meet,
     ortho,
     projector_distance,
+    random_family,
     random_subspace,
     random_subspace_of,
     span_of,
@@ -328,3 +333,109 @@ class TestSerialization:
         p = zero_subspace(3)
         q = subspace_from_json(subspace_to_json(p))
         assert q.dim == 0 and q.ambient_dim == 3
+
+    def test_codec_matches_the_entry_loop(self):
+        # the JSON bytes of the vectorized codec equal those of a loop
+        # over the entries, column by column
+        p = random_subspace(8, 3, 12)
+        flat = []
+        for col in range(p.dim):
+            for row in range(p.ambient_dim):
+                z = p.basis[row, col]
+                flat.append([float(z.real), float(z.imag)])
+        looped = {"ambient_dim": 8, "basis": flat}
+        assert json.dumps(subspace_to_json(p)) == json.dumps(looped)
+        back = subspace_from_json(json.loads(json.dumps(looped)))
+        assert np.array_equal(back.basis, p.basis) and back.basis.flags["C_CONTIGUOUS"]
+
+
+def ragged_pairs(d, seed):
+    """Pairs of subspaces of C^d: every pair of dimensions 0..d, and pairs
+    tilted by 1e-11 .. 1e-6 rad out of sharing a ray, a plane or all of p."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for kp in range(d + 1):
+        for kq in range(d + 1):
+            s = int(rng.integers(1 << 30))
+            pairs.append((random_subspace(d, kp, s), random_subspace(d, kq, s + 1)))
+    for tilt in (1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+        frame = random_unitary(d, int(rng.integers(1 << 30)))
+        for k in {1, min(2, d - 1), d - 1}:
+            tilted = frame[:, :k].copy()
+            tilted[:, 0] = np.cos(tilt) * frame[:, 0] + np.sin(tilt) * frame[:, k]
+            pairs.append((Subspace(d, frame[:, :k]), Subspace(d, tilted)))
+            pairs.append((Subspace(d, frame[:, :k]), Subspace(d, frame[:, 1:k + 1])))
+    order = rng.permutation(len(pairs))
+    return [pairs[i] for i in order]
+
+
+def batch_of(subspaces):
+    return Subspace(subspaces[0].ambient_dim, tuple(p.basis for p in subspaces))
+
+
+def assert_orthonormal(batch):
+    for b in batch.basis:
+        assert np.linalg.norm(b.conj().T @ b - np.eye(b.shape[1])) <= 1e-13 * batch.ambient_dim
+        # stored as one subspace's basis is: BLAS takes another path for
+        # some strided rank-one operands
+        assert b.flags["C_CONTIGUOUS"]
+
+
+class TestBatches:
+    """A batch gives, element by element, bitwise what one subspace gives."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_batched_ops_equal_single_ops(self, d, seed):
+        pairs = ragged_pairs(d, seed)
+        ps, qs = batch_of([p for p, _ in pairs]), batch_of([q for _, q in pairs])
+        joined, met, complements = join(ps, qs), meet(ps, qs), ortho(ps)
+        holds, residual = inclusion(ps, qs)
+        same = equal(ps, qs)
+        distance, commutator = projector_distance(ps, qs), commutator_norm(ps, qs)
+        for i, (p, q) in enumerate(pairs):
+            assert np.array_equal(joined.basis[i], join(p, q).basis)
+            assert np.array_equal(met.basis[i], meet(p, q).basis)
+            assert np.array_equal(complements.basis[i], ortho(p).basis)
+            assert (holds[i], residual[i]) == inclusion(p, q)
+            assert same[i] == equal(p, q)
+            assert distance[i] == projector_distance(p, q)
+            assert commutator[i] == commutator_norm(p, q)
+        for batch in (joined, met, complements):
+            assert_orthonormal(batch)
+        assert list(met.dim) == [meet(p, q).dim for p, q in pairs]
+
+    def test_one_element_batches_equal_single_ops(self):
+        # a group of one element is passed as a view, not a stacked copy
+        for p, q in ragged_pairs(8, 2):
+            pb, qb = batch_of([p]), batch_of([q])
+            for op in (join, meet):
+                assert np.array_equal(op(pb, qb).basis[0], op(p, q).basis)
+            assert np.array_equal(ortho(pb).basis[0], ortho(p).basis)
+            assert inclusion(pb, qb)[1][0] == inclusion(p, q)[1]
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_batched_samplers_draw_each_seed_alone(self, d):
+        seeds = np.array([0, 7, 2**64 - 1, 12345], dtype=object)  # seed + 1 passes 2^64
+        ks = np.array([0, 1, d // 2, d])
+        for u, s in zip(random_unitary(d, seeds), seeds):
+            assert np.array_equal(u, random_unitary(d, s))
+        batch = random_subspace(d, ks, seeds)
+        for b, k, s in zip(batch.basis, ks, seeds):
+            assert np.array_equal(b, random_subspace(d, int(k), s).basis)
+        inner = random_subspace_of(batch, ks // 2, seeds + 1)
+        for b, q, k, s in zip(inner.basis, batch.basis, ks // 2, seeds + 1):
+            assert np.array_equal(b, random_subspace_of(Subspace(d, q), int(k), s).basis)
+        for members, single in zip(zip(*(m.basis for m in random_family((d, d), seeds, True))),
+                                   (random_family((d, d), s, True) for s in seeds)):
+            assert all(np.array_equal(b, m.basis) for b, m in zip(members, single))
+        for pair, s in zip(zip(*(m.basis for m in compatible_pair(d, seeds))), seeds):
+            assert all(np.array_equal(b, m.basis) for b, m in zip(pair, compatible_pair(d, s)))
+        assert_orthonormal(inner)
+
+    def test_batch_validates_every_element(self):
+        good = random_subspace(3, 2, 0).basis
+        with pytest.raises(ValueError):
+            Subspace(3, (good, 2 * good))
+        with pytest.raises(DimensionMismatch):
+            Subspace(3, (good, good[:2]))
