@@ -10,8 +10,12 @@ composite lattice, subject to three axioms:
   III (no information loss) images of atoms meet in an atom.
 
 Each axiom sub-check is defined once in _AXIOM_CHECKS, keyed by the
-counterexample kind it records: verify_axioms runs it on seeded
-samples and recheck_axiom_counterexample replays it from the JSON.
+counterexample kind it records: sweep_axioms runs it once on a batch of
+all its seeded trials (a Subspace batch, see ``subspace``), and
+recheck_axiom_counterexample replays it on the subspaces of the JSON.
+Trial t draws from subseed(seed, tag, t) alone, so the reports of the
+first n trials fold from any longer sweep: composite-verify sweeps once
+and reports the axioms twice, at --trials and inside the isomorphism.
 
 The theorems verified here are existence statements over abstract
 pairs (h1, h2).  The module ships one concrete family to run them on:
@@ -27,7 +31,8 @@ classifies each map as linear or antilinear by the scalar action of
 F_{i x, x}, and builds the norm-preserving maps U/V they generate, the
 product orthonormal basis of the composite space, and finally the
 basis map onto the tensor space (or its dual-twisted variant), whose
-lift to subspaces is verified to be a lattice isomorphism.
+lift to subspaces is verified to be a lattice isomorphism, on all its
+seeded trials as one batch.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import subspace as sub
-from .core import DEFAULT_TOL, Tolerance, as_columns, as_vector, random_vector, rank, subseed
+from .core import DEFAULT_TOL, Tolerance, as_columns, as_vector, each, orthonormal_bases
+from .core import random_vector, rank, subseed
 # Not called here; kept as the module binding that bench/tracer.py patches.
 from .core import random_unitary  # noqa: F401
 from .errors import (
@@ -59,8 +65,10 @@ from .tensor import TensorIndex
 __all__ = [
     "SubspaceMorphism",
     "AxiomReport",
+    "AxiomSweep",
     "TensorIsoReport",
     "canonical_h",
+    "sweep_axioms",
     "verify_axioms",
     "recheck_axiom_counterexample",
     "restriction_iso_u",
@@ -87,8 +95,9 @@ GEMISCHT = "gemischt"
 class SubspaceMorphism:
     """A map between subspace lattices.
 
-    ``map`` acts on Subspace values and is all a morphism needs: the
-    ray intertwiners and the linearity class are derived from it.
+    ``map`` acts on one Subspace and is all a morphism needs: the ray
+    intertwiners and the linearity class are derived from it.  Called on
+    a batch, the morphism maps its elements one at a time.
     """
 
     source_dim: int
@@ -101,7 +110,9 @@ class SubspaceMorphism:
             raise DimensionMismatch(
                 f"morphism source dim {self.source_dim}, got {p.ambient_dim}"
             )
-        return self.map(p)
+        if not p.is_batch:
+            return self.map(p)
+        return Subspace.batch(self.target_dim, [self.map(e) for e in p.elements()])
 
     def map_ray(self, x) -> Subspace:
         return self(span_of([as_vector(x)]))
@@ -252,12 +263,18 @@ def _commuting(a: Subspace, b: Subspace, tol: Tolerance):
 
 
 def _atom(m: Subspace):
-    return m.dim == 1, float(abs(m.dim - 1))
+    return m.dim == 1, abs(m.dim - 1) * 1.0
+
+
+def _like(p: Subspace, s: Subspace) -> Subspace:
+    """s, or for a batch p, the batch holding s once per element of p."""
+    return Subspace.batch(s.ambient_dim, [s] * len(p.elements())) if p.is_batch else s
 
 
 # Counterexample kind -> its check.  A check takes the morphism under
 # test (the pair h1, h2 for the cross axioms II and III), then its
-# subspaces and tol, and returns (holds, residual).
+# subspaces (single ones or batches) and tol, and returns (holds,
+# residual), per element for batches.
 _AXIOM_CHECKS = {
     "unitarity": lambda h, tol: (
         sub.equal(h(full_subspace(h.source_dim)), full_subspace(h.target_dim), tol), 0.0
@@ -271,7 +288,7 @@ _AXIOM_CHECKS = {
     ),
     "complement": lambda h, p, tol: _same(
         h(sub.ortho(p)),
-        sub.meet(sub.ortho(h(p)), h(full_subspace(h.source_dim)), tol),
+        sub.meet(sub.ortho(h(p)), _like(p, h(full_subspace(h.source_dim))), tol),
         tol,
     ),
     "compat_preservation": lambda h, p, q, tol: (compatible(h(p), h(q), tol), 0.0),
@@ -289,19 +306,122 @@ def _axiom_ce(kind: str, side, subspaces) -> dict:
     return ce
 
 
-def _sweep(morphisms: tuple, side, trials: int, sample, tol: Tolerance):
-    """Run the checks ``sample(trial)`` lists as (kind, subspaces) pairs,
-    trial by trial, up to the first failure.  Returns the worst residual,
-    the counterexample of that failure (None if all hold) and the number
-    of trials run."""
-    worst = 0.0
-    for trial in range(trials):
-        for kind, subspaces in sample(trial):
-            holds, residual = _AXIOM_CHECKS[kind](*morphisms, *subspaces, tol)
-            worst = max(worst, residual)
-            if not holds:
-                return worst, _axiom_ce(kind, side, subspaces), trial + 1
-    return worst, None, trials
+def _checked(morphisms: tuple, samples, tol: Tolerance) -> list:
+    """Each (kind, subspace batches) of ``samples`` checked once on its
+    batches: (kind, verdicts, residuals, batches), one verdict and
+    residual per trial."""
+    checks = []
+    for kind, batches in samples:
+        holds, residual = _AXIOM_CHECKS[kind](*morphisms, *batches, tol)
+        trials = len(batches[0].elements())
+        checks.append((kind, np.broadcast_to(holds, trials), np.broadcast_to(residual, trials),
+                       batches))
+    return checks
+
+
+def _first_failure(checks: list, side, n: int):
+    """The checks of the first n trials, run trial by trial and in check
+    order up to the first failure: (the worst residual up to it, its
+    counterexample or None, the number of trials run)."""
+    holds = np.stack([c[1][:n] for c in checks], axis=-1).ravel()
+    residuals = np.stack([c[2][:n] for c in checks], axis=-1).ravel()
+    passed = bool(holds.all())
+    end = holds.size if passed else int(np.argmin(holds)) + 1
+    worst = max([0.0, *residuals[:end].tolist()])
+    if passed:
+        return worst, None, n
+    trial, k = divmod(end - 1, len(checks))
+    kind, _, _, batches = checks[k]
+    failing = [b.elements()[trial] for b in batches]
+    return worst, _axiom_ce(kind, side, failing), trial + 1
+
+
+@dataclass(frozen=True)
+class AxiomSweep:
+    """Axioms I-III checked on ``trials`` seeded instances of the pair
+    (h1, h2) drawn from ``seed`` and decided under ``tol`` (sweep_axioms).
+
+    Trial t draws from subseed(seed, tag, t) alone, so ``reports(n)``
+    gives exactly the reports of an n-trial sweep, for any n <= trials.
+    """
+
+    h1: SubspaceMorphism
+    h2: SubspaceMorphism
+    seed: int
+    tol: Tolerance
+    trials: int
+    sides: tuple  # axiom I per side: (side, failing unitarity/zero kind or None, checks)
+    cross: tuple  # the checks of axiom II, then those of axiom III
+
+    def reports(self, n: int) -> list[AxiomReport]:
+        """The reports of the first n trials: each axiom stops at its first
+        failing (trial, check); axiom I samples the full and zero images
+        and then the trials run, per side sampled."""
+        if not 0 <= n <= self.trials:
+            raise ValueError(f"a sweep of {self.trials} trials has no {n}-trial prefix")
+        # A map failing unitarity or zero is not sampled; the other map
+        # still is.  A side failing a trial stops the axiom.
+        worst, ce, samples = 0.0, None, 0
+        for side, precheck, checks in self.sides:
+            samples += 1 if precheck == "unitarity" else 2
+            if precheck is not None:
+                ce = _axiom_ce(precheck, side, ())
+                continue
+            side_worst, failure, run = _first_failure(checks, side, n)
+            worst, samples = max(worst, side_worst), samples + run
+            if failure is not None:
+                ce = failure
+                break
+        reports = [AxiomReport("I_c_morphism", ce is None, samples, worst, ce)]
+        for axiom, checks in zip(("II_compatibility", "III_atoms"), self.cross):
+            worst, ce, _ = _first_failure(checks, None, n)
+            reports.append(AxiomReport(axiom, ce is None, n, worst, ce))
+        return reports
+
+
+def sweep_axioms(
+    h1: SubspaceMorphism,
+    h2: SubspaceMorphism,
+    trials: int,
+    seed: int = 0,
+    tol: Tolerance = DEFAULT_TOL,
+) -> AxiomSweep:
+    """Check axioms I-III on ``trials`` seeded instances: each sampler
+    draws all trials as one batch, and each check runs once on it."""
+    if h1.target_dim != h2.target_dim:
+        raise DimensionMismatch("morphisms must share a target space")
+
+    def seeds(tag: str) -> np.ndarray:
+        return np.array([subseed(seed, tag, t) for t in range(trials)], dtype=object)
+
+    # Axiom I: each h alone must be a unitary c-morphism.
+    sides = []
+    for side, h in ((1, h1), (2, h2)):
+        precheck = next((k for k in ("unitarity", "zero") if not _AXIOM_CHECKS[k](h, tol)[0]), None)
+        checks = None
+        if precheck is None:
+            d = h.source_dim
+            p, q, r = sub.random_family((d, d, d), seeds(f"axiom1_side{side}"), proper=False)
+            cp, cq = sub.compatible_pair(d, seeds(f"compat{side}"))
+            checks = _checked((h,), (
+                ("join", (p, q)),
+                ("family_join", (p, q, r)),
+                ("complement", (p,)),
+                ("compat_preservation", (cp, cq)),
+            ), tol)
+        sides.append((side, precheck, checks))
+
+    # Axiom II: cross-images are compatible.  Axiom III: atom images meet
+    # in an atom.
+    d1, d2 = h1.source_dim, h2.source_dim
+    p1, p2 = sub.random_family((d1, d2), seeds("axiom2"), proper=False)
+    atoms = seeds("axiom3")
+    r1, r2 = sub.random_ray(d1, atoms, tol), sub.random_ray(d2, atoms + 1, tol)
+    cross = (
+        _checked((h1, h2), (("compatibility", (p1, p2)),), tol),
+        _checked((h1, h2), (("atom_meet", (r1, r2)),), tol),
+    )
+    return AxiomSweep(h1, h2, seed, tol, trials, tuple(sides), cross)
 
 
 def verify_axioms(
@@ -311,65 +431,12 @@ def verify_axioms(
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> list[AxiomReport]:
-    """Check axioms I-III on seeded random instances.
+    """Check axioms I-III on seeded random instances (see sweep_axioms).
 
     Failures never raise; they land in the reports together with a
     re-checkable counterexample (see recheck_axiom_counterexample).
     """
-    if h1.target_dim != h2.target_dim:
-        raise DimensionMismatch("morphisms must share a target space")
-
-    # Axiom I: each h alone must be a unitary c-morphism.  A map failing
-    # unitarity or zero is not sampled; the other map still is.
-    worst, ce, samples = 0.0, None, 0
-    for side, h in ((1, h1), (2, h2)):
-        d = h.source_dim
-        samples += 1
-        if not _AXIOM_CHECKS["unitarity"](h, tol)[0]:
-            ce = _axiom_ce("unitarity", side, ())
-            continue
-        samples += 1
-        if not _AXIOM_CHECKS["zero"](h, tol)[0]:
-            ce = _axiom_ce("zero", side, ())
-            continue
-
-        def c_morphism_checks(trial):
-            s = subseed(seed, f"axiom1_side{side}", trial)
-            p, q, r = sub.random_family((d, d, d), s, proper=False)
-            cp, cq = sub.compatible_pair(d, subseed(seed, f"compat{side}", trial))
-            return (
-                ("join", (p, q)),
-                ("family_join", (p, q, r)),
-                ("complement", (p,)),
-                ("compat_preservation", (cp, cq)),
-            )
-
-        side_worst, failure, run = _sweep((h,), side, trials, c_morphism_checks, tol)
-        worst, samples = max(worst, side_worst), samples + run
-        if failure is not None:
-            ce = failure
-            break
-    reports = [AxiomReport("I_c_morphism", ce is None, samples, worst, ce)]
-
-    # Axiom II: cross-images are compatible.
-    def cross_checks(trial):
-        s = subseed(seed, "axiom2", trial)
-        p1, p2 = sub.random_family((h1.source_dim, h2.source_dim), s, proper=False)
-        return (("compatibility", (p1, p2)),)
-
-    worst, ce, _ = _sweep((h1, h2), None, trials, cross_checks, tol)
-    reports.append(AxiomReport("II_compatibility", ce is None, trials, worst, ce))
-
-    # Axiom III: atom images meet in an atom.
-    def atom_checks(trial):
-        s = subseed(seed, "axiom3", trial)
-        r1 = span_of([random_vector(h1.source_dim, s)], tol)
-        r2 = span_of([random_vector(h2.source_dim, s + 1)], tol)
-        return (("atom_meet", (r1, r2)),)
-
-    worst, ce, _ = _sweep((h1, h2), None, trials, atom_checks, tol)
-    reports.append(AxiomReport("III_atoms", ce is None, trials, worst, ce))
-    return reports
+    return sweep_axioms(h1, h2, trials, seed, tol).reports(trials)
 
 
 def recheck_axiom_counterexample(
@@ -666,30 +733,34 @@ class BasisMap:
     linearity: tuple[str, str]
 
     def apply(self, v) -> np.ndarray:
-        coeffs = self.coefficient_transform @ as_vector(v)
-        if self.antiunitary:
-            coeffs = np.conj(coeffs)
-        return self.matrix @ coeffs
+        return self._image(as_vector(v))
 
     def apply_inverse(self, w) -> np.ndarray:
-        coeffs = self.matrix.conj().T @ as_vector(w)
-        if self.antiunitary:
-            coeffs = np.conj(coeffs)
-        return np.linalg.solve(
-            self.coefficient_transform, coeffs
-        )
+        return self._preimage(as_vector(w))
 
     def lift(self, g: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-        if g.dim == 0:
-            return zero_subspace(self.index.dim)
-        cols = [self.apply(g.basis[:, k]) for k in range(g.dim)]
-        return span_of(cols, tol)
+        """The span of the images of g's basis vectors; of a batch, of
+        each element's."""
+        return Subspace(
+            self.index.dim, each(lambda b: orthonormal_bases(self._image(b), tol), g.basis)
+        )
 
     def lift_inverse(self, g: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-        if g.dim == 0:
-            return zero_subspace(self.index.dim)
-        cols = [self.apply_inverse(g.basis[:, k]) for k in range(g.dim)]
-        return span_of(cols, tol)
+        """The span of the preimages of g's basis vectors (see lift)."""
+        return Subspace(
+            self.index.dim, each(lambda b: orthonormal_bases(self._preimage(b), tol), g.basis)
+        )
+
+    def _image(self, x: np.ndarray) -> np.ndarray:
+        """apply on a vector, the columns of a matrix or a stack of them."""
+        coeffs = self.coefficient_transform @ x
+        return self.matrix @ (np.conj(coeffs) if self.antiunitary else coeffs)
+
+    def _preimage(self, y: np.ndarray) -> np.ndarray:
+        """apply_inverse as _image extends apply."""
+        coeffs = self.matrix.conj().T @ y
+        return np.linalg.solve(self.coefficient_transform,
+                               np.conj(coeffs) if self.antiunitary else coeffs)
 
 
 def build_basis_map(
@@ -761,6 +832,10 @@ class TensorIsoReport:
         }
 
 
+# The isomorphism checks of one trial, in the order its failures are named.
+_ISO_CHECKS = ("join", "meet", "ortho", "atom", "roundtrip", "leq")
+
+
 def verify_tensor_isomorphism(
     h1: SubspaceMorphism,
     h2: SubspaceMorphism,
@@ -768,57 +843,57 @@ def verify_tensor_isomorphism(
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
     axiom_trials: int = 50,
+    sweep: Optional[AxiomSweep] = None,
 ) -> TensorIsoReport:
     """Constructively verify that the composite lattice is the tensor one.
 
     Refuses (AxiomViolation, naming the axiom) unless axioms I-III
-    verify.  The basis map is built before that sweep: it derives both
-    linearity classes and so refuses a gemischt pair by name first.
+    verify on the first ``axiom_trials`` trials of ``sweep``, a
+    sweep_axioms of this pair, seed and tol (ValueError for any other),
+    drawn here when not given.  The basis map is built before that: it
+    derives both linearity classes and so refuses a gemischt pair by
+    name first.
     Then the basis map is lifted to subspaces and join, meet,
     complement, atom and round-trip preservation are checked on seeded
-    instances; the report names which tensor space (plain or
-    dual-first) applied.
+    instances, all trials as one batch; the report names which tensor
+    space (plain or dual-first) applied.
     """
+    if sweep is not None and (sweep.h1, sweep.h2, sweep.seed, sweep.tol) != (h1, h2, seed, tol):
+        raise ValueError("the axiom sweep was drawn for another pair, seed or tolerance")
     bm = build_basis_map(h1, h2, tol=tol)
-    axiom_reports = verify_axioms(h1, h2, trials=axiom_trials, seed=seed, tol=tol)
+    if sweep is None:
+        sweep = sweep_axioms(h1, h2, axiom_trials, seed, tol)
+    axiom_reports = sweep.reports(axiom_trials)
     for report in axiom_reports:
         if not report.passed:
             raise AxiomViolation(f"axiom {report.axiom} fails; no isomorphism is built")
     dim = bm.index.dim
-    worst = 0.0
-    failures: list[str] = []
-
-    def note(check: str, ok: bool, res: float):
-        nonlocal worst
-        worst = max(worst, res)
-        if not ok:
-            failures.append(check)
-
-    for trial in range(trials):
-        s = subseed(seed, "tensoriso", trial)
-        rng = np.random.default_rng(s)
-        g1 = sub.random_subspace(dim, int(rng.integers(0, dim + 1)), s)
-        g2 = sub.random_subspace(dim, int(rng.integers(1, dim)), s + 1)
-        l1, l2 = bm.lift(g1, tol), bm.lift(g2, tol)
-
-        for op, g, image in (
-            ("join", sub.join(g1, g2, tol), sub.join(l1, l2, tol)),
-            ("meet", sub.meet(g1, g2, tol), sub.meet(l1, l2, tol)),
-            ("ortho", sub.ortho(g1), sub.ortho(l1)),
-        ):
-            note(f"{op}@{trial}", *_same(bm.lift(g, tol), image, tol))
-        atom = span_of([random_vector(dim, s + 2)], tol)
-        note(f"atom@{trial}", *_atom(bm.lift(atom, tol)))
-        note(f"roundtrip@{trial}", *_same(bm.lift_inverse(l1, tol), g1, tol))
-        if sub.leq(g1, sub.join(g1, g2, tol), tol):
-            note(f"leq@{trial}", sub.leq(l1, sub.join(l1, l2, tol), tol), 0.0)
+    seeds = np.array([subseed(seed, "tensoriso", t) for t in range(trials)], dtype=object)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    dims = [(rng.integers(0, dim + 1), rng.integers(1, dim)) for rng in rngs]
+    g1 = sub.random_subspace(dim, [k for k, _ in dims], seeds)
+    g2 = sub.random_subspace(dim, [k for _, k in dims], seeds + 1)
+    l1, l2 = bm.lift(g1, tol), bm.lift(g2, tol)
+    joined, lifted_joined = sub.join(g1, g2, tol), sub.join(l1, l2, tol)
+    checks = (
+        _same(bm.lift(joined, tol), lifted_joined, tol),
+        _same(bm.lift(sub.meet(g1, g2, tol), tol), sub.meet(l1, l2, tol), tol),
+        _same(bm.lift(sub.ortho(g1), tol), sub.ortho(l1), tol),
+        _atom(bm.lift(sub.random_ray(dim, seeds + 2, tol), tol)),
+        _same(bm.lift_inverse(l1, tol), g1, tol),
+        # order is preserved where g1 <= g1 join g2 holds
+        (np.logical_not(sub.leq(g1, joined, tol)) | sub.leq(l1, lifted_joined, tol), 0.0),
+    )
+    holds = np.stack([np.broadcast_to(ok, trials) for ok, _ in checks], axis=-1)
+    residuals = np.stack([np.broadcast_to(res, trials) for _, res in checks], axis=-1)
+    failures = [f"{_ISO_CHECKS[k]}@{t}" for t, k in zip(*np.nonzero(np.logical_not(holds)))]
 
     return TensorIsoReport(
         target=bm.target,
         linearity=bm.linearity,
         trials=trials,
         passed=not failures,
-        worst_residual=worst,
+        worst_residual=max([0.0, *residuals.ravel().tolist()]),
         axiom_reports=axiom_reports,
         failures=failures,
     )

@@ -17,7 +17,9 @@ inputs and sides of its first failing element (in C order over the
 broadcast shape) as single propositions, so it replays through the same
 checker on scalars.  A subspace batch is checked element by element: the
 counts add up, worst_residual is the largest, and the counterexample is
-the first failing element's.
+the first failing element's.  A law with a hypothesis (orthomodularity,
+covering, Foulis and triple distributivity) checks only the elements
+that meet it.
 
 Compatibility of two subspaces is decided lattice-theoretically by the
 constructive criterion (a meet b) join (a' meet b) = b; the second
@@ -118,8 +120,7 @@ def _first_failed(inputs: dict, left, right, failed):
     single subspace is its own first element."""
 
     def element(p):
-        batch = isinstance(p.basis, tuple)
-        return Subspace(p.ambient_dim, p.basis[np.argmax(failed)]) if batch else p
+        return p.elements()[np.argmax(failed)] if p.is_batch else p
 
     return {k: element(p) for k, p in inputs.items()}, element(left), element(right)
 
@@ -312,47 +313,66 @@ def check_foulis_distributivity(
     b, family, tol: Tolerance = DEFAULT_TOL
 ) -> LawReport:
     """For b compatible with every a_i, check
-    join_i (b meet a_i) = b meet (join_i a_i)."""
+    join_i (b meet a_i) = b meet (join_i a_i).
+
+    Of a subspace batch, only the elements meeting the hypothesis are
+    checked, each counting one trial per family member."""
     ops = _lattice(b)
     family = list(family)
+    applies = True
     if ops is _SUBSPACE:
-        if not all(compatible(b, a, tol) for a in family):
-            return LawReport("foulis_distributivity", True, applicable=False)
-    if not family:
+        applies = np.logical_and.reduce([compatible(b, a, tol) for a in family])
+    if not family or not np.any(applies):
         return LawReport("foulis_distributivity", True, applicable=False)
     left = _fold(ops.join, [ops.meet(b, a, tol) for a in family], tol)
     right = ops.meet(b, _fold(ops.join, family, tol), tol)
     inputs = {"b": b, **{f"a{k}": a for k, a in enumerate(family)}}
-    report = _compare(ops, "foulis_distributivity", inputs, left, right, tol)
-    report.trials = len(family)
+    report = _compare(ops, "foulis_distributivity", inputs, left, right, tol, applies=applies)
+    report.trials = len(family) * int(np.count_nonzero(applies))
     return report
 
 
 def check_triple_distributive(a, b, c, tol: Tolerance = DEFAULT_TOL) -> LawReport:
     """If some element is compatible with the other two, the triple must
-    satisfy all six distributivity identities."""
+    satisfy all six distributivity identities.
+
+    An instance stops at its first failing identity, as one trial with
+    that identity's residual; one that holds counts six trials and the
+    worst residual of the six.  Of a subspace batch, only the elements
+    meeting the hypothesis are checked."""
     ops = _lattice(a)
+    applies = True
     if ops is _SUBSPACE:
-        hypothesis = (
-            (compatible(a, b, tol) and compatible(a, c, tol))
-            or (compatible(b, a, tol) and compatible(b, c, tol))
-            or (compatible(c, a, tol) and compatible(c, b, tol))
-        )
-        if not hypothesis:
+        def both(x, y, z):
+            return np.logical_and(compatible(x, y, tol), compatible(x, z, tol))
+
+        applies = np.logical_or.reduce([both(a, b, c), both(b, a, c), both(c, a, b)])
+        if not np.any(applies):
             return LawReport("triple_distributive", True, applicable=False)
-    worst = 0.0
-    for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
-        for join, meet in ((ops.join, ops.meet), (ops.meet, ops.join)):
-            left, right = _distributive_sides(join, meet, x, y, z, tol)
-            residual = ops.residual(left, right)
-            if not ops.equal(left, right, tol):
-                report = LawReport("triple_distributive", False, worst_residual=residual)
-                report.counterexample = _counterexample(
-                    ops, {"a": a, "b": b, "c": c}, left, right
-                )
-                return report
-            worst = max(worst, residual)
-    return LawReport("triple_distributive", True, trials=6, worst_residual=worst)
+    sides = [
+        _distributive_sides(join, meet, x, y, z, tol)
+        for x, y, z in ((a, b, c), (b, a, c), (c, a, b))
+        for join, meet in ((ops.join, ops.meet), (ops.meet, ops.join))
+    ]
+    failed = np.logical_and(applies, np.logical_not([ops.equal(l, r, tol) for l, r in sides]))
+    residuals = np.array([ops.residual(left, right) for left, right in sides])
+    if not failed.any():
+        return LawReport("triple_distributive", True, trials=6 * int(np.count_nonzero(applies)),
+                         worst_residual=float(np.max(residuals, where=applies, initial=0.0)))
+    first = np.argmax(failed, axis=0)  # each instance's first failing identity
+    fails = np.any(failed, axis=0)
+    worst = np.where(fails, np.take_along_axis(residuals, first[None], axis=0)[0],
+                     np.max(residuals, axis=0))
+    report = _report(
+        "triple_distributive",
+        fails,
+        trials=int(np.sum(np.where(fails, 1, 6), where=applies)),
+        worst_residual=float(np.max(worst, where=applies, initial=0.0)),
+    )
+    at = int(np.argmax(np.ravel(fails)))
+    left, right = sides[int(np.ravel(first)[at])]
+    report.counterexample = _counterexample(ops, {"a": a, "b": b, "c": c}, left, right, fails)
+    return report
 
 
 def check_covering(p: Ray, a: Subspace, tol: Tolerance = DEFAULT_TOL) -> LawReport:
@@ -408,8 +428,7 @@ def is_modular_pair(
     trial = np.arange(samples)
 
     def repeat(x):  # each element once per sample
-        bases = x.basis if isinstance(x.basis, tuple) else (x.basis,)
-        return Subspace(x.ambient_dim, tuple(b for b in bases for _ in trial))
+        return Subspace.batch(x.ambient_dim, [e for e in x.elements() for _ in trial])
 
     ps, qs = repeat(p), repeat(q)
     offsets = np.array([s + 7919 * t for s in seeds for t in range(samples)], dtype=object)

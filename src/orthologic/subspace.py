@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DEFAULT_TOL, Tolerance, as_columns, as_vector, each, orthonormal_bases
-from .core import orthonormalize, random_unitary
+from .core import orthonormalize, random_unitary, random_vector
 from .errors import DimensionMismatch, InvalidDimension
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "random_subspace",
     "random_subspace_of",
     "random_family",
+    "random_ray",
     "compatible_pair",
     "subspace_to_json",
     "subspace_from_json",
@@ -81,10 +82,33 @@ class Subspace:
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
 
+    @classmethod
+    def batch(cls, ambient_dim: int, elements) -> "Subspace":
+        """The batch of the given subspaces of C^ambient_dim, in order."""
+        return cls(ambient_dim, tuple(e.basis for e in elements))
+
+    @property
+    def is_batch(self) -> bool:
+        return isinstance(self.basis, tuple)
+
+    def elements(self) -> tuple:
+        """The subspaces of a batch, in order; a single subspace is its own
+        only element."""
+        if not self.is_batch:
+            return (self,)
+        return tuple(map(self._element, self.basis))
+
+    def _element(self, basis: np.ndarray) -> "Subspace":
+        # the batch checked this basis when it was built
+        element = object.__new__(Subspace)
+        object.__setattr__(element, "ambient_dim", self.ambient_dim)
+        object.__setattr__(element, "basis", basis)
+        return element
+
     @property
     def dim(self):
         """The dimension; of a batch, the array of its elements' dimensions."""
-        if isinstance(self.basis, tuple):
+        if self.is_batch:
             return np.array([b.shape[1] for b in self.basis])
         return self.basis.shape[1]
 
@@ -175,7 +199,7 @@ def _norms(p: Subspace, q: Subspace, kernel, order=None):
     """The norm of kernel's matrix, one element at a time (a stacked norm
     differs in the last bits): a float, or a batch's array."""
     _check_same_ambient(p, q)
-    if not isinstance(p.basis, tuple):
+    if not p.is_batch:
         return float(np.linalg.norm(kernel(p.basis, q.basis), order))
     return np.array(each(lambda a, b: [np.linalg.norm(m, order) for m in kernel(a, b)],
                          p.basis, q.basis))
@@ -285,6 +309,13 @@ def random_family(dims, seed, proper: bool) -> list[Subspace]:
     return family
 
 
+def random_ray(d: int, seed: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+    """The batch of the spans of ``random_vector(d, s)``, one for each seed
+    s of the array ``seed``: each element is ``span_of`` of its vector."""
+    vectors = tuple(random_vector(d, s)[:, None] for s in seed)
+    return Subspace(d, each(lambda m: orthonormal_bases(m, tol), vectors))
+
+
 def compatible_pair(d: int, seed) -> tuple[Subspace, Subspace]:
     """Two subspaces compatible by construction: coordinate subspaces of
     one seeded random unitary frame, of dimensions drawn from 1..d."""
@@ -298,7 +329,8 @@ def compatible_pair(d: int, seed) -> tuple[Subspace, Subspace]:
         return frame[:, cols1], frame[:, cols2]
 
     if isinstance(seed, np.ndarray):
-        return tuple(Subspace(d, b) for b in zip(*map(coordinates, seed, random_unitary(d, seed))))
+        pairs = list(map(coordinates, seed, random_unitary(d, seed)))
+        return tuple(Subspace(d, tuple(pair[j] for pair in pairs)) for j in (0, 1))
     return tuple(Subspace(d, b) for b in coordinates(seed, random_unitary(d, seed)))
 
 

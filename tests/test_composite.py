@@ -6,8 +6,12 @@ import json
 import numpy as np
 import pytest
 
+from orthologic import composite
+from orthologic import subspace as sub
+from orthologic.cli import main
 from orthologic.composite import (
     GEMISCHT,
+    AxiomReport,
     SubspaceMorphism,
     build_U_V,
     build_basis_map,
@@ -22,10 +26,12 @@ from orthologic.composite import (
     recheck_axiom_counterexample,
     restriction_iso_u,
     restriction_iso_v,
+    sweep_axioms,
     verify_axioms,
     verify_tensor_isomorphism,
 )
-from orthologic.core import Tolerance, as_vector, random_unitary, random_vector
+from orthologic.core import DEFAULT_TOL, Tolerance, as_vector, random_unitary, random_vector
+from orthologic.core import subseed
 from orthologic.errors import (
     AnchorNotInMeet,
     AxiomViolation,
@@ -852,3 +858,289 @@ class TestTensorIsomorphism:
         h2 = canonical_h(2, 3, 3, twist=random_unitary(9, 99))
         with pytest.raises(AxiomViolation, match="III_atoms"):
             verify_tensor_isomorphism(h1, h2, trials=5, seed=5)
+
+
+# verify_axioms as it ran before the batched sweep: trial by trial with
+# the single-seed samplers, each axiom up to its first failure.  The
+# batched sweep and its prefix fold must reproduce it byte for byte.
+
+
+def per_trial_axioms(h1, h2, trials, seed, tol=DEFAULT_TOL):
+    def sweep(morphisms, side, sample):
+        worst = 0.0
+        for trial in range(trials):
+            for kind, subspaces in sample(trial):
+                holds, residual = composite._AXIOM_CHECKS[kind](*morphisms, *subspaces, tol)
+                worst = max(worst, residual)
+                if not holds:
+                    return worst, composite._axiom_ce(kind, side, subspaces), trial + 1
+        return worst, None, trials
+
+    worst, ce, samples = 0.0, None, 0
+    for side, h in ((1, h1), (2, h2)):
+        d = h.source_dim
+        samples += 1
+        if not composite._AXIOM_CHECKS["unitarity"](h, tol)[0]:
+            ce = composite._axiom_ce("unitarity", side, ())
+            continue
+        samples += 1
+        if not composite._AXIOM_CHECKS["zero"](h, tol)[0]:
+            ce = composite._axiom_ce("zero", side, ())
+            continue
+
+        def c_morphism_checks(trial, side=side, d=d):
+            p, q, r = sub.random_family((d, d, d), subseed(seed, f"axiom1_side{side}", trial),
+                                        proper=False)
+            cp, cq = sub.compatible_pair(d, subseed(seed, f"compat{side}", trial))
+            return (("join", (p, q)), ("family_join", (p, q, r)), ("complement", (p,)),
+                    ("compat_preservation", (cp, cq)))
+
+        side_worst, failure, run = sweep((h,), side, c_morphism_checks)
+        worst, samples = max(worst, side_worst), samples + run
+        if failure is not None:
+            ce = failure
+            break
+    reports = [AxiomReport("I_c_morphism", ce is None, samples, worst, ce)]
+
+    def cross_checks(trial):
+        s = subseed(seed, "axiom2", trial)
+        p1, p2 = sub.random_family((h1.source_dim, h2.source_dim), s, proper=False)
+        return (("compatibility", (p1, p2)),)
+
+    def atom_checks(trial):
+        s = subseed(seed, "axiom3", trial)
+        r1 = span_of([random_vector(h1.source_dim, s)], tol)
+        r2 = span_of([random_vector(h2.source_dim, s + 1)], tol)
+        return (("atom_meet", (r1, r2)),)
+
+    for axiom, checks in (("II_compatibility", cross_checks), ("III_atoms", atom_checks)):
+        worst, ce, _ = sweep((h1, h2), None, checks)
+        reports.append(AxiomReport(axiom, ce is None, trials, worst, ce))
+    return reports
+
+
+def report_bytes(reports):
+    return json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True)
+
+
+def make_sometimes_twisted(d1=3, d2=3):
+    """Canonical, except that rays near the first coordinate axis go through
+    a fixed twist: axioms I-III each fail from some later trial on."""
+    base = canonical_h(1, d1, d2)
+    twisted = canonical_h(1, d1, d2, twist=random_unitary(d1 * d2, 5))
+
+    def embed(p):
+        return twisted.map(p) if p.dim == 1 and abs(p.basis[0, 0]) > 0.8 else base.map(p)
+
+    return SubspaceMorphism(d1, d1 * d2, embed, label="sometimes-twisted")
+
+
+def make_dim_skipping(d1=3, d2=4):
+    """A second-factor map sending its (d2 - 1)-dimensional subspaces to the
+    full image: joins and complements fail on some trials only."""
+    base = canonical_h(2, d1, d2)
+    top = base.map(full_subspace(d2))
+
+    def embed(p):
+        return top if p.dim == d2 - 1 else base.map(p)
+
+    return SubspaceMorphism(d2, d1 * d2, embed, label="dim-skipping")
+
+
+def canonical_pair(d1, d2, twisted, conj1, conj2, twist_seed=41):
+    twist = random_unitary(d1 * d2, twist_seed) if twisted else None
+    return (canonical_h(1, d1, d2, twist=twist, conjugate=conj1),
+            canonical_h(2, d1, d2, twist=twist, conjugate=conj2))
+
+
+SWEEP_PAIRS = {
+    "plain": lambda: canonical_pair(3, 3, False, False, False),
+    "twist": lambda: canonical_pair(4, 4, True, False, False),
+    "conjugated": lambda: canonical_pair(3, 4, False, True, True),
+    "mixed": lambda: canonical_pair(4, 3, True, True, False),
+    **{name: make for name, (make, _) in TAMPERED_PAIRS.items()},
+    # side 1 passes and side 2 fails, or both sides fail
+    "second-oblique": lambda: (canonical_h(1, 3, 3), make_oblique()),
+    "slice-then-oblique": lambda: (make_slice_embedding(), make_oblique()),
+    "zero-then-slice": lambda: (make_zero_to_full(), make_slice_embedding()),
+    "sometimes-twisted": lambda: (make_sometimes_twisted(), canonical_h(2, 3, 3)),
+    "dim-skipping": lambda: (canonical_h(1, 3, 4), make_dim_skipping()),
+}
+
+
+class TestBatchedAxiomSweep:
+    @pytest.mark.parametrize("name", sorted(SWEEP_PAIRS))
+    @pytest.mark.parametrize("trials", [1, 10, 25])
+    def test_batched_reports_equal_the_per_trial_fold(self, name, trials):
+        h1, h2 = SWEEP_PAIRS[name]()
+        seed = 3 + trials
+        batched = report_bytes(verify_axioms(h1, h2, trials=trials, seed=seed))
+        assert batched == report_bytes(per_trial_axioms(h1, h2, trials, seed))
+
+    @pytest.mark.parametrize("name", ["twist", "sometimes-twisted", "dim-skipping"])
+    def test_every_prefix_folds_to_its_own_sweep(self, name):
+        h1, h2 = SWEEP_PAIRS[name]()
+        sweep = sweep_axioms(h1, h2, 25, 0)
+        for n in range(26):
+            alone = report_bytes(sweep_axioms(h1, h2, n, 0).reports(n))
+            assert report_bytes(sweep.reports(n)) == alone, (name, n)
+        assert all(r.passed for r in sweep.reports(25)) == (name == "twist")
+
+    def test_tampered_maps_fail_on_later_trials(self):
+        # the prefix checks above are only as strong as the failing trials
+        # are spread: each axiom of these pairs fails past its first trial
+        for name in ("sometimes-twisted", "dim-skipping"):
+            h1, h2 = SWEEP_PAIRS[name]()
+            sweep = sweep_axioms(h1, h2, 25, 0)
+            checks = [*sweep.cross, *(c for _, _, c in sweep.sides if c is not None)]
+            runs = [composite._first_failure(c, None, 25)[2] for c in checks]
+            assert any(1 < run < 25 for run in runs), (name, runs)
+
+    def test_a_prefix_longer_than_the_sweep_is_refused(self, pair33):
+        with pytest.raises(ValueError):
+            sweep_axioms(*pair33, 4, 0).reports(5)
+
+    def test_a_given_sweep_is_folded_not_redrawn(self, pair33, monkeypatch):
+        sweep = sweep_axioms(*pair33, 12, 1)
+        monkeypatch.setattr(composite, "sweep_axioms", None)
+        assert verify_tensor_isomorphism(*pair33, trials=3, seed=1, axiom_trials=12,
+                                         sweep=sweep).axiom_reports == sweep.reports(12)
+
+    @pytest.mark.parametrize("other", ["seed", "tol", "h1", "h2", "pair"])
+    def test_a_sweep_of_another_pair_seed_or_tol_is_refused(self, pair33, other):
+        h1, h2 = pair33
+        drawn = {"h1": h1, "h2": h2, "seed": 1, "tol": DEFAULT_TOL}
+        if other == "pair":
+            drawn["h1"], drawn["h2"] = canonical_pair(3, 3, True, False, False)
+        elif other in ("h1", "h2"):
+            # an equally built map is still another morphism
+            drawn[other] = canonical_h(int(other[1]), 3, 3)
+        else:
+            drawn[other] = {"seed": 2, "tol": Tolerance(eps_eq=1e-7)}[other]
+        sweep = sweep_axioms(drawn["h1"], drawn["h2"], 12, drawn["seed"], drawn["tol"])
+        with pytest.raises(ValueError, match="another pair, seed or tolerance"):
+            verify_tensor_isomorphism(h1, h2, trials=3, seed=1, axiom_trials=12, sweep=sweep)
+
+
+def counting(monkeypatch, module, names):
+    """Wrap module's functions ``names`` to record the seeds of each call."""
+    seen = {name: [] for name in names}
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            seed = kwargs.get("seed", args[1])
+            seen[_name].append(len(seed) if isinstance(seed, np.ndarray) else None)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+@pytest.mark.parametrize("trials, swept", [(25, 25), (4, 10)])
+def test_one_composite_verify_run_draws_each_axiom_batch_once(capsys, monkeypatch, trials, swept):
+    seen = counting(monkeypatch, sub, ("random_family", "compatible_pair", "random_ray"))
+    argv = ["composite-verify", "--dim1", "3", "--dim2", "3", "--twist", "--trials", str(trials)]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)["results"]
+    # axiom I on both sides and axiom II; the pairs of axiom I; the rays of
+    # axiom III (both factors) and of the isomorphism's atoms
+    assert seen == {"random_family": [swept] * 3, "compatible_pair": [swept] * 2,
+                    "random_ray": [swept, swept, trials]}
+    assert report["axioms"][1]["samples"] == trials
+    assert report["isomorphism"]["axioms"][1]["samples"] == max(10, trials // 2)
+
+
+LIFT_PAIRS = [(3, 3, False, False, False), (3, 4, True, False, False),
+              (4, 3, True, True, True), (3, 3, True, True, False), (3, 4, False, False, True)]
+
+
+@pytest.mark.parametrize("config", LIFT_PAIRS)
+def test_batched_lifts_equal_each_element_lift(config):
+    bm = build_basis_map(*canonical_pair(*config))
+    dim = bm.index.dim
+    ks = [0, dim, 1, dim - 1, 0, 2, 1, 1, 3, 0, dim]
+    seeds = np.array([subseed(9, "lift", t) for t in range(len(ks))], dtype=object)
+    g = sub.random_subspace(dim, ks, seeds)
+    for lift in (bm.lift, bm.lift_inverse):
+        batch = lift(g)
+        assert isinstance(batch.basis, tuple) and len(batch.basis) == len(ks)
+        for b, element in zip(batch.basis, g.basis):
+            alone = lift(Subspace(dim, element)).basis
+            assert alone.shape == b.shape == element.shape
+            assert np.array_equal(b, alone)
+    # the lift spans the images of the basis vectors, as a per-column map would
+    for element in g.basis:
+        if element.shape[1]:
+            lifted = bm.lift(Subspace(dim, element))
+            assert equal(lifted, span_of([bm.apply(v) for v in element.T]))
+            assert equal(bm.lift_inverse(lifted), Subspace(dim, element))
+
+
+# The isomorphism trials as verify_tensor_isomorphism checked them one by
+# one before they ran as one batch: the failures named, in order, and the
+# worst residual.
+
+
+def per_trial_isomorphism(bm, trials, seed, tol=DEFAULT_TOL):
+    dim, same = bm.index.dim, composite._same
+    worst, failures = 0.0, []
+    for trial in range(trials):
+        s = subseed(seed, "tensoriso", trial)
+        rng = np.random.default_rng(s)
+        g1 = sub.random_subspace(dim, int(rng.integers(0, dim + 1)), s)
+        g2 = sub.random_subspace(dim, int(rng.integers(1, dim)), s + 1)
+        l1, l2 = bm.lift(g1, tol), bm.lift(g2, tol)
+        checks = [
+            ("join", same(bm.lift(sub.join(g1, g2, tol), tol), sub.join(l1, l2, tol), tol)),
+            ("meet", same(bm.lift(sub.meet(g1, g2, tol), tol), sub.meet(l1, l2, tol), tol)),
+            ("ortho", same(bm.lift(sub.ortho(g1), tol), sub.ortho(l1), tol)),
+            ("atom", composite._atom(bm.lift(span_of([random_vector(dim, s + 2)], tol), tol))),
+            ("roundtrip", same(bm.lift_inverse(l1, tol), g1, tol)),
+        ]
+        if sub.leq(g1, sub.join(g1, g2, tol), tol):
+            checks.append(("leq", (sub.leq(l1, sub.join(l1, l2, tol), tol), 0.0)))
+        for op, (ok, residual) in checks:
+            worst = max(worst, residual)
+            if not ok:
+                failures.append(f"{op}@{trial}")
+    return failures, worst
+
+
+class TestBatchedIsomorphism:
+    @pytest.mark.parametrize("config", LIFT_PAIRS)
+    def test_batched_trials_equal_the_per_trial_loop(self, config):
+        h1, h2 = canonical_pair(*config)
+        bm = build_basis_map(h1, h2)
+        report = verify_tensor_isomorphism(h1, h2, trials=15, seed=2, axiom_trials=3)
+        assert (report.failures, report.worst_residual) == per_trial_isomorphism(bm, 15, 2)
+        assert report.passed and report.trials == 15
+
+    def test_agrees_where_some_trials_fail(self, monkeypatch):
+        # a meet and a join that drop their result where the first entry of
+        # p's first basis vector is small fail on the tensor side or on the
+        # twisted composite side alone, on some trials; the axioms are
+        # swept before they break
+        h1, h2 = canonical_pair(3, 3, True, False, False)
+        sweep = sweep_axioms(h1, h2, 10, 4)
+
+        def per_element(op):
+            def broken(p, q, out):
+                small = p.dim and abs(p.basis[0, 0]) < 0.3
+                return zero_subspace(p.ambient_dim) if small else out
+
+            def patched(p, q, tol=DEFAULT_TOL):
+                out = op(p, q, tol)
+                if not p.is_batch:
+                    return broken(p, q, out)
+                parts = map(broken, p.elements(), q.elements(), out.elements())
+                return Subspace.batch(out.ambient_dim, parts)
+            return patched
+
+        monkeypatch.setattr(sub, "meet", per_element(sub.meet))
+        monkeypatch.setattr(sub, "join", per_element(sub.join))
+        report = verify_tensor_isomorphism(h1, h2, trials=30, seed=4, axiom_trials=10, sweep=sweep)
+        failures, worst = per_trial_isomorphism(build_basis_map(h1, h2), 30, 4)
+        assert (report.failures, report.worst_residual) == (failures, worst)
+        assert 0 < len({f.split("@")[1] for f in failures}) < 30
+        assert {f.split("@")[0] for f in failures} >= {"join", "meet"}

@@ -10,7 +10,7 @@ from orthologic import classical
 from orthologic import subspace as sub
 from orthologic.classical import ClassicalProp, PhaseSpace, all_props, prop_and
 from orthologic.cli import main
-from orthologic.core import DEFAULT_TOL, Tolerance, random_unitary, random_vector
+from orthologic.core import DEFAULT_TOL, Tolerance, random_unitary, random_vector, subseed
 from orthologic.errors import InvalidParameter, PreconditionViolated
 from orthologic.laws import (
     LawReport,
@@ -548,3 +548,109 @@ class TestClassicalBatches:
             ClassicalProp(space, np.array([[0, 4]]))
         with pytest.raises(InvalidParameter):
             ClassicalProp(space, np.array([-1, 3]))
+
+
+def frame_triples(d, seeds):
+    """One triple per seed: by seed parity, three coordinate subspaces of one
+    seeded frame (compatible, so the triple laws apply) or a generic family
+    with the frame's first coordinate subspace (rarely compatible)."""
+    triples = []
+    for s in seeds:
+        rng = np.random.default_rng(s)
+        frame = random_unitary(d, s)
+        coords = [frame[:, sorted(rng.permutation(d)[:rng.integers(1, d + 1)])] for _ in range(3)]
+        if s % 2:
+            generic = sub.random_family((d, d), s + 1, proper=True)
+            coords[1:] = [g.basis for g in generic]
+        triples.append(coords)
+    return [Subspace(d, tuple(t[j] for t in triples)) for j in range(3)]
+
+
+def per_identity_triple(a, b, c, tol=DEFAULT_TOL):
+    """check_triple_distributive on one triple as it ran before it took
+    batches: the six identities in turn, up to the first failing one."""
+    def both(x, y, z):
+        return compatible(x, y, tol) and compatible(x, z, tol)
+
+    if not (both(a, b, c) or both(b, a, c) or both(c, a, b)):
+        return LawReport("triple_distributive", True, applicable=False)
+    worst = 0.0
+    for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
+        for j, m in ((sub.join, sub.meet), (sub.meet, sub.join)):
+            left, right = j(x, m(y, z, tol), tol), m(j(x, y, tol), j(x, z, tol), tol)
+            residual = sub.projector_distance(left, right)
+            if not sub.equal(left, right, tol):
+                report = LawReport("triple_distributive", False, worst_residual=residual)
+                inputs = {k: sub.subspace_to_json(v) for k, v in (("a", a), ("b", b), ("c", c))}
+                report.counterexample = {"inputs": inputs, "left": sub.subspace_to_json(left),
+                                         "right": sub.subspace_to_json(right)}
+                return report
+            worst = max(worst, residual)
+    return LawReport("triple_distributive", True, trials=6, worst_residual=worst)
+
+
+def fold_elements(check, batches):
+    """The batch report of check as a fold of its per-element reports over
+    the elements within its hypothesis."""
+    n = len(batches[0].basis)
+    reports = [check(*(Subspace(b.ambient_dim, b.basis[i]) for b in batches)) for i in range(n)]
+    checked = [r for r in reports if r.applicable]
+    failing = [r for r in checked if not r.holds]
+    return {
+        "applicable": bool(checked),
+        "holds": not failing,
+        "failures": len(failing),
+        "trials": sum(r.trials for r in checked) if checked else 1,
+        "worst_residual": max([0.0, *(r.worst_residual for r in checked)]),
+        "counterexample": failing[0].counterexample if failing else None,
+    }
+
+
+def batch_fields(report):
+    return {k: getattr(report, k) for k in ("applicable", "holds", "failures", "trials",
+                                            "worst_residual", "counterexample")}
+
+
+class TestDistributivityHypothesisOnBatches:
+    """The triple and Foulis laws decide their compatibility hypothesis per
+    element of a subspace batch and check only the elements within it."""
+
+    @pytest.fixture(params=["intact", "lossy_join"])
+    def ops(self, request, monkeypatch):
+        if request.param == "lossy_join":  # a join spanning C^4 loses a direction
+            intact = sub.join
+
+            def lossy(p, q, tol=DEFAULT_TOL):
+                cut = (lambda b: b[:, :3] if b.shape[1] == 4 else b)
+                j = intact(p, q, tol)
+                bases = tuple(map(cut, j.basis)) if isinstance(j.basis, tuple) else cut(j.basis)
+                return Subspace(j.ambient_dim, bases)
+
+            monkeypatch.setattr(sub, "join", lossy)
+        return request.param
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_triple_batch_folds_its_elements(self, ops, d):
+        seeds = np.array([subseed(2, "triple", t) for t in range(24)], dtype=object)
+        batches = frame_triples(d, seeds)
+        report = check_triple_distributive(*batches)
+        assert batch_fields(report) == fold_elements(per_identity_triple, batches)
+        if d == 4:
+            assert report.applicable and report.holds == (ops == "intact")
+
+    def test_generic_triples_are_outside_the_hypothesis(self):
+        seeds = np.array([subseed(3, "generic", t) for t in range(12)], dtype=object)
+        report = check_triple_distributive(*sub.random_family((4, 4, 4), seeds, proper=True))
+        assert not report.applicable and report.holds
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_foulis_batch_folds_its_elements(self, ops, d):
+        seeds = np.array([subseed(5, "foulis", t) for t in range(24)], dtype=object)
+        b, a1, a2 = frame_triples(d, seeds)
+
+        def check(b, a1, a2):
+            return check_foulis_distributivity(b, [a1, a2])
+
+        report = check(b, a1, a2)
+        assert batch_fields(report) == fold_elements(check, (b, a1, a2))
+        assert report.applicable

@@ -370,7 +370,7 @@ def ragged_pairs(d, seed):
 
 
 def batch_of(subspaces):
-    return Subspace(subspaces[0].ambient_dim, tuple(p.basis for p in subspaces))
+    return Subspace.batch(subspaces[0].ambient_dim, subspaces)
 
 
 def assert_orthonormal(batch):
@@ -383,6 +383,16 @@ def assert_orthonormal(batch):
 
 class TestBatches:
     """A batch gives, element by element, bitwise what one subspace gives."""
+
+    def test_elements_give_back_the_batched_subspaces(self):
+        pairs = ragged_pairs(3, 0)
+        batch = batch_of([p for p, _ in pairs])
+        assert batch.is_batch and not pairs[0][0].is_batch
+        assert len(batch.elements()) == len(pairs)
+        for element, (p, _) in zip(batch.elements(), pairs):
+            assert not element.is_batch and np.array_equal(element.basis, p.basis)
+        single = pairs[-1][0]
+        assert single.elements() == (single,)
 
     @pytest.mark.parametrize("d", [2, 3, 8, 16])
     @pytest.mark.parametrize("seed", [0, 1])
