@@ -20,8 +20,9 @@ larger of its two trial counts, folded into both axiom reports
 isomorphism trials as one batch.
 
 Exit codes: 0 when the expected pattern holds, 1 on verification
-failure, 2 on usage errors (including --trials below 1 and classical
-sizes past MAX_PRODUCT_POINTS or MAX_OMEGA).  Identical
+failure, 2 on usage errors (including --trials or --curve-samples below
+1, classical sizes past MAX_PRODUCT_POINTS or MAX_OMEGA, and an output
+path that cannot be written).  Identical
 configuration (including the seed) yields a byte-identical report; all
 randomness is derived from the single --seed flag via
 subseed(seed, command_name, trial_index).
@@ -55,7 +56,7 @@ from .oscillator import (
     ladder_operators,
     proposition_from_eigenstates,
 )
-from .truth import truth_value
+from .truth import EPS_PROB, truth_value
 
 SCHEMA = "orthologic/1"
 # At eps_eq = 1e-14 rounding alone fails de Morgan and the modular pairs at d = 8.
@@ -323,7 +324,7 @@ def cmd_truth_demo(args) -> int:
                 writer.writerow([f"{t:.12g}", f"{x:.12g}", f"{p:.12g}"])
         results["curve_csv"] = args.curve_csv
     _emit(args, ("nmax",), results)
-    ok = max(abs(tv.value - 0.75), abs(tv_complement.value - 0.25)) < tol.eps_prob
+    ok = max(abs(tv.value - 0.75), abs(tv_complement.value - 0.25)) < EPS_PROB
     return 0 if ok else 1
 
 
@@ -400,11 +401,16 @@ def main(argv=None) -> int:
             parser.error(f"--n1 times --n2 must be at most {MAX_PRODUCT_POINTS}")
     if args.command == "truth-demo" and args.nmax < 2:
         parser.error("--nmax must be at least 2")
+    if args.command == "truth-demo" and args.curve_samples < 1:
+        parser.error("--curve-samples must be at least 1")
     try:
         return args.func(args)
     except OrthologicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an --output, --csv or --curve-csv path
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

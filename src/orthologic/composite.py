@@ -788,9 +788,6 @@ def build_basis_map(
     f = _check_onb(basis2, d2, tol, "basis2")
     matrix = _onb_matrix(h1, h2, e, f, anchors, tol)
     dual = lin1 != lin2
-    conj_coeffs = (lin1 == ANTILINEAR and lin2 == ANTILINEAR) or (
-        lin1 == LINEAR and lin2 == ANTILINEAR
-    )
     # Coordinates of the input in the chosen product basis: for a plain
     # tensor factor the expansion uses the inner product with e_i; for
     # the dual factor the pairing is bilinear, hence the transpose.
@@ -800,7 +797,7 @@ def build_basis_map(
     index = TensorIndex(d1, d2, dual_first_factor=dual)
     return BasisMap(
         target="H1*xH2" if dual else "H1xH2",
-        antiunitary=conj_coeffs,
+        antiunitary=lin2 == ANTILINEAR,
         matrix=matrix,
         coefficient_transform=transform,
         index=index,

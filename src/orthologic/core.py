@@ -42,16 +42,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical thresholds: eps_eq is the one knob of every lattice verdict.
+    """The numerical threshold: eps_eq is the one setting of every verdict.
 
     eps_eq bounds the inclusion residual that decides order and equality.
     eps_rank = eps_eq / 10 decides numerical rank (singular values relative
     to the largest one) and, as a bound on principal-angle sines, which
-    directions two subspaces share.  eps_prob classifies truth values.
+    directions two subspaces share.  Truth values are classified against
+    the fixed bound ``truth.EPS_PROB``, not against a setting.
     """
 
     eps_eq: float = 1e-8
-    eps_prob: float = 1e-10
 
     def __post_init__(self) -> None:
         if not (0.0 < self.eps_eq < 1.0):

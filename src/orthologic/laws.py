@@ -117,10 +117,10 @@ def _first_failure(inputs: dict, left, right, failed):
 
 def _first_failed(inputs: dict, left, right, failed):
     """The first element of each subspace batch that ``failed`` marks; a
-    single subspace is its own first element."""
+    single subspace is its own only element."""
 
     def element(p):
-        return p.elements()[np.argmax(failed)] if p.is_batch else p
+        return p.elements()[np.argmax(failed)]
 
     return {k: element(p) for k, p in inputs.items()}, element(left), element(right)
 
@@ -206,23 +206,19 @@ def check_distributive(a, b, c, tol: Tolerance = DEFAULT_TOL) -> LawReport:
     return _compare(ops, "distributive", {"a": a, "b": b, "c": c}, left, right, tol)
 
 
-def nondistributivity_witness(
-    psi1=None, psi2=None, psi3=None, tol: Tolerance = DEFAULT_TOL
-) -> LawReport:
+def nondistributivity_witness(tol: Tolerance = DEFAULT_TOL) -> LawReport:
     """The classic worked three-subspace configuration in C^3.
 
-    With rays p1 = <psi1>, p2 = <psi2> and the plane p3 = span{psi2,
-    psi3} (so p2 <= p3), evaluates the two groupings
-    p3 join (p1 meet p2) and (p3 join p1) meet (p1 join p2), which land
-    on span{psi2, psi3} and span{psi1, psi2}: two incomparable planes,
-    recorded side by side in the report.  Defaults to the coordinate
-    basis of C^3.
+    With the coordinate basis e1, e2, e3, the rays p1 = <e1>, p2 = <e2>
+    and the plane p3 = span{e2, e3} (so p2 <= p3), evaluates the two
+    groupings p3 join (p1 meet p2) and (p3 join p1) meet (p1 join p2),
+    which land on span{e2, e3} and span{e1, e2}: two incomparable planes,
+    recorded side by side in the report.
     """
-    if psi1 is None:
-        psi1, psi2, psi3 = np.eye(3)[0], np.eye(3)[1], np.eye(3)[2]
-    p1 = sub.span_of([psi1], tol)
-    p2 = sub.span_of([psi2], tol)
-    p3 = sub.span_of([psi2, psi3], tol)
+    e1, e2, e3 = np.eye(3)
+    p1 = sub.span_of([e1], tol)
+    p2 = sub.span_of([e2], tol)
+    p3 = sub.span_of([e2, e3], tol)
     left = sub.join(p3, sub.meet(p1, p2, tol), tol)
     right = sub.meet(sub.join(p3, p1, tol), sub.join(p1, p2, tol), tol)
     holds = sub.equal(left, right, tol)

@@ -33,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OscillatorModel:
-    """Model parameters plus a symmetric quadrature grid.
+    """Model parameters plus the symmetric quadrature grid derived from them.
 
     Positions are in meters when hbar, m, omega0 carry SI units; with
     the default unit values the natural length sqrt(hbar / (m omega0))
@@ -44,29 +44,17 @@ class OscillatorModel:
     hbar: float = 1.0
     mass: float = 1.0
     omega0: float = 1.0
-    grid: np.ndarray = field(default=None, repr=False)
-    weights: np.ndarray = field(default=None, repr=False)
+    grid: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_max < 2:
             raise InvalidParameter("n_max must be at least 2")
         if self.hbar <= 0 or self.mass <= 0 or self.omega0 <= 0:
             raise InvalidParameter("hbar, mass and omega0 must be positive")
-        if self.grid is None:
-            grid, weights = _default_grid(self.n_max, self.natural_length)
-            object.__setattr__(self, "grid", grid)
-            object.__setattr__(self, "weights", weights)
-        else:
-            grid = np.asarray(self.grid, dtype=float)
-            if self.weights is None:
-                raise InvalidParameter("a custom grid needs explicit weights")
-            weights = np.asarray(self.weights, dtype=float)
-            if grid.shape != weights.shape:
-                raise InvalidParameter("grid and weights must have equal shape")
-            if np.max(np.abs(grid + grid[::-1])) > 1e-9 * np.max(np.abs(grid)):
-                raise InvalidParameter("grid must be symmetric about 0")
-            object.__setattr__(self, "grid", grid)
-            object.__setattr__(self, "weights", weights)
+        grid, weights = _default_grid(self.n_max, self.natural_length)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def natural_length(self) -> float:

@@ -74,10 +74,7 @@ class Subspace:
                 raise DimensionMismatch(
                     f"basis shape {x.shape} does not match ambient dim {self.ambient_dim}"
                 )
-        if batch:
-            defect = max(each(_gram_defects, b), default=0.0)
-        else:
-            defect = _gram_defects(b) if b.shape[1] else 0.0
+        defect = max(each(_gram_defects, b), default=0.0) if batch else _gram_defects(b)
         if defect > DEFAULT_TOL.eps_eq * max(1, self.ambient_dim):
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
@@ -142,10 +139,6 @@ class Ray:
     @classmethod
     def from_vector(cls, vector) -> "Ray":
         return cls(span_of([vector]))
-
-    @property
-    def vector(self) -> np.ndarray:
-        return self.subspace.basis[:, 0]
 
 
 def span_of(vectors, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -241,7 +234,9 @@ def leq(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def equal(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Equal dimensions and p <= q: one residual decides order and equality."""
+    """Equal dimensions and p <= q: one residual, of p's basis against q,
+    decides order and equality, so at a rounding-level eps_eq it is not
+    symmetric (a residual can be 0.0 one way and about 1e-15 the other)."""
     _check_same_ambient(p, q)
     same = p.dim == q.dim
     # one pair of unequal dimensions needs no residual

@@ -8,13 +8,13 @@ in between.  The eigenvector cases collapse to the classifications
 
 Unnormalized nonzero states are admitted and normalized first, which
 reproduces the generalized normalization of projection probabilities.
-The numerical classification thresholds are an artifact of finite
-precision, not of the valuation itself.
+The classification bound EPS_PROB is an artifact of finite precision,
+not of the valuation itself, so it is a constant, not a Tolerance field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,9 @@ from .core import DEFAULT_TOL, Tolerance, as_vector, inner
 from .errors import DimensionMismatch, ZeroState
 from .subspace import Subspace
 
-__all__ = ["StateVector", "TruthValue", "truth_value"]
+__all__ = ["EPS_PROB", "StateVector", "TruthValue", "truth_value"]
+
+EPS_PROB = 1e-10
 
 
 @dataclass(frozen=True)
@@ -30,13 +32,13 @@ class StateVector:
     """A state vector with a cached normalization flag."""
 
     vector: np.ndarray
-    normalized: bool = False
+    normalized: bool = field(init=False)
 
     def __post_init__(self) -> None:
         v = as_vector(self.vector)
         object.__setattr__(self, "vector", v)
         nrm = float(np.linalg.norm(v))
-        object.__setattr__(self, "normalized", abs(nrm - 1.0) < DEFAULT_TOL.eps_prob)
+        object.__setattr__(self, "normalized", abs(nrm - 1.0) < EPS_PROB)
 
     @classmethod
     def normalize(cls, vector, tol: Tolerance = DEFAULT_TOL) -> "StateVector":
@@ -55,17 +57,14 @@ class TruthValue:
     classification: str
 
     @classmethod
-    def classify(cls, value: float, tol: Tolerance = DEFAULT_TOL) -> "TruthValue":
-        if value < tol.eps_prob:
+    def classify(cls, value: float) -> "TruthValue":
+        if value < EPS_PROB:
             label = "false"
-        elif value > 1.0 - tol.eps_prob:
+        elif value > 1.0 - EPS_PROB:
             label = "true"
         else:
             label = "probabilistic"
         return cls(float(value), label)
-
-    def to_json(self) -> dict:
-        return {"value": self.value, "classification": self.classification}
 
 
 def truth_value(psi, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> TruthValue:
@@ -79,4 +78,4 @@ def truth_value(psi, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> TruthValue:
     vec = vec / nrm
     projected = q.projector() @ vec
     value = inner(projected, projected).real
-    return TruthValue.classify(min(max(value, 0.0), 1.0), tol)
+    return TruthValue.classify(min(max(value, 0.0), 1.0))

@@ -14,7 +14,7 @@ from orthologic import cli, laws
 from orthologic import subspace as sub
 from orthologic.cli import main
 from orthologic.core import DEFAULT_TOL, Tolerance, random_vector, subseed
-from orthologic.errors import PreconditionViolated
+from orthologic.errors import InvalidDimension, PreconditionViolated
 
 
 def run_cli(capsys, *argv):
@@ -251,6 +251,9 @@ class TestToleranceOverride:
         ["composite-verify", "--classical", "--n1", "3", "--n2", "5"],
         ["composite-verify", "--classical", "--n1", "13", "--n2", "1"],
         ["lattice-check", "--classical", "--omega", "9"],
+        ["lattice-check", "--dim1", "1"],
+        ["truth-demo", "--curve-samples", "0"],
+        ["truth-demo", "--curve-samples", "-4"],
     ],
 )
 def test_vacuous_or_invalid_runs_are_usage_errors(capsys, argv):
@@ -258,6 +261,43 @@ def test_vacuous_or_invalid_runs_are_usage_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice-check", "--dim1", "3", "--trials", "5", "--output"],
+        ["truth-demo", "--eigenfunctions", "--csv"],
+        ["truth-demo", "--curve-csv"],
+    ],
+)
+def test_unwritable_path_is_a_usage_error(capsys, tmp_path, argv):
+    code = main(argv + [str(tmp_path / "missing" / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_output_file_holds_the_stdout_bytes(capsys, tmp_path):
+    argv = ["composite-verify", "--dim1", "3", "--dim2", "3", "--trials", "5", "--seed", "4"]
+    code, out = run_cli(capsys, *argv)
+    target = tmp_path / "report.json"
+    assert main(argv + ["--output", str(target)]) == code == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_library_error_inside_a_command_exits_one(capsys, monkeypatch):
+    def refuse(*args):
+        raise InvalidDimension("refused on purpose")
+
+    monkeypatch.setattr(laws, "check_orthomodular", refuse)
+    code = main(["lattice-check", "--dim1", "3", "--trials", "5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: refused on purpose\n"
 
 
 def test_module_entry_point(tmp_path):

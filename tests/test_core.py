@@ -1,5 +1,7 @@
 """Core linear algebra: inner products, orthonormalization, random unitaries."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -211,3 +213,8 @@ class TestTolerance:
         for eps_eq in (1e-14, 1e-12, 1e-3, 0.5):
             assert Tolerance(eps_eq=eps_eq).eps_rank == eps_eq / 10
         assert DEFAULT_TOL.eps_rank == 1e-9 and DEFAULT_TOL.eps_eq == 1e-8
+
+    def test_eps_eq_is_the_only_setting(self):
+        assert [f.name for f in dataclasses.fields(Tolerance)] == ["eps_eq"]
+        with pytest.raises(TypeError):
+            Tolerance(eps_prob=1e-10)

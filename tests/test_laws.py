@@ -123,6 +123,10 @@ class TestNondistributivityWitness:
         assert left.contains(E3[2]) and not right.contains(E3[2])
         assert right.contains(E3[0]) and not left.contains(E3[0])
 
+    def test_configuration_is_fixed(self):
+        with pytest.raises(TypeError):
+            nondistributivity_witness(psi1=E3[0])
+
 
 class TestOrthomodular:
     def test_equal_pair(self):

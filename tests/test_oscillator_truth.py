@@ -12,7 +12,7 @@ from orthologic.oscillator import (
     proposition_from_eigenstates,
 )
 from orthologic.subspace import ortho, span_of
-from orthologic.truth import StateVector, TruthValue, truth_value
+from orthologic.truth import EPS_PROB, StateVector, TruthValue, truth_value
 
 
 @pytest.fixture(scope="module")
@@ -96,9 +96,11 @@ class TestModelValidation:
     def test_grid_symmetric(self, model):
         assert np.allclose(model.grid, -model.grid[::-1])
 
-    def test_custom_grid_needs_weights(self):
-        with pytest.raises(InvalidParameter):
-            OscillatorModel(n_max=3, grid=np.linspace(-1, 1, 5))
+    def test_grid_is_not_settable(self):
+        # the grid and its weights are derived from the parameters alone
+        for name in ("grid", "weights"):
+            with pytest.raises(TypeError):
+                OscillatorModel(n_max=3, **{name: np.linspace(-1, 1, 5)})
 
 
 class TestEigenstatePropositions:
@@ -189,8 +191,17 @@ class TestTruthValue:
         assert StateVector(np.array([1.0, 0.0])).normalized
         assert not StateVector(np.array([2.0, 0.0])).normalized
         assert StateVector.normalize(np.array([2.0, 0.0])).normalized
+        assert StateVector(np.array([1.0 + EPS_PROB / 2, 0.0])).normalized
+        assert not StateVector(np.array([1.0 + 2 * EPS_PROB, 0.0])).normalized
+
+    def test_normalization_flag_is_not_settable(self):
+        with pytest.raises(TypeError):
+            StateVector(np.array([2.0, 0.0]), normalized=True)
 
     def test_classification_thresholds(self):
         assert TruthValue.classify(0.0).classification == "false"
         assert TruthValue.classify(1.0).classification == "true"
         assert TruthValue.classify(0.5).classification == "probabilistic"
+        assert TruthValue.classify(EPS_PROB / 2).classification == "false"
+        assert TruthValue.classify(2 * EPS_PROB).classification == "probabilistic"
+        assert TruthValue.classify(1.0 - EPS_PROB / 2).classification == "true"
