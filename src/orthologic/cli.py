@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
@@ -91,6 +92,21 @@ def _emit(args, config: tuple, results: dict) -> None:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening ``path`` for writing would raise, as
+    far as it shows without creating the file."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _nested_pair(d: int, seed: np.ndarray):
@@ -283,6 +299,10 @@ def cmd_composite_verify(args) -> int:
 
 def cmd_truth_demo(args) -> int:
     tol = _tolerance()
+    # a usage error writes no file: every output path is checked first
+    for path in (args.eigenfunctions and args.csv, args.curve_csv, args.output):
+        if path:
+            _check_writable(path)
     model = OscillatorModel(n_max=args.nmax)
     dim = model.levels
     state = np.zeros(dim, dtype=complex)

@@ -22,8 +22,10 @@ pairs (h1, h2).  The module ships one concrete family to run them on:
 tensor-cylinder embeddings p -> p tensor C^{d2} (and mirror),
 optionally twisted by a unitary on the composite space and optionally
 entrywise conjugated (the antilinear variant).  The family provably
-satisfies axioms I-III.  A user morphism needs only its lattice map:
-nothing below reads how the map was built.
+satisfies axioms I-III, and its map takes a batch whole, with stacked
+calls per group of equally shaped bases.  A user morphism needs only
+its lattice map, on one Subspace (a batch goes through it element by
+element): nothing below reads how the map was built.
 
 From an axiom-satisfying pair the module derives the ray intertwiners
 F/K from the lattice maps alone (h(<x - y>) is the graph of F_{y,x}),
@@ -97,7 +99,9 @@ class SubspaceMorphism:
 
     ``map`` acts on one Subspace and is all a morphism needs: the ray
     intertwiners and the linearity class are derived from it.  Called on
-    a batch, the morphism maps its elements one at a time.
+    a batch, the morphism hands the whole batch to a map marked
+    ``batched = True`` (as canonical_h marks its own) and maps the
+    elements of the batch one at a time through any other map.
     """
 
     source_dim: int
@@ -110,7 +114,7 @@ class SubspaceMorphism:
             raise DimensionMismatch(
                 f"morphism source dim {self.source_dim}, got {p.ambient_dim}"
             )
-        if not p.is_batch:
+        if not p.is_batch or getattr(self.map, "batched", False):
             return self.map(p)
         return Subspace.batch(self.target_dim, [self.map(e) for e in p.elements()])
 
@@ -132,6 +136,9 @@ def canonical_h(
     mirrors this on the second factor; c is entrywise conjugation when
     ``conjugate`` is set (the antilinear variant) and the identity
     otherwise; W is an optional unitary twist on the composite space.
+    The map takes a batch whole: one broadcast product (the entries of
+    np.kron, bit for bit), one twist matmul and one validation per group
+    of equally shaped bases.
     """
     if side not in (1, 2):
         raise InvalidDimension("side must be 1 or 2")
@@ -147,19 +154,23 @@ def canonical_h(
         twist = _check_onb(twist, dim, tol, "twist")
     source_dim = d1 if side == 1 else d2
     other_dim = d2 if side == 1 else d1
+    eye = np.eye(other_dim, dtype=complex)
+
+    def cylinder(basis: np.ndarray) -> np.ndarray:
+        """W (c(B) kron I) for side 1, W (I kron c(B)) for side 2, of one
+        basis B or of a stack of them."""
+        block = np.conj(basis) if conjugate else basis
+        if side == 1:  # entry (i a, j b) is B[i, j] I[a, b]
+            cols = block[..., :, None, :, None] * eye[:, None, :]
+        else:  # entry (a i, b j) is I[a, b] B[i, j]
+            cols = eye[:, None, :, None] * block[..., None, :, None, :]
+        cols = cols.reshape(basis.shape[:-2] + (dim, other_dim * basis.shape[-1]))
+        return cols if twist is None else twist @ cols
 
     def embed(p: Subspace) -> Subspace:
-        if p.dim == 0:
-            return zero_subspace(dim)
-        block = np.conj(p.basis) if conjugate else p.basis
-        if side == 1:
-            cols = np.kron(block, np.eye(other_dim, dtype=complex))
-        else:
-            cols = np.kron(np.eye(other_dim, dtype=complex), block)
-        if twist is not None:
-            cols = twist @ cols
-        return Subspace(dim, cols)
+        return Subspace(dim, each(cylinder, p.basis))
 
+    embed.batched = True
     return SubspaceMorphism(
         source_dim=source_dim,
         target_dim=dim,

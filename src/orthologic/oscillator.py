@@ -31,13 +31,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OscillatorModel:
     """Model parameters plus the symmetric quadrature grid derived from them.
 
     Positions are in meters when hbar, m, omega0 carry SI units; with
     the default unit values the natural length sqrt(hbar / (m omega0))
-    is 1 and the grid is dimensionless.
+    is 1 and the grid is dimensionless.  Compared and hashed by identity,
+    as it holds arrays.
     """
 
     n_max: int

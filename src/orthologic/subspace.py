@@ -55,10 +55,11 @@ def _gram_defects(b: np.ndarray):
     return np.linalg.norm(defects, axis=None if b.ndim == 2 else (-2, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A closed subspace of C^d, represented by an orthonormal basis, or a
-    batch of them (see above)."""
+    batch of them (see above).  ``==`` and ``hash`` go by identity; the
+    lattice equality of two subspaces is ``equal``."""
 
     ambient_dim: int
     basis: np.ndarray = field(repr=False)

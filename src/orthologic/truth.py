@@ -27,9 +27,10 @@ __all__ = ["EPS_PROB", "StateVector", "TruthValue", "truth_value"]
 EPS_PROB = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """A state vector with a cached normalization flag."""
+    """A state vector with a cached normalization flag, compared and
+    hashed by identity (it holds an array)."""
 
     vector: np.ndarray
     normalized: bool = field(init=False)

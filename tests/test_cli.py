@@ -279,6 +279,15 @@ def test_unwritable_path_is_a_usage_error(capsys, tmp_path, argv):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("bad", ["--curve-csv", "--output"])
+def test_a_usage_error_writes_no_file(capsys, tmp_path, bad):
+    argv = ["truth-demo", "--eigenfunctions", "--csv", str(tmp_path / "ok.csv"),
+            "--curve-csv", str(tmp_path / "curve.csv"), bad, str(tmp_path / "missing" / "x")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_output_file_holds_the_stdout_bytes(capsys, tmp_path):
     argv = ["composite-verify", "--dim1", "3", "--dim2", "3", "--trials", "5", "--seed", "4"]
     code, out = run_cli(capsys, *argv)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from orthologic import composite
+from orthologic import composite, core
 from orthologic import subspace as sub
 from orthologic.cli import main
 from orthologic.composite import (
@@ -212,6 +212,53 @@ class TestCanonicalH:
     def test_nonunitary_twist_rejected(self):
         with pytest.raises(NotOrthonormal):
             canonical_h(1, 3, 3, twist=np.ones((9, 9)))
+
+
+def kron_oracle(side, d1, d2, twist, conjugate, basis):
+    """The image basis of canonical_h, one element, by np.kron."""
+    block = np.conj(basis) if conjugate else basis
+    eye = np.eye(d2 if side == 1 else d1, dtype=complex)
+    cols = np.kron(block, eye) if side == 1 else np.kron(eye, block)
+    return cols if twist is None else twist @ cols
+
+
+@pytest.mark.parametrize("side, conjugate, twisted",
+                         list(itertools.product((1, 2), (False, True), (False, True))))
+def test_batched_canonical_h_equals_the_kron_oracle(side, conjugate, twisted):
+    # unequal factors, so that a transposed layout cannot pass
+    d1, d2 = 3, 5
+    twist = random_unitary(d1 * d2, 17) if twisted else None
+    h = canonical_h(side, d1, d2, twist=twist, conjugate=conjugate)
+    d = h.source_dim
+    # zero and full elements, and more rays than one stacked call takes
+    ks = [0, d, 2, 0, d - 1] + [1] * (core.MAX_STACK + 5) + [d]
+    seeds = np.array([subseed(6, "oracle", t) for t in range(len(ks))], dtype=object)
+    batch = sub.random_subspace(d, ks, seeds)
+    image = h(batch)
+    assert image.is_batch and len(image.basis) == len(ks)
+    for got, element in zip(image.basis, batch.basis):
+        expected = kron_oracle(side, d1, d2, twist, conjugate, element)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(expected.view(float)))
+        assert np.array_equal(h(Subspace(d, element)).basis, expected)
+
+
+def test_only_a_batched_map_takes_the_batch_whole(pair33):
+    batch = sub.random_subspace(3, [1, 2, 0], np.array([4, 5, 6], dtype=object))
+    calls = []
+
+    def record(p):
+        calls.append(p.is_batch)
+        return pair33[0].map(p)
+
+    plain = SubspaceMorphism(3, 9, record)
+    record.batched = False
+    assert [b.shape for b in plain(batch).basis] == [(9, 3), (9, 6), (9, 0)]
+    assert calls == [False] * 3
+    record.batched = True
+    assert all(np.array_equal(a, b) for a, b in zip(plain(batch).basis, pair33[0](batch).basis))
+    assert calls == [False] * 3 + [True]
 
 
 class TestVerifyAxioms:

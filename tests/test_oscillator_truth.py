@@ -11,7 +11,7 @@ from orthologic.oscillator import (
     ladder_operators,
     proposition_from_eigenstates,
 )
-from orthologic.subspace import ortho, span_of
+from orthologic.subspace import full_subspace, ortho, span_of
 from orthologic.truth import EPS_PROB, StateVector, TruthValue, truth_value
 
 
@@ -205,3 +205,17 @@ class TestTruthValue:
         assert TruthValue.classify(EPS_PROB / 2).classification == "false"
         assert TruthValue.classify(2 * EPS_PROB).classification == "probabilistic"
         assert TruthValue.classify(1.0 - EPS_PROB / 2).classification == "true"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: span_of([[1.0, 0.0]]),
+    lambda: full_subspace(3),
+    lambda: StateVector([1.0, 0.0]),
+    lambda: OscillatorModel(n_max=3),
+])
+def test_array_holding_dataclasses_compare_by_identity(make):
+    a, b = make(), make()
+    assert (a == b) is False
+    assert (a == a) is True and (a != b) is True
+    assert hash(a) == hash(a) and isinstance(hash(b), int)
+    assert len({a, b, a}) == 2
