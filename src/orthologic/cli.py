@@ -283,9 +283,7 @@ def cmd_composite_verify(args) -> int:
         axiom_trials = max(10, args.trials // 2)
         sweep = sweep_axioms(h1, h2, max(args.trials, axiom_trials), args.seed, tol)
         axioms = sweep.reports(args.trials)
-        iso = verify_tensor_isomorphism(
-            h1, h2, args.trials, args.seed, tol, axiom_trials=axiom_trials, sweep=sweep
-        )
+        iso = verify_tensor_isomorphism(sweep, args.trials, axiom_trials)
         results = {
             "axioms": [r.to_json() for r in axioms],
             "isomorphism": iso.to_json(),
@@ -312,7 +310,7 @@ def cmd_truth_demo(args) -> int:
     tv = truth_value(state, ground, tol)
     tv_complement = truth_value(state, sub.ortho(ground), tol)
     results: dict = {
-        "state": [[float(z.real), float(z.imag)] for z in state],
+        "state": sub.complex_to_json(state),
         "proposition": [0],
         "value": tv.value,
         "classification": tv.classification,
@@ -324,9 +322,6 @@ def cmd_truth_demo(args) -> int:
         results["energies"] = [float(e) for e in energies(model)]
         results["hamiltonian_diagonal"] = [float(x.real) for x in np.diag(hamiltonian)]
     if args.eigenfunctions:
-        if not args.csv:
-            print("--eigenfunctions requires --csv PATH", file=sys.stderr)
-            return 2
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x"] + [f"psi{n}" for n in range(dim)])
@@ -423,6 +418,8 @@ def main(argv=None) -> int:
         parser.error("--nmax must be at least 2")
     if args.command == "truth-demo" and args.curve_samples < 1:
         parser.error("--curve-samples must be at least 1")
+    if args.command == "truth-demo" and args.eigenfunctions and not args.csv:
+        parser.error("--eigenfunctions requires --csv PATH")
     try:
         return args.func(args)
     except OrthologicError as exc:

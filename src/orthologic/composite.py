@@ -15,7 +15,8 @@ all its seeded trials (a Subspace batch, see ``subspace``), and
 recheck_axiom_counterexample replays it on the subspaces of the JSON.
 Trial t draws from subseed(seed, tag, t) alone, so the reports of the
 first n trials fold from any longer sweep: composite-verify sweeps once
-and reports the axioms twice, at --trials and inside the isomorphism.
+and reports the axioms twice, at --trials and inside the isomorphism,
+which takes the sweep it folds and with it the pair, seed and tol.
 
 The theorems verified here are existence statements over abstract
 pairs (h1, h2).  The module ships one concrete family to run them on:
@@ -40,7 +41,7 @@ seeded trials as one batch.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -95,7 +96,8 @@ GEMISCHT = "gemischt"
 
 @dataclass
 class SubspaceMorphism:
-    """A map between subspace lattices.
+    """A map between subspace lattices: its source and target dimensions
+    and its lattice map.
 
     ``map`` acts on one Subspace and is all a morphism needs: the ray
     intertwiners and the linearity class are derived from it.  Called on
@@ -107,7 +109,6 @@ class SubspaceMorphism:
     source_dim: int
     target_dim: int
     map: Callable[[Subspace], Subspace]
-    label: str = ""
 
     def __call__(self, p: Subspace) -> Subspace:
         if p.ambient_dim != self.source_dim:
@@ -171,14 +172,7 @@ def canonical_h(
         return Subspace(dim, each(cylinder, p.basis))
 
     embed.batched = True
-    return SubspaceMorphism(
-        source_dim=source_dim,
-        target_dim=dim,
-        map=embed,
-        label=f"canonical_h{side}"
-        + ("_conj" if conjugate else "")
-        + ("_twist" if twist is not None else ""),
-    )
+    return SubspaceMorphism(source_dim=source_dim, target_dim=dim, map=embed)
 
 
 def _ray_matrix(h: SubspaceMorphism, y, x, tol: Tolerance) -> np.ndarray:
@@ -486,19 +480,14 @@ def restriction_iso_u(
     def mapped(p1: Subspace) -> Subspace:
         return sub.meet(h1(p1), slice_image, tol)
 
-    return SubspaceMorphism(
-        source_dim=h1.source_dim,
-        target_dim=h1.target_dim,
-        map=mapped,
-        label="restriction_u",
-    )
+    return SubspaceMorphism(source_dim=h1.source_dim, target_dim=h1.target_dim, map=mapped)
 
 
 def restriction_iso_v(
     h1: SubspaceMorphism, h2: SubspaceMorphism, x1, tol: Tolerance = DEFAULT_TOL
 ) -> SubspaceMorphism:
     """Mirror slice map p2 -> h1(<x1>) meet h2(p2)."""
-    return replace(restriction_iso_u(h2, h1, x1, tol), label="restriction_v")
+    return restriction_iso_u(h2, h1, x1, tol)
 
 
 def check_commutation(
@@ -551,16 +540,12 @@ def check_commutation(
     report = LawReport("commutation", holds, trials=len(samples), worst_residual=worst)
     if not holds:
         report.counterexample = {
-            "x1": list(map(_c2pair, x1v)),
-            "y1": list(map(_c2pair, y1v)),
-            "x2": list(map(_c2pair, x2v)),
-            "y2": list(map(_c2pair, y2v)),
+            "x1": sub.complex_to_json(x1v),
+            "y1": sub.complex_to_json(y1v),
+            "x2": sub.complex_to_json(x2v),
+            "y2": sub.complex_to_json(y2v),
         }
     return report
-
-
-def _c2pair(z: complex):
-    return [float(np.real(z)), float(np.imag(z))]
 
 
 def classify_linearity(
@@ -610,8 +595,8 @@ def check_m_morphism(
                 "m_morphism", False, trials=trial + 1, worst_residual=worst
             )
             report.counterexample = {
-                "x": list(map(_c2pair, x)),
-                "y": list(map(_c2pair, y)),
+                "x": sub.complex_to_json(x),
+                "y": sub.complex_to_json(y),
             }
             return report
     return LawReport("m_morphism", True, trials=trials, worst_residual=worst)
@@ -644,15 +629,17 @@ def default_anchors(
 
 
 def _anchored(h1: SubspaceMorphism, h2: SubspaceMorphism, anchors, tol: Tolerance):
-    """The validated anchor triple (z1, z2, z) and alpha = |z1| |z2| / |z|."""
+    """The default anchor triple (z1, z2, z), or the supplied one once
+    validated, and alpha = |z1| |z2| / |z|."""
     if anchors is None:
-        anchors = default_anchors(h1, h2, tol)
-    z1, z2, z = (as_vector(a) for a in anchors)
-    if min(float(np.linalg.norm(v)) for v in (z1, z2, z)) < tol.eps_rank:
-        raise ZeroState("anchors must be nonzero")
-    anchor_meet = sub.meet(h1.map_ray(z1), h2.map_ray(z2), tol)
-    if not anchor_meet.contains(z, tol):
-        raise AnchorNotInMeet("z must lie in the meet of the anchor ray images")
+        z1, z2, z = default_anchors(h1, h2, tol)
+    else:
+        z1, z2, z = (as_vector(a) for a in anchors)
+        if min(float(np.linalg.norm(v)) for v in (z1, z2, z)) < tol.eps_rank:
+            raise ZeroState("anchors must be nonzero")
+        anchor_meet = sub.meet(h1.map_ray(z1), h2.map_ray(z2), tol)
+        if not anchor_meet.contains(z, tol):
+            raise AnchorNotInMeet("z must lie in the meet of the anchor ray images")
     return z1, z2, z, float(np.linalg.norm(z1) * np.linalg.norm(z2) / np.linalg.norm(z))
 
 
@@ -844,33 +831,22 @@ class TensorIsoReport:
 _ISO_CHECKS = ("join", "meet", "ortho", "atom", "roundtrip", "leq")
 
 
-def verify_tensor_isomorphism(
-    h1: SubspaceMorphism,
-    h2: SubspaceMorphism,
-    trials: int = 50,
-    seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
-    axiom_trials: int = 50,
-    sweep: Optional[AxiomSweep] = None,
-) -> TensorIsoReport:
-    """Constructively verify that the composite lattice is the tensor one.
+def verify_tensor_isomorphism(sweep: AxiomSweep, trials: int, axiom_trials: int) -> TensorIsoReport:
+    """Constructively verify that the composite lattice of the pair
+    (h1, h2) that ``sweep`` checked is the tensor one, under the seed and
+    tol of the sweep.
 
     Refuses (AxiomViolation, naming the axiom) unless axioms I-III
-    verify on the first ``axiom_trials`` trials of ``sweep``, a
-    sweep_axioms of this pair, seed and tol (ValueError for any other),
-    drawn here when not given.  The basis map is built before that: it
-    derives both linearity classes and so refuses a gemischt pair by
-    name first.
+    verify on the first ``axiom_trials`` trials of ``sweep`` (ValueError
+    past its length).  The basis map is built before that: it derives
+    both linearity classes and so refuses a gemischt pair by name first.
     Then the basis map is lifted to subspaces and join, meet,
-    complement, atom and round-trip preservation are checked on seeded
-    instances, all trials as one batch; the report names which tensor
-    space (plain or dual-first) applied.
+    complement, atom and round-trip preservation are checked on
+    ``trials`` seeded instances, all trials as one batch; the report
+    names which tensor space (plain or dual-first) applied.
     """
-    if sweep is not None and (sweep.h1, sweep.h2, sweep.seed, sweep.tol) != (h1, h2, seed, tol):
-        raise ValueError("the axiom sweep was drawn for another pair, seed or tolerance")
-    bm = build_basis_map(h1, h2, tol=tol)
-    if sweep is None:
-        sweep = sweep_axioms(h1, h2, axiom_trials, seed, tol)
+    seed, tol = sweep.seed, sweep.tol
+    bm = build_basis_map(sweep.h1, sweep.h2, tol=tol)
     axiom_reports = sweep.reports(axiom_trials)
     for report in axiom_reports:
         if not report.passed:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDimension, InvalidIndex, InvalidParameter
-from .subspace import Subspace, zero_subspace
+from .subspace import Subspace
 
 __all__ = [
     "OscillatorModel",
@@ -132,8 +132,6 @@ def proposition_from_eigenstates(indices, dim: int) -> Subspace:
     idx = sorted(set(int(i) for i in indices))
     if idx and (idx[0] < 0 or idx[-1] >= dim):
         raise InvalidIndex(f"indices must lie in [0, {dim})")
-    if not idx:
-        return zero_subspace(dim)
     basis = np.zeros((dim, len(idx)), dtype=complex)
     for col, i in enumerate(idx):
         basis[i, col] = 1.0

@@ -44,6 +44,7 @@ __all__ = [
     "random_family",
     "random_ray",
     "compatible_pair",
+    "complex_to_json",
     "subspace_to_json",
     "subspace_from_json",
 ]
@@ -275,8 +276,6 @@ def random_subspace(d: int, k, seed) -> Subspace:
         raise InvalidDimension(f"need 0 <= k <= d, got k={k}, d={d}")
     if batch:
         return Subspace(d, tuple(u[:, :j] for u, j in zip(random_unitary(d, seed), k)))
-    if k == 0:
-        return zero_subspace(d)
     return Subspace(d, random_unitary(d, seed)[:, :k])
 
 
@@ -330,11 +329,15 @@ def compatible_pair(d: int, seed) -> tuple[Subspace, Subspace]:
     return tuple(Subspace(d, b) for b in coordinates(seed, random_unitary(d, seed)))
 
 
+def complex_to_json(values) -> list:
+    """The [re, im] pairs of a vector's complex entries, in order."""
+    flat = as_vector(values)
+    return np.stack([flat.real, flat.imag], axis=1).tolist()
+
+
 def subspace_to_json(p: Subspace) -> dict:
     """JSON-friendly form: column-major list of [re, im] entry pairs."""
-    flat = p.basis.ravel(order="F")
-    pairs = np.stack([flat.real, flat.imag], axis=1)
-    return {"ambient_dim": p.ambient_dim, "basis": pairs.tolist()}
+    return {"ambient_dim": p.ambient_dim, "basis": complex_to_json(p.basis.ravel(order="F"))}
 
 
 def subspace_from_json(data: dict) -> Subspace:

@@ -18,6 +18,7 @@ from orthologic.composite import (
     classify_linearity,
     composite_onb,
     intertwiner_F,
+    sweep_axioms,
     verify_axioms,
     verify_tensor_isomorphism,
 )
@@ -222,9 +223,8 @@ def test_criterion_07_tensor_isomorphism_four_cases():
             for report in axioms:
                 assert report.passed, f"case {case_index}: {report.axiom} failed"
                 assert report.worst_residual < 1e-8
-            iso = verify_tensor_isomorphism(
-                h1, h2, trials=50, seed=200 + case_index, axiom_trials=20
-            )
+            sweep = sweep_axioms(h1, h2, 20, seed=200 + case_index)
+            iso = verify_tensor_isomorphism(sweep, trials=50, axiom_trials=20)
             assert iso.passed, f"case {case_index} failures: {iso.failures[:3]}"
             assert iso.target == expected_target
         assert time.perf_counter() - start < 60.0
@@ -302,8 +302,8 @@ def test_criterion_10_basis_map_independence():
     with criterion(10, "basis maps agree when rebuilt from independent random bases"):
         h1 = canonical_h(1, 3, 3, conjugate=True)
         h2 = canonical_h(2, 3, 3)
-        for h in (h1, h2):
-            h.linearity_class = classify_linearity(h, seed=0)
+        assert classify_linearity(h1, seed=0) == "antilinear"
+        assert classify_linearity(h2, seed=0) == "linear"
         e1 = random_unitary(3, 301)
         f1 = random_unitary(3, 302)
         e2 = random_unitary(3, 303)
@@ -368,7 +368,8 @@ def test_criterion_13_tampered_morphisms_named_rejections():
         assert reports[0].axiom == "I_c_morphism"
         assert not reports[0].passed
         with pytest.raises(AxiomViolation, match="I_c_morphism"):
-            verify_tensor_isomorphism(fake_slice, h2, trials=5, seed=1)
+            verify_tensor_isomorphism(sweep_axioms(fake_slice, h2, 50, 1), trials=5,
+                                      axiom_trials=50)
         # rank-inflating map: modularity criterion, named
         inflating = make_rank_inflating()
         report = check_m_morphism(inflating, trials=50, seed=2)
@@ -378,4 +379,5 @@ def test_criterion_13_tampered_morphisms_named_rejections():
         mixed = make_gemischt()
         assert classify_linearity(mixed, seed=3) == "gemischt"
         with pytest.raises(AxiomViolation, match="gemischt"):
-            verify_tensor_isomorphism(mixed, canonical_h(2, 3, 4), trials=5, seed=3)
+            verify_tensor_isomorphism(sweep_axioms(mixed, canonical_h(2, 3, 4), 50, 3), trials=5,
+                                      axiom_trials=50)

@@ -174,10 +174,15 @@ class TestTruthDemo:
             column = data[:, n + 1]
             assert np.allclose(column, (-1) ** n * column[::-1], atol=1e-9)
 
-    def test_eigenfunctions_without_csv_is_usage_error(self, capsys):
-        code = main(["truth-demo", "--eigenfunctions"])
-        capsys.readouterr()
-        assert code == 2
+    def test_eigenfunctions_without_csv_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["truth-demo", "--eigenfunctions", "--output", str(target)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "error: --eigenfunctions requires --csv PATH" in captured.err
+        assert not target.exists()
 
     def test_curve_csv(self, capsys, tmp_path):
         target = tmp_path / "curve.csv"

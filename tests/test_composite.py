@@ -68,7 +68,7 @@ def make_slice_embedding(d1=3, d2=3):
             return zero_subspace(d1 * d2)
         return Subspace(d1 * d2, np.kron(p.basis, f0))
 
-    return SubspaceMorphism(d1, d1 * d2, embed, label="slice-embedding")
+    return SubspaceMorphism(d1, d1 * d2, embed)
 
 
 def make_rank_inflating(d1=3, d2=3):
@@ -83,7 +83,7 @@ def make_rank_inflating(d1=3, d2=3):
             return span_of([np.kron(v, f[0]), np.kron(w, f[1])])
         return base.map(p)
 
-    return SubspaceMorphism(d1, d1 * d2, embed, label="rank-inflating")
+    return SubspaceMorphism(d1, d1 * d2, embed)
 
 
 def make_gemischt(d1=3, d2=4):
@@ -98,7 +98,7 @@ def make_gemischt(d1=3, d2=4):
         cols = np.hstack([np.kron(p.basis, a), np.kron(np.conj(p.basis), b)])
         return Subspace(d1 * d2, cols)
 
-    return SubspaceMorphism(d1, d1 * d2, embed, label="gemischt-action")
+    return SubspaceMorphism(d1, d1 * d2, embed)
 
 
 def map_only(h):
@@ -138,7 +138,7 @@ def make_zero_to_full(d1=3, d2=3):
     def embed(p):
         return base.map(p) if p.dim else full_subspace(d1 * d2)
 
-    return SubspaceMorphism(d1, d1 * d2, embed, label="zero-to-full")
+    return SubspaceMorphism(d1, d1 * d2, embed)
 
 
 def make_oblique(d1=3, d2=3):
@@ -151,7 +151,7 @@ def make_oblique(d1=3, d2=3):
             return zero_subspace(d1 * d2)
         return span_of(list((w @ np.kron(p.basis, np.eye(d2))).T))
 
-    return SubspaceMorphism(d1, d1 * d2, embed, label="oblique")
+    return SubspaceMorphism(d1, d1 * d2, embed)
 
 
 # tampered pair -> the counterexample kind each failing axiom must record
@@ -707,6 +707,15 @@ class TestBuildUV:
         lead = z[int(np.argmax(np.abs(z)))]
         assert abs(lead.imag) < 1e-12 and lead.real > 0
 
+    def test_default_anchors_take_one_meet(self, pair33, monkeypatch):
+        # the default z spans the anchor meet by construction; only supplied
+        # anchors are checked against a meet of their own
+        meets = []
+        original = sub.meet
+        monkeypatch.setattr(sub, "meet", lambda *args: meets.append(args) or original(*args))
+        build_basis_map(*pair33)
+        assert len(meets) == 1
+
 
 class TestCompositeOnb:
     def test_untwisted_basis_is_standard(self, pair33):
@@ -838,7 +847,8 @@ class TestBasisMap:
         for conj1, conj2 in FLAG_PAIRS:
             h1 = map_only(canonical_h(1, 3, 3, conjugate=conj1))
             h2 = map_only(canonical_h(2, 3, 3, conjugate=conj2))
-            report = verify_tensor_isomorphism(h1, h2, trials=10, seed=7, axiom_trials=10)
+            sweep = sweep_axioms(h1, h2, 10, 7)
+            report = verify_tensor_isomorphism(sweep, trials=10, axiom_trials=10)
             assert report.passed
             assert report.target == ("H1*xH2" if conj1 != conj2 else "H1xH2")
 
@@ -853,7 +863,7 @@ class TestBasisMap:
 class TestTensorIsomorphism:
     def test_untwisted_linear_case(self, pair33):
         h1, h2 = pair33
-        report = verify_tensor_isomorphism(h1, h2, trials=25, seed=1)
+        report = verify_tensor_isomorphism(sweep_axioms(h1, h2, 50, 1), trials=25, axiom_trials=50)
         assert report.passed
         assert report.target == "H1xH2"
         assert report.linearity == ("linear", "linear")
@@ -863,7 +873,7 @@ class TestTensorIsomorphism:
         w = random_unitary(9, 98)
         h1 = canonical_h(1, 3, 3, twist=w)
         h2 = canonical_h(2, 3, 3, twist=w)
-        report = verify_tensor_isomorphism(h1, h2, trials=20, seed=2)
+        report = verify_tensor_isomorphism(sweep_axioms(h1, h2, 50, 2), trials=20, axiom_trials=50)
         assert report.passed and report.target == "H1xH2"
         bm = build_basis_map(h1, h2)
         for seed in range(5):
@@ -875,14 +885,14 @@ class TestTensorIsomorphism:
     def test_antilinear_case(self):
         h1 = canonical_h(1, 3, 3, conjugate=True)
         h2 = canonical_h(2, 3, 3, conjugate=True)
-        report = verify_tensor_isomorphism(h1, h2, trials=20, seed=3)
+        report = verify_tensor_isomorphism(sweep_axioms(h1, h2, 50, 3), trials=20, axiom_trials=50)
         assert report.passed and report.target == "H1xH2"
         assert report.linearity == ("antilinear", "antilinear")
 
     def test_mixed_case_targets_dual_product(self):
         h1 = canonical_h(1, 3, 3, conjugate=True)
         h2 = canonical_h(2, 3, 3)
-        report = verify_tensor_isomorphism(h1, h2, trials=20, seed=4)
+        report = verify_tensor_isomorphism(sweep_axioms(h1, h2, 50, 4), trials=20, axiom_trials=50)
         assert report.passed and report.target == "H1*xH2"
 
     def test_unequal_factor_dimensions(self):
@@ -890,13 +900,13 @@ class TestTensorIsomorphism:
         # nothing requires d1 == d2
         h1 = canonical_h(1, 3, 4)
         h2 = canonical_h(2, 3, 4)
-        report = verify_tensor_isomorphism(h1, h2, trials=10, seed=6, axiom_trials=15)
+        report = verify_tensor_isomorphism(sweep_axioms(h1, h2, 15, 6), trials=10, axiom_trials=15)
         assert report.passed and report.target == "H1xH2"
 
     def test_refuses_on_axiom_failure(self, pair33):
-        _, h2 = pair33
+        sweep = sweep_axioms(make_slice_embedding(), pair33[1], 50, 5)
         with pytest.raises(AxiomViolation):
-            verify_tensor_isomorphism(make_slice_embedding(), h2, trials=5, seed=5)
+            verify_tensor_isomorphism(sweep, trials=5, axiom_trials=50)
 
     def test_refuses_when_the_anchor_rays_do_not_meet(self):
         # the basis map is built before the axiom sweep, so its anchors
@@ -904,7 +914,7 @@ class TestTensorIsomorphism:
         h1 = canonical_h(1, 3, 3)
         h2 = canonical_h(2, 3, 3, twist=random_unitary(9, 99))
         with pytest.raises(AxiomViolation, match="III_atoms"):
-            verify_tensor_isomorphism(h1, h2, trials=5, seed=5)
+            verify_tensor_isomorphism(sweep_axioms(h1, h2, 50, 5), trials=5, axiom_trials=50)
 
 
 # verify_axioms as it ran before the batched sweep: trial by trial with
@@ -979,7 +989,7 @@ def make_sometimes_twisted(d1=3, d2=3):
     def embed(p):
         return twisted.map(p) if p.dim == 1 and abs(p.basis[0, 0]) > 0.8 else base.map(p)
 
-    return SubspaceMorphism(d1, d1 * d2, embed, label="sometimes-twisted")
+    return SubspaceMorphism(d1, d1 * d2, embed)
 
 
 def make_dim_skipping(d1=3, d2=4):
@@ -991,7 +1001,7 @@ def make_dim_skipping(d1=3, d2=4):
     def embed(p):
         return top if p.dim == d2 - 1 else base.map(p)
 
-    return SubspaceMorphism(d2, d1 * d2, embed, label="dim-skipping")
+    return SubspaceMorphism(d2, d1 * d2, embed)
 
 
 def canonical_pair(d1, d2, twisted, conj1, conj2, twist_seed=41):
@@ -1050,23 +1060,8 @@ class TestBatchedAxiomSweep:
     def test_a_given_sweep_is_folded_not_redrawn(self, pair33, monkeypatch):
         sweep = sweep_axioms(*pair33, 12, 1)
         monkeypatch.setattr(composite, "sweep_axioms", None)
-        assert verify_tensor_isomorphism(*pair33, trials=3, seed=1, axiom_trials=12,
-                                         sweep=sweep).axiom_reports == sweep.reports(12)
-
-    @pytest.mark.parametrize("other", ["seed", "tol", "h1", "h2", "pair"])
-    def test_a_sweep_of_another_pair_seed_or_tol_is_refused(self, pair33, other):
-        h1, h2 = pair33
-        drawn = {"h1": h1, "h2": h2, "seed": 1, "tol": DEFAULT_TOL}
-        if other == "pair":
-            drawn["h1"], drawn["h2"] = canonical_pair(3, 3, True, False, False)
-        elif other in ("h1", "h2"):
-            # an equally built map is still another morphism
-            drawn[other] = canonical_h(int(other[1]), 3, 3)
-        else:
-            drawn[other] = {"seed": 2, "tol": Tolerance(eps_eq=1e-7)}[other]
-        sweep = sweep_axioms(drawn["h1"], drawn["h2"], 12, drawn["seed"], drawn["tol"])
-        with pytest.raises(ValueError, match="another pair, seed or tolerance"):
-            verify_tensor_isomorphism(h1, h2, trials=3, seed=1, axiom_trials=12, sweep=sweep)
+        report = verify_tensor_isomorphism(sweep, trials=3, axiom_trials=12)
+        assert report.axiom_reports == sweep.reports(12)
 
 
 def counting(monkeypatch, module, names):
@@ -1159,7 +1154,7 @@ class TestBatchedIsomorphism:
     def test_batched_trials_equal_the_per_trial_loop(self, config):
         h1, h2 = canonical_pair(*config)
         bm = build_basis_map(h1, h2)
-        report = verify_tensor_isomorphism(h1, h2, trials=15, seed=2, axiom_trials=3)
+        report = verify_tensor_isomorphism(sweep_axioms(h1, h2, 3, 2), trials=15, axiom_trials=3)
         assert (report.failures, report.worst_residual) == per_trial_isomorphism(bm, 15, 2)
         assert report.passed and report.trials == 15
 
@@ -1186,7 +1181,7 @@ class TestBatchedIsomorphism:
 
         monkeypatch.setattr(sub, "meet", per_element(sub.meet))
         monkeypatch.setattr(sub, "join", per_element(sub.join))
-        report = verify_tensor_isomorphism(h1, h2, trials=30, seed=4, axiom_trials=10, sweep=sweep)
+        report = verify_tensor_isomorphism(sweep, trials=30, axiom_trials=10)
         failures, worst = per_trial_isomorphism(build_basis_map(h1, h2), 30, 4)
         assert (report.failures, report.worst_residual) == (failures, worst)
         assert 0 < len({f.split("@")[1] for f in failures}) < 30

@@ -11,7 +11,7 @@ from orthologic.oscillator import (
     ladder_operators,
     proposition_from_eigenstates,
 )
-from orthologic.subspace import full_subspace, ortho, span_of
+from orthologic.subspace import equal, full_subspace, ortho, span_of, zero_subspace
 from orthologic.truth import EPS_PROB, StateVector, TruthValue, truth_value
 
 
@@ -117,6 +117,11 @@ class TestEigenstatePropositions:
         p = proposition_from_eigenstates({0}, 5)
         rest = proposition_from_eigenstates({1, 2, 3, 4}, 5)
         assert np.allclose(ortho(p).projector(), rest.projector())
+
+    def test_no_levels_give_the_zero_subspace(self):
+        p = proposition_from_eigenstates(set(), 5)
+        assert p.dim == 0
+        assert equal(p, zero_subspace(5))
 
     def test_bad_index(self):
         with pytest.raises(InvalidIndex):
