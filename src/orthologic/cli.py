@@ -298,7 +298,7 @@ def cmd_composite_verify(args) -> int:
 def cmd_truth_demo(args) -> int:
     tol = _tolerance()
     # a usage error writes no file: every output path is checked first
-    for path in (args.eigenfunctions and args.csv, args.curve_csv, args.output):
+    for path in (args.csv, args.curve_csv, args.output):
         if path:
             _check_writable(path)
     model = OscillatorModel(n_max=args.nmax)
@@ -420,6 +420,8 @@ def main(argv=None) -> int:
         parser.error("--curve-samples must be at least 1")
     if args.command == "truth-demo" and args.eigenfunctions and not args.csv:
         parser.error("--eigenfunctions requires --csv PATH")
+    if args.command == "truth-demo" and args.csv and not args.eigenfunctions:
+        parser.error("--csv requires --eigenfunctions")
     try:
         return args.func(args)
     except OrthologicError as exc:

@@ -10,7 +10,9 @@ stack of them alike; ``each`` runs one on a batch, stacked by shape.
 
 All randomness is generated by numpy's PCG64 generator seeded from a
 64-bit integer, so fixtures are reproducible run to run.  A batch takes
-its seeds as an object array of Python ints, so ``seed + k`` is exact.
+its seeds as an object array of Python ints, so ``seed + k`` is exact;
+``random_unitary`` draws each distinct (size, seed) of a batch once, and
+remembers nothing between calls.
 """
 
 from __future__ import annotations
@@ -172,12 +174,18 @@ def random_unitary(d, seed) -> np.ndarray:
     each column fixed so that the diagonal of R is real and positive
     (Mezzadri, Notices AMS 2007).  This pins the result uniquely per
     seed and makes it Haar-distributed.  For an array of seeds, and d
-    one size or one per seed, the tuple of their unitaries, with one
-    stacked QR per size.
+    one size or one per seed, the tuple of their unitaries: each
+    distinct (d, seed) is drawn once, with one stacked QR per size, and
+    its read-only frame is handed to every element that asks for it.
     """
     if not isinstance(seed, np.ndarray):
         return _haar(_gaussian(d, seed))
-    return each(_haar, tuple(map(_gaussian, np.broadcast_to(d, seed.shape), seed)))
+    keys = list(zip(np.broadcast_to(d, seed.shape).tolist(), seed.tolist()))
+    distinct = dict.fromkeys(keys)
+    frames = dict(zip(distinct, each(_haar, tuple(_gaussian(*key) for key in distinct))))
+    for frame in frames.values():
+        frame.flags.writeable = False
+    return tuple(frames[key] for key in keys)
 
 
 def _gaussian(d: int, seed: int) -> np.ndarray:

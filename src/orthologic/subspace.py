@@ -190,14 +190,28 @@ def _projectors(b: np.ndarray) -> np.ndarray:
     return b @ b.conj().swapaxes(-1, -2)
 
 
-def _norms(p: Subspace, q: Subspace, kernel, order=None):
-    """The norm of kernel's matrix, one element at a time (a stacked norm
-    differs in the last bits): a float, or a batch's array."""
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """The Frobenius norms of a stack of C-contiguous matrices: sqrt(Re.Re +
+    Im.Im), each dot one (1 x m)(m x 1) matmul, which numpy runs on the BLAS
+    dot ``np.linalg.norm`` takes, so each norm has that norm's bits (a
+    stacked ``np.linalg.norm`` sums pairwise and differs in the last bits)."""
+    x = m.reshape(len(m), 1, -1)
+    re, im = x.real, x.imag
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0]
+
+
+def _spectral(m: np.ndarray) -> np.ndarray:
+    """The spectral norms of a stack: each matrix's largest singular value."""
+    return np.linalg.svd(m, compute_uv=False)[:, 0]
+
+
+def _norms(p: Subspace, q: Subspace, kernel, norm=_frobenius):
+    """The norm of kernel's matrix, one stacked ``norm`` per group of equal
+    shapes: a float, or a batch's array."""
     _check_same_ambient(p, q)
     if not p.is_batch:
-        return float(np.linalg.norm(kernel(p.basis, q.basis), order))
-    return np.array(each(lambda a, b: [np.linalg.norm(m, order) for m in kernel(a, b)],
-                         p.basis, q.basis))
+        return float(norm(kernel(p.basis, q.basis)[None])[0])
+    return np.array(each(lambda a, b: norm(kernel(a, b)), p.basis, q.basis))
 
 
 def meet(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -257,7 +271,7 @@ def commutator_norm(p: Subspace, q: Subspace) -> float:
         pp, pq = _projectors(a), _projectors(b)
         return pp @ pq - pq @ pp
 
-    return _norms(p, q, commutators, 2)
+    return _norms(p, q, commutators, _spectral)
 
 
 def is_atom(p: Subspace) -> bool:
@@ -294,14 +308,24 @@ def random_subspace_of(q: Subspace, k, seed) -> Subspace:
 
 def random_family(dims, seed, proper: bool) -> list[Subspace]:
     """``random_subspace(d, k, seed + j)`` for the j-th d in ``dims``, with k
-    drawn by ``default_rng(seed)`` from 1..d-1 if ``proper``, else 1..d."""
+    drawn by ``default_rng(seed)`` from 1..d-1 if ``proper``, else 1..d.
+
+    A batch draws the frames of all its members in one ``random_unitary``
+    call, so each distinct (d, seed + j) is drawn once.  Its elements are
+    not independent: member j of seed s cuts the frame of member 0 of seed
+    s + j (of equal d), and the trial seeds ``subseed(base, tag, t)`` lie
+    close together, so the 300 members of a 100-trial family of three come
+    from about 100 frames."""
     batch = isinstance(seed, np.ndarray)
     rngs = [np.random.default_rng(s) for s in (seed if batch else [seed])]
-    family = []
-    for j, d in enumerate(dims):
-        k = np.array([rng.integers(1, d if proper else d + 1) for rng in rngs])
-        family.append(random_subspace(d, k if batch else int(k[0]), seed + j))
-    return family
+    ks = [[int(rng.integers(1, d if proper else d + 1)) for rng in rngs] for d in dims]
+    if not batch:
+        return [random_subspace(d, k, seed + j) for j, (d, (k,)) in enumerate(zip(dims, ks))]
+    n = len(seed)
+    seeds = np.concatenate([seed + j for j in range(len(dims))])
+    frames = random_unitary(np.repeat(dims, n), seeds)
+    return [Subspace(d, tuple(u[:, :k] for u, k in zip(frames[j * n:(j + 1) * n], kj)))
+            for j, (d, kj) in enumerate(zip(dims, ks))]
 
 
 def random_ray(d: int, seed: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Subspace:

@@ -184,6 +184,16 @@ class TestTruthDemo:
         assert "error: --eigenfunctions requires --csv PATH" in captured.err
         assert not target.exists()
 
+    def test_csv_without_eigenfunctions_is_usage_error(self, capsys, tmp_path):
+        table, target = tmp_path / "eig.csv", tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["truth-demo", "--csv", str(table), "--output", str(target)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "error: --csv requires --eigenfunctions" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_curve_csv(self, capsys, tmp_path):
         target = tmp_path / "curve.csv"
         code, _ = run_cli(capsys, "truth-demo", "--curve-csv", str(target))

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from orthologic import core
 from orthologic.core import (
     DEFAULT_TOL,
     Tolerance,
@@ -198,6 +199,54 @@ class TestRandomUnitary:
     def test_deterministic_per_seed(self):
         assert np.array_equal(random_unitary(5, 9), random_unitary(5, 9))
         assert not np.allclose(random_unitary(5, 9), random_unitary(5, 10))
+
+
+# repeated and colliding seeds; seed 2^64 - 1 is the largest one
+COLLIDING = np.array([5, 6, 5, 7, 2**64 - 1], dtype=object)
+
+
+def count_gaussians(monkeypatch) -> list:
+    """The (d, seed) of every Gaussian frame drawn from now on, in order."""
+    drawn = []
+    gaussian = core._gaussian
+
+    def counted(d, seed):
+        drawn.append((d, seed))
+        return gaussian(d, seed)
+
+    monkeypatch.setattr(core, "_gaussian", counted)
+    return drawn
+
+
+class TestBatchedRandomUnitary:
+    @pytest.mark.parametrize("d, distinct", [
+        (3, [(3, 5), (3, 6), (3, 7), (3, 2**64 - 1)]),
+        # one seed at two sizes is two frames
+        (np.array([3, 3, 4, 3, 3]), [(3, 5), (3, 6), (4, 5), (3, 7), (3, 2**64 - 1)]),
+    ])
+    def test_each_distinct_frame_is_drawn_once(self, monkeypatch, d, distinct):
+        drawn = count_gaussians(monkeypatch)
+        frames = random_unitary(d, COLLIDING)
+        assert drawn == distinct
+        keys = list(zip(np.broadcast_to(d, COLLIDING.shape).tolist(), COLLIDING))
+        for u, (size, s) in zip(frames, keys):
+            assert np.array_equal(u, random_unitary(size, s))
+        for i, j in zip(*np.triu_indices(len(keys), 1)):
+            assert (frames[i] is frames[j]) == (keys[i] == keys[j])
+
+    def test_no_frame_outlives_a_call(self, monkeypatch):
+        drawn = count_gaussians(monkeypatch)
+        first = random_unitary(3, COLLIDING)
+        second = random_unitary(3, COLLIDING)
+        assert len(drawn) == 8
+        assert all(a is not b and np.array_equal(a, b) for a, b in zip(first, second))
+
+    def test_shared_frames_are_read_only(self):
+        frames = random_unitary(3, COLLIDING)
+        assert not any(u.flags.writeable for u in frames)
+        with pytest.raises(ValueError):
+            frames[0][0, 0] = 0
+        assert np.array_equal(frames[2], random_unitary(3, 5))
 
 
 class TestTolerance:

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from orthologic.core import Tolerance, random_unitary
+from orthologic import core
+from orthologic.core import MAX_STACK, Tolerance, random_unitary
 from orthologic.errors import DimensionMismatch, InvalidDimension
 from orthologic.subspace import (
     Ray,
@@ -442,6 +443,40 @@ class TestBatches:
         for pair, s in zip(zip(*(m.basis for m in compatible_pair(d, seeds))), seeds):
             assert all(np.array_equal(b, m.basis) for b, m in zip(pair, compatible_pair(d, s)))
         assert_orthonormal(inner)
+
+    @pytest.mark.parametrize("proper", [True, False])
+    def test_a_family_draws_each_distinct_member_frame_once(self, monkeypatch, proper):
+        # member j of seed s and member 0 of seed s + j cut one frame
+        seeds = np.array([5, 6, 5, 7, 2**64 - 1], dtype=object)
+        singles = [random_family((3, 3, 4), s, proper) for s in seeds]
+        drawn = []
+        gaussian = core._gaussian
+        monkeypatch.setattr(core, "_gaussian", lambda d, s: drawn.append((d, s)) or gaussian(d, s))
+        family = random_family((3, 3, 4), seeds, proper)
+        assert sorted(drawn) == sorted({(d, s + j) for j, d in enumerate((3, 3, 4)) for s in seeds})
+        for members, single in zip(zip(*(m.basis for m in family)), singles):
+            assert all(np.array_equal(b, m.basis) for b, m in zip(members, single))
+
+    def test_stacked_norms_past_one_stack_equal_single_norms(self):
+        # 90 pairs of one shape split into three stacks; the zero-dimensional
+        # elements give empty residuals
+        n = 3 * MAX_STACK
+        seeds = np.arange(n, dtype=object)
+        pairs = list(zip(random_subspace(4, np.full(n, 2), seeds).elements(),
+                         random_subspace(4, np.full(n, 3), seeds + n).elements()))
+        zero, plane = zero_subspace(4), random_subspace(4, 2, 0)
+        pairs[::16] = [(zero, plane), (plane, zero), (zero, zero)] * 2
+        ps, qs = batch_of([p for p, _ in pairs]), batch_of([q for _, q in pairs])
+        residual, distance = inclusion(ps, qs)[1], projector_distance(ps, qs)
+        commutator = commutator_norm(ps, qs)
+        for i, (p, q) in enumerate(pairs):
+            a, b = p.basis, q.basis
+            assert residual[i] == inclusion(p, q)[1] == np.linalg.norm(a - b @ (b.conj().T @ a))
+            assert distance[i] == projector_distance(p, q) == np.linalg.norm(
+                p.projector() - q.projector())
+            pp, pq = p.projector(), q.projector()
+            assert commutator[i] == commutator_norm(p, q) == np.linalg.norm(pp @ pq - pq @ pp, 2)
+        assert residual[0] == residual[32] == 0.0 < residual[16]
 
     def test_batch_validates_every_element(self):
         good = random_subspace(3, 2, 0).basis
