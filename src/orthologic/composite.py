@@ -13,6 +13,8 @@ Each axiom sub-check is defined once in _AXIOM_CHECKS, keyed by the
 counterexample kind it records: sweep_axioms runs it once on a batch of
 all its seeded trials (a Subspace batch, see ``subspace``), and
 recheck_axiom_counterexample replays it on the subspaces of the JSON.
+The checks of one side share a memo for that call, so each batch is
+mapped and each pair joined once, however many checks read it.
 Trial t draws from subseed(seed, tag, t) alone, so the reports of the
 first n trials fold from any longer sweep: composite-verify sweeps once
 and reports the axioms twice, at --trials and inside the isomorphism,
@@ -35,13 +37,16 @@ F_{i x, x}, and builds the norm-preserving maps U/V they generate, the
 product orthonormal basis of the composite space, and finally the
 basis map onto the tensor space (or its dual-twisted variant), whose
 lift to subspaces is verified to be a lattice isomorphism, on all its
-seeded trials as one batch.
+seeded trials as one batch.  Each derivation maps the distinct rays it
+needs as one batch, and the trials draw both their subspaces in one
+call, so a frame two trials share is drawn once.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,7 +54,8 @@ import numpy as np
 from . import subspace as sub
 from .core import DEFAULT_TOL, Tolerance, as_columns, as_vector, each, orthonormal_bases
 from .core import random_vector, rank, subseed
-# Not called here; kept as the module binding that bench/tracer.py patches.
+# Not called here: the isomorphism draws its frames through sub.random_subspace.
+# Imported so that the binding bench/tracer.py lists still resolves.
 from .core import random_unitary  # noqa: F401
 from .errors import (
     AnchorNotInMeet,
@@ -175,45 +181,68 @@ def canonical_h(
     return SubspaceMorphism(source_dim=source_dim, target_dim=dim, map=embed)
 
 
-def _ray_matrix(h: SubspaceMorphism, y, x, tol: Tolerance) -> np.ndarray:
-    """Matrix of the ray intertwiner F_{y,x}, derived from h.map alone.
+def _ray_labels(h: SubspaceMorphism, y, x, tol: Tolerance) -> tuple:
+    """The label pairs of the graphs whose matrices multiply to F_{y,x}:
+    (y, x) for independent labels, (y, z) and (z, x) for parallel ones,
+    where z is the coordinate vector on which x has the least weight (at
+    most 1/sqrt(d) of it, so z is independent of x and y), and none for
+    the zero map F_{0,x}."""
+    xv, yv = as_vector(x), as_vector(y)
+    if float(np.linalg.norm(xv)) < tol.eps_rank:
+        raise ZeroState("intertwiner source ray label must be nonzero")
+    if float(np.linalg.norm(yv)) < tol.eps_rank:
+        return ()
+    if rank(np.column_stack([xv, yv]), tol) < 2:
+        if h.source_dim < 2:
+            raise InvalidDimension("parallel labels need a source of dimension >= 2")
+        z = np.eye(h.source_dim, dtype=complex)[int(np.argmin(np.abs(xv)))]
+        return (yv, z), (z, xv)
+    return ((yv, xv),)
+
+
+def _ray_matrices(h: SubspaceMorphism, pairs, tol: Tolerance, rays=()) -> tuple:
+    """The matrices of the ray intertwiners F_{y,x} of the label pairs
+    (y, x), and the images of ``rays``, derived from h.map alone, with one
+    call of h on the batch of the distinct rays they need.
 
     For independent x and y, h(<x - y>) is the graph {u - F u : u in
     h(<x>)} of F_{y,x} (the m-morphism property).  Solving
     [B_x, -B_y] [a; b] = B_{x-y} by least squares on the basis matrices
     of the three images gives F = B_y b a^-1 B_x^H.  Parallel labels go
-    through the coordinate vector z on which x has the least weight:
-    F_{y,x} = F_{y,z} F_{z,x}.  F_{0,x} is the zero map.
+    through z (see _ray_labels): F_{y,x} = F_{y,z} F_{z,x}.  F_{0,x} is
+    the zero map.
     """
-    xv, yv = as_vector(x), as_vector(y)
-    if float(np.linalg.norm(xv)) < tol.eps_rank:
-        raise ZeroState("intertwiner source ray label must be nonzero")
-    if float(np.linalg.norm(yv)) < tol.eps_rank:
-        return np.zeros((h.target_dim, h.target_dim), dtype=complex)
-    if rank(np.column_stack([xv, yv]), tol) < 2:
-        if h.source_dim < 2:
-            raise InvalidDimension("parallel labels need a source of dimension >= 2")
-        z = np.eye(h.source_dim, dtype=complex)[int(np.argmin(np.abs(xv)))]
-        return _ray_matrix(h, yv, z, tol) @ _ray_matrix(h, z, xv, tol)
-    bx, by, bd = (h.map_ray(v).basis for v in (xv, yv, xv - yv))
-    if not bx.shape == by.shape == bd.shape:
-        raise AxiomViolation("m_morphism fails: the ray images differ in dimension")
-    graph = np.hstack([bx, -by])
-    coef = np.linalg.lstsq(graph, bd, rcond=None)[0]
-    if np.linalg.norm(graph @ coef - bd) > tol.eps_eq * np.sqrt(bd.shape[1]):
-        raise AxiomViolation("m_morphism fails: h(<x - y>) is no graph over h(<x>)")
-    k = bx.shape[1]
-    return by @ np.linalg.solve(coef[:k].T, coef[k:].T).T @ bx.conj().T
+    labels = [_ray_labels(h, y, x, tol) for y, x in pairs]
+    needed = [as_vector(v) for v in rays]
+    needed += [v for graphs in labels for y, x in graphs for v in (x, y, x - y)]
+    distinct = {v.tobytes(): v[:, None] for v in needed}
+    # each element is span_of of its vector
+    spans = each(lambda m: orthonormal_bases(m, tol), tuple(distinct.values()))
+    images = dict(zip(distinct, h(Subspace(h.source_dim, spans)).elements()))
+
+    def graph(y, x) -> np.ndarray:
+        bx, by, bd = (images[v.tobytes()].basis for v in (x, y, x - y))
+        if not bx.shape == by.shape == bd.shape:
+            raise AxiomViolation("m_morphism fails: the ray images differ in dimension")
+        stacked = np.hstack([bx, -by])
+        coef = np.linalg.lstsq(stacked, bd, rcond=None)[0]
+        if np.linalg.norm(stacked @ coef - bd) > tol.eps_eq * np.sqrt(bd.shape[1]):
+            raise AxiomViolation("m_morphism fails: h(<x - y>) is no graph over h(<x>)")
+        k = bx.shape[1]
+        return by @ np.linalg.solve(coef[:k].T, coef[k:].T).T @ bx.conj().T
+
+    matrices = [reduce(np.matmul, [graph(y, x) for y, x in graphs]) if graphs
+                else np.zeros((h.target_dim, h.target_dim), dtype=complex) for graphs in labels]
+    return matrices, [images[v.tobytes()] for v in needed[:len(rays)]]
 
 
 def intertwiner_F(h: SubspaceMorphism, y, x, tol: Tolerance = DEFAULT_TOL):
     """The map from the image of <x> to the image of <y> under h.
 
-    Derived from h.map alone (see _ray_matrix); vectors outside the
+    Derived from h.map alone (see _ray_matrices); vectors outside the
     image of <x> raise NotInDomain.
     """
-    matrix = _ray_matrix(h, y, x, tol)
-    domain = h.map_ray(x)
+    (matrix,), (domain,) = _ray_matrices(h, [(y, x)], tol, rays=[x])
 
     def apply(u) -> np.ndarray:
         uv = as_vector(u)
@@ -276,29 +305,61 @@ def _like(p: Subspace, s: Subspace) -> Subspace:
     return Subspace.batch(s.ambient_dim, [s] * len(p.elements())) if p.is_batch else s
 
 
-# Counterexample kind -> its check.  A check takes the morphism under
-# test (the pair h1, h2 for the cross axioms II and III), then its
-# subspaces (single ones or batches) and tol, and returns (holds,
-# residual), per element for batches.
+class _Memo:
+    """The images and joins of one run of axiom checks (one _checked
+    call, or one check alone), each computed once.
+
+    Keyed by the identity of the operands, which the memo holds, so that
+    no id is reused while it lives: distinct objects of equal value are
+    each computed.
+    """
+
+    def __init__(self, tol: Tolerance):
+        self.tol = tol
+        self._done = {}
+
+    def _once(self, op: str, compute, *operands):
+        key = (op, *map(id, operands))
+        if key not in self._done:
+            self._done[key] = compute(), operands
+        return self._done[key][0]
+
+    def image(self, h: SubspaceMorphism, p: Subspace) -> Subspace:
+        return self._once("image", lambda: h(p), h, p)
+
+    def join(self, p: Subspace, q: Subspace) -> Subspace:
+        return self._once("join", lambda: sub.join(p, q, self.tol), p, q)
+
+
+# Counterexample kind -> its check.  A check takes the _Memo it maps and
+# joins through, the morphism under test (the pair h1, h2 for the cross
+# axioms II and III), then its subspaces (single ones or batches), and
+# returns (holds, residual), per element for batches.
 _AXIOM_CHECKS = {
-    "unitarity": lambda h, tol: (
-        sub.equal(h(full_subspace(h.source_dim)), full_subspace(h.target_dim), tol), 0.0
+    "unitarity": lambda m, h: (
+        sub.equal(m.image(h, full_subspace(h.source_dim)), full_subspace(h.target_dim), m.tol),
+        0.0,
     ),
-    "zero": lambda h, tol: (h(zero_subspace(h.source_dim)).dim == 0, 0.0),
-    "join": lambda h, p, q, tol: _same(h(sub.join(p, q, tol)), sub.join(h(p), h(q), tol), tol),
-    "family_join": lambda h, p, q, r, tol: _same(
-        h(sub.join(sub.join(p, q, tol), r, tol)),
-        sub.join(sub.join(h(p), h(q), tol), h(r), tol),
-        tol,
+    "zero": lambda m, h: (m.image(h, zero_subspace(h.source_dim)).dim == 0, 0.0),
+    "join": lambda m, h, p, q: _same(
+        m.image(h, m.join(p, q)), m.join(m.image(h, p), m.image(h, q)), m.tol
     ),
-    "complement": lambda h, p, tol: _same(
-        h(sub.ortho(p)),
-        sub.meet(sub.ortho(h(p)), _like(p, h(full_subspace(h.source_dim))), tol),
-        tol,
+    "family_join": lambda m, h, p, q, r: _same(
+        m.image(h, m.join(m.join(p, q), r)),
+        m.join(m.join(m.image(h, p), m.image(h, q)), m.image(h, r)),
+        m.tol,
     ),
-    "compat_preservation": lambda h, p, q, tol: (compatible(h(p), h(q), tol), 0.0),
-    "compatibility": lambda h1, h2, p, q, tol: _commuting(h1(p), h2(q), tol),
-    "atom_meet": lambda h1, h2, p, q, tol: _atom(sub.meet(h1(p), h2(q), tol)),
+    "complement": lambda m, h, p: _same(
+        m.image(h, sub.ortho(p)),
+        sub.meet(sub.ortho(m.image(h, p)), _like(p, m.image(h, full_subspace(h.source_dim))),
+                 m.tol),
+        m.tol,
+    ),
+    "compat_preservation": lambda m, h, p, q: (
+        compatible(m.image(h, p), m.image(h, q), m.tol), 0.0
+    ),
+    "compatibility": lambda m, h1, h2, p, q: _commuting(m.image(h1, p), m.image(h2, q), m.tol),
+    "atom_meet": lambda m, h1, h2, p, q: _atom(sub.meet(m.image(h1, p), m.image(h2, q), m.tol)),
 }
 
 
@@ -314,10 +375,11 @@ def _axiom_ce(kind: str, side, subspaces) -> dict:
 def _checked(morphisms: tuple, samples, tol: Tolerance) -> list:
     """Each (kind, subspace batches) of ``samples`` checked once on its
     batches: (kind, verdicts, residuals, batches), one verdict and
-    residual per trial."""
-    checks = []
+    residual per trial.  The checks share one _Memo, so a batch that an
+    earlier check mapped or a pair it joined is not computed again."""
+    memo, checks = _Memo(tol), []
     for kind, batches in samples:
-        holds, residual = _AXIOM_CHECKS[kind](*morphisms, *batches, tol)
+        holds, residual = _AXIOM_CHECKS[kind](memo, *morphisms, *batches)
         trials = len(batches[0].elements())
         checks.append((kind, np.broadcast_to(holds, trials), np.broadcast_to(residual, trials),
                        batches))
@@ -402,7 +464,8 @@ def sweep_axioms(
     # Axiom I: each h alone must be a unitary c-morphism.
     sides = []
     for side, h in ((1, h1), (2, h2)):
-        precheck = next((k for k in ("unitarity", "zero") if not _AXIOM_CHECKS[k](h, tol)[0]), None)
+        precheck = next((k for k in ("unitarity", "zero")
+                         if not _AXIOM_CHECKS[k](_Memo(tol), h)[0]), None)
         checks = None
         if precheck is None:
             d = h.source_dim
@@ -460,7 +523,7 @@ def recheck_axiom_counterexample(
     side = ce.get("side")
     morphisms = (h1, h2) if side is None else ((h1, h2)[side - 1],)
     subspaces = [sub.subspace_from_json(ce[name]) for name in "pqr" if name in ce]
-    holds, _ = check(*morphisms, *subspaces, tol)
+    holds, _ = check(_Memo(tol), *morphisms, *subspaces)
     return not holds
 
 
@@ -558,8 +621,9 @@ def classify_linearity(
     a valid composite-system morphism never exhibits.  ``seed`` draws x.
     """
     x = random_vector(h.source_dim, subseed(seed, "classify", 0))
-    basis = h.map_ray(x).basis
-    image = _ray_matrix(h, 1j * x, x, tol) @ basis
+    (matrix,), (domain,) = _ray_matrices(h, [(1j * x, x)], tol, rays=[x])
+    basis = domain.basis
+    image = matrix @ basis
     for scalar, linearity in ((1j, LINEAR), (-1j, ANTILINEAR)):
         if np.linalg.norm(image - scalar * basis) < tol.eps_eq * np.sqrt(basis.shape[1]):
             return linearity
@@ -710,8 +774,10 @@ def composite_onb(
 def _onb_matrix(h1, h2, e: np.ndarray, f: np.ndarray, anchors, tol: Tolerance) -> np.ndarray:
     """composite_onb as the columns of one matrix, for validated bases."""
     z1, z2, z, alpha = _anchored(h1, h2, anchors, tol)
-    k_steps = np.column_stack([_ray_matrix(h2, y, z2, tol) @ z for y in f.T])
-    return alpha * np.hstack([_ray_matrix(h1, x, z1, tol) @ k_steps for x in e.T])
+    ks, _ = _ray_matrices(h2, [(y, z2) for y in f.T], tol)
+    fs, _ = _ray_matrices(h1, [(x, z1) for x in e.T], tol)
+    k_steps = np.column_stack([k @ z for k in ks])
+    return alpha * np.hstack([fx @ k_steps for fx in fs])
 
 
 @dataclass
@@ -855,8 +921,11 @@ def verify_tensor_isomorphism(sweep: AxiomSweep, trials: int, axiom_trials: int)
     seeds = np.array([subseed(seed, "tensoriso", t) for t in range(trials)], dtype=object)
     rngs = [np.random.default_rng(s) for s in seeds]
     dims = [(rng.integers(0, dim + 1), rng.integers(1, dim)) for rng in rngs]
-    g1 = sub.random_subspace(dim, [k for k, _ in dims], seeds)
-    g2 = sub.random_subspace(dim, [k for _, k in dims], seeds + 1)
+    # g2 draws from seeds + 1, mostly other trials' seeds: one call draws
+    # each of their frames once
+    both = sub.random_subspace(dim, [k for k, _ in dims] + [k for _, k in dims],
+                               np.concatenate([seeds, seeds + 1]))
+    g1, g2 = Subspace(dim, both.basis[:trials]), Subspace(dim, both.basis[trials:])
     l1, l2 = bm.lift(g1, tol), bm.lift(g2, tol)
     joined, lifted_joined = sub.join(g1, g2, tol), sub.join(l1, l2, tol)
     checks = (

@@ -1,7 +1,10 @@
 """Composite-system machinery: axioms, intertwiners, basis maps, isomorphism."""
 
+import dataclasses
+import gc
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from orthologic.composite import (
     verify_tensor_isomorphism,
 )
 from orthologic.core import DEFAULT_TOL, Tolerance, as_vector, random_unitary, random_vector
-from orthologic.core import subseed
+from orthologic.core import rank, subseed
 from orthologic.errors import (
     AnchorNotInMeet,
     AxiomViolation,
@@ -927,7 +930,8 @@ def per_trial_axioms(h1, h2, trials, seed, tol=DEFAULT_TOL):
         worst = 0.0
         for trial in range(trials):
             for kind, subspaces in sample(trial):
-                holds, residual = composite._AXIOM_CHECKS[kind](*morphisms, *subspaces, tol)
+                holds, residual = composite._AXIOM_CHECKS[kind](composite._Memo(tol), *morphisms,
+                                                                 *subspaces)
                 worst = max(worst, residual)
                 if not holds:
                     return worst, composite._axiom_ce(kind, side, subspaces), trial + 1
@@ -937,11 +941,11 @@ def per_trial_axioms(h1, h2, trials, seed, tol=DEFAULT_TOL):
     for side, h in ((1, h1), (2, h2)):
         d = h.source_dim
         samples += 1
-        if not composite._AXIOM_CHECKS["unitarity"](h, tol)[0]:
+        if not composite._AXIOM_CHECKS["unitarity"](composite._Memo(tol), h)[0]:
             ce = composite._axiom_ce("unitarity", side, ())
             continue
         samples += 1
-        if not composite._AXIOM_CHECKS["zero"](h, tol)[0]:
+        if not composite._AXIOM_CHECKS["zero"](composite._Memo(tol), h)[0]:
             ce = composite._axiom_ce("zero", side, ())
             continue
 
@@ -1186,3 +1190,212 @@ class TestBatchedIsomorphism:
         assert (report.failures, report.worst_residual) == (failures, worst)
         assert 0 < len({f.split("@")[1] for f in failures}) < 30
         assert {f.split("@")[0] for f in failures} >= {"join", "meet"}
+
+
+# Each image, join, ray image and frame of a composite-verify run is
+# computed once.  The counts come from wrapping SubspaceMorphism.__call__,
+# subspace.join and core._gaussian; the oracles below compute the same
+# values the way the module did before it shared them.
+
+
+def recording(monkeypatch, owner, name):
+    """Wrap owner.name to record (arguments, result) of each call; the
+    record holds the objects, so no id recurs while it lives."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def uncached_sweep(sweep):
+    """``sweep`` with each _AXIOM_CHECKS entry run again on its batches,
+    every entry through a fresh _Memo, so that no check sees another's
+    images or joins: the oracle of the memo that _checked shares."""
+    tol = sweep.tol
+
+    def rerun(morphisms, checks):
+        out = []
+        for kind, _, _, batches in checks:
+            holds, residual = composite._AXIOM_CHECKS[kind](composite._Memo(tol), *morphisms,
+                                                             *batches)
+            trials = len(batches[0].elements())
+            out.append((kind, np.broadcast_to(holds, trials), np.broadcast_to(residual, trials),
+                        batches))
+        return out
+
+    sides = tuple((side, precheck, checks and rerun(((sweep.h1, sweep.h2)[side - 1],), checks))
+                  for side, precheck, checks in sweep.sides)
+    cross = tuple(rerun((sweep.h1, sweep.h2), checks) for checks in sweep.cross)
+    return dataclasses.replace(sweep, sides=sides, cross=cross)
+
+
+class TestOneSweepComputesEachImageOnce:
+    @pytest.mark.parametrize("name", ["plain", "twist", "conjugated", "dim-skipping"])
+    def test_each_batch_is_mapped_and_each_pair_joined_once_per_side(self, monkeypatch, name):
+        h1, h2 = SWEEP_PAIRS[name]()
+        maps = recording(monkeypatch, SubspaceMorphism, "__call__")
+        joins = recording(monkeypatch, sub, "join")
+        sweep = sweep_axioms(h1, h2, 12, 5)
+        keys = [(id(h), id(p)) for (h, p), _ in maps]
+        assert len(keys) == len(set(keys))
+        assert len(joins) == len({(id(p), id(q)) for (p, q, *_), _ in joins})
+        for (side, _, checks), h in zip(sweep.sides, (h1, h2)):
+            p, q, r = checks[1][3]
+            images = {id(b): out for (g, b), out in maps if g is h}
+            assert all(id(b) in images for b in (p, q, r))
+            pairs = [(id(a), id(b)) for (a, b, *_), _ in joins]
+            assert pairs.count((id(p), id(q))) == 1
+            assert pairs.count((id(images[id(p)]), id(images[id(q)]))) == 1
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_PAIRS))
+    def test_reports_equal_the_uncached_fold(self, name):
+        h1, h2 = SWEEP_PAIRS[name]()
+        sweep = sweep_axioms(h1, h2, 15, 2)
+        oracle = uncached_sweep(sweep)
+        for n in (0, 1, 7, 15):
+            assert report_bytes(sweep.reports(n)) == report_bytes(oracle.reports(n)), n
+
+    def test_a_map_taking_one_subspace_verifies_through_the_memo(self):
+        h1, h2 = canonical_pair(3, 4, True, False, True)
+        seen = ([], [])
+
+        def one_at_a_time(h, bases):
+            def mapped(p):
+                assert not p.is_batch
+                bases.append(p.basis)
+                return h.map(p)
+            return SubspaceMorphism(h.source_dim, h.target_dim, mapped)
+
+        plain = (one_at_a_time(h1, seen[0]), one_at_a_time(h2, seen[1]))
+        reports = verify_axioms(*plain, trials=10, seed=4)
+        # the memo maps each element of a batch once: no basis array twice
+        for bases in seen:
+            assert len(bases) > 10 and len({id(b) for b in bases}) == len(bases)
+        assert report_bytes(reports) == report_bytes(verify_axioms(h1, h2, trials=10, seed=4))
+        assert all(r.passed for r in reports)
+        iso = verify_tensor_isomorphism(sweep_axioms(*plain, 10, 4), trials=5, axiom_trials=10)
+        assert iso.passed
+
+    def test_a_patched_broken_map_records_and_replays_its_counterexample(self, monkeypatch):
+        h1, h2 = canonical_pair(3, 4, False, False, False)
+        base = h2.map
+        top = base(full_subspace(4))
+        bases = []
+
+        def broken(p):
+            bases.append(p.basis)
+            return top if p.dim == 3 else base(p)
+
+        monkeypatch.setattr(h2, "map", broken)
+        reports = verify_axioms(h1, h2, trials=20, seed=1)
+        assert len({id(b) for b in bases}) == len(bases)
+        ce = reports[0].counterexample
+        assert not reports[0].passed and ce["side"] == 2
+        assert ce["kind"] in ("join", "family_join", "complement")
+        assert recheck_axiom_counterexample(h1, h2, ce)
+        assert not recheck_axiom_counterexample(*canonical_pair(3, 4, False, False, False), ce)
+
+    def test_equal_batches_are_each_mapped(self, monkeypatch, pair33):
+        h = pair33[0]
+        seeds = np.array([3, 4, 5], dtype=object)
+        p = sub.random_subspace(3, [1, 2, 1], seeds)
+        twin = Subspace(3, tuple(b.copy() for b in p.basis))
+        maps = recording(monkeypatch, SubspaceMorphism, "__call__")
+        joins = recording(monkeypatch, sub, "join")
+        memo = composite._Memo(DEFAULT_TOL)
+        image, twin_image = memo.image(h, p), memo.image(h, twin)
+        assert twin_image is not image and memo.image(h, p) is image
+        assert [args[1] for args, _ in maps] == [p, twin]
+        assert all(np.array_equal(a, b) for a, b in zip(image.basis, twin_image.basis))
+        assert memo.image(pair33[1], sub.random_subspace(3, [1, 1, 1], seeds)) is not image
+        joined = memo.join(p, twin)
+        assert memo.join(twin, p) is not joined and memo.join(p, twin) is joined
+        assert len(joins) == 2
+
+    def test_the_memo_holds_its_keys(self, pair33):
+        memo = composite._Memo(DEFAULT_TOL)
+        p = sub.random_subspace(3, [1, 2], np.array([1, 2], dtype=object))
+        key = weakref.ref(p)
+        image = memo.image(pair33[0], p)
+        del p
+        gc.collect()
+        assert key() is not None
+        assert memo.image(pair33[0], key()) is image
+
+
+def single_ray_matrix(h, y, x, tol=DEFAULT_TOL):
+    """F_{y,x} derived one ray at a time, each ray mapped on its own: the
+    oracle of the batched derivation."""
+    xv, yv = as_vector(x), as_vector(y)
+    if rank(np.column_stack([xv, yv]), tol) < 2:
+        z = np.eye(h.source_dim, dtype=complex)[int(np.argmin(np.abs(xv)))]
+        return single_ray_matrix(h, yv, z, tol) @ single_ray_matrix(h, z, xv, tol)
+    bx, by, bd = (h.map_ray(v).basis for v in (xv, yv, xv - yv))
+    coef = np.linalg.lstsq(np.hstack([bx, -by]), bd, rcond=None)[0]
+    k = bx.shape[1]
+    return by @ np.linalg.solve(coef[:k].T, coef[k:].T).T @ bx.conj().T
+
+
+def single_ray_onb(h1, h2, tol=DEFAULT_TOL):
+    """The basis map's matrix on the coordinate bases, one ray at a time."""
+    z1, z2, z = default_anchors(h1, h2, tol)
+    alpha = float(np.linalg.norm(z1) * np.linalg.norm(z2) / np.linalg.norm(z))
+    e, f = np.eye(h1.source_dim, dtype=complex), np.eye(h2.source_dim, dtype=complex)
+    k_steps = np.column_stack([single_ray_matrix(h2, y, z2, tol) @ z for y in f.T])
+    return alpha * np.hstack([single_ray_matrix(h1, x, z1, tol) @ k_steps for x in e.T])
+
+
+class TestBasisMapMapsRaysInBatches:
+    def test_the_twisted_4x4_map_takes_few_morphism_calls(self, monkeypatch):
+        h1, h2 = canonical_pair(4, 4, True, False, False)
+        oracle = single_ray_onb(h1, h2)
+        maps = recording(monkeypatch, SubspaceMorphism, "__call__")
+        bm = build_basis_map(h1, h2)
+        assert len(maps) <= 10
+        assert bm.matrix.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("config", [*LIFT_PAIRS, (5, 3, True, True, True),
+                                        (3, 5, False, True, False)])
+    def test_the_matrix_equals_the_single_ray_derivation(self, config):
+        h1, h2 = canonical_pair(*config)
+        assert build_basis_map(h1, h2).matrix.tobytes() == single_ray_onb(h1, h2).tobytes()
+
+    @pytest.mark.parametrize("config", LIFT_PAIRS)
+    def test_intertwiners_equal_the_single_ray_derivation(self, config):
+        for h in canonical_pair(*config):
+            d = h.source_dim
+            x = random_vector(d, 7)
+            for y in (random_vector(d, 8), (0.3 - 2j) * x, x, np.eye(d)[0]):
+                domain = h.map_ray(x)
+                u = domain.basis @ random_vector(domain.dim, 9)
+                assert np.array_equal(intertwiner_F(h, y, x)(u), single_ray_matrix(h, y, x) @ u)
+
+
+class TestIsomorphismDrawsEachFrameOnce:
+    def test_g1_and_g2_come_from_one_draw(self, monkeypatch):
+        h1, h2 = canonical_pair(4, 4, True, False, False)
+        sweep = sweep_axioms(h1, h2, 12, 101)
+        trials = 25
+        drawn = recording(monkeypatch, core, "_gaussian")
+        subspaces = recording(monkeypatch, sub, "random_subspace")
+        assert verify_tensor_isomorphism(sweep, trials=trials, axiom_trials=12).passed
+        keys = [args for args, _ in drawn]
+        assert len(keys) == len(set(keys))
+        monkeypatch.undo()
+        # the two-call draw
+        seeds = np.array([subseed(101, "tensoriso", t) for t in range(trials)], dtype=object)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        dims = [(rng.integers(0, 17), rng.integers(1, 16)) for rng in rngs]
+        g1 = sub.random_subspace(16, [k for k, _ in dims], seeds)
+        g2 = sub.random_subspace(16, [k for _, k in dims], seeds + 1)
+        assert len(set(keys)) == len({(16, s) for s in [*seeds, *(seeds + 1)]})
+        merged = [b for _, out in subspaces for b in out.basis]
+        assert len(merged) == 2 * trials
+        for got, want in zip(merged, g1.basis + g2.basis):
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
