@@ -253,8 +253,7 @@ def _classical_lattice_report(omega: int, tol: Tolerance) -> dict:
     }
 
 
-def cmd_lattice_check(args) -> int:
-    tol = _tolerance()
+def cmd_lattice_check(args, tol: Tolerance) -> int:
     if args.classical:
         results = _classical_lattice_report(args.omega, tol)
     else:
@@ -263,8 +262,7 @@ def cmd_lattice_check(args) -> int:
     return 0 if results["expected_pattern"] else 1
 
 
-def cmd_composite_verify(args) -> int:
-    tol = _tolerance()
+def cmd_composite_verify(args, tol: Tolerance) -> int:
     if args.classical:
         s1 = cl.PhaseSpace(tuple(f"a{k}" for k in range(args.n1)))
         s2 = cl.PhaseSpace(tuple(f"b{k}" for k in range(args.n2)))
@@ -295,12 +293,7 @@ def cmd_composite_verify(args) -> int:
     return 0 if passed else 1
 
 
-def cmd_truth_demo(args) -> int:
-    tol = _tolerance()
-    # a usage error writes no file: every output path is checked first
-    for path in (args.csv, args.curve_csv, args.output):
-        if path:
-            _check_writable(path)
+def cmd_truth_demo(args, tol: Tolerance) -> int:
     model = OscillatorModel(n_max=args.nmax)
     dim = model.levels
     state = np.zeros(dim, dtype=complex)
@@ -422,8 +415,13 @@ def main(argv=None) -> int:
         parser.error("--eigenfunctions requires --csv PATH")
     if args.command == "truth-demo" and args.csv and not args.eigenfunctions:
         parser.error("--csv requires --eigenfunctions")
+    tol = _tolerance()
     try:
-        return args.func(args)
+        # a usage error writes no file and runs no work: every output path is checked first
+        for path in (getattr(args, "csv", None), getattr(args, "curve_csv", None), args.output):
+            if path:
+                _check_writable(path)
+        return args.func(args, tol)
     except OrthologicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

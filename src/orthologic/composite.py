@@ -14,7 +14,9 @@ counterexample kind it records: sweep_axioms runs it once on a batch of
 all its seeded trials (a Subspace batch, see ``subspace``), and
 recheck_axiom_counterexample replays it on the subspaces of the JSON.
 The checks of one side share a memo for that call, so each batch is
-mapped and each pair joined once, however many checks read it.
+mapped and each pair joined once, however many checks read it.  The
+table also holds the m-morphism criterion, which check_m_morphism runs
+once on the batches of the x, y and x - y rays of all its trials.
 Trial t draws from subseed(seed, tag, t) alone, so the reports of the
 first n trials fold from any longer sweep: composite-verify sweeps once
 and reports the axioms twice, at --trials and inside the isomorphism,
@@ -181,6 +183,13 @@ def canonical_h(
     return SubspaceMorphism(source_dim=source_dim, target_dim=dim, map=embed)
 
 
+def _rays(d: int, vectors, tol: Tolerance) -> Subspace:
+    """The batch of the rays of the vectors in C^d: each element is
+    span_of of its vector."""
+    columns = tuple(v[:, None] for v in vectors)
+    return Subspace(d, each(lambda m: orthonormal_bases(m, tol), columns))
+
+
 def _ray_labels(h: SubspaceMorphism, y, x, tol: Tolerance) -> tuple:
     """The label pairs of the graphs whose matrices multiply to F_{y,x}:
     (y, x) for independent labels, (y, z) and (z, x) for parallel ones,
@@ -215,10 +224,8 @@ def _ray_matrices(h: SubspaceMorphism, pairs, tol: Tolerance, rays=()) -> tuple:
     labels = [_ray_labels(h, y, x, tol) for y, x in pairs]
     needed = [as_vector(v) for v in rays]
     needed += [v for graphs in labels for y, x in graphs for v in (x, y, x - y)]
-    distinct = {v.tobytes(): v[:, None] for v in needed}
-    # each element is span_of of its vector
-    spans = each(lambda m: orthonormal_bases(m, tol), tuple(distinct.values()))
-    images = dict(zip(distinct, h(Subspace(h.source_dim, spans)).elements()))
+    distinct = {v.tobytes(): v for v in needed}
+    images = dict(zip(distinct, h(_rays(h.source_dim, distinct.values(), tol)).elements()))
 
     def graph(y, x) -> np.ndarray:
         bx, by, bd = (images[v.tobytes()].basis for v in (x, y, x - y))
@@ -360,6 +367,10 @@ _AXIOM_CHECKS = {
     ),
     "compatibility": lambda m, h1, h2, p, q: _commuting(m.image(h1, p), m.image(h2, q), m.tol),
     "atom_meet": lambda m, h1, h2, p, q: _atom(sub.meet(m.image(h1, p), m.image(h2, q), m.tol)),
+    # p = <x>, q = <y>, r = <x - y> (check_m_morphism)
+    "m_morphism": lambda m, h, p, q, r: sub.inclusion(
+        m.image(h, r), m.join(m.image(h, p), m.image(h, q)), m.tol
+    ),
 }
 
 
@@ -637,33 +648,23 @@ def check_m_morphism(
 
     Checks that the image of <x - y> is contained in the join of the
     images of <x> and <y>; a c-morphism passing this sends modular
-    pairs to modular pairs.
+    pairs to modular pairs.  Every fifth trial takes y = 2x and the
+    others an independent y, so x - y is never zero.  The x, y and x - y
+    rays of all trials are three batches, checked by one run of the
+    "m_morphism" check.
     """
-    worst = 0.0
-    for trial in range(trials):
-        s = subseed(seed, "mmorph", trial)
-        x = random_vector(h.source_dim, s)
-        if trial % 5 == 4:
-            y = 2.0 * x
-        else:
-            y = random_vector(h.source_dim, s + 1)
-        diff = x - y
-        if float(np.linalg.norm(diff)) < tol.eps_rank:
-            continue
-        image_diff = h.map_ray(diff)
-        target = sub.join(h.map_ray(x), h.map_ray(y), tol)
-        included, residual = sub.inclusion(image_diff, target, tol)
-        worst = max(worst, residual)
-        if not included:
-            report = LawReport(
-                "m_morphism", False, trials=trial + 1, worst_residual=worst
-            )
-            report.counterexample = {
-                "x": sub.complex_to_json(x),
-                "y": sub.complex_to_json(y),
-            }
-            return report
-    return LawReport("m_morphism", True, trials=trials, worst_residual=worst)
+    seeds = [subseed(seed, "mmorph", t) for t in range(trials)]
+    xs = [random_vector(h.source_dim, s) for s in seeds]
+    ys = [2.0 * x if t % 5 == 4 else random_vector(h.source_dim, s + 1)
+          for t, (x, s) in enumerate(zip(xs, seeds))]
+    rays = [_rays(h.source_dim, vs, tol) for vs in (xs, ys, [x - y for x, y in zip(xs, ys)])]
+    checks = _checked((h,), (("m_morphism", rays),), tol)
+    worst, failure, run = _first_failure(checks, None, trials)
+    report = LawReport("m_morphism", failure is None, trials=run, worst_residual=worst)
+    if failure is not None:
+        report.counterexample = {"x": sub.complex_to_json(xs[run - 1]),
+                                 "y": sub.complex_to_json(ys[run - 1])}
+    return report
 
 
 def default_anchors(
@@ -722,21 +723,17 @@ def build_U_V(
     """
     z1, z2, z, alpha = _anchored(h1, h2, anchors, tol)
 
-    def u_map(x2, x1) -> np.ndarray:
-        x2v, x1v = as_vector(x2), as_vector(x1)
-        if float(np.linalg.norm(x2v)) < tol.eps_rank:
-            raise ZeroState("the slice ray label must be nonzero")
-        k_step = intertwiner_F(h2, x2v, z2, tol)(z)
-        return (alpha / float(np.linalg.norm(x2v))) * intertwiner_F(h1, x1v, z1, tol)(k_step)
+    def along(slice_h, slice_z, h, h_z):  # (s, x) -> alpha / |s| F_{x,h_z} F_{s,slice_z} z
+        def apply(s, x) -> np.ndarray:
+            sv, xv = as_vector(s), as_vector(x)
+            if float(np.linalg.norm(sv)) < tol.eps_rank:
+                raise ZeroState("the slice ray label must be nonzero")
+            step = intertwiner_F(slice_h, sv, slice_z, tol)(z)
+            return (alpha / float(np.linalg.norm(sv))) * intertwiner_F(h, xv, h_z, tol)(step)
 
-    def v_map(x1, x2) -> np.ndarray:
-        x1v, x2v = as_vector(x1), as_vector(x2)
-        if float(np.linalg.norm(x1v)) < tol.eps_rank:
-            raise ZeroState("the slice ray label must be nonzero")
-        f_step = intertwiner_F(h1, x1v, z1, tol)(z)
-        return (alpha / float(np.linalg.norm(x1v))) * intertwiner_F(h2, x2v, z2, tol)(f_step)
+        return apply
 
-    return u_map, v_map
+    return along(h2, z2, h1, z1), along(h1, z1, h2, z2)
 
 
 def _check_onb(basis, d, tol: Tolerance, what: str) -> np.ndarray:
@@ -805,15 +802,14 @@ class BasisMap:
     def lift(self, g: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
         """The span of the images of g's basis vectors; of a batch, of
         each element's."""
-        return Subspace(
-            self.index.dim, each(lambda b: orthonormal_bases(self._image(b), tol), g.basis)
-        )
+        return self._spans(self._image, g, tol)
 
     def lift_inverse(self, g: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
         """The span of the preimages of g's basis vectors (see lift)."""
-        return Subspace(
-            self.index.dim, each(lambda b: orthonormal_bases(self._preimage(b), tol), g.basis)
-        )
+        return self._spans(self._preimage, g, tol)
+
+    def _spans(self, f, g: Subspace, tol: Tolerance) -> Subspace:
+        return Subspace(self.index.dim, each(lambda b: orthonormal_bases(f(b), tol), g.basis))
 
     def _image(self, x: np.ndarray) -> np.ndarray:
         """apply on a vector, the columns of a matrix or a stack of them."""

@@ -294,6 +294,30 @@ def test_unwritable_path_is_a_usage_error(capsys, tmp_path, argv):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice-check", "--dim1", "3", "--trials", "5"],
+        ["lattice-check", "--classical", "--omega", "5"],
+        ["composite-verify", "--dim1", "3", "--dim2", "3", "--trials", "5"],
+        ["composite-verify", "--classical", "--n1", "3", "--n2", "4"],
+        ["truth-demo"],
+    ],
+)
+def test_an_unwritable_output_stops_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report function ran")
+
+    for name in ("_quantum_lattice_report", "_classical_lattice_report", "canonical_h",
+                 "OscillatorModel"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(cli.cl, "PhaseSpace", refuse)
+    assert main(argv + ["--output", str(tmp_path / "missing" / "out.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file or directory: ")
+
+
 @pytest.mark.parametrize("bad", ["--curve-csv", "--output"])
 def test_a_usage_error_writes_no_file(capsys, tmp_path, bad):
     argv = ["truth-demo", "--eigenfunctions", "--csv", str(tmp_path / "ok.csv"),

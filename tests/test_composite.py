@@ -44,6 +44,7 @@ from orthologic.errors import (
     PreconditionViolated,
     ZeroState,
 )
+from orthologic.laws import LawReport
 from orthologic.subspace import (
     Subspace,
     equal,
@@ -1095,6 +1096,77 @@ def test_one_composite_verify_run_draws_each_axiom_batch_once(capsys, monkeypatc
                     "random_ray": [swept, swept, trials]}
     assert report["axioms"][1]["samples"] == trials
     assert report["isomorphism"]["axioms"][1]["samples"] == max(10, trials // 2)
+
+
+# check_m_morphism as it ran before its trials became one batch: trial by
+# trial, three single-ray morphism calls each, up to the first failure.
+
+
+def per_trial_m_morphism(h, trials, seed, tol=DEFAULT_TOL):
+    worst = 0.0
+    for trial in range(trials):
+        s = subseed(seed, "mmorph", trial)
+        x = random_vector(h.source_dim, s)
+        if trial % 5 == 4:
+            y = 2.0 * x
+        else:
+            y = random_vector(h.source_dim, s + 1)
+        diff = x - y
+        if float(np.linalg.norm(diff)) < tol.eps_rank:  # never taken: x - y is -x or Gaussian
+            continue
+        image_diff = h.map_ray(diff)
+        target = join(h.map_ray(x), h.map_ray(y), tol)
+        included, residual = sub.inclusion(image_diff, target, tol)
+        worst = max(worst, residual)
+        if not included:
+            report = LawReport("m_morphism", False, trials=trial + 1, worst_residual=worst)
+            report.counterexample = {"x": sub.complex_to_json(x), "y": sub.complex_to_json(y)}
+            return report
+    return LawReport("m_morphism", True, trials=trials, worst_residual=worst)
+
+
+M_MORPHISMS = {
+    "canonical-3x3": lambda: canonical_h(1, 3, 3),
+    "conjugated-3x4": lambda: canonical_h(1, 3, 4, conjugate=True),
+    "twisted-4x4": lambda: canonical_h(2, 4, 4, twist=random_unitary(16, 41)),
+    "map-only-3x5": lambda: map_only(canonical_h(2, 3, 5)),
+    "rank-inflating": make_rank_inflating,
+    "slice-embedding": make_slice_embedding,
+    "gemischt": make_gemischt,
+    "oblique": make_oblique,
+    # fails past trial 1, so a counterexample is read off a later trial
+    "sometimes-twisted": make_sometimes_twisted,
+}
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(1e-12)], ids=["default", "1e-12"])
+@pytest.mark.parametrize("name", sorted(M_MORPHISMS))
+def test_batched_m_morphism_equals_the_per_trial_loop(name, tol):
+    h = M_MORPHISMS[name]()
+    differ, runs = [], set()
+    for trials, seed in itertools.product((0, 1, 7, 50), (0, 1, 2, 4)):
+        batched = check_m_morphism(h, trials, seed, tol).to_json()
+        if batched != per_trial_m_morphism(h, trials, seed, tol).to_json():
+            differ.append((trials, seed))
+        runs.add((batched["holds"], batched["trials"]))
+    assert differ == []
+    failing = {n for holds, n in runs if not holds}
+    assert bool(failing) == (name in ("rank-inflating", "sometimes-twisted"))
+    if name == "sometimes-twisted":
+        assert max(failing) > 1
+
+
+def test_one_m_morphism_check_maps_each_ray_batch_once(monkeypatch, pair33):
+    calls = []
+    original = SubspaceMorphism.__call__
+
+    def counted(self, p):
+        calls.append(len(p.elements()))
+        return original(self, p)
+
+    monkeypatch.setattr(SubspaceMorphism, "__call__", counted)
+    assert check_m_morphism(pair33[0], trials=50, seed=1).holds
+    assert calls == [50, 50, 50]
 
 
 LIFT_PAIRS = [(3, 3, False, False, False), (3, 4, True, False, False),
