@@ -51,7 +51,6 @@ from .core import (
     rank,
 )
 from .errors import (
-    AnchorNotInMeet,
     AxiomViolation,
     DimensionMismatch,
     InvalidDimension,
@@ -105,6 +104,6 @@ from .tensor import (
     product_state_probability,
     riesz,
 )
-from .truth import StateVector, TruthValue, truth_value
+from .truth import TruthValue, truth_value
 
 __version__ = "0.1.0"

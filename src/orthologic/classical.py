@@ -59,13 +59,6 @@ class PhaseSpace:
     def index(self, label) -> int:
         return self.points.index(label)
 
-    def to_json(self) -> dict:
-        return {"points": [list(p) if isinstance(p, tuple) else p for p in self.points]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PhaseSpace":
-        return cls(tuple(tuple(p) if isinstance(p, list) else p for p in data["points"]))
-
 
 @dataclass(frozen=True)
 class ClassicalProp:

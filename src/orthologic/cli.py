@@ -48,7 +48,7 @@ from . import subspace as sub
 from .composite import canonical_h, sweep_axioms, verify_tensor_isomorphism
 # Not called here; kept as the module binding that bench/tracer.py patches.
 from .composite import verify_axioms  # noqa: F401
-from .core import DEFAULT_TOL, Tolerance, random_unitary, subseed
+from .core import DEFAULT_TOL, Tolerance, random_unitary, subseed, subseeds
 from .errors import OrthologicError, PreconditionViolated
 from .oscillator import (
     OscillatorModel,
@@ -205,7 +205,7 @@ def _quantum_lattice_report(d: int, trials: int, seed: int, tol: Tolerance) -> d
     expected = True
     for check in _LATTICE_CHECKS:
         n = max(1, trials // check.per)
-        seeds = np.array([subseed(seed, check.tag, t) for t in range(n)], dtype=object)
+        seeds = subseeds(seed, check.tag, n)
         try:
             report = check.check(*check.sample(d, np.arange(n), seeds, tol), seeds, tol)
         except PreconditionViolated:  # every instance outside the law's hypothesis

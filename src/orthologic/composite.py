@@ -16,7 +16,8 @@ recheck_axiom_counterexample replays it on the subspaces of the JSON.
 The checks of one side share a memo for that call, so each batch is
 mapped and each pair joined once, however many checks read it.  The
 table also holds the m-morphism criterion, which check_m_morphism runs
-once on the batches of the x, y and x - y rays of all its trials.
+once on the batches of the x, y and x - y rays of all its trials; its
+counterexample records them as side 1, and replays like axiom I's.
 Trial t draws from subseed(seed, tag, t) alone, so the reports of the
 first n trials fold from any longer sweep: composite-verify sweeps once
 and reports the axioms twice, at --trials and inside the isomorphism,
@@ -55,12 +56,11 @@ import numpy as np
 
 from . import subspace as sub
 from .core import DEFAULT_TOL, Tolerance, as_columns, as_vector, each, orthonormal_bases
-from .core import random_vector, rank, subseed
+from .core import random_vector, rank, subseed, subseeds
 # Not called here: the isomorphism draws its frames through sub.random_subspace.
 # Imported so that the binding bench/tracer.py lists still resolves.
 from .core import random_unitary  # noqa: F401
 from .errors import (
-    AnchorNotInMeet,
     AxiomViolation,
     DimensionMismatch,
     InvalidDimension,
@@ -85,7 +85,6 @@ __all__ = [
     "restriction_iso_u",
     "restriction_iso_v",
     "intertwiner_F",
-    "extended_intertwiner",
     "check_commutation",
     "classify_linearity",
     "check_m_morphism",
@@ -183,13 +182,6 @@ def canonical_h(
     return SubspaceMorphism(source_dim=source_dim, target_dim=dim, map=embed)
 
 
-def _rays(d: int, vectors, tol: Tolerance) -> Subspace:
-    """The batch of the rays of the vectors in C^d: each element is
-    span_of of its vector."""
-    columns = tuple(v[:, None] for v in vectors)
-    return Subspace(d, each(lambda m: orthonormal_bases(m, tol), columns))
-
-
 def _ray_labels(h: SubspaceMorphism, y, x, tol: Tolerance) -> tuple:
     """The label pairs of the graphs whose matrices multiply to F_{y,x}:
     (y, x) for independent labels, (y, z) and (z, x) for parallel ones,
@@ -225,7 +217,7 @@ def _ray_matrices(h: SubspaceMorphism, pairs, tol: Tolerance, rays=()) -> tuple:
     needed = [as_vector(v) for v in rays]
     needed += [v for graphs in labels for y, x in graphs for v in (x, y, x - y)]
     distinct = {v.tobytes(): v for v in needed}
-    images = dict(zip(distinct, h(_rays(h.source_dim, distinct.values(), tol)).elements()))
+    images = dict(zip(distinct, h(sub.rays(h.source_dim, distinct.values(), tol)).elements()))
 
     def graph(y, x) -> np.ndarray:
         bx, by, bd = (images[v.tobytes()].basis for v in (x, y, x - y))
@@ -256,19 +248,6 @@ def intertwiner_F(h: SubspaceMorphism, y, x, tol: Tolerance = DEFAULT_TOL):
         if not domain.contains(uv, tol):
             raise NotInDomain("vector is not in the image of the source ray")
         return matrix @ uv
-
-    return apply
-
-
-def extended_intertwiner(h: SubspaceMorphism, y, x, tol: Tolerance = DEFAULT_TOL):
-    """Extension acting as the identity off the image of <x>."""
-    base = intertwiner_F(h, y, x, tol)
-
-    def apply(u) -> np.ndarray:
-        try:
-            return base(u)
-        except NotInDomain:
-            return as_vector(u).copy()
 
     return apply
 
@@ -469,9 +448,6 @@ def sweep_axioms(
     if h1.target_dim != h2.target_dim:
         raise DimensionMismatch("morphisms must share a target space")
 
-    def seeds(tag: str) -> np.ndarray:
-        return np.array([subseed(seed, tag, t) for t in range(trials)], dtype=object)
-
     # Axiom I: each h alone must be a unitary c-morphism.
     sides = []
     for side, h in ((1, h1), (2, h2)):
@@ -480,8 +456,9 @@ def sweep_axioms(
         checks = None
         if precheck is None:
             d = h.source_dim
-            p, q, r = sub.random_family((d, d, d), seeds(f"axiom1_side{side}"), proper=False)
-            cp, cq = sub.compatible_pair(d, seeds(f"compat{side}"))
+            p, q, r = sub.random_family((d, d, d), subseeds(seed, f"axiom1_side{side}", trials),
+                                        proper=False)
+            cp, cq = sub.compatible_pair(d, subseeds(seed, f"compat{side}", trials))
             checks = _checked((h,), (
                 ("join", (p, q)),
                 ("family_join", (p, q, r)),
@@ -493,8 +470,8 @@ def sweep_axioms(
     # Axiom II: cross-images are compatible.  Axiom III: atom images meet
     # in an atom.
     d1, d2 = h1.source_dim, h2.source_dim
-    p1, p2 = sub.random_family((d1, d2), seeds("axiom2"), proper=False)
-    atoms = seeds("axiom3")
+    p1, p2 = sub.random_family((d1, d2), subseeds(seed, "axiom2", trials), proper=False)
+    atoms = subseeds(seed, "axiom3", trials)
     r1, r2 = sub.random_ray(d1, atoms, tol), sub.random_ray(d2, atoms + 1, tol)
     cross = (
         _checked((h1, h2), (("compatibility", (p1, p2)),), tol),
@@ -526,7 +503,10 @@ def recheck_axiom_counterexample(
 ) -> bool:
     """Re-run the single check recorded in a counterexample.
 
-    Returns True when the recorded failure reproduces.
+    Returns True when the recorded failure reproduces.  The one-sided
+    kinds (axiom I, and the "m_morphism" kind of check_m_morphism, which
+    records side 1) replay on the morphism of their side, so the morphism
+    of a check_m_morphism counterexample is passed as h1.
     """
     check = _AXIOM_CHECKS.get(ce["kind"])
     if check is None:
@@ -651,20 +631,18 @@ def check_m_morphism(
     pairs to modular pairs.  Every fifth trial takes y = 2x and the
     others an independent y, so x - y is never zero.  The x, y and x - y
     rays of all trials are three batches, checked by one run of the
-    "m_morphism" check.
+    "m_morphism" check; the rays of the first failing trial are the
+    counterexample, recorded as side 1 (see recheck_axiom_counterexample).
     """
-    seeds = [subseed(seed, "mmorph", t) for t in range(trials)]
+    seeds = subseeds(seed, "mmorph", trials)
     xs = [random_vector(h.source_dim, s) for s in seeds]
     ys = [2.0 * x if t % 5 == 4 else random_vector(h.source_dim, s + 1)
           for t, (x, s) in enumerate(zip(xs, seeds))]
-    rays = [_rays(h.source_dim, vs, tol) for vs in (xs, ys, [x - y for x, y in zip(xs, ys)])]
+    rays = [sub.rays(h.source_dim, vs, tol) for vs in (xs, ys, [x - y for x, y in zip(xs, ys)])]
     checks = _checked((h,), (("m_morphism", rays),), tol)
-    worst, failure, run = _first_failure(checks, None, trials)
-    report = LawReport("m_morphism", failure is None, trials=run, worst_residual=worst)
-    if failure is not None:
-        report.counterexample = {"x": sub.complex_to_json(xs[run - 1]),
-                                 "y": sub.complex_to_json(ys[run - 1])}
-    return report
+    worst, failure, run = _first_failure(checks, 1, trials)
+    return LawReport("m_morphism", failure is None, trials=run, worst_residual=worst,
+                     counterexample=failure)
 
 
 def default_anchors(
@@ -672,9 +650,10 @@ def default_anchors(
 ) -> tuple:
     """Anchor triple (z1, z2, z) with z spanning the meet of the images.
 
-    z1 and z2 default to the first coordinate vectors of the factors;
-    z is computed from the lattice itself, so the choice also works for
-    twisted morphisms where no closed form is available.  Image rays
+    z1 and z2 are the first coordinate vectors of the factors (the
+    basis map does not depend on this choice); z is computed from the
+    lattice itself, so the choice also works for twisted morphisms where
+    no closed form is available.  Image rays
     that do not meet fail axiom III (AxiomViolation).
     """
     z1 = np.zeros(h1.source_dim, dtype=complex)
@@ -693,27 +672,14 @@ def default_anchors(
     return z1, z2, z
 
 
-def _anchored(h1: SubspaceMorphism, h2: SubspaceMorphism, anchors, tol: Tolerance):
-    """The default anchor triple (z1, z2, z), or the supplied one once
-    validated, and alpha = |z1| |z2| / |z|."""
-    if anchors is None:
-        z1, z2, z = default_anchors(h1, h2, tol)
-    else:
-        z1, z2, z = (as_vector(a) for a in anchors)
-        if min(float(np.linalg.norm(v)) for v in (z1, z2, z)) < tol.eps_rank:
-            raise ZeroState("anchors must be nonzero")
-        anchor_meet = sub.meet(h1.map_ray(z1), h2.map_ray(z2), tol)
-        if not anchor_meet.contains(z, tol):
-            raise AnchorNotInMeet("z must lie in the meet of the anchor ray images")
+def _anchored(h1: SubspaceMorphism, h2: SubspaceMorphism, tol: Tolerance):
+    """The anchor triple (z1, z2, z) of default_anchors and alpha = |z1|
+    |z2| / |z|."""
+    z1, z2, z = default_anchors(h1, h2, tol)
     return z1, z2, z, float(np.linalg.norm(z1) * np.linalg.norm(z2) / np.linalg.norm(z))
 
 
-def build_U_V(
-    h1: SubspaceMorphism,
-    h2: SubspaceMorphism,
-    anchors: Optional[tuple] = None,
-    tol: Tolerance = DEFAULT_TOL,
-):
+def build_U_V(h1: SubspaceMorphism, h2: SubspaceMorphism, tol: Tolerance = DEFAULT_TOL):
     """Norm-preserving maps generated by the intertwiners.
 
     U(x2, x1) carries x1 into the composite space along the slice of
@@ -721,7 +687,7 @@ def build_U_V(
     according to the linearity class of the corresponding morphism,
     and U(x2, x1) spans h1(<x1>) meet h2(<x2>).
     """
-    z1, z2, z, alpha = _anchored(h1, h2, anchors, tol)
+    z1, z2, z, alpha = _anchored(h1, h2, tol)
 
     def along(slice_h, slice_z, h, h_z):  # (s, x) -> alpha / |s| F_{x,h_z} F_{s,slice_z} z
         def apply(s, x) -> np.ndarray:
@@ -753,7 +719,6 @@ def composite_onb(
     h2: SubspaceMorphism,
     basis1=None,
     basis2=None,
-    anchors: Optional[tuple] = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> list[np.ndarray]:
     """Orthonormal basis {U(f_j, e_i)} of the composite space.
@@ -765,12 +730,12 @@ def composite_onb(
     """
     e = _check_onb(basis1, h1.source_dim, tol, "basis1")
     f = _check_onb(basis2, h2.source_dim, tol, "basis2")
-    return list(_onb_matrix(h1, h2, e, f, anchors, tol).T)
+    return list(_onb_matrix(h1, h2, e, f, tol).T)
 
 
-def _onb_matrix(h1, h2, e: np.ndarray, f: np.ndarray, anchors, tol: Tolerance) -> np.ndarray:
+def _onb_matrix(h1, h2, e: np.ndarray, f: np.ndarray, tol: Tolerance) -> np.ndarray:
     """composite_onb as the columns of one matrix, for validated bases."""
-    z1, z2, z, alpha = _anchored(h1, h2, anchors, tol)
+    z1, z2, z, alpha = _anchored(h1, h2, tol)
     ks, _ = _ray_matrices(h2, [(y, z2) for y in f.T], tol)
     fs, _ = _ray_matrices(h1, [(x, z1) for x in e.T], tol)
     k_steps = np.column_stack([k @ z for k in ks])
@@ -828,7 +793,6 @@ def build_basis_map(
     h2: SubspaceMorphism,
     basis1=None,
     basis2=None,
-    anchors: Optional[tuple] = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> BasisMap:
     """Assemble the case-matched map from the tensor space to the target.
@@ -846,7 +810,7 @@ def build_basis_map(
     d1, d2 = h1.source_dim, h2.source_dim
     e = _check_onb(basis1, d1, tol, "basis1")
     f = _check_onb(basis2, d2, tol, "basis2")
-    matrix = _onb_matrix(h1, h2, e, f, anchors, tol)
+    matrix = _onb_matrix(h1, h2, e, f, tol)
     dual = lin1 != lin2
     # Coordinates of the input in the chosen product basis: for a plain
     # tensor factor the expansion uses the inner product with e_i; for
@@ -914,7 +878,7 @@ def verify_tensor_isomorphism(sweep: AxiomSweep, trials: int, axiom_trials: int)
         if not report.passed:
             raise AxiomViolation(f"axiom {report.axiom} fails; no isomorphism is built")
     dim = bm.index.dim
-    seeds = np.array([subseed(seed, "tensoriso", t) for t in range(trials)], dtype=object)
+    seeds = subseeds(seed, "tensoriso", trials)
     rngs = [np.random.default_rng(s) for s in seeds]
     dims = [(rng.integers(0, dim + 1), rng.integers(1, dim)) for rng in rngs]
     # g2 draws from seeds + 1, mostly other trials' seeds: one call draws

@@ -39,6 +39,7 @@ __all__ = [
     "random_unitary",
     "random_vector",
     "subseed",
+    "subseeds",
 ]
 
 
@@ -216,3 +217,9 @@ def subseed(base: int, name: str, index: int) -> int:
     decorrelated across commands.
     """
     return (int(base) ^ zlib.crc32(name.encode("utf-8")) ^ int(index)) & 0xFFFFFFFFFFFFFFFF
+
+
+def subseeds(base: int, name: str, n: int) -> np.ndarray:
+    """The seeds of trials 0..n-1, ``subseed(base, name, t)``, as the
+    object array of Python ints that a batch sampler takes."""
+    return np.array([subseed(base, name, t) for t in range(n)], dtype=object)

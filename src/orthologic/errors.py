@@ -43,7 +43,3 @@ class AxiomViolation(OrthologicError):
 
 class NotOrthonormal(OrthologicError):
     """A supplied family of vectors is not orthonormal."""
-
-
-class AnchorNotInMeet(OrthologicError):
-    """A supplied anchor vector does not lie in the required intersection."""

@@ -42,6 +42,7 @@ __all__ = [
     "random_subspace",
     "random_subspace_of",
     "random_family",
+    "rays",
     "random_ray",
     "compatible_pair",
     "complex_to_json",
@@ -328,11 +329,17 @@ def random_family(dims, seed, proper: bool) -> list[Subspace]:
             for j, (d, kj) in enumerate(zip(dims, ks))]
 
 
+def rays(d: int, vectors, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+    """The batch of the rays of the vectors (1-d complex arrays) in C^d:
+    each element is ``span_of`` of its vector."""
+    columns = tuple(v[:, None] for v in vectors)
+    return Subspace(d, each(lambda m: orthonormal_bases(m, tol), columns))
+
+
 def random_ray(d: int, seed: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """The batch of the spans of ``random_vector(d, s)``, one for each seed
-    s of the array ``seed``: each element is ``span_of`` of its vector."""
-    vectors = tuple(random_vector(d, s)[:, None] for s in seed)
-    return Subspace(d, each(lambda m: orthonormal_bases(m, tol), vectors))
+    """``rays`` of ``random_vector(d, s)``, one for each seed s of the array
+    ``seed``."""
+    return rays(d, [random_vector(d, s) for s in seed], tol)
 
 
 def compatible_pair(d: int, seed) -> tuple[Subspace, Subspace]:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Tolerance, as_vector, inner, rank
 from .errors import DimensionMismatch, ZeroState
-from .truth import StateVector
 
 __all__ = [
     "TensorIndex",
@@ -133,16 +132,13 @@ def is_separable(v, idx: TensorIndex, tol: Tolerance = DEFAULT_TOL):
     return schmidt_rank == 1, schmidt_rank
 
 
-def product_state_probability(
-    psi1: StateVector, psi2: StateVector, b1, b2
-) -> float:
+def product_state_probability(psi1, psi2, b1, b2) -> float:
     """Probability mass of psi1 tensor psi2 on the index box B1 x B2.
 
     Computed by direct summation on the flattened product vector; for
     independent subsystems it factorizes into the marginal masses.
     """
-    v1 = psi1.vector if isinstance(psi1, StateVector) else as_vector(psi1)
-    v2 = psi2.vector if isinstance(psi2, StateVector) else as_vector(psi2)
+    v1, v2 = as_vector(psi1), as_vector(psi2)
     idx = TensorIndex(v1.shape[0], v2.shape[0])
     b1 = sorted(set(int(i) for i in b1))
     b2 = sorted(set(int(j) for j in b2))

@@ -14,7 +14,7 @@ not of the valuation itself, so it is a constant, not a Tolerance field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,32 +22,9 @@ from .core import DEFAULT_TOL, Tolerance, as_vector, inner
 from .errors import DimensionMismatch, ZeroState
 from .subspace import Subspace
 
-__all__ = ["EPS_PROB", "StateVector", "TruthValue", "truth_value"]
+__all__ = ["EPS_PROB", "TruthValue", "truth_value"]
 
 EPS_PROB = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """A state vector with a cached normalization flag, compared and
-    hashed by identity (it holds an array)."""
-
-    vector: np.ndarray
-    normalized: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        v = as_vector(self.vector)
-        object.__setattr__(self, "vector", v)
-        nrm = float(np.linalg.norm(v))
-        object.__setattr__(self, "normalized", abs(nrm - 1.0) < EPS_PROB)
-
-    @classmethod
-    def normalize(cls, vector, tol: Tolerance = DEFAULT_TOL) -> "StateVector":
-        v = as_vector(vector)
-        nrm = float(np.linalg.norm(v))
-        if nrm < tol.eps_rank:
-            raise ZeroState("cannot normalize a (numerically) zero vector")
-        return cls(v / nrm)
 
 
 @dataclass(frozen=True)
@@ -70,7 +47,7 @@ class TruthValue:
 
 def truth_value(psi, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> TruthValue:
     """Projection probability of the state psi onto the proposition q."""
-    vec = psi.vector if isinstance(psi, StateVector) else as_vector(psi)
+    vec = as_vector(psi)
     if vec.shape[0] != q.ambient_dim:
         raise DimensionMismatch("state and proposition dimensions differ")
     nrm = float(np.linalg.norm(vec))

@@ -63,7 +63,7 @@ from orthologic.subspace import (
     subspace_from_json,
 )
 from orthologic.tensor import TensorIndex, elementary_tensor, is_separable, product_state_probability
-from orthologic.truth import StateVector, truth_value
+from orthologic.truth import truth_value
 
 from test_composite import make_gemischt, make_rank_inflating, make_slice_embedding
 
@@ -348,14 +348,14 @@ def test_criterion_12_separability_and_product_probabilities():
         for seed in range(25):
             v1 = random_vector(3, seed)
             v2 = random_vector(4, seed + 100)
-            psi1 = StateVector(v1 / np.linalg.norm(v1))
-            psi2 = StateVector(v2 / np.linalg.norm(v2))
+            psi1 = v1 / np.linalg.norm(v1)
+            psi2 = v2 / np.linalg.norm(v2)
             rng = np.random.default_rng(seed)
             b1 = [int(i) for i in rng.permutation(3)[: 1 + seed % 3]]
             b2 = [int(j) for j in rng.permutation(4)[: 1 + seed % 4]]
             joint = product_state_probability(psi1, psi2, b1, b2)
-            marg1 = sum(abs(psi1.vector[i]) ** 2 for i in b1)
-            marg2 = sum(abs(psi2.vector[j]) ** 2 for j in b2)
+            marg1 = sum(abs(psi1[i]) ** 2 for i in b1)
+            marg2 = sum(abs(psi2[j]) ** 2 for j in b2)
             assert abs(joint - marg1 * marg2) < 1e-12
 
 

@@ -24,7 +24,6 @@ from orthologic.composite import (
     classify_linearity,
     composite_onb,
     default_anchors,
-    extended_intertwiner,
     intertwiner_F,
     recheck_axiom_counterexample,
     restriction_iso_u,
@@ -36,7 +35,6 @@ from orthologic.composite import (
 from orthologic.core import DEFAULT_TOL, Tolerance, as_vector, random_unitary, random_vector
 from orthologic.core import rank, subseed
 from orthologic.errors import (
-    AnchorNotInMeet,
     AxiomViolation,
     InvalidDimension,
     NotInDomain,
@@ -448,13 +446,6 @@ class TestIntertwinerDomain:
         with pytest.raises(NotInDomain):
             f(outside)
 
-    def test_extension_is_identity_off_domain(self, pair33):
-        h1, _ = pair33
-        x, y = np.eye(3)[0], np.eye(3)[1]
-        f_ext = extended_intertwiner(h1, y, x)
-        outside = np.kron(np.eye(3)[2], random_vector(3, 2))
-        assert np.allclose(f_ext(outside), outside)
-
     def test_zero_source_label_rejected(self, pair33):
         h1, _ = pair33
         with pytest.raises(ZeroState):
@@ -466,11 +457,9 @@ class TestIntertwinerDomain:
         v = random_vector(3, 3)
         near = np.kron(e[0], v) + 1e-6 * np.kron(e[2], e[0])
         loose = Tolerance(eps_eq=1e-4)
-        for make in (intertwiner_F, extended_intertwiner):
-            assert np.linalg.norm(make(h1, e[1], e[0], loose)(near) - np.kron(e[1], v)) < 1e-5
+        assert np.linalg.norm(intertwiner_F(h1, e[1], e[0], loose)(near) - np.kron(e[1], v)) < 1e-5
         with pytest.raises(NotInDomain):
             intertwiner_F(h1, e[1], e[0])(near)
-        assert np.array_equal(extended_intertwiner(h1, e[1], e[0])(near), near)
 
     def test_degenerate_labels(self, pair33):
         h1, _ = pair33
@@ -683,19 +672,6 @@ class TestBuildUV:
                 u_map(x2, lam * a) - expected_scale * u_map(x2, a)
             ) < 1e-10
 
-    def test_bad_anchor_rejected(self, pair33):
-        h1, h2 = pair33
-        z1 = np.eye(3)[0]
-        z2 = np.eye(3)[0]
-        stray = np.kron(np.eye(3)[1], np.eye(3)[2])
-        with pytest.raises(AnchorNotInMeet):
-            build_U_V(h1, h2, anchors=(z1, z2, stray))
-
-    def test_zero_anchor_rejected(self, pair33):
-        h1, h2 = pair33
-        with pytest.raises(ZeroState):
-            build_U_V(h1, h2, anchors=(np.zeros(3), np.eye(3)[0], np.eye(9)[0]))
-
     def test_zero_slice_label_rejected(self, pair33):
         h1, h2 = pair33
         u_map, _ = build_U_V(h1, h2)
@@ -712,8 +688,8 @@ class TestBuildUV:
         assert abs(lead.imag) < 1e-12 and lead.real > 0
 
     def test_default_anchors_take_one_meet(self, pair33, monkeypatch):
-        # the default z spans the anchor meet by construction; only supplied
-        # anchors are checked against a meet of their own
+        # the basis map takes its anchors from default_anchors, whose z
+        # spans the meet of the anchor rays' images: one meet in all
         meets = []
         original = sub.meet
         monkeypatch.setattr(sub, "meet", lambda *args: meets.append(args) or original(*args))
@@ -1099,7 +1075,9 @@ def test_one_composite_verify_run_draws_each_axiom_batch_once(capsys, monkeypatc
 
 
 # check_m_morphism as it ran before its trials became one batch: trial by
-# trial, three single-ray morphism calls each, up to the first failure.
+# trial, three single-ray morphism calls each, up to the first failure.  It
+# records the counterexample the batch records: the x, y and x - y rays as
+# p, q and r of side 1, which recheck_axiom_counterexample replays.
 
 
 def per_trial_m_morphism(h, trials, seed, tol=DEFAULT_TOL):
@@ -1114,13 +1092,14 @@ def per_trial_m_morphism(h, trials, seed, tol=DEFAULT_TOL):
         diff = x - y
         if float(np.linalg.norm(diff)) < tol.eps_rank:  # never taken: x - y is -x or Gaussian
             continue
-        image_diff = h.map_ray(diff)
-        target = join(h.map_ray(x), h.map_ray(y), tol)
-        included, residual = sub.inclusion(image_diff, target, tol)
+        rays = [span_of([v], tol) for v in (x, y, diff)]
+        p, q, r = (h(ray) for ray in rays)
+        included, residual = sub.inclusion(r, join(p, q, tol), tol)
         worst = max(worst, residual)
         if not included:
             report = LawReport("m_morphism", False, trials=trial + 1, worst_residual=worst)
-            report.counterexample = {"x": sub.complex_to_json(x), "y": sub.complex_to_json(y)}
+            report.counterexample = {"kind": "m_morphism", "side": 1}
+            report.counterexample.update(zip("pqr", map(sub.subspace_to_json, rays)))
             return report
     return LawReport("m_morphism", True, trials=trials, worst_residual=worst)
 
@@ -1154,6 +1133,18 @@ def test_batched_m_morphism_equals_the_per_trial_loop(name, tol):
     assert bool(failing) == (name in ("rank-inflating", "sometimes-twisted"))
     if name == "sometimes-twisted":
         assert max(failing) > 1
+
+
+@pytest.mark.parametrize("make", [make_rank_inflating, make_sometimes_twisted])
+def test_m_morphism_counterexample_replays_from_json(make):
+    h = make()
+    report = check_m_morphism(h, trials=50, seed=4)
+    assert not report.holds
+    ce = json.loads(json.dumps(report.to_json()))["counterexample"]
+    assert ce["kind"] == "m_morphism" and ce["side"] == 1
+    assert recheck_axiom_counterexample(h, h, ce)
+    canonical = canonical_h(1, 3, 3)
+    assert not recheck_axiom_counterexample(canonical, canonical, ce)
 
 
 def test_one_m_morphism_check_maps_each_ray_batch_once(monkeypatch, pair33):

@@ -1,10 +1,13 @@
 """Core linear algebra: inner products, orthonormalization, random unitaries."""
 
 import dataclasses
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import orthologic
 from orthologic import core
 from orthologic.core import (
     DEFAULT_TOL,
@@ -267,3 +270,12 @@ class TestTolerance:
         assert [f.name for f in dataclasses.fields(Tolerance)] == ["eps_eq"]
         with pytest.raises(TypeError):
             Tolerance(eps_prob=1e-10)
+
+
+def test_every_exported_name_resolves():
+    missing = []
+    for info in pkgutil.iter_modules(orthologic.__path__):
+        module = importlib.import_module(f"orthologic.{info.name}")
+        missing += [f"{info.name}.{n}" for n in getattr(module, "__all__", ())
+                    if not hasattr(module, n)]
+    assert missing == []

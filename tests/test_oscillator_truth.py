@@ -12,7 +12,7 @@ from orthologic.oscillator import (
     proposition_from_eigenstates,
 )
 from orthologic.subspace import equal, full_subspace, ortho, span_of, zero_subspace
-from orthologic.truth import EPS_PROB, StateVector, TruthValue, truth_value
+from orthologic.truth import EPS_PROB, TruthValue, truth_value
 
 
 @pytest.fixture(scope="module")
@@ -192,17 +192,6 @@ class TestTruthValue:
         with pytest.raises(ZeroState):
             truth_value(np.zeros(3), q)
 
-    def test_state_vector_wrapper_flags_normalization(self):
-        assert StateVector(np.array([1.0, 0.0])).normalized
-        assert not StateVector(np.array([2.0, 0.0])).normalized
-        assert StateVector.normalize(np.array([2.0, 0.0])).normalized
-        assert StateVector(np.array([1.0 + EPS_PROB / 2, 0.0])).normalized
-        assert not StateVector(np.array([1.0 + 2 * EPS_PROB, 0.0])).normalized
-
-    def test_normalization_flag_is_not_settable(self):
-        with pytest.raises(TypeError):
-            StateVector(np.array([2.0, 0.0]), normalized=True)
-
     def test_classification_thresholds(self):
         assert TruthValue.classify(0.0).classification == "false"
         assert TruthValue.classify(1.0).classification == "true"
@@ -215,7 +204,6 @@ class TestTruthValue:
 @pytest.mark.parametrize("make", [
     lambda: span_of([[1.0, 0.0]]),
     lambda: full_subspace(3),
-    lambda: StateVector([1.0, 0.0]),
     lambda: OscillatorModel(n_max=3),
 ])
 def test_array_holding_dataclasses_compare_by_identity(make):

@@ -15,7 +15,6 @@ from orthologic.tensor import (
     riesz,
     riesz_inverse,
 )
-from orthologic.truth import StateVector
 
 
 class TestRiesz:
@@ -169,7 +168,7 @@ class TestSeparability:
 class TestProductStateProbability:
     def normalized(self, d, seed):
         v = random_vector(d, seed)
-        return StateVector(v / np.linalg.norm(v))
+        return v / np.linalg.norm(v)
 
     def test_total_mass_is_one(self):
         psi1 = self.normalized(3, 1)
@@ -190,8 +189,8 @@ class TestProductStateProbability:
             b1 = [int(i) for i in rng.permutation(4)[: 1 + seed % 3]]
             b2 = [int(j) for j in rng.permutation(5)[: 1 + seed % 4]]
             joint = product_state_probability(psi1, psi2, b1, b2)
-            marginal1 = sum(abs(psi1.vector[i]) ** 2 for i in b1)
-            marginal2 = sum(abs(psi2.vector[j]) ** 2 for j in b2)
+            marginal1 = sum(abs(psi1[i]) ** 2 for i in b1)
+            marginal2 = sum(abs(psi2[j]) ** 2 for j in b2)
             assert abs(joint - marginal1 * marginal2) < 1e-12
 
     def test_out_of_range_indices_rejected(self):
