@@ -19,6 +19,8 @@ from orthologic.core import (
     random_unitary,
     random_vector,
     rank,
+    subseed,
+    subseeds,
 )
 from orthologic.errors import DimensionMismatch
 
@@ -279,3 +281,13 @@ def test_every_exported_name_resolves():
         missing += [f"{info.name}.{n}" for n in getattr(module, "__all__", ())
                     if not hasattr(module, n)]
     assert missing == []
+
+
+def test_subseeds_are_the_subseeds_of_each_trial():
+    for base in (0, 17, 2**64 - 1):
+        seeds = subseeds(base, "axiom2", 5)
+        assert seeds.dtype == object and seeds.shape == (5,)
+        assert all(type(s) is int for s in seeds)
+        assert list(seeds) == [subseed(base, "axiom2", t) for t in range(5)]
+    assert subseeds(3, "mmorph", 0).shape == (0,)
+    assert list(subseeds(3, "mmorph", 4)) != list(subseeds(3, "axiom3", 4))

@@ -23,8 +23,10 @@ from orthologic.subspace import (
     ortho,
     projector_distance,
     random_family,
+    random_ray,
     random_subspace,
     random_subspace_of,
+    rays,
     span_of,
     subspace_from_json,
     subspace_to_json,
@@ -456,6 +458,23 @@ class TestBatches:
         assert sorted(drawn) == sorted({(d, s + j) for j, d in enumerate((3, 3, 4)) for s in seeds})
         for members, single in zip(zip(*(m.basis for m in family)), singles):
             assert all(np.array_equal(b, m.basis) for b, m in zip(members, single))
+
+    def test_rays_are_the_spans_of_their_vectors(self):
+        # a zero vector spans the zero subspace, as span_of of it does
+        vectors = [core.random_vector(4, 0), E3[0].copy(), np.zeros(4), 1e-3j * np.ones(4)]
+        vectors[1] = np.append(vectors[1], 0.0)
+        batch = rays(4, vectors)
+        assert batch.is_batch and list(batch.dim) == [1, 1, 0, 1]
+        for b, v in zip(batch.basis, vectors):
+            assert np.array_equal(b, span_of([v]).basis)
+        assert_orthonormal(batch)
+
+    def test_random_ray_is_rays_of_random_vectors(self):
+        seeds = np.array([0, 7, 2**64 - 1], dtype=object)
+        batch = random_ray(3, seeds)
+        expected = rays(3, [core.random_vector(3, s) for s in seeds])
+        assert all(np.array_equal(b, e) for b, e in zip(batch.basis, expected.basis))
+        assert Ray(batch).subspace is batch
 
     def test_stacked_norms_past_one_stack_equal_single_norms(self):
         # 90 pairs of one shape split into three stacks; the zero-dimensional
