@@ -35,7 +35,6 @@ from .composite import (
     check_commutation,
     check_m_morphism,
     classify_linearity,
-    composite_onb,
     intertwiner_F,
     restriction_iso_u,
     verify_axioms,

@@ -36,19 +36,20 @@ element): nothing below reads how the map was built.
 From an axiom-satisfying pair the module derives the ray intertwiners
 F/K from the lattice maps alone (h(<x - y>) is the graph of F_{y,x}),
 classifies each map as linear or antilinear by the scalar action of
-F_{i x, x}, and builds the norm-preserving maps U/V they generate, the
-product orthonormal basis of the composite space, and finally the
-basis map onto the tensor space (or its dual-twisted variant), whose
-lift to subspaces is verified to be a lattice isomorphism, on all its
-seeded trials as one batch.  Each derivation maps the distinct rays it
-needs as one batch, and the trials draw both their subspaces in one
-call, so a frame two trials share is drawn once.
+F_{i x, x}, and builds the product orthonormal basis of the composite
+space in one place, _onb_matrix: it is the matrix of the basis map
+onto the tensor space (or its dual-twisted variant), and the
+norm-preserving maps U/V read its vectors of one-vector bases.  The
+basis map's lift to subspaces is verified to be a lattice isomorphism,
+on all its seeded trials as one batch.  Each derivation maps the
+distinct rays it needs as one batch, and the trials draw both their
+subspaces in one call, so a frame two trials share is drawn once.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from typing import Callable, Optional
 
@@ -83,14 +84,12 @@ __all__ = [
     "verify_axioms",
     "recheck_axiom_counterexample",
     "restriction_iso_u",
-    "restriction_iso_v",
     "intertwiner_F",
     "check_commutation",
     "classify_linearity",
     "check_m_morphism",
     "default_anchors",
     "build_U_V",
-    "composite_onb",
     "BasisMap",
     "build_basis_map",
     "verify_tensor_isomorphism",
@@ -263,15 +262,8 @@ class AxiomReport:
     counterexample: Optional[dict] = None
 
     def to_json(self) -> dict:
-        out = {
-            "axiom": self.axiom,
-            "passed": self.passed,
-            "samples": self.samples,
-            "worst_residual": self.worst_residual,
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        return out
+        """The fields by name; a report with no counterexample has no such key."""
+        return {name: v for name, v in asdict(self).items() if v is not None}
 
 
 def _same(lhs: Subspace, rhs: Subspace, tol: Tolerance):
@@ -505,16 +497,24 @@ def recheck_axiom_counterexample(
 
     Returns True when the recorded failure reproduces.  The one-sided
     kinds (axiom I, and the "m_morphism" kind of check_m_morphism, which
-    records side 1) replay on the morphism of their side, so the morphism
-    of a check_m_morphism counterexample is passed as h1.
+    records side 1) replay on the morphism of their side, 1 or 2, so the
+    morphism of a check_m_morphism counterexample is passed as h1; the
+    cross kinds of axioms II and III have no side.  A counterexample of
+    an unknown kind, a side that does not fit its kind, or other subspaces
+    than its check takes (p, then q, then r) raises ValueError.
     """
-    check = _AXIOM_CHECKS.get(ce["kind"])
-    if check is None:
-        raise ValueError(f"unknown counterexample kind {ce['kind']!r}")
-    side = ce.get("side")
-    morphisms = (h1, h2) if side is None else ((h1, h2)[side - 1],)
-    subspaces = [sub.subspace_from_json(ce[name]) for name in "pqr" if name in ce]
-    holds, _ = check(_Memo(tol), *morphisms, *subspaces)
+    kind, side = ce.get("kind"), ce.get("side")
+    if not isinstance(kind, str) or kind not in _AXIOM_CHECKS:
+        raise ValueError(f"unknown counterexample kind {kind!r}")
+    cross = kind in ("compatibility", "atom_meet")
+    if ("side" in ce) if cross else side not in (1, 2):
+        raise ValueError(f"side {side!r} does not fit a {kind!r} counterexample")
+    morphisms = (h1, h2) if cross else ((h1, h2)[side - 1],)
+    check = _AXIOM_CHECKS[kind]
+    names = "pqr"[:check.__code__.co_argcount - 1 - len(morphisms)]
+    if [name for name in "pqr" if name in ce] != list(names):
+        raise ValueError(f"a {kind!r} counterexample holds the subspaces {list(names)}")
+    holds, _ = check(_Memo(tol), *morphisms, *(sub.subspace_from_json(ce[n]) for n in names))
     return not holds
 
 
@@ -524,7 +524,9 @@ def restriction_iso_u(
     """The slice map p1 -> h1(p1) meet h2(<x2>).
 
     For an axiom-satisfying pair this is an isomorphism from the first
-    factor lattice onto the lattice of the slice h2(<x2>).
+    factor lattice onto the lattice of the slice h2(<x2>); with the pair
+    swapped, ``restriction_iso_u(h2, h1, x1)``, it is the mirror slice map
+    p2 -> h2(p2) meet h1(<x1>).
     """
     x2v = as_vector(x2)
     if float(np.linalg.norm(x2v)) < tol.eps_rank:
@@ -535,13 +537,6 @@ def restriction_iso_u(
         return sub.meet(h1(p1), slice_image, tol)
 
     return SubspaceMorphism(source_dim=h1.source_dim, target_dim=h1.target_dim, map=mapped)
-
-
-def restriction_iso_v(
-    h1: SubspaceMorphism, h2: SubspaceMorphism, x1, tol: Tolerance = DEFAULT_TOL
-) -> SubspaceMorphism:
-    """Mirror slice map p2 -> h1(<x1>) meet h2(p2)."""
-    return restriction_iso_u(h2, h1, x1, tol)
 
 
 def check_commutation(
@@ -593,12 +588,8 @@ def check_commutation(
             holds = False
     report = LawReport("commutation", holds, trials=len(samples), worst_residual=worst)
     if not holds:
-        report.counterexample = {
-            "x1": sub.complex_to_json(x1v),
-            "y1": sub.complex_to_json(y1v),
-            "x2": sub.complex_to_json(x2v),
-            "y2": sub.complex_to_json(y2v),
-        }
+        report.counterexample = {name: sub.complex_to_json(v)
+                                 for name, v in zip(("x1", "y1", "x2", "y2"), vecs)}
     return report
 
 
@@ -656,10 +647,7 @@ def default_anchors(
     no closed form is available.  Image rays
     that do not meet fail axiom III (AxiomViolation).
     """
-    z1 = np.zeros(h1.source_dim, dtype=complex)
-    z1[0] = 1.0
-    z2 = np.zeros(h2.source_dim, dtype=complex)
-    z2[0] = 1.0
+    z1, z2 = (np.eye(h.source_dim, dtype=complex)[0] for h in (h1, h2))
     m = sub.meet(h1.map_ray(z1), h2.map_ray(z2), tol)
     if m.dim == 0:
         raise AxiomViolation("III_atoms fails: the default anchors' image rays do not meet")
@@ -672,34 +660,28 @@ def default_anchors(
     return z1, z2, z
 
 
-def _anchored(h1: SubspaceMorphism, h2: SubspaceMorphism, tol: Tolerance):
-    """The anchor triple (z1, z2, z) of default_anchors and alpha = |z1|
-    |z2| / |z|."""
-    z1, z2, z = default_anchors(h1, h2, tol)
-    return z1, z2, z, float(np.linalg.norm(z1) * np.linalg.norm(z2) / np.linalg.norm(z))
-
-
 def build_U_V(h1: SubspaceMorphism, h2: SubspaceMorphism, tol: Tolerance = DEFAULT_TOL):
     """Norm-preserving maps generated by the intertwiners.
 
     U(x2, x1) carries x1 into the composite space along the slice of
-    <x2>; V mirrors the roles.  Both are unitary or antiunitary
-    according to the linearity class of the corresponding morphism,
-    and U(x2, x1) spans h1(<x1>) meet h2(<x2>).
+    <x2>: the composite basis vector of the one-vector bases x1 and x2
+    (see _onb_matrix), over |x2|.  V mirrors the roles, with the pair
+    swapped.  Both are unitary or antiunitary according to the linearity
+    class of the corresponding morphism, and U(x2, x1) spans h1(<x1>)
+    meet h2(<x2>).
     """
-    z1, z2, z, alpha = _anchored(h1, h2, tol)
 
-    def along(slice_h, slice_z, h, h_z):  # (s, x) -> alpha / |s| F_{x,h_z} F_{s,slice_z} z
+    def along(h, slice_h):  # (s, x) -> the basis vector of x and s, over |s|
         def apply(s, x) -> np.ndarray:
             sv, xv = as_vector(s), as_vector(x)
-            if float(np.linalg.norm(sv)) < tol.eps_rank:
+            norm = float(np.linalg.norm(sv))
+            if norm < tol.eps_rank:
                 raise ZeroState("the slice ray label must be nonzero")
-            step = intertwiner_F(slice_h, sv, slice_z, tol)(z)
-            return (alpha / float(np.linalg.norm(sv))) * intertwiner_F(h, xv, h_z, tol)(step)
+            return _onb_matrix(h, slice_h, xv[:, None], sv[:, None], tol)[:, 0] / norm
 
         return apply
 
-    return along(h2, z2, h1, z1), along(h1, z1, h2, z2)
+    return along(h1, h2), along(h2, h1)
 
 
 def _check_onb(basis, d, tol: Tolerance, what: str) -> np.ndarray:
@@ -714,28 +696,14 @@ def _check_onb(basis, d, tol: Tolerance, what: str) -> np.ndarray:
     return b
 
 
-def composite_onb(
-    h1: SubspaceMorphism,
-    h2: SubspaceMorphism,
-    basis1=None,
-    basis2=None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> list[np.ndarray]:
-    """Orthonormal basis {U(f_j, e_i)} of the composite space.
-
-    Ordered by the flattening (i, j) -> i * d2 + j of the factor
-    indices; the defaults are the coordinate bases.  Each factor
-    intertwiner is derived once, d1 + d2 derivations in all:
-    U(f_j, e_i) = alpha F_{e_i,z1} K_{f_j,z2} z.
-    """
-    e = _check_onb(basis1, h1.source_dim, tol, "basis1")
-    f = _check_onb(basis2, h2.source_dim, tol, "basis2")
-    return list(_onb_matrix(h1, h2, e, f, tol).T)
-
-
 def _onb_matrix(h1, h2, e: np.ndarray, f: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """composite_onb as the columns of one matrix, for validated bases."""
-    z1, z2, z, alpha = _anchored(h1, h2, tol)
+    """The composite basis {U(f_j, e_i)} of the columns e_i of e and f_j of
+    f, as the columns of one matrix in the order (i, j) -> i * d2 + j:
+    U(f_j, e_i) = alpha F_{e_i,z1} K_{f_j,z2} z, with the anchors (z1, z2,
+    z) of default_anchors and alpha = |z1| |z2| / |z|.  Each factor
+    intertwiner is derived once, d1 + d2 derivations in all."""
+    z1, z2, z = default_anchors(h1, h2, tol)
+    alpha = float(np.linalg.norm(z1) * np.linalg.norm(z2) / np.linalg.norm(z))
     ks, _ = _ray_matrices(h2, [(y, z2) for y in f.T], tol)
     fs, _ = _ray_matrices(h1, [(x, z1) for x in e.T], tol)
     k_steps = np.column_stack([k @ z for k in ks])
@@ -746,8 +714,9 @@ def _onb_matrix(h1, h2, e: np.ndarray, f: np.ndarray, tol: Tolerance) -> np.ndar
 class BasisMap:
     """The vector-level map from the tensor space onto the composite space.
 
-    ``matrix`` has the images of the (dual) product basis as columns;
-    antiunitary maps conjugate the input coordinates first.  The lift
+    ``matrix`` has the images of the (dual) product basis as columns: the
+    orthonormal composite basis {U(f_j, e_i)} (see _onb_matrix).
+    Antiunitary maps conjugate the input coordinates first.  The lift
     to subspaces and its inverse realize the lattice isomorphism.
     """
 

@@ -5,8 +5,9 @@ FIRST argument and linear in the second.  Many linear algebra libraries
 use the opposite convention; everything downstream relies on this one.
 
 Numerical rank is decided in one place, ``orthonormal_bases``, from the
-singular values of numpy's SVD.  Kernels take one matrix or an (n, ...)
-stack of them alike; ``each`` runs one on a batch, stacked by shape.
+singular values of numpy's SVD.  Kernels take (n, ...) stacks only:
+``each`` runs one on a batch, stacked by shape, and on one array as a
+stack of one.
 
 All randomness is generated by numpy's PCG64 generator seeded from a
 64-bit integer, so fixtures are reproducible run to run.  A batch takes
@@ -123,12 +124,13 @@ MAX_STACK = 32
 
 
 def each(kernel, *args):
-    """``kernel`` on one array per argument, or on the elements of tuples of
-    arrays (a batch) with one call per group of equally shaped elements,
-    on their (n, ...) stacks, giving a tuple in element order.  On a stack
-    ``kernel`` gives a sequence of n results."""
+    """``kernel`` on the elements of tuples of arrays (a batch), with one
+    call per group of equally shaped elements, on their (n, ...) stacks,
+    giving a tuple in element order; or on one array per argument, as a
+    stack of one, giving its one result.  On a stack ``kernel`` gives a
+    sequence of n results."""
     if not isinstance(args[0], tuple):
-        return kernel(*args)
+        return kernel(*(arg[None] for arg in args))[0]
     groups: dict = {}
     out = [None] * len(args[0])
     for i, shapes in enumerate(zip(*([a.shape for a in arg] for arg in args))):
@@ -143,24 +145,22 @@ def each(kernel, *args):
     return tuple(out)
 
 
-def orthonormal_bases(m: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-    """Orthonormal basis of a matrix's column span, or the list of them of
-    a stack: the leading k left singular vectors, where k, the numerical
+def orthonormal_bases(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list:
+    """The orthonormal bases of the column spans of a stack of matrices:
+    of each, the leading k left singular vectors, where k, the numerical
     rank, counts the singular values above ``tol.eps_rank`` times the
     largest (the first) one."""
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     kept = s > tol.eps_rank * s[..., :1]
-    if u.ndim == 2:
-        return u[:, :np.count_nonzero(kept)]
     return [b[:, :k] for b, k in zip(u, kept.sum(axis=-1))]
 
 
 def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (d x k matrix) for the span of the given vectors,
-    read as ``as_columns`` reads them: ``orthonormal_bases`` of one.  An
-    empty input yields a d x 0 matrix.
+    read as ``as_columns`` reads them: ``orthonormal_bases`` of a stack of
+    one.  An empty input yields a d x 0 matrix.
     """
-    return orthonormal_bases(as_columns(vectors), tol)
+    return each(lambda m: orthonormal_bases(m, tol), as_columns(vectors))
 
 
 def rank(m, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -11,7 +11,9 @@ the directions of p at principal angles to q of sine at most eps_rank.
 
 A batch holds a tuple of bases: every operation and verdict applies to
 each element, with one numpy call per group of equal basis shapes
-(``core.each``).  For an array of seeds the samplers draw a batch.
+(``core.each``); one subspace runs the same kernels as a stack of one.
+The samplers draw a batch for an array of seeds, and for a scalar seed
+the one element of the batch of that seed.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ __all__ = [
 ]
 
 
-def _gram_defects(b: np.ndarray):
-    """||B^dagger B - I||_F of a basis, or of each basis of a stack."""
+def _gram_defects(b: np.ndarray) -> np.ndarray:
+    """||B^dagger B - I||_F of each basis of a stack."""
     defects = b.conj().swapaxes(-1, -2) @ b - np.eye(b.shape[-1])
-    return np.linalg.norm(defects, axis=None if b.ndim == 2 else (-2, -1))
+    return np.linalg.norm(defects, axis=(-2, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,17 +72,16 @@ class Subspace:
         # stored C-contiguous: BLAS takes another path for some strided
         # operands, and a batch element must meet the bits of one basis
         batch = isinstance(self.basis, tuple)
-        b = tuple(np.ascontiguousarray(x, dtype=complex) for x in self.basis) if batch else (
-            np.ascontiguousarray(self.basis, dtype=complex))
-        for x in b if batch else [b]:
+        b = tuple(np.ascontiguousarray(x, dtype=complex) for x in
+                  (self.basis if batch else [self.basis]))
+        for x in b:
             if x.ndim != 2 or x.shape[0] != self.ambient_dim:
                 raise DimensionMismatch(
                     f"basis shape {x.shape} does not match ambient dim {self.ambient_dim}"
                 )
-        defect = max(each(_gram_defects, b), default=0.0) if batch else _gram_defects(b)
-        if defect > DEFAULT_TOL.eps_eq * max(1, self.ambient_dim):
+        if max(each(_gram_defects, b), default=0.0) > DEFAULT_TOL.eps_eq * max(1, self.ambient_dim):
             raise ValueError("basis columns are not orthonormal")
-        object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "basis", b if batch else b[0])
 
     @classmethod
     def batch(cls, ambient_dim: int, elements) -> "Subspace":
@@ -94,9 +95,7 @@ class Subspace:
     def elements(self) -> tuple:
         """The subspaces of a batch, in order; a single subspace is its own
         only element."""
-        if not self.is_batch:
-            return (self,)
-        return tuple(map(self._element, self.basis))
+        return tuple(map(self._element, self.basis)) if self.is_batch else (self,)
 
     def _element(self, basis: np.ndarray) -> "Subspace":
         # the batch checked this basis when it was built
@@ -210,9 +209,8 @@ def _norms(p: Subspace, q: Subspace, kernel, norm=_frobenius):
     """The norm of kernel's matrix, one stacked ``norm`` per group of equal
     shapes: a float, or a batch's array."""
     _check_same_ambient(p, q)
-    if not p.is_batch:
-        return float(norm(kernel(p.basis, q.basis)[None])[0])
-    return np.array(each(lambda a, b: norm(kernel(a, b)), p.basis, q.basis))
+    norms = each(lambda a, b: norm(kernel(a, b)), p.basis, q.basis)
+    return np.array(norms) if p.is_batch else float(norms)
 
 
 def meet(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -229,8 +227,6 @@ def meet(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
 
     def shared(m):
         _, sines, vh = np.linalg.svd(m)
-        if vh.ndim == 2:
-            return vh[np.count_nonzero(sines > tol.eps_rank):]
         return [v[k:] for v, k in zip(vh, (sines > tol.eps_rank).sum(axis=-1))]
 
     rows = each(shared, each(_outside, p.basis, q.basis))
@@ -280,30 +276,35 @@ def is_atom(p: Subspace) -> bool:
     return p.dim == 1
 
 
+def _one(seed) -> np.ndarray:
+    """The seed array of a batch of one."""
+    return np.array([seed], dtype=object)
+
+
 def random_subspace(d: int, k, seed) -> Subspace:
     """Deterministic k-dimensional subspace of C^d for a given seed.
 
     Takes the first k columns of ``random_unitary(d, seed)``; for arrays
-    k and seed, the batch of them.
+    k and seed, the batch of them.  A scalar seed gives element 0 of its
+    batch of one.
     """
-    batch = isinstance(seed, np.ndarray)
-    if not all(0 <= j <= d for j in (k if batch else [k])):
+    if not all(0 <= j <= d for j in np.atleast_1d(k)):
         raise InvalidDimension(f"need 0 <= k <= d, got k={k}, d={d}")
-    if batch:
-        return Subspace(d, tuple(u[:, :j] for u, j in zip(random_unitary(d, seed), k)))
-    return Subspace(d, random_unitary(d, seed)[:, :k])
+    if not isinstance(seed, np.ndarray):
+        return random_subspace(d, [k], _one(seed)).elements()[0]
+    return Subspace(d, tuple(u[:, :j] for u, j in zip(random_unitary(d, seed), k)))
 
 
 def random_subspace_of(q: Subspace, k, seed) -> Subspace:
     """Deterministic k-dimensional subspace of q: ``random_subspace(q.dim,
-    k, seed)`` carried into C^d by q's basis."""
-    batch = isinstance(seed, np.ndarray)
-    dims = q.dim if batch else [q.dim]
-    if not all(0 <= j <= m for j, m in zip(k if batch else [k], dims)):
+    k, seed)`` carried into C^d by q's basis (see random_subspace)."""
+    if not all(0 <= j <= m for j, m in zip(np.atleast_1d(k), np.atleast_1d(q.dim))):
         raise InvalidDimension(f"need 0 <= k <= dim q, got k={k}, dim q={q.dim}")
+    if not isinstance(seed, np.ndarray):
+        return random_subspace_of(Subspace.batch(q.ambient_dim, [q]), [k], _one(seed)).elements()[0]
     # a unitary of size 1 stands for that of the zero subspace
-    frames = random_unitary(np.maximum(dims, 1) if batch else max(q.dim, 1), seed)
-    inner = tuple(map(lambda u, m, j: u[:m, :j], frames, dims, k)) if batch else frames[:q.dim, :k]
+    frames = random_unitary(np.maximum(q.dim, 1), seed)
+    inner = tuple(map(lambda u, m, j: u[:m, :j], frames, q.dim, k))
     return Subspace(q.ambient_dim, each(np.matmul, q.basis, inner))
 
 
@@ -316,12 +317,12 @@ def random_family(dims, seed, proper: bool) -> list[Subspace]:
     not independent: member j of seed s cuts the frame of member 0 of seed
     s + j (of equal d), and the trial seeds ``subseed(base, tag, t)`` lie
     close together, so the 300 members of a 100-trial family of three come
-    from about 100 frames."""
-    batch = isinstance(seed, np.ndarray)
-    rngs = [np.random.default_rng(s) for s in (seed if batch else [seed])]
+    from about 100 frames.  A scalar seed gives the members of its batch of
+    one."""
+    if not isinstance(seed, np.ndarray):
+        return [p.elements()[0] for p in random_family(dims, _one(seed), proper)]
+    rngs = [np.random.default_rng(s) for s in seed]
     ks = [[int(rng.integers(1, d if proper else d + 1)) for rng in rngs] for d in dims]
-    if not batch:
-        return [random_subspace(d, k, seed + j) for j, (d, (k,)) in enumerate(zip(dims, ks))]
     n = len(seed)
     seeds = np.concatenate([seed + j for j in range(len(dims))])
     frames = random_unitary(np.repeat(dims, n), seeds)
@@ -354,10 +355,10 @@ def compatible_pair(d: int, seed) -> tuple[Subspace, Subspace]:
         cols2 = sorted(rng.permutation(d)[:k2].tolist())
         return frame[:, cols1], frame[:, cols2]
 
-    if isinstance(seed, np.ndarray):
-        pairs = list(map(coordinates, seed, random_unitary(d, seed)))
-        return tuple(Subspace(d, tuple(pair[j] for pair in pairs)) for j in (0, 1))
-    return tuple(Subspace(d, b) for b in coordinates(seed, random_unitary(d, seed)))
+    if not isinstance(seed, np.ndarray):
+        return tuple(p.elements()[0] for p in compatible_pair(d, _one(seed)))
+    pairs = list(map(coordinates, seed, random_unitary(d, seed)))
+    return tuple(Subspace(d, tuple(pair[j] for pair in pairs)) for j in (0, 1))
 
 
 def complex_to_json(values) -> list:

@@ -16,7 +16,6 @@ from orthologic.composite import (
     canonical_h,
     check_m_morphism,
     classify_linearity,
-    composite_onb,
     intertwiner_F,
     sweep_axioms,
     verify_axioms,
@@ -293,7 +292,7 @@ def test_criterion_09_composite_basis_gram_identity():
             twist = random_unitary(d1 * d2, 7 * d1 + d2)
             h1 = canonical_h(1, d1, d2, twist=twist)
             h2 = canonical_h(2, d1, d2, twist=twist)
-            matrix = np.column_stack(composite_onb(h1, h2))
+            matrix = build_basis_map(h1, h2).matrix
             gram = matrix.conj().T @ matrix
             assert np.linalg.norm(gram - np.eye(d1 * d2)) < 1e-8
 

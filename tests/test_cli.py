@@ -318,6 +318,25 @@ def test_an_unwritable_output_stops_before_any_work(capsys, monkeypatch, tmp_pat
     assert captured.err.startswith("error: [Errno 2] No such file or directory: ")
 
 
+@pytest.mark.parametrize("code,message", [(21, "Is a directory"), (13, "Permission denied")])
+def test_an_output_that_cannot_be_opened_is_a_usage_error(capsys, monkeypatch, tmp_path, code,
+                                                          message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report function ran")
+
+    monkeypatch.setattr(cli, "_quantum_lattice_report", refuse)
+    if code == 21:
+        path = tmp_path  # an existing directory
+    else:
+        # as root, os.access grants every write
+        path = tmp_path / "out.json"
+        monkeypatch.setattr(cli.os, "access", lambda *args, **kwargs: False)
+    assert main(["lattice-check", "--dim1", "3", "--trials", "5", "--output", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno {code}] {message}: {str(path)!r}\n"
+
+
 @pytest.mark.parametrize("bad", ["--curve-csv", "--output"])
 def test_a_usage_error_writes_no_file(capsys, tmp_path, bad):
     argv = ["truth-demo", "--eigenfunctions", "--csv", str(tmp_path / "ok.csv"),

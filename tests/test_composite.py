@@ -22,12 +22,10 @@ from orthologic.composite import (
     check_commutation,
     check_m_morphism,
     classify_linearity,
-    composite_onb,
     default_anchors,
     intertwiner_F,
     recheck_axiom_counterexample,
     restriction_iso_u,
-    restriction_iso_v,
     sweep_axioms,
     verify_axioms,
     verify_tensor_isomorphism,
@@ -53,6 +51,25 @@ from orthologic.subspace import (
     zero_subspace,
 )
 from orthologic.tensor import TensorIndex
+
+
+FULL3 = sub.subspace_to_json(full_subspace(3))
+# counterexamples recheck_axiom_counterexample refuses, by what is wrong
+MALFORMED = {
+    "no kind": {"side": 1},
+    "unknown kind": {"kind": "unknown", "side": 1},
+    "a list for a kind": {"kind": ["zero"], "side": 1},
+    "one-sided kind, no side": {"kind": "zero"},
+    **{f"one-sided kind, side {side}": {"kind": "zero", "side": side}
+       for side in (0, -1, 3, None)},
+    "side 1 on axiom II": {"kind": "compatibility", "side": 1, "p": FULL3, "q": FULL3},
+    "side 2 on axiom III": {"kind": "atom_meet", "side": 2, "p": FULL3, "q": FULL3},
+    "a subspace too many": {"kind": "zero", "side": 1, "p": FULL3},
+    "q missing": {"kind": "join", "side": 1, "p": FULL3},
+    "r in place of q": {"kind": "join", "side": 1, "p": FULL3, "r": FULL3},
+    "m_morphism without r": {"kind": "m_morphism", "side": 1, "p": FULL3, "q": FULL3},
+    "axiom II with r": {"kind": "compatibility", "p": FULL3, "q": FULL3, "r": FULL3},
+}
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +331,18 @@ class TestVerifyAxioms:
             assert recheck_axiom_counterexample(h1, h2, ce)
             assert not recheck_axiom_counterexample(*pair33, ce)
 
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_a_malformed_counterexample_is_refused(self, name):
+        # replayed from JSON, so outside input: no side may pick another map
+        h1, h2 = make_zero_to_full(), canonical_h(2, 3, 3)
+        with pytest.raises(ValueError):
+            recheck_axiom_counterexample(h1, h2, MALFORMED[name])
+
+    def test_a_well_formed_counterexample_replays_on_its_side(self):
+        h1, h2 = make_zero_to_full(), canonical_h(2, 3, 3)
+        assert recheck_axiom_counterexample(h1, h2, {"kind": "zero", "side": 1})
+        assert not recheck_axiom_counterexample(h1, h2, {"kind": "zero", "side": 2})
+
 
 class TestRestrictionIso:
     def test_full_space_maps_to_slice(self, pair33):
@@ -359,7 +388,7 @@ class TestRestrictionIso:
     def test_mirror_map_is_dimension_preserving(self, pair33):
         h1, h2 = pair33
         x1 = random_vector(3, 13)
-        v = restriction_iso_v(h1, h2, x1)
+        v = restriction_iso_u(h2, h1, x1)
         assert equal(v(full_subspace(3)), h1.map_ray(x1))
         for seed in range(20):
             p = span_of([random_vector(3, seed + 400)])
@@ -700,8 +729,7 @@ class TestBuildUV:
 class TestCompositeOnb:
     def test_untwisted_basis_is_standard(self, pair33):
         h1, h2 = pair33
-        vectors = composite_onb(h1, h2)
-        matrix = np.column_stack(vectors)
+        matrix = build_basis_map(h1, h2).matrix
         assert np.linalg.norm(matrix - np.eye(9)) < 1e-10
 
     @pytest.mark.parametrize("dims", [(3, 3), (3, 4), (4, 4)])
@@ -710,8 +738,7 @@ class TestCompositeOnb:
         w = random_unitary(d1 * d2, 90 + d1 + d2)
         h1 = canonical_h(1, d1, d2, twist=w)
         h2 = canonical_h(2, d1, d2, twist=w)
-        vectors = composite_onb(h1, h2)
-        matrix = np.column_stack(vectors)
+        matrix = build_basis_map(h1, h2).matrix
         gram = matrix.conj().T @ matrix
         assert np.linalg.norm(gram - np.eye(d1 * d2)) < 1e-8
 
@@ -719,27 +746,26 @@ class TestCompositeOnb:
         w = random_unitary(9, 93)
         h1 = canonical_h(1, 3, 3, twist=w)
         h2 = canonical_h(2, 3, 3, twist=w)
-        matrix = np.column_stack(composite_onb(h1, h2))
+        matrix = build_basis_map(h1, h2).matrix
         assert np.linalg.matrix_rank(matrix) == 9
 
     def test_rejects_nonorthonormal_basis(self, pair33):
         h1, h2 = pair33
         skew = [np.eye(3)[0], np.eye(3)[0] + np.eye(3)[1], np.eye(3)[2]]
         with pytest.raises(NotOrthonormal):
-            composite_onb(h1, h2, basis1=skew)
+            build_basis_map(h1, h2, basis1=skew)
 
     def test_gram_identity_for_antilinear_pair_with_complex_bases(self):
         h1 = canonical_h(1, 3, 3, conjugate=True)
         h2 = canonical_h(2, 3, 3, conjugate=True)
         e = random_unitary(3, 910)
         f = random_unitary(3, 911)
-        vectors = composite_onb(
+        matrix = build_basis_map(
             h1,
             h2,
             basis1=[e[:, k] for k in range(3)],
             basis2=[f[:, k] for k in range(3)],
-        )
-        matrix = np.column_stack(vectors)
+        ).matrix
         assert np.linalg.norm(matrix.conj().T @ matrix - np.eye(9)) < 1e-8
 
 
@@ -819,9 +845,6 @@ class TestBasisMap:
             from_matrix.coefficient_transform, from_columns.coefficient_transform
         )
         assert not np.allclose(from_matrix.matrix, from_rows.matrix)
-        assert np.array_equal(
-            np.column_stack(composite_onb(h1, h2, basis1=e, basis2=f)), from_matrix.matrix
-        )
 
     def test_map_only_pairs_verify_with_the_canonical_target(self):
         for conj1, conj2 in FLAG_PAIRS:

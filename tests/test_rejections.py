@@ -1,0 +1,168 @@
+"""Every argument check refuses its bad input with its own exception.
+
+One table of (call, exception, message) cases, one per rejecting branch
+that the other tests do not reach.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from orthologic import classical as cl
+from orthologic import composite, core, laws, oscillator, tensor, truth
+from orthologic import subspace as sub
+from orthologic.errors import (
+    AxiomViolation,
+    DimensionMismatch,
+    InvalidDimension,
+    InvalidParameter,
+    NotOrthonormal,
+    PreconditionViolated,
+    SpaceMismatch,
+)
+
+E = np.eye(3, dtype=complex)
+
+
+def space(n):
+    return cl.PhaseSpace(tuple(range(n)))
+
+
+def classical_pair(n1=2, n2=2):
+    s1, s2 = space(n1), space(n2)
+    return s1, s2, cl.canonical_h_classical(1, s1, s2), cl.canonical_h_classical(2, s1, s2)
+
+
+def empty_to_nonempty():
+    s1, s2, h1, h2 = classical_pair()
+    full = cl.ClassicalProp.full(h1.target)
+    return cl.product_space_isomorphism(
+        s1, s2, cl.ClassicalMorphism(s1, h1.target, lambda p: h1(p) if p.members else full), h2)
+
+
+def unequal_targets():
+    s1, s2, h1, _ = classical_pair()
+    return cl.product_space_isomorphism(s1, s2, h1, classical_pair(2, 3)[3])
+
+
+def eta_of_a_factor_prop():
+    s1, s2, h1, h2 = classical_pair()
+    eta, _ = cl.product_space_isomorphism(s1, s2, h1, h2)
+    return eta(cl.ClassicalProp.full(s1))
+
+
+def commutation(h1, h2, x1=E[0], y1=E[1], x2=E[0], y2=E[1]):
+    return composite.check_commutation(h1, h2, x1, y1, x2, y2)
+
+
+CASES = {
+    # subspace
+    "binary op on C^3 and C^4": (
+        lambda: sub.join(sub.full_subspace(3), sub.full_subspace(4)),
+        DimensionMismatch, "ambient dims differ: 3 vs 4"),
+    "contains a vector of the wrong length": (
+        lambda: sub.full_subspace(3).contains(np.ones(4)),
+        DimensionMismatch, "vector has wrong ambient dimension"),
+    "subspace_from_json with a bad entry count": (
+        lambda: sub.subspace_from_json({"ambient_dim": 3, "basis": [[1.0, 0.0]] * 4}),
+        DimensionMismatch, "basis entry count is not a multiple of ambient_dim"),
+    "random_subspace with k > d": (
+        lambda: sub.random_subspace(3, 4, 0),
+        InvalidDimension, "need 0 <= k <= d, got k=4, d=3"),
+    "random_subspace_of with k > dim q": (
+        lambda: sub.random_subspace_of(sub.zero_subspace(3), 1, 0),
+        InvalidDimension, "need 0 <= k <= dim q, got k=1, dim q=0"),
+    # core
+    "as_vector with a non-finite entry": (
+        lambda: core.as_vector([1.0, np.nan]), ValueError, "vector entries must be finite"),
+    "polarization_r with unequal lengths": (
+        lambda: core.polarization_r(np.ones(2), np.ones(3)), DimensionMismatch, "dims 2 != 3"),
+    "random_unitary of size 0": (
+        lambda: core.random_unitary(0, 1), DimensionMismatch, "d must be >= 1"),
+    # composite
+    "a morphism on the wrong ambient dimension": (
+        lambda: composite.canonical_h(1, 3, 3)(sub.full_subspace(4)),
+        DimensionMismatch, "morphism source dim 3, got 4"),
+    "sweep_axioms with unequal targets": (
+        lambda: composite.sweep_axioms(composite.canonical_h(1, 3, 3),
+                                       composite.canonical_h(2, 3, 4), 1),
+        DimensionMismatch, "morphisms must share a target space"),
+    "build_basis_map with a basis of the wrong shape": (
+        lambda: composite.build_basis_map(composite.canonical_h(1, 3, 3),
+                                          composite.canonical_h(2, 3, 3), basis1=E[:2]),
+        NotOrthonormal, "basis1 must consist of 3 vectors of dim 3"),
+    "check_commutation with a zero label": (
+        lambda: commutation(composite.canonical_h(1, 3, 3), composite.canonical_h(2, 3, 3),
+                            y2=np.zeros(3)),
+        PreconditionViolated, "all four ray labels must be nonzero"),
+    "check_commutation with an empty atom meet": (
+        lambda: commutation(composite.canonical_h(1, 3, 3), composite.canonical_h(1, 3, 3),
+                            x2=E[2]),
+        PreconditionViolated, "the atom meet is empty; axioms fail upstream"),
+    # laws
+    "check_distributive on plain numbers": (
+        lambda: laws.check_distributive(1, 2, 3), TypeError, "unsupported proposition type"),
+    "is_modular_pair on unequal ambient dimensions": (
+        lambda: laws.is_modular_pair(sub.full_subspace(3), sub.full_subspace(4)),
+        DimensionMismatch, "ambient dims differ"),
+    # classical
+    "an empty phase space": (
+        lambda: cl.PhaseSpace(()), InvalidParameter, "phase space must be non-empty"),
+    "a phase space with duplicate labels": (
+        lambda: cl.PhaseSpace(("a", "a")), InvalidParameter,
+        "phase space labels must be unique"),
+    "canonical_h_classical on side 3": (
+        lambda: cl.canonical_h_classical(3, space(2), space(2)),
+        InvalidParameter, "side must be 1 or 2"),
+    "a classical morphism on a proposition of another space": (
+        lambda: classical_pair()[2](cl.ClassicalProp.full(space(3))),
+        SpaceMismatch, "proposition does not live on the morphism source"),
+    "eta on a proposition of another space": (
+        eta_of_a_factor_prop, SpaceMismatch, "input does not live on the composite space"),
+    "product_space_isomorphism with unequal targets": (
+        unequal_targets, AxiomViolation, "I_c_morphism: morphism targets differ"),
+    "product_space_isomorphism with a map sending empty to nonempty": (
+        empty_to_nonempty, AxiomViolation, "I_c_morphism: h1 does not send empty to empty"),
+    "PhaseCurveSample with unequal lengths": (
+        lambda: cl.PhaseCurveSample((0.0, 1.0), ((0.0, 0.0),)),
+        InvalidParameter, "times and states must have equal length"),
+    # tensor
+    "TensorIndex with a zero factor": (
+        lambda: tensor.TensorIndex(0, 3), DimensionMismatch, "factor dimensions must be positive"),
+    "flatten out of range": (
+        lambda: tensor.TensorIndex(2, 3).flatten(2, 0), DimensionMismatch,
+        "index (2, 0) out of range"),
+    "unflatten out of range": (
+        lambda: tensor.TensorIndex(2, 3).unflatten(6), DimensionMismatch,
+        "flat index 6 out of range"),
+    "coefficient_matrix with a mismatched length": (
+        lambda: tensor.TensorIndex(2, 3).coefficient_matrix(np.ones(5)),
+        DimensionMismatch, "vector has dim 5, expected 6"),
+    "a dual vector on a mismatched length": (
+        lambda: tensor.riesz(np.ones(2))(np.ones(3)),
+        DimensionMismatch, "argument dimension differs"),
+    "elementary_tensor with mismatched lengths": (
+        lambda: tensor.elementary_tensor(np.ones(2), np.ones(2), tensor.TensorIndex(2, 3)),
+        DimensionMismatch, "factor dimensions do not match the index"),
+    "product_state_probability with B2 out of range": (
+        lambda: tensor.product_state_probability(np.ones(2), np.ones(3), [0], [3]),
+        DimensionMismatch, "B2 indices out of range"),
+    # truth and oscillator
+    "truth_value with a state of the wrong length": (
+        lambda: truth.truth_value(np.ones(4), sub.full_subspace(3)),
+        DimensionMismatch, "state and proposition dimensions differ"),
+    "an oscillator with hbar 0": (
+        lambda: oscillator.OscillatorModel(n_max=3, hbar=0), InvalidParameter,
+        "hbar, mass and omega0 must be positive"),
+    "a proposition of C^0": (
+        lambda: oscillator.proposition_from_eigenstates({0}, 0),
+        InvalidDimension, "dim must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_a_bad_argument_is_refused(name):
+    call, exception, message = CASES[name]
+    with pytest.raises(exception, match=re.escape(message)):
+        call()
