@@ -29,7 +29,6 @@ from .composite import (
     BasisMap,
     SubspaceMorphism,
     TensorIsoReport,
-    build_U_V,
     build_basis_map,
     canonical_h,
     check_commutation,

@@ -36,14 +36,15 @@ element): nothing below reads how the map was built.
 From an axiom-satisfying pair the module derives the ray intertwiners
 F/K from the lattice maps alone (h(<x - y>) is the graph of F_{y,x}),
 classifies each map as linear or antilinear by the scalar action of
-F_{i x, x}, and builds the product orthonormal basis of the composite
-space in one place, _onb_matrix: it is the matrix of the basis map
-onto the tensor space (or its dual-twisted variant), and the
-norm-preserving maps U/V read its vectors of one-vector bases.  The
-basis map's lift to subspaces is verified to be a lattice isomorphism,
-on all its seeded trials as one batch.  Each derivation maps the
-distinct rays it needs as one batch, and the trials draw both their
-subspaces in one call, so a frame two trials share is drawn once.
+F_{i x, x}, and builds the composite basis {U(f_j, e_i)} of the
+coordinate bases e and f in one place, _onb_matrix: it is the unitary
+matrix of the basis map onto the tensor space (or the one whose first
+factor is dual).  The map does not depend on the product bases it is
+built from, so the coordinate bases are enough.  Its lift to subspaces
+is verified to be a lattice isomorphism, on all its seeded trials as
+one batch.  Each derivation maps the distinct rays it needs as one
+batch, and the trials draw both their subspaces in one call, so a frame
+two trials share is drawn once.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ from .errors import (
 )
 from .laws import LawReport, compatible
 from .subspace import Subspace, full_subspace, span_of, zero_subspace
-from .tensor import TensorIndex
 
 __all__ = [
     "SubspaceMorphism",
@@ -89,7 +89,6 @@ __all__ = [
     "classify_linearity",
     "check_m_morphism",
     "default_anchors",
-    "build_U_V",
     "BasisMap",
     "build_basis_map",
     "verify_tensor_isomorphism",
@@ -157,8 +156,12 @@ def canonical_h(
             stacklevel=2,
         )
     dim = d1 * d2
-    if twist is not None:
-        twist = _check_onb(twist, dim, tol, "twist")
+    if twist is not None:  # a unitary, given by its columns (see as_columns)
+        twist = as_columns(twist)
+        if twist.shape != (dim, dim):
+            raise NotOrthonormal(f"twist must consist of {dim} vectors of dim {dim}")
+        if np.linalg.norm(twist.conj().T @ twist - np.eye(dim)) > tol.eps_eq * dim:
+            raise NotOrthonormal("twist is not orthonormal")
     source_dim = d1 if side == 1 else d2
     other_dim = d2 if side == 1 else d1
     eye = np.eye(other_dim, dtype=complex)
@@ -660,52 +663,16 @@ def default_anchors(
     return z1, z2, z
 
 
-def build_U_V(h1: SubspaceMorphism, h2: SubspaceMorphism, tol: Tolerance = DEFAULT_TOL):
-    """Norm-preserving maps generated by the intertwiners.
-
-    U(x2, x1) carries x1 into the composite space along the slice of
-    <x2>: the composite basis vector of the one-vector bases x1 and x2
-    (see _onb_matrix), over |x2|.  V mirrors the roles, with the pair
-    swapped.  Both are unitary or antiunitary according to the linearity
-    class of the corresponding morphism, and U(x2, x1) spans h1(<x1>)
-    meet h2(<x2>).
-    """
-
-    def along(h, slice_h):  # (s, x) -> the basis vector of x and s, over |s|
-        def apply(s, x) -> np.ndarray:
-            sv, xv = as_vector(s), as_vector(x)
-            norm = float(np.linalg.norm(sv))
-            if norm < tol.eps_rank:
-                raise ZeroState("the slice ray label must be nonzero")
-            return _onb_matrix(h, slice_h, xv[:, None], sv[:, None], tol)[:, 0] / norm
-
-        return apply
-
-    return along(h1, h2), along(h2, h1)
-
-
-def _check_onb(basis, d, tol: Tolerance, what: str) -> np.ndarray:
-    """The d x d unitary whose columns are the basis (see as_columns)."""
-    if basis is None:
-        return np.eye(d, dtype=complex)
-    b = as_columns(basis)
-    if b.shape != (d, d):
-        raise NotOrthonormal(f"{what} must consist of {d} vectors of dim {d}")
-    if np.linalg.norm(b.conj().T @ b - np.eye(d)) > tol.eps_eq * d:
-        raise NotOrthonormal(f"{what} is not orthonormal")
-    return b
-
-
-def _onb_matrix(h1, h2, e: np.ndarray, f: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """The composite basis {U(f_j, e_i)} of the columns e_i of e and f_j of
-    f, as the columns of one matrix in the order (i, j) -> i * d2 + j:
-    U(f_j, e_i) = alpha F_{e_i,z1} K_{f_j,z2} z, with the anchors (z1, z2,
-    z) of default_anchors and alpha = |z1| |z2| / |z|.  Each factor
-    intertwiner is derived once, d1 + d2 derivations in all."""
+def _onb_matrix(h1, h2, tol: Tolerance) -> np.ndarray:
+    """The composite basis {U(f_j, e_i)} of the coordinate bases e of
+    C^{d1} and f of C^{d2}, as the columns of one matrix in the order
+    (i, j) -> i * d2 + j: U(f_j, e_i) = alpha F_{e_i,z1} K_{f_j,z2} z, with
+    the anchors (z1, z2, z) of default_anchors and alpha = |z1| |z2| / |z|.
+    Each factor intertwiner is derived once, d1 + d2 derivations in all."""
     z1, z2, z = default_anchors(h1, h2, tol)
     alpha = float(np.linalg.norm(z1) * np.linalg.norm(z2) / np.linalg.norm(z))
-    ks, _ = _ray_matrices(h2, [(y, z2) for y in f.T], tol)
-    fs, _ = _ray_matrices(h1, [(x, z1) for x in e.T], tol)
+    ks, _ = _ray_matrices(h2, [(y, z2) for y in np.eye(h2.source_dim, dtype=complex)], tol)
+    fs, _ = _ray_matrices(h1, [(x, z1) for x in np.eye(h1.source_dim, dtype=complex)], tol)
     k_steps = np.column_stack([k @ z for k in ks])
     return alpha * np.hstack([fx @ k_steps for fx in fs])
 
@@ -714,18 +681,25 @@ def _onb_matrix(h1, h2, e: np.ndarray, f: np.ndarray, tol: Tolerance) -> np.ndar
 class BasisMap:
     """The vector-level map from the tensor space onto the composite space.
 
-    ``matrix`` has the images of the (dual) product basis as columns: the
-    orthonormal composite basis {U(f_j, e_i)} (see _onb_matrix).
-    Antiunitary maps conjugate the input coordinates first.  The lift
-    to subspaces and its inverse realize the lattice isomorphism.
+    ``matrix`` is unitary: its columns are the composite basis
+    {U(f_j, e_i)} of the coordinate bases (see _onb_matrix), the images
+    of the product basis.  ``linearity`` holds the classes of h1 and h2:
+    mixed classes make the first factor the dual one (target "H1*xH2"),
+    and an antilinear h2 makes the map antiunitary, conjugating the input
+    coordinates first.  The lift to subspaces and its inverse realize the
+    lattice isomorphism.
     """
 
-    target: str
-    antiunitary: bool
     matrix: np.ndarray
-    coefficient_transform: np.ndarray
-    index: TensorIndex
     linearity: tuple[str, str]
+
+    @property
+    def target(self) -> str:
+        return "H1*xH2" if self.linearity[0] != self.linearity[1] else "H1xH2"
+
+    @property
+    def antiunitary(self) -> bool:
+        return self.linearity[1] == ANTILINEAR
 
     def apply(self, v) -> np.ndarray:
         return self._image(as_vector(v))
@@ -743,59 +717,36 @@ class BasisMap:
         return self._spans(self._preimage, g, tol)
 
     def _spans(self, f, g: Subspace, tol: Tolerance) -> Subspace:
-        return Subspace(self.index.dim, each(lambda b: orthonormal_bases(f(b), tol), g.basis))
+        return Subspace(g.ambient_dim, each(lambda b: orthonormal_bases(f(b), tol), g.basis))
 
     def _image(self, x: np.ndarray) -> np.ndarray:
         """apply on a vector, the columns of a matrix or a stack of them."""
-        coeffs = self.coefficient_transform @ x
-        return self.matrix @ (np.conj(coeffs) if self.antiunitary else coeffs)
+        return self.matrix @ (np.conj(x) if self.antiunitary else x)
 
     def _preimage(self, y: np.ndarray) -> np.ndarray:
-        """apply_inverse as _image extends apply."""
+        """apply_inverse as _image extends apply: the matrix is unitary."""
         coeffs = self.matrix.conj().T @ y
-        return np.linalg.solve(self.coefficient_transform,
-                               np.conj(coeffs) if self.antiunitary else coeffs)
+        return np.conj(coeffs) if self.antiunitary else coeffs
 
 
-def build_basis_map(
-    h1: SubspaceMorphism,
-    h2: SubspaceMorphism,
-    basis1=None,
-    basis2=None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> BasisMap:
+def build_basis_map(h1: SubspaceMorphism, h2: SubspaceMorphism,
+                    tol: Tolerance = DEFAULT_TOL) -> BasisMap:
     """Assemble the case-matched map from the tensor space to the target.
 
     Matching linearity classes keep the plain product space C^{d1}
     tensor C^{d2} as the domain (with coefficients conjugated in the
     antilinear-antilinear case); mixed classes move the first factor to
-    its dual.  The coefficient of the (i, j) product basis vector is
-    carried onto U(f_j, e_i).  Both linearity classes are derived here;
-    a gemischt morphism is refused (AxiomViolation) by name.
+    its dual.  The coefficient of the (i, j) coordinate product vector
+    is carried onto U(f_j, e_i).  The coordinate bases suffice: the map
+    does not depend on the product bases it is built from, so the
+    product vector of any other bases e and f is carried onto their
+    U(f_j, e_i) too.  Both linearity classes are derived here; a
+    gemischt morphism is refused (AxiomViolation) by name.
     """
     lin1, lin2 = classify_linearity(h1, tol=tol), classify_linearity(h2, tol=tol)
     if GEMISCHT in (lin1, lin2):
         raise AxiomViolation("gemischt morphisms admit no basis map")
-    d1, d2 = h1.source_dim, h2.source_dim
-    e = _check_onb(basis1, d1, tol, "basis1")
-    f = _check_onb(basis2, d2, tol, "basis2")
-    matrix = _onb_matrix(h1, h2, e, f, tol)
-    dual = lin1 != lin2
-    # Coordinates of the input in the chosen product basis: for a plain
-    # tensor factor the expansion uses the inner product with e_i; for
-    # the dual factor the pairing is bilinear, hence the transpose.
-    first = e.T if dual else e.conj().T
-    second = f.conj().T
-    transform = np.kron(first, second)
-    index = TensorIndex(d1, d2, dual_first_factor=dual)
-    return BasisMap(
-        target="H1*xH2" if dual else "H1xH2",
-        antiunitary=lin2 == ANTILINEAR,
-        matrix=matrix,
-        coefficient_transform=transform,
-        index=index,
-        linearity=(lin1, lin2),
-    )
+    return BasisMap(_onb_matrix(h1, h2, tol), (lin1, lin2))
 
 
 @dataclass
@@ -846,7 +797,7 @@ def verify_tensor_isomorphism(sweep: AxiomSweep, trials: int, axiom_trials: int)
     for report in axiom_reports:
         if not report.passed:
             raise AxiomViolation(f"axiom {report.axiom} fails; no isomorphism is built")
-    dim = bm.index.dim
+    dim = bm.matrix.shape[0]
     seeds = subseeds(seed, "tensoriso", trials)
     rngs = [np.random.default_rng(s) for s in seeds]
     dims = [(rng.integers(0, dim + 1), rng.integers(1, dim)) for rng in rngs]

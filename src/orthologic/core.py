@@ -223,3 +223,8 @@ def subseeds(base: int, name: str, n: int) -> np.ndarray:
     """The seeds of trials 0..n-1, ``subseed(base, name, t)``, as the
     object array of Python ints that a batch sampler takes."""
     return np.array([subseed(base, name, t) for t in range(n)], dtype=object)
+
+
+def _one(seed) -> np.ndarray:
+    """The seed array of a batch of one."""
+    return np.array([seed], dtype=object)

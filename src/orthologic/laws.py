@@ -39,7 +39,7 @@ import numpy as np
 
 from . import classical as cl
 from . import subspace as sub
-from .core import DEFAULT_TOL, Tolerance, each, orthonormal_bases
+from .core import DEFAULT_TOL, Tolerance, _one, each, orthonormal_bases
 from .errors import DimensionMismatch, PreconditionViolated
 from .subspace import Ray, Subspace
 
@@ -420,7 +420,7 @@ def is_modular_pair(
     """
     if p.ambient_dim != q.ambient_dim:
         raise DimensionMismatch("ambient dims differ")
-    seeds = seed if isinstance(seed, np.ndarray) else np.array([seed], dtype=object)
+    seeds = seed if isinstance(seed, np.ndarray) else _one(seed)
     trial = np.arange(samples)
 
     def repeat(x):  # each element once per sample

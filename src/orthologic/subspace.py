@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DEFAULT_TOL, Tolerance, as_columns, as_vector, each, orthonormal_bases
-from .core import orthonormalize, random_unitary, random_vector
+from .core import _one, orthonormalize, random_unitary, random_vector
 from .errors import DimensionMismatch, InvalidDimension
 
 __all__ = [
@@ -53,10 +53,11 @@ __all__ = [
 ]
 
 
-def _gram_defects(b: np.ndarray) -> np.ndarray:
-    """||B^dagger B - I||_F of each basis of a stack."""
+def _gram_defects(b: np.ndarray) -> list:
+    """||B^dagger B - I||_F of each basis of a stack, as floats: NaN or inf
+    for a basis with a non-finite entry."""
     defects = b.conj().swapaxes(-1, -2) @ b - np.eye(b.shape[-1])
-    return np.linalg.norm(defects, axis=(-2, -1))
+    return np.linalg.norm(defects, axis=(-2, -1)).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +80,13 @@ class Subspace:
                 raise DimensionMismatch(
                     f"basis shape {x.shape} does not match ambient dim {self.ambient_dim}"
                 )
-        if max(each(_gram_defects, b), default=0.0) > DEFAULT_TOL.eps_eq * max(1, self.ambient_dim):
-            raise ValueError("basis columns are not orthonormal")
+        bound = DEFAULT_TOL.eps_eq * max(1, self.ambient_dim)
+        with np.errstate(invalid="ignore", over="ignore"):
+            defects = each(_gram_defects, b)
+        if not all(d <= bound for d in defects):  # a NaN defect fails, wherever it sits
+            finite = all(np.isfinite(x).all() for x in b)
+            raise ValueError("basis columns are not orthonormal" if finite
+                             else "basis entries must be finite")
         object.__setattr__(self, "basis", b if batch else b[0])
 
     @classmethod
@@ -276,11 +282,6 @@ def is_atom(p: Subspace) -> bool:
     return p.dim == 1
 
 
-def _one(seed) -> np.ndarray:
-    """The seed array of a batch of one."""
-    return np.array([seed], dtype=object)
-
-
 def random_subspace(d: int, k, seed) -> Subspace:
     """Deterministic k-dimensional subspace of C^d for a given seed.
 
@@ -372,11 +373,20 @@ def subspace_to_json(p: Subspace) -> dict:
     return {"ambient_dim": p.ambient_dim, "basis": complex_to_json(p.basis.ravel(order="F"))}
 
 
-def subspace_from_json(data: dict) -> Subspace:
-    d = int(data["ambient_dim"])
-    flat = data["basis"]
-    if len(flat) % max(d, 1) != 0:
+def subspace_from_json(data) -> Subspace:
+    """The subspace of subspace_to_json's form.  This reads outside input:
+    anything else raises ValueError, except an entry count that is no
+    multiple of ambient_dim (DimensionMismatch)."""
+    if not isinstance(data, dict) or not {"ambient_dim", "basis"} <= data.keys():
+        raise ValueError("a subspace is an object with the keys ambient_dim and basis")
+    d, flat = data["ambient_dim"], data["basis"]
+    if type(d) is not int or d < 1:
+        raise ValueError(f"ambient_dim must be a positive integer, got {d!r}")
+    if not isinstance(flat, list) or not all(
+            isinstance(e, list) and len(e) == 2 and {type(x) for x in e} <= {int, float}
+            for e in flat):
+        raise ValueError("basis must be a list of [re, im] number pairs")
+    if len(flat) % d != 0:
         raise DimensionMismatch("basis entry count is not a multiple of ambient_dim")
-    k = len(flat) // d if d else 0
-    pairs = np.asarray(flat, dtype=float).reshape(-1, 2)
-    return Subspace(d, (pairs[:, 0] + 1j * pairs[:, 1]).reshape((d, k), order="F"))
+    pairs = np.array(flat, dtype=float).reshape(-1, 2)
+    return Subspace(d, (pairs[:, 0] + 1j * pairs[:, 1]).reshape((d, -1), order="F"))

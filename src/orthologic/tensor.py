@@ -33,15 +33,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TensorIndex:
-    """Index bookkeeping for a bipartite product space.
-
-    dual_first_factor marks the first factor as a dual space, which
-    only changes how coordinates are interpreted, not the flattening.
-    """
+    """Index bookkeeping for a bipartite product space."""
 
     d1: int
     d2: int
-    dual_first_factor: bool = False
 
     def __post_init__(self) -> None:
         if self.d1 < 1 or self.d2 < 1:
@@ -111,7 +106,7 @@ def elementary_tensor(x, y, idx: TensorIndex) -> np.ndarray:
     """Flattened product (x tensor y)[i * d2 + j] = x_i y_j.
 
     The first factor may be a DualVector, in which case its coordinates
-    enter directly (matching idx.dual_first_factor bookkeeping).
+    enter directly: a dual first factor flattens as a plain one does.
     """
     xv = x.coordinates if isinstance(x, DualVector) else as_vector(x)
     yv = as_vector(y)

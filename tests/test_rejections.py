@@ -24,6 +24,24 @@ from orthologic.errors import (
 
 E = np.eye(3, dtype=complex)
 
+# (what, data, message): JSON that subspace_from_json refuses with ValueError
+BAD_SUBSPACE_JSON = [
+    ("a number", 5, "a subspace is an object with the keys ambient_dim and basis"),
+    ("a list", [1, 2], "a subspace is an object with the keys ambient_dim and basis"),
+    ("no basis", {"ambient_dim": 3},
+     "a subspace is an object with the keys ambient_dim and basis"),
+    ("no ambient_dim", {"basis": []},
+     "a subspace is an object with the keys ambient_dim and basis"),
+    ("a fractional ambient_dim", {"ambient_dim": 2.5, "basis": []},
+     "ambient_dim must be a positive integer, got 2.5"),
+    ("a boolean ambient_dim", {"ambient_dim": True, "basis": [[1.0, 0.0]]},
+     "ambient_dim must be a positive integer, got True"),
+    ("entries that are triples", {"ambient_dim": 3, "basis": [[1.0, 0.0, 0.0]] * 3},
+     "basis must be a list of [re, im] number pairs"),
+    ("entries that are null pairs", {"ambient_dim": 3, "basis": [[None, None]] * 3},
+     "basis must be a list of [re, im] number pairs"),
+]
+
 
 def space(n):
     return cl.PhaseSpace(tuple(range(n)))
@@ -67,6 +85,18 @@ CASES = {
     "subspace_from_json with a bad entry count": (
         lambda: sub.subspace_from_json({"ambient_dim": 3, "basis": [[1.0, 0.0]] * 4}),
         DimensionMismatch, "basis entry count is not a multiple of ambient_dim"),
+    **{f"subspace_from_json of {what}": (
+        lambda data=data: sub.subspace_from_json(data), ValueError, message)
+       for what, data, message in BAD_SUBSPACE_JSON},
+    "a basis with a NaN entry": (
+        lambda: sub.Subspace(3, np.full((3, 1), np.nan)), ValueError,
+        "basis entries must be finite"),
+    "a basis with an inf entry": (
+        lambda: sub.Subspace(3, np.array([[np.inf], [0.0], [0.0]])), ValueError,
+        "basis entries must be finite"),
+    "a batch whose second element has a NaN entry": (
+        lambda: sub.Subspace(3, (E[:, :1], np.full((3, 1), np.nan))), ValueError,
+        "basis entries must be finite"),
     "random_subspace with k > d": (
         lambda: sub.random_subspace(3, 4, 0),
         InvalidDimension, "need 0 <= k <= d, got k=4, d=3"),
@@ -88,10 +118,9 @@ CASES = {
         lambda: composite.sweep_axioms(composite.canonical_h(1, 3, 3),
                                        composite.canonical_h(2, 3, 4), 1),
         DimensionMismatch, "morphisms must share a target space"),
-    "build_basis_map with a basis of the wrong shape": (
-        lambda: composite.build_basis_map(composite.canonical_h(1, 3, 3),
-                                          composite.canonical_h(2, 3, 3), basis1=E[:2]),
-        NotOrthonormal, "basis1 must consist of 3 vectors of dim 3"),
+    "canonical_h with a twist of the wrong shape": (
+        lambda: composite.canonical_h(1, 3, 3, twist=np.eye(8)),
+        NotOrthonormal, "twist must consist of 9 vectors of dim 9"),
     "check_commutation with a zero label": (
         lambda: commutation(composite.canonical_h(1, 3, 3), composite.canonical_h(2, 3, 3),
                             y2=np.zeros(3)),

@@ -93,7 +93,7 @@ class TestElementaryTensor:
         assert abs(joint - inner(x1, x2) * inner(y1, y2)) < 1e-12
 
     def test_dual_first_factor(self):
-        idx = TensorIndex(3, 4, dual_first_factor=True)
+        idx = TensorIndex(3, 4)
         f = riesz(random_vector(3, 11))
         y = random_vector(4, 12)
         t = elementary_tensor(f, y, idx)
