@@ -388,7 +388,7 @@ def _first_failure(checks: list, side, n: int):
     return worst, _axiom_ce(kind, side, failing), trial + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AxiomSweep:
     """Axioms I-III checked on ``trials`` seeded instances of the pair
     (h1, h2) drawn from ``seed`` and decided under ``tol`` (sweep_axioms).
@@ -502,9 +502,9 @@ def recheck_axiom_counterexample(
     kinds (axiom I, and the "m_morphism" kind of check_m_morphism, which
     records side 1) replay on the morphism of their side, 1 or 2, so the
     morphism of a check_m_morphism counterexample is passed as h1; the
-    cross kinds of axioms II and III have no side.  A counterexample of
-    an unknown kind, a side that does not fit its kind, or other subspaces
-    than its check takes (p, then q, then r) raises ValueError.
+    cross kinds of axioms II and III have no side.  ValueError refuses an
+    unknown kind, a side unfit for the kind, or subspaces other than the
+    check's (p, then q, then r, each in its morphism's source space).
     """
     kind, side = ce.get("kind"), ce.get("side")
     if not isinstance(kind, str) or kind not in _AXIOM_CHECKS:
@@ -517,8 +517,13 @@ def recheck_axiom_counterexample(
     names = "pqr"[:check.__code__.co_argcount - 1 - len(morphisms)]
     if [name for name in "pqr" if name in ce] != list(names):
         raise ValueError(f"a {kind!r} counterexample holds the subspaces {list(names)}")
-    holds, _ = check(_Memo(tol), *morphisms, *(sub.subspace_from_json(ce[n]) for n in names))
-    return not holds
+    try:
+        subspaces = [sub.subspace_from_json(ce[n]) for n in names]
+    except DimensionMismatch as exc:
+        raise ValueError(str(exc)) from None
+    if [p.ambient_dim for p in subspaces] != [h.source_dim for h in morphisms * 3][:len(names)]:
+        raise ValueError(f"a subspace of a {kind!r} counterexample is not in its map's source")
+    return not check(_Memo(tol), *morphisms, *subspaces)[0]
 
 
 def restriction_iso_u(
@@ -677,7 +682,7 @@ def _onb_matrix(h1, h2, tol: Tolerance) -> np.ndarray:
     return alpha * np.hstack([fx @ k_steps for fx in fs])
 
 
-@dataclass
+@dataclass(eq=False)
 class BasisMap:
     """The vector-level map from the tensor space onto the composite space.
 

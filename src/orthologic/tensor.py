@@ -65,7 +65,7 @@ class TensorIndex:
         return vec.reshape(self.d1, self.d2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualVector:
     """A continuous linear functional, stored by dual-basis coordinates."""
 

@@ -54,6 +54,7 @@ from test_rejections import BAD_SUBSPACE_JSON
 
 
 FULL3 = sub.subspace_to_json(full_subspace(3))
+FULL4 = sub.subspace_to_json(full_subspace(4))
 # counterexamples recheck_axiom_counterexample refuses, by what is wrong
 MALFORMED = {
     "no kind": {"side": 1},
@@ -75,6 +76,11 @@ MALFORMED = {
         '"basis": [[NaN, 0.0], [0.0, 0.0], [0.0, 0.0]]}}' % (json.dumps(FULL3), json.dumps(FULL3))),
     **{f"p of {what}": {"kind": "complement", "side": 1, "p": data}
        for what, data, _ in BAD_SUBSPACE_JSON},
+    # well-formed subspaces, but not of the source space of their morphism
+    "p of C^4": {"kind": "complement", "side": 1, "p": FULL4},
+    "q of C^4 on axiom II": {"kind": "compatibility", "p": FULL3, "q": FULL4},
+    "a basis entry count no multiple of ambient_dim": {
+        "kind": "complement", "side": 1, "p": {"ambient_dim": 3, "basis": [[1.0, 0.0]] * 2}},
 }
 
 
@@ -178,6 +184,18 @@ def build_u_v(h1, h2, tol=DEFAULT_TOL):
         return apply
 
     return along(h1, h2), along(h2, h1)
+
+
+def make_ray_dependent(d1=3, d2=3):
+    """The slice embedding on rays near <e0>, the canonical one elsewhere,
+    so that ray images differ in dimension."""
+    slice_h, base = make_slice_embedding(d1, d2), canonical_h(1, d1, d2)
+
+    def embed(p):
+        near_e0 = p.dim == 1 and abs(p.basis[0, 0]) > 0.8
+        return (slice_h if near_e0 else base).map(p)
+
+    return SubspaceMorphism(d1, d1 * d2, embed)
 
 
 def make_zero_to_full(d1=3, d2=3):
@@ -373,6 +391,15 @@ class TestVerifyAxioms:
         assert recheck_axiom_counterexample(h1, h2, {"kind": "zero", "side": 1})
         assert not recheck_axiom_counterexample(h1, h2, {"kind": "zero", "side": 2})
 
+    def test_each_subspace_replays_on_the_source_of_its_morphism(self):
+        h1, h2 = canonical_h(1, 3, 4), canonical_h(2, 3, 4)
+        ce = {"kind": "compatibility", "p": FULL3, "q": FULL4}
+        assert not recheck_axiom_counterexample(h1, h2, ce)
+        side2 = {"kind": "complement", "side": 2, "p": FULL4}
+        assert not recheck_axiom_counterexample(h1, h2, side2)
+        with pytest.raises(ValueError, match="source"):
+            recheck_axiom_counterexample(h1, h2, {**ce, "p": FULL4, "q": FULL3})
+
 
 class TestRestrictionIso:
     def test_full_space_maps_to_slice(self, pair33):
@@ -530,6 +557,13 @@ class TestIntertwinerDomain:
         with pytest.raises(InvalidDimension):
             intertwiner_F(h, 2.0 * np.ones(1), np.ones(1))
 
+    def test_ray_images_of_unequal_dimension_are_no_graph(self, pair33):
+        h, e = make_ray_dependent(), np.eye(3)
+        with pytest.raises(AxiomViolation, match="the ray images differ in dimension"):
+            intertwiner_F(h, e[1], e[0])
+        with pytest.raises(AxiomViolation, match="the ray images differ in dimension"):
+            build_basis_map(h, pair33[1])
+
     def test_rank_inflating_map_is_no_graph(self):
         fake = make_rank_inflating()
         for seed in range(3):
@@ -614,6 +648,15 @@ class TestCommutation:
             random_vector(3, 25),
         )
         assert report.holds
+
+    def test_an_oblique_map_fails_to_commute(self, pair33):
+        e = np.eye(3)
+        labels = (e[0], e[1], e[0], e[2])
+        report = check_commutation(make_oblique(), pair33[1], *labels)
+        assert not report.holds
+        assert report.worst_residual == pytest.approx(1.0, abs=1e-12)
+        assert report.counterexample == {
+            name: [[float(x), 0.0] for x in v] for name, v in zip(("x1", "y1", "x2", "y2"), labels)}
 
 
 class TestClassifyLinearity:

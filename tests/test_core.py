@@ -1,14 +1,19 @@
 """Core linear algebra: inner products, orthonormalization, random unitaries."""
 
+import ast
 import dataclasses
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import orthologic
-from orthologic import core
+from orthologic import cli, core
 from orthologic.core import (
     DEFAULT_TOL,
     Tolerance,
@@ -281,6 +286,41 @@ def test_every_exported_name_resolves():
         missing += [f"{info.name}.{n}" for n in getattr(module, "__all__", ())
                     if not hasattr(module, n)]
     assert missing == []
+
+
+SRC = str(Path(orthologic.__file__).resolve().parent.parent)
+
+
+def fresh_python(*args):
+    """Run the interpreter on args with src first on sys.path; the result."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def loaded_by(statement):
+    """The orthologic modules a fresh interpreter holds after statement."""
+    done = fresh_python("-c", f"import sys; {statement}; print(sorted("
+                        "m for m in sys.modules if m.split('.')[0] == 'orthologic'))")
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout.decode())
+
+
+# the package root re-exports nothing, so it loads no submodule
+@pytest.mark.parametrize("module, loaded", [
+    ("orthologic", ["orthologic"]),
+    ("orthologic.core", ["orthologic", "orthologic.core", "orthologic.errors"]),
+])
+def test_an_import_loads_only_the_modules_it_uses(module, loaded):
+    assert loaded_by(f"import {module}") == loaded
+
+
+def test_the_module_entry_point_writes_the_report_of_main(capsys):
+    argv = ["lattice-check", "--dim1", "3", "--trials", "5", "--seed", "1"]
+    done = fresh_python("-m", "orthologic", *argv)
+    assert done.returncode == 0, done.stderr
+    assert cli.main(argv) == 0
+    assert done.stdout == capsys.readouterr().out.encode("utf-8")
 
 
 def test_subseeds_are_the_subseeds_of_each_trial():

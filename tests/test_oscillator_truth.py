@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from orthologic.composite import build_basis_map, canonical_h, sweep_axioms
 from orthologic.errors import InvalidIndex, InvalidParameter, ZeroState
 from orthologic.oscillator import (
     OscillatorModel,
@@ -12,6 +13,7 @@ from orthologic.oscillator import (
     proposition_from_eigenstates,
 )
 from orthologic.subspace import equal, full_subspace, ortho, span_of, zero_subspace
+from orthologic.tensor import riesz
 from orthologic.truth import EPS_PROB, TruthValue, truth_value
 
 
@@ -205,6 +207,9 @@ class TestTruthValue:
     lambda: span_of([[1.0, 0.0]]),
     lambda: full_subspace(3),
     lambda: OscillatorModel(n_max=3),
+    lambda: build_basis_map(canonical_h(1, 3, 3), canonical_h(2, 3, 3)),
+    lambda: sweep_axioms(canonical_h(1, 3, 3), canonical_h(2, 3, 3), 2),
+    lambda: riesz([1, 2j, 3]),
 ])
 def test_array_holding_dataclasses_compare_by_identity(make):
     a, b = make(), make()
