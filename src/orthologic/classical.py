@@ -33,6 +33,7 @@ __all__ = [
     "product_phase_space",
     "canonical_h_classical",
     "product_space_isomorphism",
+    "row_blocks",
     "sample_oscillator_curve",
     "curve_energy",
 ]
@@ -60,7 +61,7 @@ class PhaseSpace:
         return self.points.index(label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalProp:
     """A proposition: a subset of a phase space, stored as a bitmask.
 
@@ -69,15 +70,17 @@ class ClassicalProp:
     connectives act elementwise and broadcast, so prop_and(p, q) on
     batches of shapes (n, 1) and (1, n) holds all n^2 meets; ``contains``
     is elementwise too.  ``size``, ``labels`` and the JSON forms are for
-    one bitmask.  A batch is not hashable and is never compared with
-    ``==``: the ``laws`` checkers compare the bitmasks themselves.
+    one bitmask.  Like every array-holding dataclass here, it compares and
+    hashes by identity, a single bitmask too: compare ``members`` instead,
+    as the ``laws`` checkers do.
     """
 
     space: PhaseSpace
     members: int | np.ndarray = field(default=0)
 
     def __post_init__(self) -> None:
-        if np.any((self.members < 0) | (self.members >= 1 << self.space.size)):
+        m = np.asarray(self.members)
+        if m.size and (m.min() < 0 or m.max() >= 1 << self.space.size):
             raise InvalidParameter("bitmask out of range for this phase space")
 
     @classmethod
@@ -230,19 +233,26 @@ class ProductIsoReport:
         }
 
 
-# Pairs per broadcast comparison: each int64 temporary of a chunk takes
+# Elements per broadcast block: each int64 temporary of a block takes
 # 128 KB, whatever the number of propositions.
 _CHUNK = 1 << 14
 
 
+def row_blocks(rows: int, width: int):
+    """Slices that cut range(rows) into blocks of as many rows as fit in
+    _CHUNK elements when each row broadcasts against ``width`` elements;
+    at least one row per block, so a row wider than _CHUNK is its own."""
+    step = max(1, _CHUNK // width)
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
 def _preserves(op, table: np.ndarray) -> bool:
     """Whether table[op(a, b)] == op(table[a], table[b]) for every pair of
-    masks below len(table), compared by broadcasting over a chunk of rows
-    a at a time, at most _CHUNK pairs per chunk."""
+    masks below len(table), compared by broadcasting one block of rows a
+    against every b at a time."""
     b = np.arange(len(table), dtype=np.int64)
-    rows = max(1, _CHUNK // len(table))
-    chunks = (b[start:start + rows, None] for start in range(0, len(b), rows))
-    return all(np.array_equal(table[op(a, b)], op(table[a], table[b])) for a in chunks)
+    blocks = (b[rows, None] for rows in row_blocks(len(b), len(b)))
+    return all(np.array_equal(table[op(a, b)], op(table[a], table[b])) for a in blocks)
 
 
 def _check_classical_axioms(

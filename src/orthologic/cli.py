@@ -222,13 +222,15 @@ def _quantum_lattice_report(d: int, trials: int, seed: int, tol: Tolerance) -> d
 def _classical_lattice_report(omega: int, tol: Tolerance) -> dict:
     """Every law on every pair or triple of propositions, each decided by
     broadcasting batches: col and row hold all 2^omega bitmasks along one
-    axis each, so a checker call on (col, row) covers every pair."""
+    axis each, so a checker call on (col, row) covers every pair, and one
+    on a block of a-values against them covers every triple of the block."""
     space = cl.PhaseSpace(tuple(f"w{k}" for k in range(omega)))
-    masks = np.arange(1 << omega)
+    masks = np.arange(1 << omega, dtype=np.uint16)
     col, row = cl.ClassicalProp(space, masks[:, None]), cl.ClassicalProp(space, masks[None, :])
     ok_dist = all(
-        laws.check_triple_distributive(cl.ClassicalProp(space, a), col, row).holds
-        for a in range(1 << omega)
+        laws.check_triple_distributive(
+            cl.ClassicalProp(space, masks[rows, None, None]), col, row).holds
+        for rows in cl.row_blocks(len(masks), len(masks) ** 2)
     )
     # p = q meet s runs over every nested pair p <= q
     ok_om = laws.check_orthomodular(cl.prop_and(col, row), col).holds
@@ -380,9 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Largest exhaustive classical sizes.  composite-verify proves 2^12
 # composite propositions in well under a second; lattice-check checks
-# its 2^(3 omega) triples as 2^omega batches of 4^omega, measured on a
-# 2-core x86 machine at 0.05 s for omega = 6, 0.15 s for 7 and 1.1 s
-# for 8; omega = 9 would take about 11 s.
+# its 2^(3 omega) triples in blocks of a-values cut by
+# classical.row_blocks, measured in process on a 2-core x86 machine at
+# 0.008 s for omega = 6, 0.05-0.07 s for 7 and 0.28-0.31 s for 8;
+# omega = 9 would take about 3.5 s.  Its bitmasks are np.uint16, which
+# holds every mask up to omega = 16.
 MAX_PRODUCT_POINTS = 12
 MAX_OMEGA = 8
 

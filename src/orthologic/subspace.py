@@ -232,7 +232,7 @@ def meet(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     _check_same_ambient(p, q)
 
     def shared(m):
-        _, sines, vh = np.linalg.svd(m)
+        _, sines, vh = np.linalg.svd(m, full_matrices=False)
         return [v[k:] for v, k in zip(vh, (sines > tol.eps_rank).sum(axis=-1))]
 
     rows = each(shared, each(_outside, p.basis, q.basis))

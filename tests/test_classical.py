@@ -23,6 +23,7 @@ from orthologic.classical import (
     prop_implies,
     prop_not,
     prop_or,
+    row_blocks,
     sample_oscillator_curve,
 )
 from orthologic.errors import AxiomViolation, InvalidParameter, SpaceMismatch
@@ -40,6 +41,31 @@ def implies_oracle(a, b):
         if (not a_true) or b_true:
             mask |= 1 << k
     return mask
+
+
+def out_of_range(members, size):
+    """The range check as elementwise compares: its oracle."""
+    return bool(np.any((members < 0) | (members >= 1 << size)))
+
+
+@pytest.mark.parametrize("size", [1, 2, 8, 12])
+def test_range_check_refuses_exactly_the_out_of_range_masks(size):
+    values = [-(1 << 70), -1, 0, 1, (1 << size) - 1, 1 << size, 1 << 70]
+    candidates = list(values)
+    for dtype in (np.int8, np.int64, np.uint8, np.uint16, np.uint64):
+        info = np.iinfo(dtype)
+        fitting = [v for v in values + [info.min, info.max] if info.min <= v <= info.max]
+        candidates += [dtype(v) for v in fitting]
+        candidates += [np.array(pair, dtype=dtype) for pair in itertools.product(fitting, repeat=2)]
+        candidates += [np.array(fitting, dtype=dtype).reshape(-1, 1), np.zeros((0, 2), dtype=dtype)]
+    space = PhaseSpace(tuple(range(size)))
+    for members in candidates:
+        try:
+            ClassicalProp(space, members)
+            refused = False
+        except InvalidParameter:
+            refused = True
+        assert refused == out_of_range(members, size), (members, size)
 
 
 class TestConnectives:
@@ -395,6 +421,18 @@ class TestProductIsomorphismOracle:
         assert report.prop_count == 8
         assert not report.bijective
         assert not report.passed
+
+
+@pytest.mark.parametrize("chunk", [classical._CHUNK, 8])
+def test_row_blocks_cover_every_row_once_in_the_fewest_blocks(chunk, monkeypatch):
+    monkeypatch.setattr(classical, "_CHUNK", chunk)
+    for rows, width in itertools.product((1, 2, 5, 64, 256), (1, 3, 4, 256, 1 << 16)):
+        sizes = [len(range(rows)[block]) for block in row_blocks(rows, width)]
+        covered = np.concatenate([np.arange(rows)[block] for block in row_blocks(rows, width)])
+        assert np.array_equal(covered, np.arange(rows)), (rows, width)
+        # as few blocks as the budget allows, and only a lone row exceeds it
+        assert len(sizes) == -(-rows // max(1, chunk // width)), (rows, width)
+        assert all(size * width <= chunk or size == 1 for size in sizes), (rows, width)
 
 
 class TestComplementAxioms:

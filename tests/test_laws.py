@@ -6,12 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from orthologic import classical
+from orthologic import classical, cli
 from orthologic import subspace as sub
 from orthologic.classical import ClassicalProp, PhaseSpace, all_props, prop_and
 from orthologic.cli import main
 from orthologic.core import DEFAULT_TOL, Tolerance, random_unitary, random_vector, subseed
-from orthologic.errors import InvalidParameter, PreconditionViolated
+from orthologic.errors import PreconditionViolated
 from orthologic.laws import (
     LawReport,
     check_compatibility_criteria,
@@ -426,6 +426,38 @@ def lossy_join(a, b):
     return ClassicalProp(a.space, union & ~((a.members & b.members | union >> 1) & 1))
 
 
+def per_a_lattice_report(omega, tol=DEFAULT_TOL):
+    """cli._classical_lattice_report with distributivity checked one
+    a-value per checker call, over int64 bitmasks: the oracle of the
+    blocked uint16 sweep."""
+    space = PhaseSpace(tuple(f"w{k}" for k in range(omega)))
+    masks = np.arange(1 << omega, dtype=np.int64)
+    col, row = ClassicalProp(space, masks[:, None]), ClassicalProp(space, masks[None, :])
+    ok_dist = all(
+        check_triple_distributive(ClassicalProp(space, a), col, row).holds
+        for a in range(1 << omega)
+    )
+    ok_om = check_orthomodular(prop_and(col, row), col).holds
+    ok_absorb = bool(
+        np.all(classical.prop_or(col, prop_and(col, row)).members == col.members)
+        and np.all(prop_and(col, classical.prop_or(col, row)).members == col.members)
+    )
+    nonzero = ClassicalProp(space, masks[1:, None])
+    atoms = ClassicalProp(space, 1 << np.arange(omega)[None, :])
+    ok_atomic = bool(np.all(np.any(prop_and(nonzero, atoms).members == atoms.members, axis=1)))
+    ok_dm = check_de_morgan((col, row), tol).holds
+    return {
+        "omega": omega,
+        "prop_count": len(masks),
+        "distributive": ok_dist,
+        "orthomodular": ok_om,
+        "absorption": ok_absorb,
+        "atomic": ok_atomic,
+        "de_morgan": ok_dm,
+        "expected_pattern": ok_dist and ok_om and ok_absorb and ok_atomic and ok_dm,
+    }
+
+
 def batch_axes(space, dims):
     """One batch per axis of a dims-dimensional grid of every bitmask."""
     masks = np.arange(1 << space.size)
@@ -481,6 +513,16 @@ class TestClassicalBatches:
         if holds:
             assert triples.worst_residual == max(r.worst_residual for r in per_a) == worst == 0
         assert holds == (join == "intact")
+
+    @pytest.mark.parametrize("chunk", [classical._CHUNK, 8])
+    def test_lattice_report_matches_the_per_a_oracle(self, join, chunk, monkeypatch):
+        # the real budget sweeps omega 5 and 6 in 2 and 16 blocks; a budget
+        # of 8 puts one a-value in each block from omega 2 on
+        monkeypatch.setattr(classical, "_CHUNK", chunk)
+        for omega in range(1, 7):
+            report = cli._classical_lattice_report(omega, DEFAULT_TOL)
+            assert report == per_a_lattice_report(omega), omega
+        assert report["distributive"] == (join == "intact")
 
     def test_failing_batch_counterexample_replays_on_scalars(self, monkeypatch):
         monkeypatch.setattr(classical, "prop_or", lossy_join)
@@ -545,13 +587,6 @@ class TestClassicalBatches:
             check_foulis_distributivity(col, [row, col])
             main(["lattice-check", "--classical", "--omega", "3"])
         capsys.readouterr()
-
-    def test_batch_bitmasks_are_range_checked(self):
-        space = PhaseSpace(("u", "v"))
-        with pytest.raises(InvalidParameter):
-            ClassicalProp(space, np.array([[0, 4]]))
-        with pytest.raises(InvalidParameter):
-            ClassicalProp(space, np.array([-1, 3]))
 
 
 def frame_triples(d, seeds):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from orthologic.classical import ClassicalProp, PhaseSpace
 from orthologic.composite import build_basis_map, canonical_h, sweep_axioms
 from orthologic.errors import InvalidIndex, InvalidParameter, ZeroState
 from orthologic.oscillator import (
@@ -210,6 +211,8 @@ class TestTruthValue:
     lambda: build_basis_map(canonical_h(1, 3, 3), canonical_h(2, 3, 3)),
     lambda: sweep_axioms(canonical_h(1, 3, 3), canonical_h(2, 3, 3), 2),
     lambda: riesz([1, 2j, 3]),
+    lambda: ClassicalProp(PhaseSpace(("u", "v")), np.array([[1, 2], [3, 0]])),
+    lambda: ClassicalProp(PhaseSpace(("u", "v")), 3),
 ])
 def test_array_holding_dataclasses_compare_by_identity(make):
     a, b = make(), make()

@@ -153,6 +153,15 @@ CASES = {
         unequal_targets, AxiomViolation, "I_c_morphism: morphism targets differ"),
     "product_space_isomorphism with a map sending empty to nonempty": (
         empty_to_nonempty, AxiomViolation, "I_c_morphism: h1 does not send empty to empty"),
+    "an int64 batch with a mask past the space": (
+        lambda: cl.ClassicalProp(space(2), np.array([[0, 3], [4, 1]])),
+        InvalidParameter, "bitmask out of range for this phase space"),
+    "an int64 batch with a negative mask": (
+        lambda: cl.ClassicalProp(space(2), np.array([3, -1])),
+        InvalidParameter, "bitmask out of range for this phase space"),
+    "a uint16 batch with a mask past the space": (
+        lambda: cl.ClassicalProp(space(8), np.array([0, 255, 256], dtype=np.uint16)),
+        InvalidParameter, "bitmask out of range for this phase space"),
     "PhaseCurveSample with unequal lengths": (
         lambda: cl.PhaseCurveSample((0.0, 1.0), ((0.0, 0.0),)),
         InvalidParameter, "times and states must have equal length"),
@@ -195,3 +204,10 @@ def test_a_bad_argument_is_refused(name):
     call, exception, message = CASES[name]
     with pytest.raises(exception, match=re.escape(message)):
         call()
+
+
+def test_an_empty_batch_is_not_refused():
+    # the range check reduces to a minimum and a maximum, which an empty
+    # batch lacks: it holds no mask out of range, so it is kept as it is
+    for members in (np.array([], dtype=np.int64), np.zeros((0, 3), dtype=np.uint16)):
+        assert cl.ClassicalProp(space(8), members).members is members
