@@ -212,6 +212,7 @@ class ProductIsoReport:
     preserves_union: bool
     preserves_intersection: bool
     preserves_complement: bool
+    carries_cylinders: bool
 
     @property
     def passed(self) -> bool:
@@ -220,6 +221,7 @@ class ProductIsoReport:
             and self.preserves_union
             and self.preserves_intersection
             and self.preserves_complement
+            and self.carries_cylinders
         )
 
     def to_json(self) -> dict:
@@ -229,6 +231,7 @@ class ProductIsoReport:
             "preserves_union": self.preserves_union,
             "preserves_intersection": self.preserves_intersection,
             "preserves_complement": self.preserves_complement,
+            "carries_cylinders": self.carries_cylinders,
             "passed": self.passed,
         }
 
@@ -257,12 +260,12 @@ def _preserves(op, table: np.ndarray) -> bool:
 
 def _check_classical_axioms(
     s1: PhaseSpace, s2: PhaseSpace, h1: ClassicalMorphism, h2: ClassicalMorphism
-) -> np.ndarray:
-    """Validate the composition conditions and return the atom images.
+) -> tuple:
+    """Validate the composition conditions; return the tables and atoms.
 
-    Tabulates each morphism once and returns, for every pair of factor
-    points in product order, the bitmask of the composite atom h1({x1})
-    meet h2({x2}).  Raises AxiomViolation with the failed condition named.
+    Tabulates each morphism once and returns both tables and, for every
+    pair of factor points in product order, the bitmask of the composite
+    atom h1({x1}) meet h2({x2}).  Raises AxiomViolation naming the failed condition.
     """
     if h1.target != h2.target:
         raise AxiomViolation("I_c_morphism: morphism targets differ")
@@ -288,7 +291,7 @@ def _check_classical_axioms(
                     f"{size} for pair ({x1!r}, {x2!r})"
                 )
             atoms.append(image)
-    return np.array(atoms, dtype=np.int64)
+    return tables, np.array(atoms, dtype=np.int64)
 
 
 def product_space_isomorphism(
@@ -303,8 +306,10 @@ def product_space_isomorphism(
     exhaustive: bijective means every product proposition is hit exactly
     once, complement is one vector comparison, and union and intersection
     compare all 4^N pairs by broadcasting, at most 2^14 pairs at a time.
+    A point permutation is a Boolean isomorphism too, so eta must also send
+    h1(A) to A x Omega2 and h2(B) to Omega1 x B, for every A and B.
     """
-    atoms = _check_classical_axioms(s1, s2, h1, h2)
+    tables, atoms = _check_classical_axioms(s1, s2, h1, h2)
     target = h1.target
     product = product_phase_space(s1, s2)
     full_target = ClassicalProp.full(target).members
@@ -318,6 +323,12 @@ def product_space_isomorphism(
             raise SpaceMismatch("input does not live on the composite space")
         return ClassicalProp(product, int(table[a.members]))
 
+    # the product bit of each pair (x1, x2): rows for A x Omega2, columns for Omega1 x B
+    bit = 1 << np.array([[product.index((x1, x2)) for x2 in s2.points] for x1 in s1.points])
+    carries_cylinders = all(
+        np.array_equal(table[t], ((np.arange(len(t))[:, None] >> np.arange(n)) & 1) @ lines)
+        for t, n, lines in zip(tables, (s1.size, s2.size), (bit.sum(axis=1), bit.sum(axis=0)))
+    )
     report = ProductIsoReport(
         prop_count=len(table),
         bijective=bool((np.bincount(table, minlength=1 << product.size) == 1).all()),
@@ -326,6 +337,7 @@ def product_space_isomorphism(
         preserves_complement=np.array_equal(
             table[full_target ^ masks], table ^ ClassicalProp.full(product).members
         ),
+        carries_cylinders=carries_cylinders,
     )
     return eta, report
 

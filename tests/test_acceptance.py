@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from orthologic import composite
 from orthologic.composite import (
     build_basis_map,
     canonical_h,
@@ -210,8 +211,9 @@ def test_criterion_06_classical_product_isomorphism():
         assert time.perf_counter() - start < 1.0
 
 
-def test_criterion_07_tensor_isomorphism_four_cases():
+def test_criterion_07_tensor_isomorphism_four_cases(monkeypatch):
     with criterion(7, "tensor isomorphism verified for plain/twisted/antilinear/mixed pairs"):
+        right = composite._onb_matrix
         start = time.perf_counter()
         twist = random_unitary(9, 2024)
         cases = [
@@ -232,6 +234,12 @@ def test_criterion_07_tensor_isomorphism_four_cases():
             iso = verify_tensor_isomorphism(sweep, trials=50, axiom_trials=20)
             assert iso.passed, f"case {case_index} failures: {iso.failures[:3]}"
             assert iso.target == expected_target
+            # the verdict can fail: a unitary basis map with its columns
+            # reversed is refused, since h1 and h2 are no longer its cylinders
+            with monkeypatch.context() as patch:
+                patch.setattr(composite, "_onb_matrix", lambda *a: right(*a)[:, ::-1])
+                wrong = verify_tensor_isomorphism(sweep, trials=50, axiom_trials=20)
+            assert not wrong.passed, f"case {case_index}: a wrong basis map passes"
         assert time.perf_counter() - start < 60.0
 
 

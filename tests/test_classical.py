@@ -298,7 +298,19 @@ def loop_product_space_isomorphism(s1, s2, h1, h2):
                 ok_union = False
             if eta(prop_and(a, b)).members != prop_and(eta(a), eta(b)).members:
                 ok_inter = False
-    report = ProductIsoReport(len(props), len(images) == len(props), ok_union, ok_inter, ok_compl)
+    def carried(h, s, cylinder):
+        """Whether eta(h(a)) is the product proposition cylinder(labels of a)."""
+        return all(
+            eta(h(a)).members == ClassicalProp.from_labels(product, cylinder(a.labels())).members
+            for a in all_props(s)
+        )
+
+    cylinders = carried(h1, s1, lambda a: itertools.product(a, s2.points)) and carried(
+        h2, s2, lambda b: itertools.product(s1.points, b)
+    )
+    report = ProductIsoReport(
+        len(props), len(images) == len(props), ok_union, ok_inter, ok_compl, cylinders
+    )
     return eta, report
 
 
@@ -421,6 +433,19 @@ class TestProductIsomorphismOracle:
         assert report.prop_count == 8
         assert not report.bijective
         assert not report.passed
+
+    def test_a_permuted_table_is_an_isomorphism_but_not_the_product(self, monkeypatch):
+        # eta's table read in the product space with its points reversed has
+        # its bits reversed: a permutation of points, so a Boolean
+        # isomorphism, but eta(h1({a0})) is no longer {a0} x Omega2
+        s1, s2 = factor_spaces(3, 4)
+        product = product_phase_space(s1, s2)
+        monkeypatch.setattr(classical, "product_phase_space",
+                            lambda *_: PhaseSpace(product.points[::-1]))
+        eta, report = product_space_isomorphism(s1, s2, *canonical_pair(s1, s2))
+        assert report.bijective and report.preserves_union
+        assert report.preserves_intersection and report.preserves_complement
+        assert not report.passed and not report.carries_cylinders
 
 
 @pytest.mark.parametrize("chunk", [classical._CHUNK, 8])

@@ -909,9 +909,6 @@ class TestBasisMap:
     @pytest.mark.parametrize("conj1,conj2", FLAG_PAIRS)
     def test_round_trip(self, conj1, conj2, twisted):
         bm = build_basis_map(*canonical_pair(3, 4, twisted, conj1, conj2))
-        v, w = random_vector(12, 97), random_vector(12, 98)
-        assert np.linalg.norm(bm.apply_inverse(bm.apply(v)) - v) < 1e-10
-        assert np.linalg.norm(bm.apply(bm.apply_inverse(w)) - w) < 1e-10
         g = span_of([random_vector(12, 99), random_vector(12, 100)])
         assert equal(bm.lift_inverse(bm.lift(g)), g)
 
@@ -1142,10 +1139,10 @@ def test_one_composite_verify_run_draws_each_axiom_batch_once(capsys, monkeypatc
     argv = ["composite-verify", "--dim1", "3", "--dim2", "3", "--twist", "--trials", str(trials)]
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)["results"]
-    # axiom I on both sides and axiom II; the pairs of axiom I; the rays of
-    # axiom III (both factors) and of the isomorphism's atoms
-    assert seen == {"random_family": [swept] * 3, "compatible_pair": [swept] * 2,
-                    "random_ray": [swept, swept, trials]}
+    # axiom I on both sides, axiom II and the isomorphism's factor
+    # subspaces; the pairs of axiom I; the rays of axiom III (both factors)
+    assert seen == {"random_family": [swept] * 3 + [trials], "compatible_pair": [swept] * 2,
+                    "random_ray": [swept, swept]}
     assert report["axioms"][1]["samples"] == trials
     assert report["isomorphism"]["axioms"][1]["samples"] == max(10, trials // 2)
 
@@ -1262,73 +1259,103 @@ def test_batched_lifts_equal_each_element_lift(config):
             assert equal(bm.lift_inverse(lifted), Subspace(dim, element))
 
 
-# The isomorphism trials as verify_tensor_isomorphism checked them one by
-# one before they ran as one batch: the failures named, in order, and the
-# worst residual.
+# The isomorphism checked one trial at a time: the Gram residual of the
+# basis map, then per trial the two cylinder identities on factor subspaces
+# drawn one by one as random_family documents its draw; the failures named,
+# in order, and the worst residual.
 
 
-def per_trial_isomorphism(bm, trials, seed, tol=DEFAULT_TOL):
-    dim, same = bm.matrix.shape[0], composite._same
-    worst, failures = 0.0, []
+def per_trial_isomorphism(bm, h1, h2, trials, seed, tol=DEFAULT_TOL):
+    d1, d2 = h1.source_dim, h2.source_dim
+    worst = float(np.linalg.norm(bm.matrix.conj().T @ bm.matrix - np.eye(d1 * d2)))
+    failures = ["unitary"] if worst > tol.eps_eq * d1 * d2 else []
+    c1 = canonical_h(1, d1, d2, conjugate=bm.target == "H1*xH2")
+    c2 = canonical_h(2, d1, d2)
     for trial in range(trials):
         s = subseed(seed, "tensoriso", trial)
         rng = np.random.default_rng(s)
-        g1 = sub.random_subspace(dim, int(rng.integers(0, dim + 1)), s)
-        g2 = sub.random_subspace(dim, int(rng.integers(1, dim)), s + 1)
-        l1, l2 = bm.lift(g1, tol), bm.lift(g2, tol)
-        checks = [
-            ("join", same(bm.lift(sub.join(g1, g2, tol), tol), sub.join(l1, l2, tol), tol)),
-            ("meet", same(bm.lift(sub.meet(g1, g2, tol), tol), sub.meet(l1, l2, tol), tol)),
-            ("ortho", same(bm.lift(sub.ortho(g1), tol), sub.ortho(l1), tol)),
-            ("atom", composite._atom(bm.lift(span_of([random_vector(dim, s + 2)], tol), tol))),
-            ("roundtrip", same(bm.lift_inverse(l1, tol), g1, tol)),
-        ]
-        if sub.leq(g1, sub.join(g1, g2, tol), tol):
-            checks.append(("leq", (sub.leq(l1, sub.join(l1, l2, tol), tol), 0.0)))
-        for op, (ok, residual) in checks:
+        p = sub.random_subspace(d1, int(rng.integers(1, d1)), s)
+        q = sub.random_subspace(d2, int(rng.integers(1, d2)), s + 1)
+        for name, c, h, g in (("h1", c1, h1, p), ("h2", c2, h2, q)):
+            ok, residual = composite._same(bm.lift(c(g), tol), h(g), tol)
             worst = max(worst, residual)
             if not ok:
-                failures.append(f"{op}@{trial}")
+                failures.append(f"{name}@{trial}")
     return failures, worst
 
 
-class TestBatchedIsomorphism:
+# Basis maps that are wrong although their lifts are lattice isomorphisms
+# (the first two) or equal the true lifts (the third), each from the true
+# matrix.
+WRONG_MAPS = {
+    "another unitary": lambda m: random_unitary(m.shape[0], 12345),
+    "reversed columns": lambda m: m[:, ::-1],
+    "scaled": lambda m: 1.1 * m,
+}
+ISO_CONFIGS = [(d1, d2, twisted, conj1, conj2)
+               for (d1, d2), twisted, (conj1, conj2)
+               in itertools.product(((3, 3), (3, 4), (4, 4)), (False, True), FLAG_PAIRS)]
+
+
+def with_matrix(monkeypatch, wrong):
+    """Make build_basis_map derive the true matrix and then apply ``wrong``."""
+    right = composite._onb_matrix
+    monkeypatch.setattr(composite, "_onb_matrix", lambda h1, h2, tol: wrong(right(h1, h2, tol)))
+
+
+def swap_two_columns(m):
+    m = m.copy()
+    m[:, [0, 4]] = m[:, [4, 0]]
+    return m
+
+
+class TestIsomorphismCarriesTheCylinders:
     @pytest.mark.parametrize("config", LIFT_PAIRS)
     def test_batched_trials_equal_the_per_trial_loop(self, config):
         h1, h2 = canonical_pair(*config)
-        bm = build_basis_map(h1, h2)
         report = verify_tensor_isomorphism(sweep_axioms(h1, h2, 3, 2), trials=15, axiom_trials=3)
-        assert (report.failures, report.worst_residual) == per_trial_isomorphism(bm, 15, 2)
+        oracle = per_trial_isomorphism(build_basis_map(h1, h2), h1, h2, 15, 2)
+        assert (report.failures, report.worst_residual) == oracle
         assert report.passed and report.trials == 15
 
+    @pytest.mark.parametrize("name", sorted(WRONG_MAPS))
+    def test_each_wrong_basis_map_is_rejected(self, name, monkeypatch):
+        sweeps = [sweep_axioms(*canonical_pair(*config), 3, 5) for config in ISO_CONFIGS]
+        with_matrix(monkeypatch, WRONG_MAPS[name])
+        for config, sweep in zip(ISO_CONFIGS, sweeps):
+            report = verify_tensor_isomorphism(sweep, trials=10, axiom_trials=3)
+            assert not report.passed, (name, config)
+            # the lifts of a scaled unitary are the true lifts: only the
+            # Gram residual sees it
+            assert (report.failures == ["unitary"]) == (name == "scaled"), (name, config)
+
+    @pytest.mark.parametrize("config", LIFT_PAIRS)
+    def test_a_wrong_map_fails_as_the_per_trial_loop_does(self, config, monkeypatch):
+        # a swap of two columns is still unitary, so the cylinder checks
+        # alone reject it
+        h1, h2 = canonical_pair(*config)
+        sweep = sweep_axioms(h1, h2, 3, 4)
+        with_matrix(monkeypatch, swap_two_columns)
+        report = verify_tensor_isomorphism(sweep, trials=12, axiom_trials=3)
+        oracle = per_trial_isomorphism(build_basis_map(h1, h2), h1, h2, 12, 4)
+        assert (report.failures, report.worst_residual) == oracle
+        assert report.failures and "unitary" not in report.failures
+
     def test_agrees_where_some_trials_fail(self, monkeypatch):
-        # a meet and a join that drop their result where the first entry of
-        # p's first basis vector is small fail on the tensor side or on the
-        # twisted composite side alone, on some trials; the axioms are
-        # swept before they break
-        h1, h2 = canonical_pair(3, 3, True, False, False)
+        # h2 sends each plane to the image of its first basis vector alone:
+        # the rays of the basis map are mapped right, so only the trials
+        # that draw a plane for the second factor fail; the axioms are
+        # swept before it breaks
+        h1, h2 = canonical_pair(3, 4, True, False, True)
         sweep = sweep_axioms(h1, h2, 10, 4)
-
-        def per_element(op):
-            def broken(p, q, out):
-                small = p.dim and abs(p.basis[0, 0]) < 0.3
-                return zero_subspace(p.ambient_dim) if small else out
-
-            def patched(p, q, tol=DEFAULT_TOL):
-                out = op(p, q, tol)
-                if not p.is_batch:
-                    return broken(p, q, out)
-                parts = map(broken, p.elements(), q.elements(), out.elements())
-                return Subspace.batch(out.ambient_dim, parts)
-            return patched
-
-        monkeypatch.setattr(sub, "meet", per_element(sub.meet))
-        monkeypatch.setattr(sub, "join", per_element(sub.join))
+        right = h2.map
+        monkeypatch.setattr(h2, "map", lambda p: right(
+            Subspace(p.ambient_dim, p.basis[:, :1]) if p.dim == 2 else p))
         report = verify_tensor_isomorphism(sweep, trials=30, axiom_trials=10)
-        failures, worst = per_trial_isomorphism(build_basis_map(h1, h2), 30, 4)
-        assert (report.failures, report.worst_residual) == (failures, worst)
-        assert 0 < len({f.split("@")[1] for f in failures}) < 30
-        assert {f.split("@")[0] for f in failures} >= {"join", "meet"}
+        oracle = per_trial_isomorphism(build_basis_map(h1, h2), h1, h2, 30, 4)
+        assert (report.failures, report.worst_residual) == oracle
+        assert {f.split("@")[0] for f in report.failures} == {"h2"}
+        assert 0 < len(report.failures) < 30
 
 
 # Each image, join, ray image and frame of a composite-verify run is
@@ -1514,27 +1541,3 @@ class TestBasisMapMapsRaysInBatches:
                 domain = h.map_ray(x)
                 u = domain.basis @ random_vector(domain.dim, 9)
                 assert np.array_equal(intertwiner_F(h, y, x)(u), single_ray_matrix(h, y, x) @ u)
-
-
-class TestIsomorphismDrawsEachFrameOnce:
-    def test_g1_and_g2_come_from_one_draw(self, monkeypatch):
-        h1, h2 = canonical_pair(4, 4, True, False, False)
-        sweep = sweep_axioms(h1, h2, 12, 101)
-        trials = 25
-        drawn = recording(monkeypatch, core, "_gaussian")
-        subspaces = recording(monkeypatch, sub, "random_subspace")
-        assert verify_tensor_isomorphism(sweep, trials=trials, axiom_trials=12).passed
-        keys = [args for args, _ in drawn]
-        assert len(keys) == len(set(keys))
-        monkeypatch.undo()
-        # the two-call draw
-        seeds = np.array([subseed(101, "tensoriso", t) for t in range(trials)], dtype=object)
-        rngs = [np.random.default_rng(s) for s in seeds]
-        dims = [(rng.integers(0, 17), rng.integers(1, 16)) for rng in rngs]
-        g1 = sub.random_subspace(16, [k for k, _ in dims], seeds)
-        g2 = sub.random_subspace(16, [k for _, k in dims], seeds + 1)
-        assert len(set(keys)) == len({(16, s) for s in [*seeds, *(seeds + 1)]})
-        merged = [b for _, out in subspaces for b in out.basis]
-        assert len(merged) == 2 * trials
-        for got, want in zip(merged, g1.basis + g2.basis):
-            assert got.tobytes() == want.tobytes() and got.shape == want.shape
