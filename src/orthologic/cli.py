@@ -19,6 +19,10 @@ larger of its two trial counts, folded into both axiom reports
 (``results.axioms`` and ``results.isomorphism.axioms``), then the
 isomorphism trials as one batch.
 
+``main`` parses with one parser per process, built on its first call,
+and looks the command's handler (``cmd_*``) up by name at call time, so
+a rebound handler takes effect on the next call.
+
 Exit codes: 0 when the expected pattern holds, 1 on verification
 failure, 2 on usage errors (including --trials or --curve-samples below
 1, classical sizes past MAX_PRODUCT_POINTS or MAX_OMEGA, and an output
@@ -35,6 +39,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import functools
 import json
 import os
 import sys
@@ -352,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lat.add_argument("--classical", action="store_true")
     p_lat.add_argument("--omega", type=int, default=4, help="|phase space| (classical)")
     p_lat.add_argument("--output", default=None)
-    p_lat.set_defaults(func=cmd_lattice_check)
 
     p_comp = subparsers.add_parser("composite-verify", help="composite-system verification")
     p_comp.add_argument("--dim1", type=int, default=3)
@@ -366,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--n1", type=int, default=2, help="|first phase space| (classical)")
     p_comp.add_argument("--n2", type=int, default=3, help="|second phase space| (classical)")
     p_comp.add_argument("--output", default=None)
-    p_comp.set_defaults(func=cmd_composite_verify)
 
     p_truth = subparsers.add_parser("truth-demo", help="oscillator truth-value demo")
     p_truth.add_argument("--nmax", type=int, default=8)
@@ -376,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_truth.add_argument("--curve-csv", default=None, dest="curve_csv")
     p_truth.add_argument("--curve-samples", type=int, default=200, dest="curve_samples")
     p_truth.add_argument("--output", default=None)
-    p_truth.set_defaults(func=cmd_truth_demo)
     return parser
 
 
@@ -391,8 +393,13 @@ MAX_PRODUCT_POINTS = 12
 MAX_OMEGA = 8
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command in ("lattice-check", "composite-verify"):
         if not args.classical and args.trials < 1:
@@ -425,7 +432,7 @@ def main(argv=None) -> int:
         for path in (getattr(args, "csv", None), getattr(args, "curve_csv", None), args.output):
             if path:
                 _check_writable(path)
-        return args.func(args, tol)
+        return globals()["cmd_" + args.command.replace("-", "_")](args, tol)
     except OrthologicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

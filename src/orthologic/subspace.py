@@ -254,8 +254,13 @@ def leq(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def equal(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Equal dimensions and p <= q: one residual, of p's basis against q,
-    decides order and equality, so at a rounding-level eps_eq it is not
-    symmetric (a residual can be 0.0 one way and about 1e-15 the other)."""
+    decides order and equality.  For dim p = dim q = k both residuals
+    square to k - ||B_q^dagger B_p||_F^2, so the argument orders differ
+    only by rounding (0.0 one way and about 1e-15 the other can happen),
+    a few eps sqrt(d) against a bound of at least cli.MIN_TOL sqrt(d),
+    about 1000 eps sqrt(d), at the CLI's tightest tolerance.  Only a residual
+    within rounding of the bound can flip, and its own rounding decides
+    that case anyway, so a second residual is not computed."""
     _check_same_ambient(p, q)
     same = p.dim == q.dim
     # one pair of unequal dimensions needs no residual

@@ -367,17 +367,73 @@ def test_library_error_inside_a_command_exits_one(capsys, monkeypatch):
     assert captured.err == "error: refused on purpose\n"
 
 
-def test_module_entry_point(tmp_path):
+def module_stdout(cwd, *argv):
+    """The stdout bytes of ``python -m orthologic`` on argv, run in cwd."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "orthologic", "composite-verify", "--classical",
-         "--n1", "1", "--n2", "2"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        cwd=tmp_path, timeout=60,
-    )
+    done = subprocess.run([sys.executable, "-m", "orthologic", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, cwd=cwd, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["results"]["classical"]["passed"]
+    return done.stdout
+
+
+def test_module_entry_point(tmp_path):
+    out = module_stdout(tmp_path, "composite-verify", "--classical", "--n1", "1", "--n2", "2")
+    assert json.loads(out)["results"]["classical"]["passed"]
+
+
+class TestSharedParser:
+    """main parses with one parser per process and finds the command's
+    handler by name when it is called."""
+
+    def test_interleaved_runs_in_one_process(self, capsys, tmp_path):
+        first = ["lattice-check", "--dim1", "3", "--trials", "5", "--seed", "2"]
+        code, out = run_cli(capsys, *first)
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["lattice-check", "--trials", "0"])
+        assert exc.value.code == 2
+        assert "--trials must be at least 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        capsys.readouterr()
+        assert run_cli(capsys, "composite-verify", "--classical", "--n1", "2", "--n2", "3")[0] == 0
+        assert run_cli(capsys, *first) == (0, out)
+        assert out.encode("utf-8") == module_stdout(tmp_path, *first)
+
+    def test_three_calls_build_at_most_one_parser(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for argv in (["truth-demo"], ["lattice-check", "--classical", "--omega", "2"],
+                     ["truth-demo", "--nmax", "3"]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert len(built) <= 1
+
+    def test_a_rebound_handler_runs(self, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_truth_demo", lambda args, tol: 7)
+        assert main(["truth-demo"]) == 7
+
+    def test_help_is_formatted_for_the_terminal_at_call_time(self, capsys, monkeypatch):
+        def help_of(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(["lattice-check", "--help"])
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = help_of(main)
+        monkeypatch.setenv("COLUMNS", "40")
+        narrow = help_of(main)
+        assert narrow == help_of(cli.build_parser().parse_args)
+        assert narrow != wide
 
 
 # The per-trial fold lattice-check ran before it checked each law's trials

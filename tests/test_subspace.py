@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from orthologic import core
+from orthologic.cli import MIN_TOL
 from orthologic.core import MAX_STACK, Tolerance, random_unitary
 from orthologic.errors import DimensionMismatch, InvalidDimension
 from orthologic.subspace import (
@@ -219,6 +220,49 @@ class TestOrderAndEquality:
         loose = Tolerance(eps_eq=0.9)
         other = span_of([E3[0], E3[2]])
         assert equal(plane, other, loose) and not equal(ray, plane, loose)
+
+
+class TestEqualArgumentOrder:
+    """For dim p = dim q = k both residuals of ``equal`` square to
+    k - ||B_q^dagger B_p||_F^2, so the two argument orders differ only by
+    rounding: within ORDER_GAP eps sqrt(d), a hundredth of the bound
+    MIN_TOL sqrt(d) at the tightest tolerance the CLI accepts."""
+
+    ORDER_GAP = 10 * np.finfo(float).eps
+
+    def assert_order_gap(self, p, q):
+        d = p.ambient_dim
+        gap = np.abs(inclusion(p, q)[1] - inclusion(q, p)[1])
+        assert np.max(gap) <= self.ORDER_GAP * np.sqrt(d)
+
+    def test_the_gap_is_far_below_the_cli_floor(self):
+        assert self.ORDER_GAP <= MIN_TOL / 100
+
+    @pytest.mark.parametrize("d", [3, 4, 8, 16])
+    def test_generic_pairs(self, d):
+        for k in range(1, d):
+            seeds = core.subseeds(d, f"order-{k}", 200)
+            p = random_subspace(d, [k] * 200, seeds)
+            q = random_subspace(d, [k] * 200, seeds + 1000)
+            self.assert_order_gap(p, q)
+
+    @pytest.mark.parametrize("d", [3, 4, 8, 16])
+    def test_equal_spans_with_rotated_bases(self, d):
+        for k in range(1, d):
+            seeds = core.subseeds(d, f"rotated-{k}", 50)
+            p = random_subspace(d, [k] * 50, seeds)
+            q = Subspace(d, tuple(b @ random_unitary(k, s) for b, s in zip(p.basis, seeds)))
+            assert np.all(equal(p, q)) and np.all(equal(q, p))
+            self.assert_order_gap(p, q)
+
+    def test_the_exact_identity_against_an_svd_basis(self):
+        # the full space as a join of two complements (an SVD basis) and as
+        # the identity: residual 0.0 one way, about 1.6e-15 the other
+        p, q = random_subspace(4, 2, 0), random_subspace(4, 2, 50)
+        full = join(ortho(p), ortho(q))
+        identity = ortho(zero_subspace(4))
+        assert inclusion(full, identity)[1] != inclusion(identity, full)[1]
+        self.assert_order_gap(full, identity)
 
 
 class TestAtoms:
