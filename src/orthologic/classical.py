@@ -27,15 +27,11 @@ __all__ = [
     "prop_and",
     "prop_or",
     "prop_not",
-    "prop_implies",
-    "classical_atoms",
-    "all_props",
     "product_phase_space",
     "canonical_h_classical",
     "product_space_isomorphism",
     "row_blocks",
     "sample_oscillator_curve",
-    "curve_energy",
 ]
 
 
@@ -69,10 +65,10 @@ class ClassicalProp:
     of bitmasks over the same space, each element one proposition.  The
     connectives act elementwise and broadcast, so prop_and(p, q) on
     batches of shapes (n, 1) and (1, n) holds all n^2 meets; ``contains``
-    is elementwise too.  ``size``, ``labels`` and the JSON forms are for
-    one bitmask.  Like every array-holding dataclass here, it compares and
-    hashes by identity, a single bitmask too: compare ``members`` instead,
-    as the ``laws`` checkers do.
+    is elementwise too.  The JSON forms are for one bitmask.  Like every
+    array-holding dataclass here, it compares and hashes by identity, a
+    single bitmask too: compare ``members`` instead, as the ``laws``
+    checkers do.
     """
 
     space: PhaseSpace
@@ -84,28 +80,8 @@ class ClassicalProp:
             raise InvalidParameter("bitmask out of range for this phase space")
 
     @classmethod
-    def from_labels(cls, space: PhaseSpace, labels) -> "ClassicalProp":
-        mask = 0
-        for lab in labels:
-            mask |= 1 << space.index(lab)
-        return cls(space, mask)
-
-    @classmethod
-    def empty(cls, space: PhaseSpace) -> "ClassicalProp":
-        return cls(space, 0)
-
-    @classmethod
     def full(cls, space: PhaseSpace) -> "ClassicalProp":
         return cls(space, (1 << space.size) - 1)
-
-    @property
-    def size(self) -> int:
-        return bin(self.members).count("1")
-
-    def labels(self) -> tuple:
-        return tuple(
-            p for k, p in enumerate(self.space.points) if self.members >> k & 1
-        )
 
     def contains(self, other: "ClassicalProp") -> bool:
         _check_space(self, other)
@@ -140,23 +116,6 @@ def prop_or(a: ClassicalProp, b: ClassicalProp) -> ClassicalProp:
 
 def prop_not(a: ClassicalProp) -> ClassicalProp:
     return ClassicalProp(a.space, ~a.members & ((1 << a.space.size) - 1))
-
-
-def prop_implies(a: ClassicalProp, b: ClassicalProp) -> ClassicalProp:
-    """Material implication, reduced to (not a) or b."""
-    _check_space(a, b)
-    return prop_or(prop_not(a), b)
-
-
-def classical_atoms(space: PhaseSpace) -> list[ClassicalProp]:
-    """The singletons, which are the atoms of the power-set lattice."""
-    return [ClassicalProp(space, 1 << k) for k in range(space.size)]
-
-
-def all_props(space: PhaseSpace):
-    """Iterate over every proposition; exhaustive only at small sizes."""
-    for mask in range(1 << space.size):
-        yield ClassicalProp(space, mask)
 
 
 def product_phase_space(s1: PhaseSpace, s2: PhaseSpace) -> PhaseSpace:
@@ -377,11 +336,3 @@ def sample_oscillator_curve(
         for t in ts
     )
     return PhaseCurveSample(ts, states)
-
-
-def curve_energy(sample: PhaseCurveSample, mass: float, omega0: float) -> np.ndarray:
-    """Total energy at each sample, using D = m w0^2."""
-    spring = mass * omega0**2
-    return np.array(
-        [p * p / (2 * mass) + 0.5 * spring * x * x for x, p in sample.states]
-    )

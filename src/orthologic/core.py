@@ -32,8 +32,6 @@ __all__ = [
     "as_columns",
     "each",
     "inner",
-    "polarization_inner",
-    "polarization_r",
     "orthonormalize",
     "orthonormal_bases",
     "rank",
@@ -95,27 +93,6 @@ def inner(x, y) -> complex:
     if xv.shape[0] != yv.shape[0]:
         raise DimensionMismatch(f"dims {xv.shape[0]} != {yv.shape[0]}")
     return complex(np.vdot(xv, yv))
-
-
-def polarization_r(x, y) -> float:
-    """Real part of the inner product recovered from norms alone."""
-    xv, yv = as_vector(x), as_vector(y)
-    if xv.shape[0] != yv.shape[0]:
-        raise DimensionMismatch(f"dims {xv.shape[0]} != {yv.shape[0]}")
-    return 0.25 * (
-        np.linalg.norm(xv + yv) ** 2 - np.linalg.norm(xv - yv) ** 2
-    )
-
-
-def polarization_inner(x, y) -> complex:
-    """Inner product via the polarization identity R(x, y) - i R(x, iy).
-
-    Mathematically equal to ``inner`` for every sesquilinear form that
-    is conjugate-linear in the first slot; exposed so the identity can
-    be tested against the direct computation.
-    """
-    yv = as_vector(y)
-    return complex(polarization_r(x, yv) - 1j * polarization_r(x, 1j * yv))
 
 
 # Elements per stacked call: splitting larger groups bounds the transient

@@ -40,7 +40,6 @@ __all__ = [
     "equal",
     "projector_distance",
     "commutator_norm",
-    "is_atom",
     "random_subspace",
     "random_subspace_of",
     "random_family",
@@ -143,10 +142,6 @@ class Ray:
     def __post_init__(self) -> None:
         if np.any(self.subspace.dim != 1):
             raise InvalidDimension("a ray must be one-dimensional")
-
-    @classmethod
-    def from_vector(cls, vector) -> "Ray":
-        return cls(span_of([vector]))
 
 
 def span_of(vectors, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -280,11 +275,6 @@ def commutator_norm(p: Subspace, q: Subspace) -> float:
         return pp @ pq - pq @ pp
 
     return _norms(p, q, commutators, _spectral)
-
-
-def is_atom(p: Subspace) -> bool:
-    """Atoms of the subspace lattice are exactly the one-dimensional ones."""
-    return p.dim == 1
 
 
 def random_subspace(d: int, k, seed) -> Subspace:

@@ -27,7 +27,6 @@ __all__ = [
     "dual_inner",
     "elementary_tensor",
     "is_separable",
-    "product_state_probability",
 ]
 
 
@@ -45,16 +44,6 @@ class TensorIndex:
     @property
     def dim(self) -> int:
         return self.d1 * self.d2
-
-    def flatten(self, i: int, j: int) -> int:
-        if not (0 <= i < self.d1 and 0 <= j < self.d2):
-            raise DimensionMismatch(f"index ({i}, {j}) out of range")
-        return i * self.d2 + j
-
-    def unflatten(self, k: int) -> tuple[int, int]:
-        if not (0 <= k < self.dim):
-            raise DimensionMismatch(f"flat index {k} out of range")
-        return divmod(k, self.d2)
 
     def coefficient_matrix(self, v) -> np.ndarray:
         vec = as_vector(v)
@@ -126,24 +115,3 @@ def is_separable(v, idx: TensorIndex, tol: Tolerance = DEFAULT_TOL):
     schmidt_rank = rank(idx.coefficient_matrix(vec), tol)
     return schmidt_rank == 1, schmidt_rank
 
-
-def product_state_probability(psi1, psi2, b1, b2) -> float:
-    """Probability mass of psi1 tensor psi2 on the index box B1 x B2.
-
-    Computed by direct summation on the flattened product vector; for
-    independent subsystems it factorizes into the marginal masses.
-    """
-    v1, v2 = as_vector(psi1), as_vector(psi2)
-    idx = TensorIndex(v1.shape[0], v2.shape[0])
-    b1 = sorted(set(int(i) for i in b1))
-    b2 = sorted(set(int(j) for j in b2))
-    if b1 and not (0 <= b1[0] and b1[-1] < idx.d1):
-        raise DimensionMismatch("B1 indices out of range")
-    if b2 and not (0 <= b2[0] and b2[-1] < idx.d2):
-        raise DimensionMismatch("B2 indices out of range")
-    joint = elementary_tensor(v1, v2, idx)
-    mass = 0.0
-    for i in b1:
-        for j in b2:
-            mass += abs(joint[idx.flatten(i, j)]) ** 2
-    return float(mass)

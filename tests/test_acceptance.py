@@ -23,21 +23,15 @@ from orthologic.composite import (
     verify_tensor_isomorphism,
 )
 from orthologic.classical import (
+    ClassicalProp,
     PhaseSpace,
-    all_props,
     canonical_h_classical,
     product_space_isomorphism,
     prop_and,
     prop_not,
     prop_or,
 )
-from orthologic.core import (
-    inner,
-    polarization_inner,
-    polarization_r,
-    random_unitary,
-    random_vector,
-)
+from orthologic.core import inner, random_unitary, random_vector
 from orthologic.errors import AxiomViolation
 from orthologic.laws import (
     commuting_projectors,
@@ -62,7 +56,7 @@ from orthologic.subspace import (
     span_of,
     subspace_from_json,
 )
-from orthologic.tensor import TensorIndex, elementary_tensor, is_separable, product_state_probability
+from orthologic.tensor import TensorIndex, elementary_tensor, is_separable
 from orthologic.truth import truth_value
 
 from test_composite import (
@@ -202,7 +196,7 @@ def test_criterion_06_classical_product_isomorphism():
         assert report.preserves_complement
         # spot re-check of the defining identities through the returned map
         target = h1.target
-        props = list(all_props(target))[:8]
+        props = [ClassicalProp(target, mask) for mask in range(8)]
         for a in props:
             for b in props:
                 assert eta(prop_or(a, b)).members == prop_or(eta(a), eta(b)).members
@@ -325,6 +319,12 @@ def test_criterion_10_basis_map_independence():
                 assert_basis_independent(*pair, e, f)
 
 
+def polarization_r(x, y):
+    """R(x, y) = (||x + y||^2 - ||x - y||^2) / 4: the real part of the inner
+    product, from norms alone."""
+    return (np.linalg.norm(x + y) ** 2 - np.linalg.norm(x - y) ** 2) / 4
+
+
 def test_criterion_11_polarization_identities():
     with criterion(11, "polarization formula and R-symmetries on 1000 pairs, dims 1..8"):
         trial = 0
@@ -332,7 +332,10 @@ def test_criterion_11_polarization_identities():
             for k in range(125):
                 x = random_vector(dim, 100_000 + 1000 * dim + k)
                 y = random_vector(dim, 200_000 + 1000 * dim + k)
-                assert abs(polarization_inner(x, y) - inner(x, y)) < 1e-10
+                # R(x, y) - i R(x, iy) is the inner product only if it is
+                # conjugate-linear in its first argument
+                polarized = polarization_r(x, y) - 1j * polarization_r(x, 1j * y)
+                assert abs(polarized - inner(x, y)) < 1e-10
                 assert abs(polarization_r(x, y) - polarization_r(y, x)) < 1e-10
                 assert abs(polarization_r(x, 1j * y) + polarization_r(1j * x, y)) < 1e-10
                 trial += 1
@@ -340,7 +343,7 @@ def test_criterion_11_polarization_identities():
 
 
 def test_criterion_12_separability_and_product_probabilities():
-    with criterion(12, "Schmidt ranks of product/swap states; probability factorization"):
+    with criterion(12, "Schmidt ranks of product/swap states; product truth values factorize"):
         idx = TensorIndex(2, 2)
         e, f = np.eye(2), np.eye(2)
         product = elementary_tensor(random_vector(2, 1), random_vector(2, 2), idx)
@@ -351,18 +354,21 @@ def test_criterion_12_separability_and_product_probabilities():
         ) / np.sqrt(2)
         separable, schmidt = is_separable(swap, idx)
         assert not separable and schmidt == 2
+        # psi1 tensor psi2 against the meet of the cylinders of coordinate
+        # propositions B1 and B2: the product of the factor truth values
+        h1, h2 = canonical_h(1, 3, 4), canonical_h(2, 3, 4)
         for seed in range(25):
             v1 = random_vector(3, seed)
             v2 = random_vector(4, seed + 100)
             psi1 = v1 / np.linalg.norm(v1)
             psi2 = v2 / np.linalg.norm(v2)
             rng = np.random.default_rng(seed)
-            b1 = [int(i) for i in rng.permutation(3)[: 1 + seed % 3]]
-            b2 = [int(j) for j in rng.permutation(4)[: 1 + seed % 4]]
-            joint = product_state_probability(psi1, psi2, b1, b2)
-            marg1 = sum(abs(psi1[i]) ** 2 for i in b1)
-            marg2 = sum(abs(psi2[j]) ** 2 for j in b2)
-            assert abs(joint - marg1 * marg2) < 1e-12
+            b1 = span_of([np.eye(3)[i] for i in rng.permutation(3)[: 1 + seed % 3]])
+            b2 = span_of([np.eye(4)[j] for j in rng.permutation(4)[: 1 + seed % 4]])
+            state = elementary_tensor(psi1, psi2, TensorIndex(3, 4))
+            joint = truth_value(state, meet(h1(b1), h2(b2))).value
+            marginals = truth_value(psi1, b1).value * truth_value(psi2, b2).value
+            assert abs(joint - marginals) < 1e-12
 
 
 def test_criterion_13_tampered_morphisms_named_rejections():

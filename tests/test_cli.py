@@ -464,7 +464,7 @@ def oracle_mixed_pair(d, mode, seed):
 def oracle_covering_instance(d, seed):
     rng = np.random.default_rng(seed)
     a = sub.random_subspace(d, int(rng.integers(0, d - 1)), seed)
-    return a, sub.Ray.from_vector(random_vector(d, seed + 1))
+    return a, sub.Ray(sub.span_of([random_vector(d, seed + 1)]))
 
 
 ORACLE_SAMPLERS = {

@@ -19,8 +19,6 @@ from orthologic.core import (
     Tolerance,
     inner,
     orthonormalize,
-    polarization_inner,
-    polarization_r,
     random_unitary,
     random_vector,
     rank,
@@ -86,33 +84,6 @@ class TestInner:
         assert inner(x, alpha * y + z) == pytest.approx(
             alpha * inner(x, y) + inner(x, z), abs=1e-10
         )
-
-
-class TestPolarization:
-    def test_orthogonal_pair(self):
-        assert polarization_inner([1, 0], [0, 1]) == pytest.approx(0, abs=1e-12)
-
-    def test_self_pair(self):
-        assert polarization_inner([1, 0], [1, 0]) == pytest.approx(1, abs=1e-12)
-
-    def test_matches_inner_on_seeded_pairs(self):
-        x = random_vector(4, 11)
-        y = random_vector(4, 12)
-        assert abs(polarization_inner(x, y) - inner(x, y)) < 1e-10
-
-    @pytest.mark.parametrize("dim", range(1, 9))
-    def test_identity_across_dims(self, dim):
-        for trial in range(50):
-            x = random_vector(dim, 1000 * dim + trial)
-            y = random_vector(dim, 2000 * dim + trial)
-            assert abs(polarization_inner(x, y) - inner(x, y)) < 1e-10
-
-    def test_r_symmetry(self):
-        for trial in range(100):
-            x = random_vector(5, trial)
-            y = random_vector(5, trial + 500)
-            assert abs(polarization_r(x, y) - polarization_r(y, x)) < 1e-10
-            assert abs(polarization_r(x, 1j * y) + polarization_r(1j * x, y)) < 1e-10
 
 
 class TestOrthonormalize:

@@ -8,7 +8,7 @@ import pytest
 
 from orthologic import classical, cli
 from orthologic import subspace as sub
-from orthologic.classical import ClassicalProp, PhaseSpace, all_props, prop_and
+from orthologic.classical import ClassicalProp, PhaseSpace, prop_and
 from orthologic.cli import main
 from orthologic.core import DEFAULT_TOL, Tolerance, random_unitary, random_vector, subseed
 from orthologic.errors import PreconditionViolated
@@ -18,7 +18,6 @@ from orthologic.laws import (
     check_covering,
     check_de_morgan,
     check_distributive,
-    check_foulis_distributivity,
     check_orthomodular,
     check_triple_distributive,
     commuting_projectors,
@@ -43,6 +42,8 @@ from orthologic.subspace import (
     zero_subspace,
 )
 from orthologic.core import random_unitary
+
+from test_classical import all_props
 
 E3 = np.eye(3, dtype=complex)
 
@@ -272,31 +273,6 @@ class TestDeMorgan:
         assert tight.counterexample is not None
 
 
-class TestFoulisDistributivity:
-    def test_family_of_self(self):
-        b = random_subspace(4, 2, 7)
-        report = check_foulis_distributivity(b, [b])
-        assert report.holds and report.applicable
-
-    def test_orthogonal_coordinate_rays_against_plane(self):
-        e = np.eye(4, dtype=complex)
-        b = span_of([e[0], e[1]])
-        family = [span_of([e[k]]) for k in range(4)]
-        report = check_foulis_distributivity(b, family)
-        assert report.holds and report.applicable
-
-    def test_zero_family(self):
-        b = random_subspace(4, 2, 8)
-        report = check_foulis_distributivity(b, [zero_subspace(4)])
-        assert report.holds
-
-    def test_incompatible_family_not_applicable(self):
-        b = span_of([E3[0]])
-        family = [span_of([E3[0] + E3[1]])]
-        report = check_foulis_distributivity(b, family)
-        assert not report.applicable
-
-
 class TestTripleDistributive:
     def test_coordinate_subspaces(self):
         p1 = span_of([E3[0]])
@@ -325,20 +301,20 @@ class TestTripleDistributive:
 
 class TestCovering:
     def test_zero_base(self):
-        ray = Ray.from_vector(random_vector(4, 3))
+        ray = Ray(span_of([random_vector(4, 3)]))
         report = check_covering(ray, zero_subspace(4))
         assert report.holds
         assert report.detail["dim_join"] == 1
 
     def test_coordinate_plane_plus_coordinate_ray(self):
         e = np.eye(4, dtype=complex)
-        report = check_covering(Ray.from_vector(e[2]), span_of([e[0], e[1]]))
+        report = check_covering(Ray(span_of([e[2]])), span_of([e[0], e[1]]))
         assert report.holds
         assert report.detail["dim_join"] == 3
 
     def test_generic_instance(self):
         a = random_subspace(5, 2, 11)
-        ray = Ray.from_vector(random_vector(5, 12))
+        ray = Ray(span_of([random_vector(5, 12)]))
         report = check_covering(ray, a)
         assert report.holds
         assert report.detail["dim_join"] == 3
@@ -347,7 +323,7 @@ class TestCovering:
         e = np.eye(3, dtype=complex)
         a = span_of([e[0], e[1]])
         with pytest.raises(PreconditionViolated):
-            check_covering(Ray.from_vector(e[0]), a)
+            check_covering(Ray(span_of([e[0]])), a)
 
 
 class TestModularPairs:
@@ -493,8 +469,13 @@ class TestClassicalBatches:
         space = PhaseSpace(tuple(f"w{k}" for k in range(omega)))
         props = list(all_props(space))
         col, row = batch_axes(space, 2)
-        # orthomodularity over every nested pair, de Morgan over every pair
-        assert not check_orthomodular(col, row).applicable
+        # orthomodularity over every nested pair, de Morgan over every pair;
+        # of every pair, only the nested ones are checked
+        mixed = check_orthomodular(col, row)
+        on_nested = [check_orthomodular(p, q)
+                     for p, q in itertools.product(props, repeat=2) if q.contains(p)]
+        assert mixed.applicable and (mixed.holds, mixed.worst_residual) == (
+            all(r.holds for r in on_nested), max(r.worst_residual for r in on_nested))
         nested = check_orthomodular(prop_and(col, row), col)
         om = scalar_sweep(check_orthomodular, props, 2)
         assert (nested.holds, nested.worst_residual) == om
@@ -531,6 +512,7 @@ class TestClassicalBatches:
         for report, check in (
             (check_triple_distributive(*batch_axes(space, 3)), check_triple_distributive),
             (check_orthomodular(prop_and(col, row), col), check_orthomodular),
+            (check_orthomodular(col, row), check_orthomodular),
             (check_de_morgan((col, row)), lambda *family: check_de_morgan(family)),
             (check_distributive(*batch_axes(space, 3)), check_distributive),
         ):
@@ -541,6 +523,22 @@ class TestClassicalBatches:
             assert ce["left"] != ce["right"]
             assert replay(check, ce, space).holds is False
 
+    def test_a_partly_nested_batch_checks_its_nested_elements(self, monkeypatch):
+        space = PhaseSpace(("u", "v", "w"))
+        # element 0 is nested, {u} <= {u, v}; element 1 is not
+        p, q = ClassicalProp(space, np.array([1, 3])), ClassicalProp(space, np.array([3, 1]))
+        assert check_orthomodular(p, q).applicable and check_orthomodular(p, q).holds
+        monkeypatch.setattr(classical, "prop_or", lambda a, b: a)  # a join that drops b
+        report = check_orthomodular(p, q)
+        assert report.applicable and not report.holds
+        inputs = {"p": ClassicalProp(space, 1).to_json(), "q": ClassicalProp(space, 3).to_json()}
+        assert report.counterexample["inputs"] == inputs
+        assert replay(check_orthomodular, report.counterexample, space).holds is False
+        # a batch with no nested element stays outside the hypothesis
+        outside = check_orthomodular(ClassicalProp(space, np.array([3, 2])),
+                                     ClassicalProp(space, 1))
+        assert not outside.applicable and outside.holds
+
     def test_residual_counts_every_differing_point(self, monkeypatch):
         # with the complement as the identity, de Morgan compares a meet b
         # with a join b, which differ in every point of a xor b
@@ -548,7 +546,7 @@ class TestClassicalBatches:
         space = PhaseSpace(tuple(f"w{k}" for k in range(5)))
         col, row = batch_axes(space, 2)
         assert check_de_morgan((col, row)).worst_residual == 5.0
-        pair = (ClassicalProp.from_labels(space, ["w1", "w3"]), ClassicalProp.full(space))
+        pair = (ClassicalProp(space, 0b01010), ClassicalProp.full(space))  # {w1, w3}
         assert check_de_morgan(pair).worst_residual == 3.0
 
     def test_counterexample_is_the_first_failing_element(self, monkeypatch):
@@ -584,7 +582,6 @@ class TestClassicalBatches:
             check_triple_distributive(*batch_axes(space, 3))
             check_orthomodular(prop_and(col, row), col)
             check_de_morgan((col, row))
-            check_foulis_distributivity(col, [row, col])
             main(["lattice-check", "--classical", "--omega", "3"])
         capsys.readouterr()
 
@@ -651,8 +648,8 @@ def batch_fields(report):
 
 
 class TestDistributivityHypothesisOnBatches:
-    """The triple and Foulis laws decide their compatibility hypothesis per
-    element of a subspace batch and check only the elements within it."""
+    """The triple law decides its compatibility hypothesis per element of
+    a subspace batch and checks only the elements within it."""
 
     @pytest.fixture(params=["intact", "lossy_join"])
     def ops(self, request, monkeypatch):
@@ -681,15 +678,3 @@ class TestDistributivityHypothesisOnBatches:
         seeds = np.array([subseed(3, "generic", t) for t in range(12)], dtype=object)
         report = check_triple_distributive(*sub.random_family((4, 4, 4), seeds, proper=True))
         assert not report.applicable and report.holds
-
-    @pytest.mark.parametrize("d", [3, 4])
-    def test_foulis_batch_folds_its_elements(self, ops, d):
-        seeds = np.array([subseed(5, "foulis", t) for t in range(24)], dtype=object)
-        b, a1, a2 = frame_triples(d, seeds)
-
-        def check(b, a1, a2):
-            return check_foulis_distributivity(b, [a1, a2])
-
-        report = check(b, a1, a2)
-        assert batch_fields(report) == fold_elements(check, (b, a1, a2))
-        assert report.applicable

@@ -17,7 +17,6 @@ from orthologic.subspace import (
     equal,
     full_subspace,
     inclusion,
-    is_atom,
     join,
     leq,
     meet,
@@ -266,20 +265,11 @@ class TestEqualArgumentOrder:
 
 
 class TestAtoms:
-    def test_coordinate_ray_is_atom(self):
-        assert is_atom(span_of([E3[0]]))
-
-    def test_zero_is_not_atom(self):
-        assert not is_atom(zero_subspace(3))
-
-    def test_plane_is_not_atom(self):
-        assert not is_atom(span_of([E3[0], E3[1]]))
-
     def test_every_nonzero_subspace_contains_an_atom(self):
         for seed in range(10):
             p = random_subspace(5, 1 + seed % 4, seed)
             atom = span_of([p.basis[:, 0]])
-            assert is_atom(atom) and leq(atom, p)
+            assert atom.dim == 1 and leq(atom, p)
 
     def test_ray_type_rejects_planes(self):
         with pytest.raises(InvalidDimension):

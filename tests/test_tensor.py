@@ -11,7 +11,6 @@ from orthologic.tensor import (
     dual_inner,
     elementary_tensor,
     is_separable,
-    product_state_probability,
     riesz,
     riesz_inverse,
 )
@@ -72,7 +71,7 @@ class TestElementaryTensor:
     def test_unit_coordinate_position(self):
         t = elementary_tensor(np.eye(3)[0], np.eye(4)[1], self.IDX)
         expected = np.zeros(12)
-        expected[self.IDX.flatten(0, 1)] = 1.0
+        expected[0 * 4 + 1] = 1.0  # index (i, j) flattens to i * d2 + j
         assert np.allclose(t, expected)
 
     def test_bilinear_scaling(self):
@@ -104,14 +103,6 @@ class TestElementaryTensor:
         assert np.linalg.norm(self.IDX.coefficient_matrix(v)) == pytest.approx(
             np.linalg.norm(v)
         )
-
-    def test_index_bijection(self):
-        seen = set()
-        for i in range(self.IDX.d1):
-            for j in range(self.IDX.d2):
-                seen.add(self.IDX.flatten(i, j))
-                assert self.IDX.unflatten(self.IDX.flatten(i, j)) == (i, j)
-        assert seen == set(range(self.IDX.dim))
 
     def test_product_basis_gram_is_kronecker_delta(self):
         # the tensor inner product makes {e_i (x) f_j} an orthonormal set
@@ -164,37 +155,3 @@ class TestSeparability:
         with pytest.raises(ZeroState):
             is_separable(np.zeros(4), self.IDX)
 
-
-class TestProductStateProbability:
-    def normalized(self, d, seed):
-        v = random_vector(d, seed)
-        return v / np.linalg.norm(v)
-
-    def test_total_mass_is_one(self):
-        psi1 = self.normalized(3, 1)
-        psi2 = self.normalized(4, 2)
-        mass = product_state_probability(psi1, psi2, range(3), range(4))
-        assert mass == pytest.approx(1.0, abs=1e-12)
-
-    def test_empty_box_has_zero_mass(self):
-        psi1 = self.normalized(3, 3)
-        psi2 = self.normalized(4, 4)
-        assert product_state_probability(psi1, psi2, range(3), []) == 0.0
-
-    def test_factorizes_into_marginals(self):
-        for seed in range(20):
-            psi1 = self.normalized(4, seed)
-            psi2 = self.normalized(5, seed + 50)
-            rng = np.random.default_rng(seed)
-            b1 = [int(i) for i in rng.permutation(4)[: 1 + seed % 3]]
-            b2 = [int(j) for j in rng.permutation(5)[: 1 + seed % 4]]
-            joint = product_state_probability(psi1, psi2, b1, b2)
-            marginal1 = sum(abs(psi1[i]) ** 2 for i in b1)
-            marginal2 = sum(abs(psi2[j]) ** 2 for j in b2)
-            assert abs(joint - marginal1 * marginal2) < 1e-12
-
-    def test_out_of_range_indices_rejected(self):
-        psi1 = self.normalized(3, 7)
-        psi2 = self.normalized(3, 8)
-        with pytest.raises(DimensionMismatch):
-            product_state_probability(psi1, psi2, [5], [0])
