@@ -1,4 +1,4 @@
-"""Classical propositions: connectives, products, the cartesian
+"""Classical propositions: connectives, atoms, products, the cartesian
 isomorphism for composed systems, and the sampled oscillator curve."""
 
 import itertools
@@ -43,6 +43,27 @@ def of_labels(space, points):
     return ClassicalProp(space, sum(1 << space.index(x) for x in set(points)))
 
 
+def implies_oracle(a, b):
+    """Pointwise truth-table oracle for material implication."""
+    mask = 0
+    for k in range(a.space.size):
+        a_true = bool(a.members >> k & 1)
+        b_true = bool(b.members >> k & 1)
+        if (not a_true) or b_true:
+            mask |= 1 << k
+    return mask
+
+
+def implies(a, b):
+    """Material implication from the connectives: not a, or b."""
+    return prop_or(prop_not(a), b)
+
+
+def atoms(space):
+    """The singleton propositions, one per point."""
+    return [ClassicalProp(space, 1 << k) for k in range(space.size)]
+
+
 def out_of_range(members, size):
     """The range check as elementwise compares: its oracle."""
     return bool(np.any((members < 0) | (members >= 1 << size)))
@@ -73,6 +94,15 @@ class TestConnectives:
         a = ClassicalProp(SPACE3, 0b011)  # {p, q}
         assert prop_and(a, prop_not(a)).members == 0
 
+    def test_self_implication_is_tautology(self):
+        a = ClassicalProp(SPACE3, 0b010)  # {q}
+        assert implies(a, a).members == ClassicalProp.full(SPACE3).members
+
+    def test_implies_matches_truth_table_oracle_exhaustively(self):
+        for a in all_props(SPACE3):
+            for b in all_props(SPACE3):
+                assert implies(a, b).members == implies_oracle(a, b)
+
     def test_space_mismatch(self):
         other = PhaseSpace(("x", "y"))
         with pytest.raises(SpaceMismatch):
@@ -82,6 +112,30 @@ class TestConnectives:
         a = ClassicalProp(SPACE3, 0b101)  # {p, r}
         b = ClassicalProp.from_json(SPACE3, a.to_json())
         assert a.members == b.members
+
+
+class TestAtoms:
+    """The singletons are the atoms: they join to the full proposition,
+    and every nonempty proposition contains one."""
+
+    def test_singleton_space(self):
+        space = PhaseSpace(("only",))
+        (atom,) = atoms(space)
+        assert atom.members == ClassicalProp.full(space).members
+
+    def test_four_point_space(self):
+        space = PhaseSpace(tuple("abcd"))
+        total = ClassicalProp(space, 0)
+        for atom in atoms(space):
+            assert prop_and(total, atom).members == 0
+            total = prop_or(total, atom)
+        assert total.members == ClassicalProp.full(space).members
+
+    def test_every_nonempty_prop_contains_an_atom(self):
+        space = PhaseSpace(tuple("abcd"))
+        for p in all_props(space):
+            # one atom below p per point of p, so one at least unless p is empty
+            assert sum(p.contains(atom) for atom in atoms(space)) == len(labels(p))
 
 
 class TestProductSpace:
@@ -458,6 +512,14 @@ class TestOscillatorCurve:
         sample = sample_oscillator_curve(1.0, math.pi / 2, 1.0, 1.0, [0.0])
         x, _ = sample.states[0]
         assert x == pytest.approx(1.0)
+
+    def test_energy_constant_along_curve(self):
+        mass, omega0, amplitude = 1.7, 2.3, 0.8
+        times = np.linspace(0.0, 10.0, 257)
+        sample = sample_oscillator_curve(amplitude, 0.4, omega0, mass, times)
+        energies = np.array([p * p / (2 * mass) + 0.5 * mass * omega0**2 * x * x
+                             for x, p in sample.states])
+        assert np.max(np.abs(energies - energies[0])) < 1e-9
 
     def test_samples_lie_on_energy_ellipse(self):
         mass, omega0, amplitude = 2.0, 1.5, 1.1

@@ -279,6 +279,17 @@ class TestCanonicalH:
         with pytest.raises(NotOrthonormal):
             canonical_h(1, 3, 3, twist=np.ones((9, 9)))
 
+    @pytest.mark.parametrize("stretch, accepted", [(1e-8, True), (2e-8, False)])
+    def test_twist_unitarity_bound(self, stretch, accepted):
+        # (1 + s) W has ||M^dagger M - I||_F = 3 (2 s + s^2) against the
+        # bound eps_eq * 9 = 9e-8: 6e-8 passes and 1.2e-7 does not
+        twist = (1 + stretch) * random_unitary(9, 5)
+        if accepted:
+            assert canonical_h(1, 3, 3, twist=twist).target_dim == 9
+        else:
+            with pytest.raises(NotOrthonormal, match="twist is not orthonormal"):
+                canonical_h(1, 3, 3, twist=twist)
+
 
 def kron_oracle(side, d1, d2, twist, conjugate, basis):
     """The image basis of canonical_h, one element, by np.kron."""

@@ -50,6 +50,19 @@ def pairwise_gs(vectors, tol=1e-9):
     return np.column_stack(basis) if basis else np.zeros((len(vectors[0]), 0))
 
 
+def polarization_r(x, y):
+    """Independent oracle: R(x, y) = (||x + y||^2 - ||x - y||^2) / 4, the
+    real part of the inner product, from norms alone."""
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    return (np.linalg.norm(x + y) ** 2 - np.linalg.norm(x - y) ** 2) / 4
+
+
+def polarization_inner(x, y):
+    """The polarization identity R(x, y) - i R(x, iy): the inner product
+    that is conjugate-linear in its first argument."""
+    return polarization_r(x, y) - 1j * polarization_r(x, 1j * np.asarray(y, dtype=complex))
+
+
 class TestInner:
     def test_orthogonal_basis_vectors(self):
         assert inner([1, 0], [0, 1]) == 0
@@ -84,6 +97,39 @@ class TestInner:
         assert inner(x, alpha * y + z) == pytest.approx(
             alpha * inner(x, y) + inner(x, z), abs=1e-10
         )
+
+
+class TestPolarization:
+    """core.inner agrees with the polarization identity, which fixes its
+    conjugate-linear-first convention from norms alone."""
+
+    def test_orthogonal_pair(self):
+        assert polarization_inner([1, 0], [0, 1]) == pytest.approx(0, abs=1e-12)
+        assert inner([1, 0], [0, 1]) == 0
+
+    def test_self_pair(self):
+        assert polarization_inner([1j, 0], [1j, 0]) == pytest.approx(1, abs=1e-12)
+        assert inner([1j, 0], [1j, 0]) == pytest.approx(1, abs=1e-12)
+
+    def test_matches_inner_on_seeded_pairs(self):
+        x = random_vector(4, 11)
+        y = random_vector(4, 12)
+        assert abs(polarization_inner(x, y) - inner(x, y)) < 1e-10
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_identity_across_dims(self, dim):
+        for trial in range(50):
+            x = random_vector(dim, 1000 * dim + trial)
+            y = random_vector(dim, 2000 * dim + trial)
+            assert abs(polarization_inner(x, y) - inner(x, y)) < 1e-10
+
+    def test_r_symmetry(self):
+        for trial in range(100):
+            x = random_vector(5, trial)
+            y = random_vector(5, trial + 500)
+            assert abs(polarization_r(x, y) - polarization_r(y, x)) < 1e-10
+            assert abs(polarization_r(x, 1j * y) + polarization_r(1j * x, y)) < 1e-10
+            assert abs(polarization_r(x, y) - inner(x, y).real) < 1e-10
 
 
 class TestOrthonormalize:

@@ -1,5 +1,6 @@
 """Lattice-law checkers: distributivity, orthomodularity, compatibility."""
 
+import functools
 import itertools
 import json
 
@@ -271,6 +272,51 @@ class TestDeMorgan:
         assert tight.worst_residual == residual
         assert not tight.holds
         assert tight.counterexample is not None
+
+
+def foulis_sides(b, family):
+    """join_k (b meet a_k) and b meet (join_k a_k)."""
+    left = functools.reduce(join, [meet(b, a) for a in family])
+    return left, meet(b, functools.reduce(join, family))
+
+
+class TestFoulisDistributivity:
+    """Foulis-Holland: b compatible with every a_k gives
+    join_k (b meet a_k) = b meet (join_k a_k).  For a family of two this
+    is within the triple law, whose hypothesis b then meets."""
+
+    def test_family_of_self(self):
+        b = random_subspace(4, 2, 7)
+        assert compatible(b, b) and equal(*foulis_sides(b, [b]))
+        report = check_triple_distributive(b, b, b)
+        assert report.holds and report.applicable
+
+    def test_orthogonal_coordinate_rays_against_plane(self):
+        e = np.eye(4, dtype=complex)
+        b = span_of([e[0], e[1]])
+        family = [span_of([e[k]]) for k in range(4)]
+        assert all(compatible(b, a) for a in family) and equal(*foulis_sides(b, family))
+        for a1, a2 in itertools.combinations(family, 2):
+            report = check_triple_distributive(b, a1, a2)
+            assert report.holds and report.applicable
+
+    def test_zero_family(self):
+        b = random_subspace(4, 2, 8)
+        left, right = foulis_sides(b, [zero_subspace(4)])
+        assert left.dim == right.dim == 0
+        report = check_triple_distributive(b, zero_subspace(4), zero_subspace(4))
+        assert report.holds and report.applicable
+
+    def test_incompatible_family_not_applicable(self):
+        b = span_of([E3[0]])
+        family = [span_of([E3[0] + E3[1]])]
+        assert not compatible(b, family[0])
+        assert not check_triple_distributive(b, *family * 2).applicable
+        # outside the hypothesis the identity can fail: the diagonal ray
+        # against the two coordinate rays of its plane
+        diagonal = span_of([E3[0] + E3[1]])
+        left, right = foulis_sides(diagonal, [span_of([E3[0]]), span_of([E3[1]])])
+        assert left.dim == 0 and equal(right, diagonal)
 
 
 class TestTripleDistributive:
@@ -649,7 +695,8 @@ def batch_fields(report):
 
 class TestDistributivityHypothesisOnBatches:
     """The triple law decides its compatibility hypothesis per element of
-    a subspace batch and checks only the elements within it."""
+    a subspace batch and checks only the elements within it; a law without
+    a hypothesis checks every element."""
 
     @pytest.fixture(params=["intact", "lossy_join"])
     def ops(self, request, monkeypatch):
@@ -673,6 +720,23 @@ class TestDistributivityHypothesisOnBatches:
         assert batch_fields(report) == fold_elements(per_identity_triple, batches)
         if d == 4:
             assert report.applicable and report.holds == (ops == "intact")
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_foulis_batch_folds_its_elements(self, ops, d):
+        # the distributive law has no hypothesis, so its batch folds every
+        # element; the frame elements (even seed values), where b is compatible
+        # with a1 and a2, hold by Foulis-Holland unless the join is lossy
+        seeds = np.array([subseed(5, "foulis", t) for t in range(24)], dtype=object)
+        b, a1, a2 = frame_triples(d, seeds)
+        report = check_distributive(b, a1, a2)
+        assert batch_fields(report) == fold_elements(check_distributive, (b, a1, a2))
+        frame = [[Subspace(d, x.basis[i]) for x in (b, a1, a2)]
+                 for i, s in enumerate(seeds) if s % 2 == 0]
+        if ops == "intact":
+            assert all(compatible(x, y) and compatible(x, z) for x, y, z in frame)
+        # the lossy join cuts only the joins that span C^4
+        holds = [check_distributive(*t).holds for t in frame]
+        assert all(holds) == (ops == "intact" or d == 3)
 
     def test_generic_triples_are_outside_the_hypothesis(self):
         seeds = np.array([subseed(3, "generic", t) for t in range(12)], dtype=object)

@@ -264,7 +264,30 @@ class TestEqualArgumentOrder:
         self.assert_order_gap(full, identity)
 
 
+def is_atom(p, probes=8):
+    """Whether p is a minimal nonzero element, as far as seeded probes
+    show: each probe meets p in zero or in all of p."""
+    d = p.ambient_dim
+    probes = (random_subspace(d, 1 + k % (d - 1), k) for k in range(probes))
+    return p.dim > 0 and all(meet(p, q).dim == 0 or equal(meet(p, q), p) for q in probes)
+
+
 class TestAtoms:
+    def test_coordinate_ray_is_atom(self):
+        ray = span_of([E3[0]])
+        assert is_atom(ray) and is_atom(meet(ray, span_of([E3[0], E3[1]])))
+        assert Ray(ray).subspace is ray
+
+    def test_zero_is_not_atom(self):
+        assert not is_atom(zero_subspace(3))
+        with pytest.raises(InvalidDimension):
+            Ray(zero_subspace(3))
+
+    def test_plane_is_not_atom(self):
+        plane = span_of([E3[0], E3[1]])
+        assert not is_atom(plane)
+        assert leq(span_of([E3[1]]), plane) and not equal(span_of([E3[1]]), plane)
+
     def test_every_nonzero_subspace_contains_an_atom(self):
         for seed in range(10):
             p = random_subspace(5, 1 + seed % 4, seed)

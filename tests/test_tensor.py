@@ -1,10 +1,13 @@
-"""Tensor products, duals via the conjugate-linear pairing, separability."""
+"""Tensor products, duals via the conjugate-linear pairing, separability,
+and the truth values of product states."""
 
 import numpy as np
 import pytest
 
+from orthologic.composite import canonical_h
 from orthologic.core import inner, random_unitary, random_vector
 from orthologic.errors import DimensionMismatch, ZeroState
+from orthologic.subspace import meet, span_of, zero_subspace
 from orthologic.tensor import (
     DualVector,
     TensorIndex,
@@ -14,6 +17,7 @@ from orthologic.tensor import (
     riesz,
     riesz_inverse,
 )
+from orthologic.truth import truth_value
 
 
 class TestRiesz:
@@ -104,6 +108,18 @@ class TestElementaryTensor:
             np.linalg.norm(v)
         )
 
+    def test_index_bijection(self):
+        # e_i (x) f_j is the coordinate vector at i * d2 + j, which
+        # coefficient_matrix reads back at (i, j): each index once
+        seen = set()
+        for i in range(self.IDX.d1):
+            for j in range(self.IDX.d2):
+                t = elementary_tensor(np.eye(3)[i], np.eye(4)[j], self.IDX)
+                (flat,) = np.flatnonzero(t)
+                seen.add(int(flat))
+                assert list(zip(*np.nonzero(self.IDX.coefficient_matrix(t)))) == [(i, j)]
+        assert seen == set(range(self.IDX.dim))
+
     def test_product_basis_gram_is_kronecker_delta(self):
         # the tensor inner product makes {e_i (x) f_j} an orthonormal set
         basis = [
@@ -155,3 +171,52 @@ class TestSeparability:
         with pytest.raises(ZeroState):
             is_separable(np.zeros(4), self.IDX)
 
+
+def coordinate_prop(d, indices):
+    """The proposition spanned by the coordinate vectors at indices."""
+    e = np.eye(d)
+    return span_of([e[i] for i in indices]) if len(indices) else zero_subspace(d)
+
+
+class TestProductStateProbability:
+    """The truth value of a product state on the meet of the cylinders
+    of B1 and B2 is the product of the factor truth values."""
+
+    def normalized(self, d, seed):
+        v = random_vector(d, seed)
+        return v / np.linalg.norm(v)
+
+    def joint(self, psi1, psi2, b1, b2):
+        d1, d2 = len(psi1), len(psi2)
+        box = meet(canonical_h(1, d1, d2)(coordinate_prop(d1, b1)),
+                   canonical_h(2, d1, d2)(coordinate_prop(d2, b2)))
+        return truth_value(elementary_tensor(psi1, psi2, TensorIndex(d1, d2)), box).value
+
+    def test_total_mass_is_one(self):
+        psi1 = self.normalized(3, 1)
+        psi2 = self.normalized(4, 2)
+        assert self.joint(psi1, psi2, range(3), range(4)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_empty_box_has_zero_mass(self):
+        psi1 = self.normalized(3, 3)
+        psi2 = self.normalized(4, 4)
+        assert self.joint(psi1, psi2, range(3), []) == 0.0
+
+    def test_factorizes_into_marginals(self):
+        for seed in range(20):
+            psi1 = self.normalized(4, seed)
+            psi2 = self.normalized(5, seed + 50)
+            rng = np.random.default_rng(seed)
+            b1 = [int(i) for i in rng.permutation(4)[: 1 + seed % 3]]
+            b2 = [int(j) for j in rng.permutation(5)[: 1 + seed % 4]]
+            marginal1 = sum(abs(psi1[i]) ** 2 for i in b1)
+            marginal2 = sum(abs(psi2[j]) ** 2 for j in b2)
+            assert abs(self.joint(psi1, psi2, b1, b2) - marginal1 * marginal2) < 1e-12
+
+    def test_out_of_range_indices_rejected(self):
+        # a state of C^3 tensor C^3 against a box of C^3 tensor C^4
+        psi = elementary_tensor(self.normalized(3, 7), self.normalized(3, 8), TensorIndex(3, 3))
+        box = meet(canonical_h(1, 3, 4)(coordinate_prop(3, [0])),
+                   canonical_h(2, 3, 4)(coordinate_prop(4, [3])))
+        with pytest.raises(DimensionMismatch):
+            truth_value(psi, box)
