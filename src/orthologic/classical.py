@@ -92,11 +92,13 @@ class ClassicalProp:
 
     @classmethod
     def from_json(cls, space: PhaseSpace, data: dict) -> "ClassicalProp":
-        mask = 0
-        for k, bit in enumerate(data["members"]):
-            if bit:
-                mask |= 1 << k
-        return cls(space, mask)
+        """The proposition of to_json's form on ``space``.  This reads
+        outside input: anything else raises ValueError."""
+        bits = data.get("members") if isinstance(data, dict) else None
+        if not (isinstance(bits, list) and len(bits) == space.size
+                and all(type(bit) is int and bit in (0, 1) for bit in bits)):
+            raise ValueError(f"members must be a list of {space.size} entries, each 0 or 1")
+        return cls(space, sum(bit << k for k, bit in enumerate(bits)))
 
 
 def _check_space(a: ClassicalProp, b: ClassicalProp) -> None:

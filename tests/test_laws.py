@@ -12,7 +12,6 @@ from orthologic import subspace as sub
 from orthologic.classical import ClassicalProp, PhaseSpace, prop_and
 from orthologic.cli import main
 from orthologic.core import DEFAULT_TOL, Tolerance, random_unitary, random_vector, subseed
-from orthologic.errors import PreconditionViolated
 from orthologic.laws import (
     LawReport,
     check_compatibility_criteria,
@@ -149,7 +148,7 @@ class TestOrthomodular:
         p = span_of([E3[0] + E3[1]])
         q = span_of([E3[0]])
         report = check_orthomodular(p, q)
-        assert report.holds and not report.applicable
+        assert (report.holds, report.applicable, report.trials) == (True, False, 0)
 
     def test_classical_pairs(self):
         space = PhaseSpace(("a", "b", "c", "d"))
@@ -342,7 +341,7 @@ class TestTripleDistributive:
         b = span_of([E3[1] + 0.7 * E3[2]])
         c = span_of([E3[0] + 0.2 * E3[2]])
         report = check_triple_distributive(a, b, c)
-        assert not report.applicable
+        assert (report.holds, report.applicable, report.trials) == (True, False, 0)
 
 
 class TestCovering:
@@ -366,10 +365,11 @@ class TestCovering:
         assert report.detail["dim_join"] == 3
 
     def test_precondition(self):
+        # an atom inside a is outside the hypothesis: nothing is checked
         e = np.eye(3, dtype=complex)
         a = span_of([e[0], e[1]])
-        with pytest.raises(PreconditionViolated):
-            check_covering(Ray(span_of([e[0]])), a)
+        report = check_covering(Ray(span_of([e[0]])), a)
+        assert (report.holds, report.applicable, report.trials) == (True, False, 0)
 
 
 class TestModularPairs:
@@ -489,10 +489,20 @@ def batch_axes(space, dims):
     ]
 
 
+def fold(reports):
+    """(every report holds, trials, failures, worst residual) of reports
+    on single propositions, added up as a batch adds up its elements."""
+    return (all(r.holds for r in reports), sum(r.trials for r in reports),
+            sum(r.failures for r in reports), max(r.worst_residual for r in reports))
+
+
+def counts(report):
+    return report.holds, report.trials, report.failures, report.worst_residual
+
+
 def scalar_sweep(check, props, arity):
-    """(every report holds, worst residual) of check over every tuple."""
-    reports = [check(*args) for args in itertools.product(props, repeat=arity)]
-    return all(r.holds for r in reports), max(r.worst_residual for r in reports)
+    """fold of check over every tuple."""
+    return fold([check(*args) for args in itertools.product(props, repeat=arity)])
 
 
 def replay(check, counterexample, space):
@@ -515,31 +525,30 @@ class TestClassicalBatches:
         space = PhaseSpace(tuple(f"w{k}" for k in range(omega)))
         props = list(all_props(space))
         col, row = batch_axes(space, 2)
-        # orthomodularity over every nested pair, de Morgan over every pair;
-        # of every pair, only the nested ones are checked
+        pairs = list(itertools.product(props, repeat=2))
+        # orthomodularity over every pair checks only the nested ones; over
+        # (q meet s, q) every pair is nested
         mixed = check_orthomodular(col, row)
-        on_nested = [check_orthomodular(p, q)
-                     for p, q in itertools.product(props, repeat=2) if q.contains(p)]
-        assert mixed.applicable and (mixed.holds, mixed.worst_residual) == (
-            all(r.holds for r in on_nested), max(r.worst_residual for r in on_nested))
+        assert mixed.applicable
+        assert counts(mixed) == fold([check_orthomodular(p, q) for p, q in pairs if q.contains(p)])
         nested = check_orthomodular(prop_and(col, row), col)
-        om = scalar_sweep(check_orthomodular, props, 2)
-        assert (nested.holds, nested.worst_residual) == om
-        dm = check_de_morgan((col, row))
-        assert (dm.holds, dm.worst_residual) == scalar_sweep(
+        assert counts(nested) == fold([check_orthomodular(prop_and(q, s), q) for q, s in pairs])
+        assert counts(check_de_morgan((col, row))) == scalar_sweep(
             lambda a, b: check_de_morgan((a, b)), props, 2
         )
         # every triple in one batch, and as one batch per first element
         triples = check_triple_distributive(*batch_axes(space, 3))
         per_a = [check_triple_distributive(a, col, row) for a in props]
-        holds, worst = scalar_sweep(check_triple_distributive, props, 3)
-        assert triples.holds == all(r.holds for r in per_a) == holds
-        # a failing batch reports the residual of its first failing identity
-        # over every triple, each scalar report that of its own, so only
-        # the verdicts compare when the join is broken
-        if holds:
-            assert triples.worst_residual == max(r.worst_residual for r in per_a) == worst == 0
-        assert holds == (join == "intact")
+        assert counts(triples) == fold(per_a) == scalar_sweep(check_triple_distributive, props, 3)
+        assert triples.holds == (join == "intact")
+
+    def test_a_batch_counts_its_failing_elements(self, monkeypatch):
+        # a join that drops point 0 fails 18 of the 27 nested pairs of a
+        # 3-point space; the batch of all 64 pairs checks those 27
+        monkeypatch.setattr(classical, "prop_or",
+                            lambda a, b: ClassicalProp(a.space, (a.members | b.members) >> 1 << 1))
+        report = check_orthomodular(*batch_axes(PhaseSpace(("u", "v", "w")), 2))
+        assert (report.holds, report.trials, report.failures) == (False, 27, 18)
 
     @pytest.mark.parametrize("chunk", [classical._CHUNK, 8])
     def test_lattice_report_matches_the_per_a_oracle(self, join, chunk, monkeypatch):
@@ -682,7 +691,7 @@ def fold_elements(check, batches):
         "applicable": bool(checked),
         "holds": not failing,
         "failures": len(failing),
-        "trials": sum(r.trials for r in checked) if checked else 1,
+        "trials": sum(r.trials for r in checked),
         "worst_residual": max([0.0, *(r.worst_residual for r in checked)]),
         "counterexample": failing[0].counterexample if failing else None,
     }

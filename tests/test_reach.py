@@ -72,8 +72,6 @@ ALLOWED = {
     "composite.BasisMap._preimage": BENCH,
     # failure paths
     "composite._axiom_ce": FAILING,
-    "laws._first_failure": FAILING,
-    "laws._first_failure.element": FAILING,
     # other library code
     "classical.product_space_isomorphism.eta": "the isomorphism product_space_isomorphism returns",
     "core._one": "gives the samplers their scalar seeds",

@@ -42,6 +42,18 @@ BAD_SUBSPACE_JSON = [
      "basis must be a list of [re, im] number pairs"),
 ]
 
+# (what, data): JSON that ClassicalProp.from_json refuses on a 3-point space
+BAD_CLASSICAL_JSON = [
+    ("too few entries", {"members": [1, 0]}),
+    ("too many entries", {"members": [1, 0, 0, 1]}),
+    ("a string", {"members": "abc"}),
+    ("an entry of 2", {"members": [2, 0, 0]}),
+    ("a boolean entry", {"members": [True, 0, 0]}),
+    ("a fractional entry", {"members": [0.5, 0, 0]}),
+    ("no members", {"bits": [1, 0, 0]}),
+    ("a bare list", [1, 0, 0]),
+]
+
 
 def space(n):
     return cl.PhaseSpace(tuple(range(n)))
@@ -160,6 +172,10 @@ CASES = {
     "a uint16 batch with a mask past the space": (
         lambda: cl.ClassicalProp(space(8), np.array([0, 255, 256], dtype=np.uint16)),
         InvalidParameter, "bitmask out of range for this phase space"),
+    **{f"ClassicalProp.from_json of {what}": (
+        lambda data=data: cl.ClassicalProp.from_json(space(3), data), ValueError,
+        "members must be a list of 3 entries, each 0 or 1")
+       for what, data in BAD_CLASSICAL_JSON},
     "PhaseCurveSample with unequal lengths": (
         lambda: cl.PhaseCurveSample((0.0, 1.0), ((0.0, 0.0),)),
         InvalidParameter, "times and states must have equal length"),
