@@ -11,7 +11,7 @@ composite-system verification needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -186,15 +186,7 @@ class ProductIsoReport:
         )
 
     def to_json(self) -> dict:
-        return {
-            "prop_count": self.prop_count,
-            "bijective": self.bijective,
-            "preserves_union": self.preserves_union,
-            "preserves_intersection": self.preserves_intersection,
-            "preserves_complement": self.preserves_complement,
-            "carries_cylinders": self.carries_cylinders,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 # Elements per broadcast block: each int64 temporary of a block takes

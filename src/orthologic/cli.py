@@ -297,6 +297,14 @@ def cmd_composite_verify(args, tol: Tolerance) -> int:
     return 0 if passed else 1
 
 
+def _write_csv(path: str, header: list, rows) -> None:
+    """Write ``header`` and then ``rows`` of numbers, each as %.12g."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.12g}" for v in row] for row in rows)
+
+
 def cmd_truth_demo(args, tol: Tolerance) -> int:
     model = OscillatorModel(n_max=args.nmax)
     dim = model.levels
@@ -319,21 +327,15 @@ def cmd_truth_demo(args, tol: Tolerance) -> int:
         results["energies"] = [float(e) for e in energies(model)]
         results["hamiltonian_diagonal"] = [float(x.real) for x in np.diag(hamiltonian)]
     if args.eigenfunctions:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x"] + [f"psi{n}" for n in range(dim)])
-            columns = [hermite_eigenfunction(model, n) for n in range(dim)]
-            for row, x in enumerate(model.grid):
-                writer.writerow([f"{x:.12g}"] + [f"{col[row]:.12g}" for col in columns])
+        columns = [hermite_eigenfunction(model, n) for n in range(dim)]
+        _write_csv(args.csv, ["x"] + [f"psi{n}" for n in range(dim)],
+                   ([x] + [col[row] for col in columns] for row, x in enumerate(model.grid)))
         results["eigenfunctions_csv"] = args.csv
     if args.curve_csv:
         times = [k * 0.05 for k in range(args.curve_samples)]
         sample = cl.sample_oscillator_curve(1.0, 0.0, 1.0, 1.0, times)
-        with open(args.curve_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x", "p"])
-            for t, (x, p) in zip(sample.times, sample.states):
-                writer.writerow([f"{t:.12g}", f"{x:.12g}", f"{p:.12g}"])
+        _write_csv(args.curve_csv, ["t", "x", "p"],
+                   ([t, x, p] for t, (x, p) in zip(sample.times, sample.states)))
         results["curve_csv"] = args.curve_csv
     _emit(args, ("nmax",), results)
     ok = max(abs(tv.value - 0.75), abs(tv_complement.value - 0.25)) < EPS_PROB

@@ -10,14 +10,17 @@ satisfies every law here, the subspace lattice does not.
 Either kind of argument may be a batch: a ClassicalProp holding an
 array of bitmasks, which broadcasts against the other arguments, or a
 Subspace holding a tuple of bases.  The same checker body then decides
-the law on every element at once, and the counts add up over the
-elements: ``failures`` counts the failing ones, worst_residual is the
-largest residual (of a classical element, the number of points in which
-its two sides differ), and the counterexample holds the inputs and sides
-of the first failing element, in C order over the broadcast shape, as
-single propositions, so it replays through the same checker.  A law
-with a hypothesis (orthomodularity, covering, triple distributivity)
-checks only the elements meeting it.
+the law on every element at once, and every checker reports by one
+rule.  An instance is one batch element (of is_modular_pair, one
+sampled (p, q, r)); ``trials`` counts the instances within the law's
+hypothesis (orthomodularity, covering and triple distributivity have
+one), ``applicable`` says whether there is any, and ``failures`` counts
+the failing ones.  ``worst_residual`` is the largest residual of every
+identity on every instance within the hypothesis (of a classical
+instance, the number of points in which the two sides differ), passing
+or not.  The counterexample holds the inputs and sides of the first
+failing instance in C order, at its first failing identity, as single
+propositions, so it replays through the same checker.
 
 Compatibility of two subspaces is decided lattice-theoretically by the
 constructive criterion (a meet b) join (a' meet b) = b; the second
@@ -144,7 +147,7 @@ def _distributive_sides(join, meet, a, b, c, tol):
     return join(a, meet(b, c, tol), tol), meet(join(a, b, tol), join(a, c, tol), tol)
 
 
-def _counterexample(ops, inputs: dict, left, right, failed=True) -> dict:
+def _counterexample(ops, inputs: dict, left, right, failed) -> dict:
     """The inputs and both sides at the first element, in C order, that
     ``failed`` marks, serialized; a single proposition is its own first
     element."""
@@ -158,20 +161,28 @@ def _counterexample(ops, inputs: dict, left, right, failed=True) -> dict:
             "left": serialize(left), "right": serialize(right)}
 
 
-def _report(law_name: str, failed, **fields) -> LawReport:
-    """The report of a law failing on the elements ``failed`` marks."""
-    fields.setdefault("trials", int(np.size(failed)))
-    return LawReport(law_name, not np.any(failed), failures=int(np.count_nonzero(failed)), **fields)
+def _report(law_name: str, failed, applies=True, **fields) -> LawReport:
+    """The report of a law failing on the instances ``failed`` marks, out
+    of those it ``applies`` to."""
+    # broadcasting repeats each element of applies equally often
+    trials = int(np.count_nonzero(applies) * (np.size(failed) // np.size(applies)))
+    return LawReport(law_name, not np.any(failed), trials=trials, applicable=trials > 0,
+                     failures=int(np.count_nonzero(failed)), **fields)
 
 
-def _compare(ops, law_name: str, inputs: dict, left, right, tol, applies=True) -> LawReport:
-    """The report of the identity left = right where it ``applies``, with
-    the residual and a counterexample where it fails."""
-    failed = np.logical_and(applies, np.logical_not(ops.equal(left, right, tol)))
-    trials = np.count_nonzero(np.broadcast_to(applies, np.shape(failed)))
-    report = _report(law_name, failed, trials=int(trials))
+def _compare(ops, law_name: str, inputs: dict, sides: list, tol, applies=True) -> LawReport:
+    """The report of the identities left = right, one (left, right) pair
+    of ``sides`` each, on the instances the law ``applies`` to."""
+    same = np.stack([ops.equal(left, right, tol) for left, right in sides])
+    failed = np.less(same.all(axis=0), applies)  # applies (True) but fails (False)
+    report = _report(law_name, failed, applies)
+    if report.trials:  # a scalar residual (one instance, or a zero popcount) is every instance's
+        residuals = (ops.residual(left, right) for left, right in sides)
+        report.worst_residual = max(
+            float(np.max(r, where=applies, initial=0.0) if np.ndim(r) else r) for r in residuals)
     if not report.holds:
-        report.worst_residual = float(np.max(ops.residual(left, right), where=failed, initial=0.0))
+        at = np.unravel_index(np.argmax(failed), failed.shape)
+        left, right = sides[int(np.argmin(same[(slice(None), *at)]))]  # its first failing identity
         report.counterexample = _counterexample(ops, inputs, left, right, failed)
     return report
 
@@ -183,8 +194,8 @@ def check_distributive(a, b, c, tol: Tolerance = DEFAULT_TOL) -> LawReport:
     triples, which is the structural split between the two logics.
     """
     ops = _lattice(a)
-    left, right = _distributive_sides(ops.join, ops.meet, a, b, c, tol)
-    return _compare(ops, "distributive", {"a": a, "b": b, "c": c}, left, right, tol)
+    sides = [_distributive_sides(ops.join, ops.meet, a, b, c, tol)]
+    return _compare(ops, "distributive", {"a": a, "b": b, "c": c}, sides, tol)
 
 
 def nondistributivity_witness(tol: Tolerance = DEFAULT_TOL) -> LawReport:
@@ -202,27 +213,18 @@ def nondistributivity_witness(tol: Tolerance = DEFAULT_TOL) -> LawReport:
     p3 = sub.span_of([e2, e3], tol)
     left = sub.join(p3, sub.meet(p1, p2, tol), tol)
     right = sub.meet(sub.join(p3, p1, tol), sub.join(p1, p2, tol), tol)
-    holds = sub.equal(left, right, tol)
-    report = LawReport(
-        "distributive",
-        holds,
-        worst_residual=sub.projector_distance(left, right),
-        detail={"left_dim": left.dim, "right_dim": right.dim},
-    )
-    report.counterexample = _counterexample(
-        _SUBSPACE, {"p1": p1, "p2": p2, "p3": p3}, left, right
-    )
+    report = _compare(_SUBSPACE, "distributive", {"p1": p1, "p2": p2, "p3": p3},
+                      [(left, right)], tol)
+    report.detail = {"left_dim": left.dim, "right_dim": right.dim}
     return report
 
 
 def check_orthomodular(p, q, tol: Tolerance = DEFAULT_TOL) -> LawReport:
     """For p <= q, check q = p join (q meet p')."""
     ops = _lattice(p)
-    nested = ops.leq(p, q, tol)
-    if not np.any(nested):
-        return LawReport("orthomodular", True, trials=0, applicable=False)
     rebuilt = ops.join(p, ops.meet(q, ops.ortho(p, tol), tol), tol)
-    return _compare(ops, "orthomodular", {"p": p, "q": q}, rebuilt, q, tol, applies=nested)
+    return _compare(ops, "orthomodular", {"p": p, "q": q}, [(rebuilt, q)], tol,
+                    applies=ops.leq(p, q, tol))
 
 
 def compatible(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -266,34 +268,20 @@ def check_de_morgan(family, tol: Tolerance = DEFAULT_TOL) -> LawReport:
     is the meet of the complements, and the complement of the meet is the
     join of the complements.
 
-    Each is decided by ``equal``, complement side first; the residual is
-    the worse side distance, the counterexample the first failing law."""
+    Each is decided by ``equal``, complement side first."""
     ops = _lattice(family[0])
     orthos = [ops.ortho(a, tol) for a in family]
     sides = [
         (ops.ortho(_fold(ops.join, family, tol), tol), _fold(ops.meet, orthos, tol)),
         (ops.ortho(_fold(ops.meet, family, tol), tol), _fold(ops.join, orthos, tol)),
     ]
-    worst = max(float(np.max(ops.residual(left, right))) for left, right in sides)
-    same = [ops.equal(left, right, tol) for left, right in sides]
-    failed = np.logical_not(np.logical_and(*same))
-    report = _report("de_morgan", failed, worst_residual=worst)
-    if not report.holds:  # the first failing law at the first failing element
-        at = np.argmax(failed)
-        left, right = next(side for side, ok in zip(sides, same) if not np.ravel(ok)[at])
-        inputs = {f"a{k}": a for k, a in enumerate(family)}
-        report.counterexample = _counterexample(ops, inputs, left, right, failed)
-    return report
+    return _compare(ops, "de_morgan", {f"a{k}": a for k, a in enumerate(family)}, sides, tol)
 
 
 def check_triple_distributive(a, b, c, tol: Tolerance = DEFAULT_TOL) -> LawReport:
     """If some element is compatible with the other two, the triple must
-    satisfy all six distributivity identities.
-
-    An instance stops at its first failing identity, as one trial with
-    that identity's residual; one that holds counts six trials and the
-    worst residual of the six.  Of a subspace batch, only the elements
-    meeting the hypothesis are checked."""
+    satisfy all six distributivity identities.  A classical triple
+    always meets the hypothesis."""
     ops = _lattice(a)
     applies = True
     if ops is _SUBSPACE:
@@ -301,37 +289,12 @@ def check_triple_distributive(a, b, c, tol: Tolerance = DEFAULT_TOL) -> LawRepor
             return np.logical_and(compatible(x, y, tol), compatible(x, z, tol))
 
         applies = np.logical_or.reduce([both(a, b, c), both(b, a, c), both(c, a, b)])
-        if not np.any(applies):
-            return LawReport("triple_distributive", True, trials=0, applicable=False)
     sides = [
         _distributive_sides(join, meet, x, y, z, tol)
         for x, y, z in ((a, b, c), (b, a, c), (c, a, b))
         for join, meet in ((ops.join, ops.meet), (ops.meet, ops.join))
     ]
-    failed = ~np.stack([ops.equal(left, right, tol) for left, right in sides])
-    if ops is _SUBSPACE:  # a classical triple always applies: skip a slow and with True
-        failed &= applies
-    if not failed.any():
-        elements = np.count_nonzero(np.full(failed.shape[1:], applies))
-        worst = max(float(np.max(ops.residual(left, right), where=applies, initial=0.0))
-                    for left, right in sides)
-        return LawReport("triple_distributive", True, trials=6 * int(elements),
-                         worst_residual=worst)
-    residuals = np.stack(np.broadcast_arrays(*(ops.residual(l, r) for l, r in sides)))
-    first = np.argmax(failed, axis=0)  # each instance's first failing identity
-    fails = np.any(failed, axis=0)
-    worst = np.where(fails, np.take_along_axis(residuals, first[None], axis=0)[0],
-                     np.max(residuals, axis=0))
-    report = _report(
-        "triple_distributive",
-        fails,
-        trials=int(np.sum(np.where(fails, 1, 6), where=applies)),
-        worst_residual=float(np.max(worst, where=applies, initial=0.0)),
-    )
-    at = int(np.argmax(np.ravel(fails)))
-    left, right = sides[int(np.ravel(first)[at])]
-    report.counterexample = _counterexample(ops, {"a": a, "b": b, "c": c}, left, right, fails)
-    return report
+    return _compare(ops, "triple_distributive", {"a": a, "b": b, "c": c}, sides, tol, applies)
 
 
 def check_covering(p: Ray, a: Subspace, tol: Tolerance = DEFAULT_TOL) -> LawReport:
@@ -346,9 +309,7 @@ def check_covering(p: Ray, a: Subspace, tol: Tolerance = DEFAULT_TOL) -> LawRepo
     p are outside the hypothesis.
     """
     ray = p.subspace
-    inside = sub.meet(a, ray, tol).dim == 0  # of a batch, the elements checked
-    if not np.any(inside):
-        return LawReport("covering", True, trials=0, applicable=False)
+    inside = sub.meet(a, ray, tol).dim == 0
     top = sub.join(a, ray, tol)
     holds = top.dim == a.dim + 1
     candidates = [a, top]
@@ -364,7 +325,7 @@ def check_covering(p: Ray, a: Subspace, tol: Tolerance = DEFAULT_TOL) -> LawRepo
     report = _report(
         "covering",
         failed,
-        trials=len(candidates) * np.count_nonzero(inside),
+        inside,
         detail={"dim_a": np.asarray(a.dim).tolist(), "dim_join": np.asarray(top.dim).tolist()},
     )
     if not report.holds:
@@ -379,8 +340,8 @@ def is_modular_pair(
 
     In finite dimension every pair is modular, so this checker doubles
     as a consistency test of the lattice operations themselves.  All
-    samples of all elements are checked as one batch; an element's
-    trials and worst residual end at its first failing sample.
+    samples of all elements are checked as one batch, each sample one
+    instance.
     """
     if p.ambient_dim != q.ambient_dim:
         raise DimensionMismatch("ambient dims differ")
@@ -395,12 +356,4 @@ def is_modular_pair(
     r = sub.random_subspace_of(qs, np.tile(trial, len(seeds)) % (qs.dim + 1), offsets)
     left = sub.meet(sub.join(ps, r, tol), qs, tol)
     right = sub.join(repeat(sub.meet(p, q, tol)), r, tol)
-    ok = sub.equal(left, right, tol).reshape(-1, samples)
-    counted = trial <= np.where(ok.all(axis=1), samples, np.argmin(ok, axis=1))[:, None]
-    residual = sub.projector_distance(left, right).reshape(ok.shape)
-    report = _report("modular_pair", np.logical_not(ok.all(axis=1)), trials=int(counted.sum()),
-                     worst_residual=float(np.max(residual, where=counted, initial=0.0)))
-    if not report.holds:
-        report.counterexample = _counterexample(
-            _SUBSPACE, {"p": ps, "q": qs, "r": r}, left, right, np.ravel(counted & ~ok))
-    return report
+    return _compare(_SUBSPACE, "modular_pair", {"p": ps, "q": qs, "r": r}, [(left, right)], tol)

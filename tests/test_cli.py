@@ -485,14 +485,11 @@ def per_trial_report(d, trials, seed, tol):
         for t in range(max(1, trials // check.per)):
             s = subseed(seed, check.tag, t)
             report = check.check(*ORACLE_SAMPLERS[check.key](d, t, s), s, tol)
-            if not report.applicable:
-                continue
-            stats["trials"] += 1
+            stats["trials"] += report.trials
+            stats["failures"] += report.failures
             stats["worst_residual"] = max(stats["worst_residual"], report.worst_residual)
-            if not report.holds:
-                stats["failures"] += 1
-                if stats["counterexample"] is None:
-                    stats["counterexample"] = report.counterexample
+            if stats["counterexample"] is None:
+                stats["counterexample"] = report.counterexample
         stats["holds"] = stats["agree"] = stats["failures"] == 0
         results[check.key] = {field: stats[field] for field in check.fields}
         expected = expected and stats["holds"] == check.holds
@@ -503,13 +500,9 @@ def per_trial_report(d, trials, seed, tol):
 
 
 def report_every_statistic(monkeypatch):
-    """Make every check report all its statistics; a trial count only where
-    each instance is one trial (the covering and modular-pair reports count
-    candidates and samples)."""
-    counted = ("orthomodular", "distributive", "compatibility_criteria", "de_morgan")
+    """Make every check report all its statistics."""
     checks = tuple(
-        check._replace(fields=("holds", "failures", "worst_residual", "counterexample")
-                       + (("trials",) if check.key in counted else ()))
+        check._replace(fields=("holds", "failures", "trials", "worst_residual", "counterexample"))
         for check in cli._LATTICE_CHECKS
     )
     monkeypatch.setattr(cli, "_LATTICE_CHECKS", checks)
@@ -533,6 +526,20 @@ class TestBatchedReportOracle:
             batched, oracle = batched_and_per_trial(d, trials, seed)
             assert batched == oracle
             assert batched["distributive"]["failures"] > 0
+
+    def test_a_passing_law_reports_its_worst_residual(self, capsys):
+        # the residual of every trial within the hypothesis counts, not
+        # only that of a failing one
+        code, out = run_cli(capsys, "lattice-check", "--dim1", "8", "--trials", "100",
+                            "--seed", "101")
+        orthomodular = json.loads(out)["results"]["orthomodular"]
+        assert code == 0 and orthomodular["holds"]
+        residuals = []
+        for t in range(100):
+            p, q = oracle_nested_pair(8, subseed(101, "lattice-om", t))
+            rebuilt = sub.join(p, sub.meet(q, sub.ortho(p)))
+            residuals.append(sub.projector_distance(rebuilt, q))
+        assert orthomodular["worst_residual"] == max(residuals) > 0
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_agrees_under_a_broken_join(self, monkeypatch, d):

@@ -416,29 +416,31 @@ class TestModularPairs:
             assert single.to_json() == loop.to_json()
         failing = [r for r in loops if not r.holds]
         assert bool(failing) == broken and (not broken or len(failing) < len(loops))
-        assert batch.holds == (not failing) and batch.failures == len(failing)
-        assert batch.trials == sum(r.trials for r in loops)
+        assert batch.holds == (not failing)
+        assert batch.failures == sum(r.failures for r in loops) >= len(failing)
+        assert batch.trials == sum(r.trials for r in loops) == 12 * 6
         assert batch.worst_residual == max(r.worst_residual for r in loops)
         assert batch.counterexample == (failing[0].counterexample if failing else None)
 
 
 def per_sample_modular_pair(p, q, samples, seed, tol=DEFAULT_TOL):
-    """is_modular_pair as one sample at a time, up to the first failure."""
-    worst = 0.0
+    """is_modular_pair as one sample at a time: each sample one trial, the
+    worst residual over all of them, the first failing one's counterexample."""
+    worst, failures, counterexample = 0.0, 0, None
     for trial in range(samples):
         r = sub.random_subspace_of(q, trial % (q.dim + 1), seed + 7919 * trial)
         left = sub.meet(sub.join(p, r, tol), q, tol)
         right = sub.join(sub.meet(p, q, tol), r, tol)
         worst = max(worst, sub.projector_distance(left, right))
         if not sub.equal(left, right, tol):
-            report = LawReport("modular_pair", False, trials=trial + 1, worst_residual=worst)
-            report.counterexample = {
+            failures += 1
+            counterexample = counterexample or {
                 "inputs": {k: sub.subspace_to_json(x) for k, x in (("p", p), ("q", q), ("r", r))},
                 "left": sub.subspace_to_json(left),
                 "right": sub.subspace_to_json(right),
             }
-            return report
-    return LawReport("modular_pair", True, trials=samples, worst_residual=worst)
+    return LawReport("modular_pair", not failures, trials=samples, worst_residual=worst,
+                     counterexample=counterexample, failures=failures)
 
 
 def lossy_join(a, b):
@@ -658,26 +660,25 @@ def frame_triples(d, seeds):
 
 
 def per_identity_triple(a, b, c, tol=DEFAULT_TOL):
-    """check_triple_distributive on one triple as it ran before it took
-    batches: the six identities in turn, up to the first failing one."""
+    """check_triple_distributive on one triple, one identity at a time:
+    one trial, the worst residual of all six identities, and the first
+    failing identity's sides as the counterexample."""
     def both(x, y, z):
         return compatible(x, y, tol) and compatible(x, z, tol)
 
     if not (both(a, b, c) or both(b, a, c) or both(c, a, b)):
-        return LawReport("triple_distributive", True, applicable=False)
-    worst = 0.0
+        return LawReport("triple_distributive", True, trials=0, applicable=False)
+    worst, counterexample = 0.0, None
     for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
         for j, m in ((sub.join, sub.meet), (sub.meet, sub.join)):
             left, right = j(x, m(y, z, tol), tol), m(j(x, y, tol), j(x, z, tol), tol)
-            residual = sub.projector_distance(left, right)
-            if not sub.equal(left, right, tol):
-                report = LawReport("triple_distributive", False, worst_residual=residual)
+            worst = max(worst, sub.projector_distance(left, right))
+            if not sub.equal(left, right, tol) and counterexample is None:
                 inputs = {k: sub.subspace_to_json(v) for k, v in (("a", a), ("b", b), ("c", c))}
-                report.counterexample = {"inputs": inputs, "left": sub.subspace_to_json(left),
-                                         "right": sub.subspace_to_json(right)}
-                return report
-            worst = max(worst, residual)
-    return LawReport("triple_distributive", True, trials=6, worst_residual=worst)
+                counterexample = {"inputs": inputs, "left": sub.subspace_to_json(left),
+                                  "right": sub.subspace_to_json(right)}
+    return LawReport("triple_distributive", counterexample is None, worst_residual=worst,
+                     counterexample=counterexample)
 
 
 def fold_elements(check, batches):
