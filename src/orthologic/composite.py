@@ -13,11 +13,12 @@ Each axiom sub-check is defined once in _AXIOM_CHECKS, keyed by the
 counterexample kind it records: sweep_axioms runs it once on a batch of
 all its seeded trials (a Subspace batch, see ``subspace``), and
 recheck_axiom_counterexample replays it on the subspaces of the JSON.
-The checks of one side share a memo for that call, so each batch is
-mapped and each pair joined once, however many checks read it.  The
-table also holds the m-morphism criterion, which check_m_morphism runs
-once on the batches of the x, y and x - y rays of all its trials; its
-counterexample records them as side 1, and replays like axiom I's.
+The checks of one side share a memo for that call, an identity cache,
+so each batch is mapped and each pair joined once, however many checks
+read it.  The table also holds the m-morphism criterion, which
+check_m_morphism runs once on the batches of the x, y and x - y rays of
+all its trials, counted by the rule of every LawReport (see ``laws``);
+its counterexample records them as side 1, and replays like axiom I's.
 Trial t draws from subseed(seed, tag, t) alone, so the reports of the
 first n trials fold from any longer sweep: composite-verify sweeps once
 and reports the axioms twice, at --trials and inside the isomorphism,
@@ -52,7 +53,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass, field
-from functools import reduce
+from functools import cache, reduce
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -72,7 +74,7 @@ from .errors import (
     PreconditionViolated,
     ZeroState,
 )
-from .laws import LawReport, compatible
+from .laws import LawReport, _report, compatible
 from .subspace import Subspace, full_subspace, span_of, zero_subspace
 
 __all__ = [
@@ -100,10 +102,11 @@ ANTILINEAR = "antilinear"
 GEMISCHT = "gemischt"
 
 
-@dataclass
+@dataclass(eq=False)
 class SubspaceMorphism:
     """A map between subspace lattices: its source and target dimensions
-    and its lattice map.
+    and its lattice map.  ``==`` and ``hash`` go by identity, as for a
+    Subspace: the axiom memo caches the images of each morphism apart.
 
     ``map`` acts on one Subspace and is all a morphism needs: the ray
     intertwiners and the linearity class are derived from it.  Called on
@@ -293,33 +296,18 @@ def _like(p: Subspace, s: Subspace) -> Subspace:
     return Subspace.batch(s.ambient_dim, [s] * len(p.elements())) if p.is_batch else s
 
 
-class _Memo:
-    """The images and joins of one run of axiom checks (one _checked
-    call, or one check alone), each computed once.
-
-    Keyed by the identity of the operands, which the memo holds, so that
-    no id is reused while it lives: distinct objects of equal value are
-    each computed.
-    """
-
-    def __init__(self, tol: Tolerance):
-        self.tol = tol
-        self._done = {}
-
-    def _once(self, op: str, compute, *operands):
-        key = (op, *map(id, operands))
-        if key not in self._done:
-            self._done[key] = compute(), operands
-        return self._done[key][0]
-
-    def image(self, h: SubspaceMorphism, p: Subspace) -> Subspace:
-        return self._once("image", lambda: h(p), h, p)
-
-    def join(self, p: Subspace, q: Subspace) -> Subspace:
-        return self._once("join", lambda: sub.join(p, q, self.tol), p, q)
+def _memo(tol: Tolerance) -> SimpleNamespace:
+    """The images ``image(h, p)`` and joins ``join(p, q)`` of one run of
+    axiom checks (one _checked call, or one check alone), each computed
+    once, and their ``tol``.  The caches hold their operands, which hash
+    by identity, so no id is reused while the memo lives.  h(p) and
+    sub.join are looked up when called (the benchmark tracer patches
+    them)."""
+    return SimpleNamespace(tol=tol, image=cache(lambda h, p: h(p)),
+                           join=cache(lambda p, q: sub.join(p, q, tol)))
 
 
-# Counterexample kind -> its check.  A check takes the _Memo it maps and
+# Counterexample kind -> its check.  A check takes the _memo it maps and
 # joins through, the morphism under test (the pair h1, h2 for the cross
 # axioms II and III), then its subspaces (single ones or batches), and
 # returns (holds, residual), per element for batches.
@@ -367,9 +355,9 @@ def _axiom_ce(kind: str, side, subspaces) -> dict:
 def _checked(morphisms: tuple, samples, tol: Tolerance) -> list:
     """Each (kind, subspace batches) of ``samples`` checked once on its
     batches: (kind, verdicts, residuals, batches), one verdict and
-    residual per trial.  The checks share one _Memo, so a batch that an
+    residual per trial.  The checks share one _memo, so a batch that an
     earlier check mapped or a pair it joined is not computed again."""
-    memo, checks = _Memo(tol), []
+    memo, checks = _memo(tol), []
     for kind, batches in samples:
         holds, residual = _AXIOM_CHECKS[kind](memo, *morphisms, *batches)
         trials = len(batches[0].elements())
@@ -454,7 +442,7 @@ def sweep_axioms(
     sides = []
     for side, h in ((1, h1), (2, h2)):
         precheck = next((k for k in ("unitarity", "zero")
-                         if not _AXIOM_CHECKS[k](_Memo(tol), h)[0]), None)
+                         if not _AXIOM_CHECKS[k](_memo(tol), h)[0]), None)
         checks = None
         if precheck is None:
             d = h.source_dim
@@ -530,7 +518,7 @@ def recheck_axiom_counterexample(
         raise ValueError(str(exc)) from None
     if [p.ambient_dim for p in subspaces] != [h.source_dim for h in morphisms * 3][:len(names)]:
         raise ValueError(f"a subspace of a {kind!r} counterexample is not in its map's source")
-    return not check(_Memo(tol), *morphisms, *subspaces)[0]
+    return not check(_memo(tol), *morphisms, *subspaces)[0]
 
 
 def restriction_iso_u(
@@ -578,9 +566,7 @@ def check_commutation(
     x1v, y1v, x2v, y2v = vecs
     if not allow_scalar_multiple:
         if span_of([x1v, y1v], tol).dim != 2 or span_of([x2v, y2v], tol).dim != 2:
-            raise PreconditionViolated(
-                "ray labels must be pairwise linearly independent"
-            )
+            raise PreconditionViolated("ray labels must be pairwise linearly independent")
     start = sub.meet(h1.map_ray(x1v), h2.map_ray(x2v), tol)
     if start.dim == 0:
         raise PreconditionViolated("the atom meet is empty; axioms fail upstream")
@@ -588,21 +574,16 @@ def check_commutation(
     k_map = intertwiner_F(h2, y2v, x2v, tol)
     meet_f = sub.meet(h1.map_ray(y1v), h2.map_ray(x2v), tol)
     meet_k = sub.meet(h1.map_ray(x1v), h2.map_ray(y2v), tol)
-    worst = 0.0
-    holds = True
-    samples = [start.basis[:, 0], (0.7 - 1.3j) * start.basis[:, 0]]
-    for u in samples:
+    worst, failed = 0.0, []
+    for u in (start.basis[:, 0], (0.7 - 1.3j) * start.basis[:, 0]):  # one instance each
         fu, ku = f_map(u), k_map(u)
-        if not (meet_f.contains(fu, tol) and meet_k.contains(ku, tol)):
-            holds = False
-        fk = f_map(ku)
-        kf = k_map(fu)
+        lands = meet_f.contains(fu, tol) and meet_k.contains(ku, tol)
+        fk, kf = f_map(ku), k_map(fu)
         res = float(np.linalg.norm(fk - kf)) / max(1.0, float(np.linalg.norm(fk)))
         worst = max(worst, res)
-        if res > tol.eps_eq:
-            holds = False
-    report = LawReport("commutation", holds, trials=len(samples), worst_residual=worst)
-    if not holds:
+        failed.append(not lands or res > tol.eps_eq)
+    report = _report("commutation", np.array(failed), worst_residual=worst)
+    if not report.holds:
         report.counterexample = {name: sub.complex_to_json(v)
                                  for name, v in zip(("x1", "y1", "x2", "y2"), vecs)}
     return report
@@ -637,18 +618,22 @@ def check_m_morphism(
     pairs to modular pairs.  Every fifth trial takes y = 2x and the
     others an independent y, so x - y is never zero.  The x, y and x - y
     rays of all trials are three batches, checked by one run of the
-    "m_morphism" check; the rays of the first failing trial are the
-    counterexample, recorded as side 1 (see recheck_axiom_counterexample).
+    "m_morphism" check, each trial one instance; the rays of the first
+    failing trial are the counterexample, recorded as side 1 (see
+    recheck_axiom_counterexample).
     """
     seeds = subseeds(seed, "mmorph", trials)
     xs = [random_vector(h.source_dim, s) for s in seeds]
     ys = [2.0 * x if t % 5 == 4 else random_vector(h.source_dim, s + 1)
           for t, (x, s) in enumerate(zip(xs, seeds))]
     rays = [sub.rays(h.source_dim, vs, tol) for vs in (xs, ys, [x - y for x, y in zip(xs, ys)])]
-    checks = _checked((h,), (("m_morphism", rays),), tol)
-    worst, failure, run = _first_failure(checks, 1, trials)
-    return LawReport("m_morphism", failure is None, trials=run, worst_residual=worst,
-                     counterexample=failure)
+    ((_, holds, residuals, _),) = _checked((h,), (("m_morphism", rays),), tol)
+    failed = np.logical_not(holds)
+    report = _report("m_morphism", failed, worst_residual=max([0.0, *residuals.tolist()]))
+    if not report.holds:
+        first = int(np.argmax(failed))
+        report.counterexample = _axiom_ce("m_morphism", 1, [r.elements()[first] for r in rays])
+    return report
 
 
 def default_anchors(
