@@ -381,13 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Largest exhaustive classical sizes.  composite-verify proves 2^12
-# composite propositions in well under a second; lattice-check checks
-# its 2^(3 omega) triples in blocks of a-values cut by
-# classical.row_blocks, measured in process on a 2-core x86 machine at
-# 0.008 s for omega = 6, 0.05-0.07 s for 7 and 0.28-0.31 s for 8;
-# omega = 9 would take about 3.5 s.  Its bitmasks are np.uint16, which
-# holds every mask up to omega = 16.
+# Largest exhaustive classical sizes, measured in process on a 2-core x86
+# machine.  composite-verify is bound by eta's 2^N x N boolean matrix and
+# by tabulating each factor map, one Python call per mask (50 ms at 1x12).
+# lattice-check checks its 2^(3 omega) triples in classical.row_blocks:
+# 0.008 s for omega = 6, 0.05-0.07 s for 7, 0.28-0.31 s for 8, about 3.5 s
+# for 9.  Its np.uint16 bitmasks hold every mask up to omega = 16.
 MAX_PRODUCT_POINTS = 12
 MAX_OMEGA = 8
 

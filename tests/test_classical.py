@@ -1,6 +1,7 @@
 """Classical propositions: connectives, atoms, products, the cartesian
 isomorphism for composed systems, and the sampled oscillator curve."""
 
+import functools
 import itertools
 import math
 
@@ -28,9 +29,10 @@ from orthologic.errors import AxiomViolation, InvalidParameter, SpaceMismatch
 SPACE3 = PhaseSpace(("p", "q", "r"))
 
 
+@functools.cache
 def all_props(space):
     """Every proposition of a small phase space, in bitmask order."""
-    return [ClassicalProp(space, mask) for mask in range(1 << space.size)]
+    return tuple(ClassicalProp(space, mask) for mask in range(1 << space.size))
 
 
 def labels(p):
@@ -390,6 +392,8 @@ def uncovering_pair(s1, s2):
 
 PAIRS = (canonical_pair, point_dropping_pair, scrambled_pair, join_breaking_pair, uncovering_pair)
 SIZES = [(n1, n2) for n1 in range(1, 7) for n2 in range(1, 7) if n1 * n2 <= 6]
+# every factorization from 7 points up to cli.MAX_PRODUCT_POINTS
+LARGE_SIZES = [(n1, n2) for n1 in range(1, 13) for n2 in range(1, 13) if 7 <= n1 * n2 <= 12]
 
 
 def factor_spaces(n1, n2):
@@ -409,11 +413,8 @@ def outcome(isomorphism, s1, s2, h1, h2):
 
 
 class TestProductIsomorphismOracle:
-    @pytest.mark.parametrize("chunk", [classical._CHUNK, 8])
     @pytest.mark.parametrize("pair", PAIRS, ids=lambda f: f.__name__)
-    def test_tables_match_loop_oracle(self, pair, chunk, monkeypatch):
-        # chunk = 8 splits every sweep into chunks of one or two rows
-        monkeypatch.setattr(classical, "_CHUNK", chunk)
+    def test_tables_match_loop_oracle(self, pair):
         checked = 0
         for n1, n2 in SIZES:
             s1, s2 = factor_spaces(n1, n2)
@@ -467,6 +468,72 @@ class TestProductIsomorphismOracle:
         assert report.bijective and report.preserves_union
         assert report.preserves_intersection and report.preserves_complement
         assert not report.passed and not report.carries_cylinders
+
+    @pytest.mark.parametrize("pair", (canonical_pair, join_breaking_pair, scrambled_pair),
+                             ids=lambda f: f.__name__)
+    def test_large_products_match_the_pairwise_sweep(self, pair, monkeypatch):
+        # up to 12 points, past the reach of the loop oracle's Python pairs:
+        # the same product check with _preserves swapped for the pairwise sweep
+        checked = 0
+        for n1, n2 in LARGE_SIZES:
+            s1, s2 = factor_spaces(n1, n2)
+            morphisms = pair(s1, s2)
+            if morphisms is None:
+                continue
+            mine = outcome(product_space_isomorphism, s1, s2, *morphisms)
+            with monkeypatch.context() as patched:
+                patched.setattr(classical, "_preserves", pairwise_preserves)
+                oracle = outcome(product_space_isomorphism, s1, s2, *morphisms)
+            assert mine == oracle, (n1, n2)
+            checked += 1
+        # the scrambled pair needs two points per factor
+        both = sum(n1 > 1 and n2 > 1 for n1, n2 in LARGE_SIZES)
+        assert checked == (both if pair is scrambled_pair else len(LARGE_SIZES))
+
+
+def pairwise_preserves(op, table):
+    """Oracle for classical._preserves: table[op(a, b)] against
+    op(table[a], table[b]) on all 4^N pairs of masks, broadcasting one
+    block of rows a against every b at a time."""
+    b = np.arange(len(table), dtype=np.int64)
+    blocks = (b[rows, None] for rows in row_blocks(len(b), len(b)))
+    return all(np.array_equal(table[op(a, b)], op(table[a], table[b])) for a in blocks)
+
+
+def rotated(mask):
+    """The 3-bit mask with point k moved to point k + 1 (mod 3)."""
+    return (mask << 1 | mask >> 2) & 7
+
+
+class TestPreservesOracle:
+    @pytest.mark.parametrize("entries, bits", [(4, 3), (8, 1)])
+    def test_every_small_table_matches_the_pairwise_sweep(self, entries, bits):
+        verdicts = set()
+        for values in itertools.product(range(1 << bits), repeat=entries):
+            table = np.array(values, dtype=np.int64)
+            for op in (np.bitwise_or, np.bitwise_and):
+                verdict = classical._preserves(op, table)
+                assert verdict == pairwise_preserves(op, table), (values, op)
+                verdicts.add((op, verdict))
+        assert len(verdicts) == 4  # each op both holds and fails somewhere
+
+    @pytest.mark.parametrize(
+        "table, joins, meets",
+        [
+            # every nonempty set to {0} on top of a constant {3}: T[0] != 0
+            ([8] + [9] * 7, True, False),
+            # only the full set maps to something, and that is not full
+            ([0] * 7 + [6], False, True),
+            ([rotated(m) for m in range(8)], True, True),
+            ([rotated(m) ^ (m == 5) for m in range(8)], False, False),
+        ],
+        ids=["join_hom_nonzero_bottom", "meet_hom_nonfull_top", "point_permutation",
+             "one_flipped_entry"],
+    )
+    def test_named_tables(self, table, joins, meets):
+        table = np.array(table, dtype=np.int64)
+        for op, expected in ((np.bitwise_or, joins), (np.bitwise_and, meets)):
+            assert classical._preserves(op, table) == pairwise_preserves(op, table) == expected
 
 
 @pytest.mark.parametrize("chunk", [classical._CHUNK, 8])
