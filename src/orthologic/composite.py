@@ -17,8 +17,10 @@ The checks of one side share a memo for that call, an identity cache,
 so each batch is mapped and each pair joined once, however many checks
 read it.  The table also holds the m-morphism criterion, which
 check_m_morphism runs once on the batches of the x, y and x - y rays of
-all its trials, counted by the rule of every LawReport (see ``laws``);
-its counterexample records them as side 1, and replays like axiom I's.
+all its trials; its counterexample records them as side 1, and replays
+like axiom I's.  One fold, _axiom_report, reports each axiom and the
+criterion as a LawReport, by the rule of every LawReport (see ``laws``):
+every instance counts, passing or not.
 Trial t draws from subseed(seed, tag, t) alone, so the reports of the
 first n trials fold from any longer sweep: composite-verify sweeps once
 and reports the axioms twice, at --trials and inside the isomorphism,
@@ -52,7 +54,7 @@ all seeded factor subspaces of a side as one batch.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cache, reduce
 from types import SimpleNamespace
 from typing import Callable, Optional
@@ -79,12 +81,12 @@ from .subspace import Subspace, full_subspace, span_of, zero_subspace
 
 __all__ = [
     "SubspaceMorphism",
-    "AxiomReport",
     "AxiomSweep",
     "TensorIsoReport",
     "canonical_h",
     "sweep_axioms",
     "verify_axioms",
+    "axiom_to_json",
     "recheck_axiom_counterexample",
     "restriction_iso_u",
     "intertwiner_F",
@@ -264,21 +266,6 @@ def intertwiner_F(h: SubspaceMorphism, y, x, tol: Tolerance = DEFAULT_TOL):
     return apply
 
 
-@dataclass
-class AxiomReport:
-    """Result of checking one composite-system axiom."""
-
-    axiom: str
-    passed: bool
-    samples: int
-    worst_residual: float
-    counterexample: Optional[dict] = None
-
-    def to_json(self) -> dict:
-        """The fields by name; a report with no counterexample has no such key."""
-        return {name: v for name, v in asdict(self).items() if v is not None}
-
-
 def _same(lhs: Subspace, rhs: Subspace, tol: Tolerance):
     return sub.equal(lhs, rhs, tol), sub.projector_distance(lhs, rhs)
 
@@ -355,32 +342,48 @@ def _axiom_ce(kind: str, side, subspaces) -> dict:
 def _checked(morphisms: tuple, samples, tol: Tolerance) -> list:
     """Each (kind, subspace batches) of ``samples`` checked once on its
     batches: (kind, verdicts, residuals, batches), one verdict and
-    residual per trial.  The checks share one _memo, so a batch that an
-    earlier check mapped or a pair it joined is not computed again."""
+    residual per trial, of a check on no subspaces one.  The checks share
+    one _memo, so a batch that an earlier check mapped or a pair it joined
+    is not computed again."""
     memo, checks = _memo(tol), []
     for kind, batches in samples:
         holds, residual = _AXIOM_CHECKS[kind](memo, *morphisms, *batches)
-        trials = len(batches[0].elements())
+        trials = len(batches[0].elements()) if batches else 1
         checks.append((kind, np.broadcast_to(holds, trials), np.broadcast_to(residual, trials),
                        batches))
     return checks
 
 
-def _first_failure(checks: list, side, n: int):
-    """The checks of the first n trials, run trial by trial and in check
-    order up to the first failure: (the worst residual up to it, its
-    counterexample or None, the number of trials run)."""
-    holds = np.stack([c[1][:n] for c in checks], axis=-1).ravel()
-    residuals = np.stack([c[2][:n] for c in checks], axis=-1).ravel()
-    passed = bool(holds.all())
-    end = holds.size if passed else int(np.argmin(holds)) + 1
-    worst = max([0.0, *residuals[:end].tolist()])
-    if passed:
-        return worst, None, n
-    trial, k = divmod(end - 1, len(checks))
-    kind, _, _, batches = checks[k]
-    failing = [b.elements()[trial] for b in batches]
-    return worst, _axiom_ce(kind, side, failing), trial + 1
+def _axiom_report(axiom: str, groups, n: int) -> LawReport:
+    """The report of ``axiom`` on ``groups``, each a side (None for the
+    cross axioms) and the checks _checked gives, by the rule of every
+    LawReport (see ``laws``).  An instance is one of the first n trials of
+    a group, failing when any of its checks fails; a group of checks on no
+    subspaces (an axiom I precheck) is one instance.  The counterexample
+    is the first failing instance in group order, at its first failing
+    check."""
+    failed, worst, ce = [], 0.0, None
+    for side, checks in groups:
+        k = n if checks[0][3] else 1
+        holds = np.stack([c[1][:k] for c in checks], axis=-1)
+        worst = max([worst, *np.ravel([c[2][:k] for c in checks]).tolist()])
+        failed.append(np.logical_not(holds.all(axis=-1)))
+        if ce is None and failed[-1].any():
+            trial = int(np.argmax(failed[-1]))
+            kind, _, _, batches = checks[int(np.argmin(holds[trial]))]
+            ce = _axiom_ce(kind, side, [b.elements()[trial] for b in batches])
+    return _report(axiom, np.concatenate(failed), worst_residual=worst, counterexample=ce)
+
+
+def axiom_to_json(report: LawReport) -> dict:
+    """An axiom's report under its orthologic/1 names; a report with no
+    counterexample has no such key."""
+    out = {"axiom": report.law_name, "passed": report.holds, "samples": report.trials,
+           "worst_residual": report.worst_residual, "counterexample": report.counterexample}
+    return {name: v for name, v in out.items() if v is not None}
+
+
+_AXIOMS = ("I_c_morphism", "II_compatibility", "III_atoms")
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,8 +391,12 @@ class AxiomSweep:
     """Axioms I-III checked on ``trials`` seeded instances of the pair
     (h1, h2) drawn from ``seed`` and decided under ``tol`` (sweep_axioms).
 
-    Trial t draws from subseed(seed, tag, t) alone, so ``reports(n)``
-    gives exactly the reports of an n-trial sweep, for any n <= trials.
+    ``groups`` holds the (side, checks) groups of each axiom that
+    _axiom_report folds: of axiom I, per side, its unitarity and its zero
+    precheck and then, if it passes both, its trials; of axioms II and
+    III, their trials.  Trial t draws from subseed(seed, tag, t) alone,
+    so ``reports(n)`` gives exactly the reports of an n-trial sweep, for
+    any n <= trials.
     """
 
     h1: SubspaceMorphism
@@ -397,33 +404,13 @@ class AxiomSweep:
     seed: int
     tol: Tolerance
     trials: int
-    sides: tuple  # axiom I per side: (side, failing unitarity/zero kind or None, checks)
-    cross: tuple  # the checks of axiom II, then those of axiom III
+    groups: tuple
 
-    def reports(self, n: int) -> list[AxiomReport]:
-        """The reports of the first n trials: each axiom stops at its first
-        failing (trial, check); axiom I samples the full and zero images
-        and then the trials run, per side sampled."""
+    def reports(self, n: int) -> list[LawReport]:
+        """The reports of axioms I-III on the first n trials."""
         if not 0 <= n <= self.trials:
             raise ValueError(f"a sweep of {self.trials} trials has no {n}-trial prefix")
-        # A map failing unitarity or zero is not sampled; the other map
-        # still is.  A side failing a trial stops the axiom.
-        worst, ce, samples = 0.0, None, 0
-        for side, precheck, checks in self.sides:
-            samples += 1 if precheck == "unitarity" else 2
-            if precheck is not None:
-                ce = _axiom_ce(precheck, side, ())
-                continue
-            side_worst, failure, run = _first_failure(checks, side, n)
-            worst, samples = max(worst, side_worst), samples + run
-            if failure is not None:
-                ce = failure
-                break
-        reports = [AxiomReport("I_c_morphism", ce is None, samples, worst, ce)]
-        for axiom, checks in zip(("II_compatibility", "III_atoms"), self.cross):
-            worst, ce, _ = _first_failure(checks, None, n)
-            reports.append(AxiomReport(axiom, ce is None, n, worst, ce))
-        return reports
+        return [_axiom_report(axiom, groups, n) for axiom, groups in zip(_AXIOMS, self.groups)]
 
 
 def sweep_axioms(
@@ -438,24 +425,23 @@ def sweep_axioms(
     if h1.target_dim != h2.target_dim:
         raise DimensionMismatch("morphisms must share a target space")
 
-    # Axiom I: each h alone must be a unitary c-morphism.
-    sides = []
+    # Axiom I: each h alone must be a unitary c-morphism.  A map failing
+    # unitarity or zero is not sampled; the other map still is.
+    c_morphism = []
     for side, h in ((1, h1), (2, h2)):
-        precheck = next((k for k in ("unitarity", "zero")
-                         if not _AXIOM_CHECKS[k](_memo(tol), h)[0]), None)
-        checks = None
-        if precheck is None:
+        prechecks = _checked((h,), (("unitarity", ()), ("zero", ())), tol)
+        c_morphism += [(side, [check]) for check in prechecks]
+        if all(holds[0] for _, holds, _, _ in prechecks):
             d = h.source_dim
             p, q, r = sub.random_family((d, d, d), subseeds(seed, f"axiom1_side{side}", trials),
                                         proper=False)
             cp, cq = sub.compatible_pair(d, subseeds(seed, f"compat{side}", trials))
-            checks = _checked((h,), (
+            c_morphism.append((side, _checked((h,), (
                 ("join", (p, q)),
                 ("family_join", (p, q, r)),
                 ("complement", (p,)),
                 ("compat_preservation", (cp, cq)),
-            ), tol)
-        sides.append((side, precheck, checks))
+            ), tol)))
 
     # Axiom II: cross-images are compatible.  Axiom III: atom images meet
     # in an atom.
@@ -463,11 +449,12 @@ def sweep_axioms(
     p1, p2 = sub.random_family((d1, d2), subseeds(seed, "axiom2", trials), proper=False)
     atoms = subseeds(seed, "axiom3", trials)
     r1, r2 = sub.random_ray(d1, atoms, tol), sub.random_ray(d2, atoms + 1, tol)
-    cross = (
-        _checked((h1, h2), (("compatibility", (p1, p2)),), tol),
-        _checked((h1, h2), (("atom_meet", (r1, r2)),), tol),
+    groups = (
+        tuple(c_morphism),
+        ((None, _checked((h1, h2), (("compatibility", (p1, p2)),), tol)),),
+        ((None, _checked((h1, h2), (("atom_meet", (r1, r2)),), tol)),),
     )
-    return AxiomSweep(h1, h2, seed, tol, trials, tuple(sides), cross)
+    return AxiomSweep(h1, h2, seed, tol, trials, groups)
 
 
 def verify_axioms(
@@ -476,7 +463,7 @@ def verify_axioms(
     trials: int = 100,
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
-) -> list[AxiomReport]:
+) -> list[LawReport]:
     """Check axioms I-III on seeded random instances (see sweep_axioms).
 
     Failures never raise; they land in the reports together with a
@@ -627,13 +614,7 @@ def check_m_morphism(
     ys = [2.0 * x if t % 5 == 4 else random_vector(h.source_dim, s + 1)
           for t, (x, s) in enumerate(zip(xs, seeds))]
     rays = [sub.rays(h.source_dim, vs, tol) for vs in (xs, ys, [x - y for x, y in zip(xs, ys)])]
-    ((_, holds, residuals, _),) = _checked((h,), (("m_morphism", rays),), tol)
-    failed = np.logical_not(holds)
-    report = _report("m_morphism", failed, worst_residual=max([0.0, *residuals.tolist()]))
-    if not report.holds:
-        first = int(np.argmax(failed))
-        report.counterexample = _axiom_ce("m_morphism", 1, [r.elements()[first] for r in rays])
-    return report
+    return _axiom_report("m_morphism", [(1, _checked((h,), (("m_morphism", rays),), tol))], trials)
 
 
 def default_anchors(
@@ -750,7 +731,7 @@ class TensorIsoReport:
     trials: int
     passed: bool
     worst_residual: float
-    axiom_reports: list[AxiomReport] = field(default_factory=list)
+    axiom_reports: list[LawReport] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -760,7 +741,7 @@ class TensorIsoReport:
             "trials": self.trials,
             "passed": self.passed,
             "worst_residual": self.worst_residual,
-            "axioms": [r.to_json() for r in self.axiom_reports],
+            "axioms": [axiom_to_json(r) for r in self.axiom_reports],
             "failures": self.failures,
         }
 
@@ -786,8 +767,8 @@ def verify_tensor_isomorphism(sweep: AxiomSweep, trials: int, axiom_trials: int)
     bm = build_basis_map(h1, h2, tol=tol)
     axiom_reports = sweep.reports(axiom_trials)
     for report in axiom_reports:
-        if not report.passed:
-            raise AxiomViolation(f"axiom {report.axiom} fails; no isomorphism is built")
+        if not report.holds:
+            raise AxiomViolation(f"axiom {report.law_name} fails; no isomorphism is built")
     d1, d2 = h1.source_dim, h2.source_dim
     gram, not_unitary = _gram_residual(bm.matrix, tol)
     cylinders = canonical_h(1, d1, d2, conjugate=bm.target == "H1*xH2"), canonical_h(2, d1, d2)

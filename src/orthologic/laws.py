@@ -7,16 +7,16 @@ sides).  The checkers work both on quantum propositions (Subspace) and
 classical ones (ClassicalProp); the classical power-set lattice
 satisfies every law here, the subspace lattice does not.
 
-Either kind of argument may be a batch: a ClassicalProp holding an
-array of bitmasks, which broadcasts against the other arguments, or a
-Subspace holding a tuple of bases.  The same checker body then decides
-the law on every element at once, and _report counts every LawReport,
-composite's check_m_morphism and check_commutation included, by one
-rule.  An instance is one batch element (of is_modular_pair, one
-sampled (p, q, r)); ``trials`` counts the instances within the law's
-hypothesis (orthomodularity, covering and triple distributivity have
-one), ``applicable`` says whether there is any, and ``failures`` counts
-the failing ones.  ``worst_residual`` is the largest residual of every
+Either kind of argument may be a batch: a ClassicalProp holding an array
+of bitmasks, which broadcasts against the other arguments, or a Subspace
+holding a tuple of bases.  The same checker body then decides the law on
+every element at once, and _report counts every LawReport, composite's
+axioms I-III, check_m_morphism and check_commutation included, by one
+rule.  An instance is one batch element (of is_modular_pair, one sampled
+(p, q, r)); ``trials`` counts the instances within the law's hypothesis
+(orthomodularity, covering and triple distributivity have one),
+``applicable`` says whether there is any, and ``failures`` counts the
+failing ones.  ``worst_residual`` is the largest residual of every
 identity on every instance within the hypothesis (of a classical
 instance, the number of points in which the two sides differ), passing
 or not.  The counterexample holds the inputs and sides of the first
@@ -197,25 +197,17 @@ def check_distributive(a, b, c, tol: Tolerance = DEFAULT_TOL) -> LawReport:
     return _compare(ops, "distributive", {"a": a, "b": b, "c": c}, sides, tol)
 
 
-def nondistributivity_witness(tol: Tolerance = DEFAULT_TOL) -> LawReport:
-    """The classic worked three-subspace configuration in C^3.
+def nondistributivity_witness(d: int, tol: Tolerance = DEFAULT_TOL) -> LawReport:
+    """Distributivity checked on three rays of one plane of C^d, d >= 2.
 
-    With the coordinate basis e1, e2, e3, the rays p1 = <e1>, p2 = <e2>
-    and the plane p3 = span{e2, e3} (so p2 <= p3), evaluates the two
-    groupings p3 join (p1 meet p2) and (p3 join p1) meet (p1 join p2),
-    which land on span{e2, e3} and span{e1, e2}: two incomparable planes,
-    recorded side by side in the report.
+    With the coordinate vectors e0 and e1, the rays a = <e0>, b = <e1>
+    and c = <e0 + e1> pairwise meet in zero and pairwise join to the
+    plane span{e0, e1}, so a join (b meet c) is the ray a and (a join b)
+    meet (a join c) is the plane: the law fails at every tolerance, with
+    both sides recorded in the counterexample.
     """
-    e1, e2, e3 = np.eye(3)
-    p1 = sub.span_of([e1], tol)
-    p2 = sub.span_of([e2], tol)
-    p3 = sub.span_of([e2, e3], tol)
-    left = sub.join(p3, sub.meet(p1, p2, tol), tol)
-    right = sub.meet(sub.join(p3, p1, tol), sub.join(p1, p2, tol), tol)
-    report = _compare(_SUBSPACE, "distributive", {"p1": p1, "p2": p2, "p3": p3},
-                      [(left, right)], tol)
-    report.detail = {"left_dim": left.dim, "right_dim": right.dim}
-    return report
+    e = np.eye(d)
+    return check_distributive(*(sub.span_of([v], tol) for v in (e[0], e[1], e[0] + e[1])), tol)
 
 
 def check_orthomodular(p, q, tol: Tolerance = DEFAULT_TOL) -> LawReport:

@@ -14,7 +14,6 @@ from orthologic import subspace as sub
 from orthologic.cli import main
 from orthologic.composite import (
     GEMISCHT,
-    AxiomReport,
     SubspaceMorphism,
     build_basis_map,
     canonical_h,
@@ -342,28 +341,28 @@ class TestVerifyAxioms:
     def test_canonical_pair_passes(self, pair33):
         h1, h2 = pair33
         reports = verify_axioms(h1, h2, trials=100, seed=3)
-        assert [r.axiom for r in reports] == [
+        assert [r.law_name for r in reports] == [
             "I_c_morphism",
             "II_compatibility",
             "III_atoms",
         ]
         for report in reports:
-            assert report.passed
+            assert report.holds
             assert report.worst_residual < 1e-8
 
     def test_conjugated_pair_passes(self):
         h1 = canonical_h(1, 3, 3, conjugate=True)
         h2 = canonical_h(2, 3, 3, conjugate=True)
         for report in verify_axioms(h1, h2, trials=40, seed=4):
-            assert report.passed
+            assert report.holds
 
     def test_nonunitary_image_fails_first_axiom(self, pair33):
         _, h2 = pair33
         fake = make_slice_embedding()
         reports = verify_axioms(fake, h2, trials=10, seed=5)
         first = reports[0]
-        assert first.axiom == "I_c_morphism"
-        assert not first.passed
+        assert first.law_name == "I_c_morphism"
+        assert not first.holds
         assert first.counterexample["kind"] == "unitarity"
 
     def test_counterexamples_recheck(self, pair33):
@@ -380,10 +379,10 @@ class TestVerifyAxioms:
         make, expected = TAMPERED_PAIRS[name]
         h1, h2 = make()
         reports = verify_axioms(h1, h2, trials=10, seed=6)
-        failed = {r.axiom: r.counterexample["kind"] for r in reports if not r.passed}
+        failed = {r.law_name: r.counterexample["kind"] for r in reports if not r.holds}
         assert expected.items() <= failed.items()
         for report in reports:
-            if report.passed:
+            if report.holds:
                 continue
             ce = json.loads(json.dumps(report.counterexample))
             assert recheck_axiom_counterexample(h1, h2, ce)
@@ -986,34 +985,38 @@ class TestTensorIsomorphism:
             verify_tensor_isomorphism(sweep_axioms(h1, h2, 50, 5), trials=5, axiom_trials=50)
 
 
-# verify_axioms as it ran before the batched sweep: trial by trial with
-# the single-seed samplers, each axiom up to its first failure.  The
-# batched sweep and its prefix fold must reproduce it byte for byte.
+# verify_axioms as a loop: trial by trial with the single-seed samplers,
+# every instance counted (see composite._axiom_report): of axiom I, each
+# side's unitarity and zero prechecks and then, on a side passing both,
+# each trial.  The batched sweep and its prefix fold must reproduce it
+# byte for byte, failure counts included.
 
 
 def per_trial_axioms(h1, h2, trials, seed, tol=DEFAULT_TOL):
-    def sweep(morphisms, side, sample):
-        worst = 0.0
-        for trial in range(trials):
-            for kind, subspaces in sample(trial):
-                holds, residual = composite._AXIOM_CHECKS[kind](composite._memo(tol), *morphisms,
-                                                                 *subspaces)
-                worst = max(worst, residual)
-                if not holds:
-                    return worst, composite._axiom_ce(kind, side, subspaces), trial + 1
-        return worst, None, trials
+    def fold(axiom, groups):
+        worst, failures, samples, ce = 0.0, 0, 0, None
+        for morphisms, side, instances in groups:
+            for checks in instances:
+                failing = []
+                for kind, subspaces in checks:
+                    holds, residual = composite._AXIOM_CHECKS[kind](composite._memo(tol),
+                                                                     *morphisms, *subspaces)
+                    worst = max(worst, float(residual))
+                    if not holds:
+                        failing.append(composite._axiom_ce(kind, side, subspaces))
+                samples, failures = samples + 1, failures + bool(failing)
+                if failing and ce is None:
+                    ce = failing[0]
+        return LawReport(axiom, not failures, samples, failures, worst, ce)
 
-    worst, ce, samples = 0.0, None, 0
+    c_morphism = []
     for side, h in ((1, h1), (2, h2)):
+        prechecks = [[("unitarity", ())], [("zero", ())]]
+        c_morphism.append(((h,), side, prechecks))
+        if not all(composite._AXIOM_CHECKS[kind](composite._memo(tol), h)[0]
+                   for ((kind, _),) in prechecks):
+            continue
         d = h.source_dim
-        samples += 1
-        if not composite._AXIOM_CHECKS["unitarity"](composite._memo(tol), h)[0]:
-            ce = composite._axiom_ce("unitarity", side, ())
-            continue
-        samples += 1
-        if not composite._AXIOM_CHECKS["zero"](composite._memo(tol), h)[0]:
-            ce = composite._axiom_ce("zero", side, ())
-            continue
 
         def c_morphism_checks(trial, side=side, d=d):
             p, q, r = sub.random_family((d, d, d), subseed(seed, f"axiom1_side{side}", trial),
@@ -1022,12 +1025,7 @@ def per_trial_axioms(h1, h2, trials, seed, tol=DEFAULT_TOL):
             return (("join", (p, q)), ("family_join", (p, q, r)), ("complement", (p,)),
                     ("compat_preservation", (cp, cq)))
 
-        side_worst, failure, run = sweep((h,), side, c_morphism_checks)
-        worst, samples = max(worst, side_worst), samples + run
-        if failure is not None:
-            ce = failure
-            break
-    reports = [AxiomReport("I_c_morphism", ce is None, samples, worst, ce)]
+        c_morphism.append(((h,), side, [c_morphism_checks(t) for t in range(trials)]))
 
     def cross_checks(trial):
         s = subseed(seed, "axiom2", trial)
@@ -1040,14 +1038,15 @@ def per_trial_axioms(h1, h2, trials, seed, tol=DEFAULT_TOL):
         r2 = span_of([random_vector(h2.source_dim, s + 1)], tol)
         return (("atom_meet", (r1, r2)),)
 
-    for axiom, checks in (("II_compatibility", cross_checks), ("III_atoms", atom_checks)):
-        worst, ce, _ = sweep((h1, h2), None, checks)
-        reports.append(AxiomReport(axiom, ce is None, trials, worst, ce))
-    return reports
+    return [fold("I_c_morphism", c_morphism)] + [
+        fold(axiom, [((h1, h2), None, [checks(t) for t in range(trials)])])
+        for axiom, checks in (("II_compatibility", cross_checks), ("III_atoms", atom_checks))]
 
 
 def report_bytes(reports):
-    return json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True)
+    """The axiom JSON of ``reports``, each with its failure count."""
+    return json.dumps([[composite.axiom_to_json(r), r.failures] for r in reports], indent=2,
+                      sort_keys=True)
 
 
 def make_sometimes_twisted(d1=3, d2=3):
@@ -1097,7 +1096,7 @@ SWEEP_PAIRS = {
 
 class TestBatchedAxiomSweep:
     @pytest.mark.parametrize("name", sorted(SWEEP_PAIRS))
-    @pytest.mark.parametrize("trials", [1, 10, 25])
+    @pytest.mark.parametrize("trials", [0, 1, 10, 25])
     def test_batched_reports_equal_the_per_trial_fold(self, name, trials):
         h1, h2 = SWEEP_PAIRS[name]()
         seed = 3 + trials
@@ -1111,7 +1110,7 @@ class TestBatchedAxiomSweep:
         for n in range(26):
             alone = report_bytes(sweep_axioms(h1, h2, n, 0).reports(n))
             assert report_bytes(sweep.reports(n)) == alone, (name, n)
-        assert all(r.passed for r in sweep.reports(25)) == (name == "twist")
+        assert all(r.holds for r in sweep.reports(25)) == (name == "twist")
 
     def test_tampered_maps_fail_on_later_trials(self):
         # the prefix checks above are only as strong as the failing trials
@@ -1119,9 +1118,26 @@ class TestBatchedAxiomSweep:
         for name in ("sometimes-twisted", "dim-skipping"):
             h1, h2 = SWEEP_PAIRS[name]()
             sweep = sweep_axioms(h1, h2, 25, 0)
-            checks = [*sweep.cross, *(c for _, _, c in sweep.sides if c is not None)]
-            runs = [composite._first_failure(c, None, 25)[2] for c in checks]
-            assert any(1 < run < 25 for run in runs), (name, runs)
+            # the first failing trial of each group of sampled checks
+            firsts = [np.flatnonzero(~np.stack([c[1] for c in checks]).all(axis=0))[:1].tolist()
+                      for groups in sweep.groups for _, checks in groups if checks[0][3]]
+            assert any(first and 0 < first[0] < 24 for first in firsts), (name, firsts)
+
+    @pytest.mark.parametrize("name, kind", [("zero-then-slice", "zero"),
+                                            ("slice-then-oblique", "unitarity")])
+    def test_axiom_one_records_the_first_failing_side(self, name, kind):
+        # side 2 fails too, but side 1's precheck is the first failing instance
+        h1, h2 = SWEEP_PAIRS[name]()
+        first = verify_axioms(h1, h2, trials=10, seed=6)[0]
+        assert first.counterexample == {"kind": kind, "side": 1}
+        assert recheck_axiom_counterexample(h1, h2, json.loads(json.dumps(first.counterexample)))
+
+    def test_a_failing_axiom_counts_every_instance(self):
+        # axiom I: two prechecks and 25 trials per side, 4 of them failing,
+        # not the 4 instances up to the first failure
+        h1, h2 = SWEEP_PAIRS["sometimes-twisted"]()
+        reports = verify_axioms(h1, h2, trials=25, seed=28)
+        assert [(r.trials, r.failures) for r in reports] == [(54, 4), (25, 1), (25, 3)]
 
     def test_a_prefix_longer_than_the_sweep_is_refused(self, pair33):
         with pytest.raises(ValueError):
@@ -1405,20 +1421,21 @@ def uncached_sweep(sweep):
     images or joins: the oracle of the memo that _checked shares."""
     tol = sweep.tol
 
-    def rerun(morphisms, checks):
+    pair = (sweep.h1, sweep.h2)
+
+    def rerun(side, checks):
+        morphisms = pair if side is None else (pair[side - 1],)
         out = []
         for kind, _, _, batches in checks:
             holds, residual = composite._AXIOM_CHECKS[kind](composite._memo(tol), *morphisms,
                                                              *batches)
-            trials = len(batches[0].elements())
+            trials = len(batches[0].elements()) if batches else 1
             out.append((kind, np.broadcast_to(holds, trials), np.broadcast_to(residual, trials),
                         batches))
-        return out
+        return side, out
 
-    sides = tuple((side, precheck, checks and rerun(((sweep.h1, sweep.h2)[side - 1],), checks))
-                  for side, precheck, checks in sweep.sides)
-    cross = tuple(rerun((sweep.h1, sweep.h2), checks) for checks in sweep.cross)
-    return dataclasses.replace(sweep, sides=sides, cross=cross)
+    groups = tuple(tuple(rerun(*group) for group in axiom) for axiom in sweep.groups)
+    return dataclasses.replace(sweep, groups=groups)
 
 
 class TestOneSweepComputesEachImageOnce:
@@ -1431,7 +1448,8 @@ class TestOneSweepComputesEachImageOnce:
         keys = [(id(h), id(p)) for (h, p), _ in maps]
         assert len(keys) == len(set(keys))
         assert len(joins) == len({(id(p), id(q)) for (p, q, *_), _ in joins})
-        for (side, _, checks), h in zip(sweep.sides, (h1, h2)):
+        sampled = [checks for _, checks in sweep.groups[0] if checks[0][3]]
+        for checks, h in zip(sampled, (h1, h2), strict=True):
             p, q, r = checks[1][3]
             images = {id(b): out for (g, b), out in maps if g is h}
             assert all(id(b) in images for b in (p, q, r))
@@ -1464,7 +1482,7 @@ class TestOneSweepComputesEachImageOnce:
         for bases in seen:
             assert len(bases) > 10 and len({id(b) for b in bases}) == len(bases)
         assert report_bytes(reports) == report_bytes(verify_axioms(h1, h2, trials=10, seed=4))
-        assert all(r.passed for r in reports)
+        assert all(r.holds for r in reports)
         iso = verify_tensor_isomorphism(sweep_axioms(*plain, 10, 4), trials=5, axiom_trials=10)
         assert iso.passed
 
@@ -1482,7 +1500,7 @@ class TestOneSweepComputesEachImageOnce:
         reports = verify_axioms(h1, h2, trials=20, seed=1)
         assert len({id(b) for b in bases}) == len(bases)
         ce = reports[0].counterexample
-        assert not reports[0].passed and ce["side"] == 2
+        assert not reports[0].holds and ce["side"] == 2
         assert ce["kind"] in ("join", "family_join", "complement")
         assert recheck_axiom_counterexample(h1, h2, ce)
         assert not recheck_axiom_counterexample(*canonical_pair(3, 4, False, False, False), ce)

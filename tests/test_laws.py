@@ -107,26 +107,23 @@ class TestDistributive:
 
 
 class TestNondistributivityWitness:
-    def test_reproduces_worked_configuration(self):
-        report = nondistributivity_witness()
-        assert not report.holds
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_reproduces_worked_configuration(self, d):
+        report = nondistributivity_witness(d)
+        assert not report.holds and (report.trials, report.failures) == (1, 1)
+        e = np.eye(d)
+        inputs = {k: subspace_from_json(v) for k, v in report.counterexample["inputs"].items()}
+        for name, v in zip("abc", (e[0], e[1], e[0] + e[1])):
+            assert equal(inputs[name], span_of([v]))
         left = subspace_from_json(report.counterexample["left"])
         right = subspace_from_json(report.counterexample["right"])
-        assert equal(left, span_of([E3[1], E3[2]]))
-        assert equal(right, span_of([E3[0], E3[1]]))
+        assert equal(left, span_of([e[0]]))
+        assert equal(right, span_of([e[0], e[1]]))
         assert projector_distance(left, right) > 0.5
-        assert report.detail == {"left_dim": 2, "right_dim": 2}
-
-    def test_left_side_contains_third_vector_right_side_first(self):
-        report = nondistributivity_witness()
-        left = subspace_from_json(report.counterexample["left"])
-        right = subspace_from_json(report.counterexample["right"])
-        assert left.contains(E3[2]) and not right.contains(E3[2])
-        assert right.contains(E3[0]) and not left.contains(E3[0])
 
     def test_configuration_is_fixed(self):
         with pytest.raises(TypeError):
-            nondistributivity_witness(psi1=E3[0])
+            nondistributivity_witness(3, psi1=E3[0])
 
 
 class TestOrthomodular:
