@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -125,16 +125,43 @@ def product_phase_space(s1: PhaseSpace, s2: PhaseSpace) -> PhaseSpace:
     return PhaseSpace(tuple((x1, x2) for x1 in s1.points for x2 in s2.points))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalMorphism:
-    """A proposition map between phase spaces, with its end spaces attached."""
+    """A proposition map between phase spaces, held as its table:
+    ``table[m]`` is the image bitmask of source mask m, one int64 entry
+    for each of the 2^|source| masks.  The table is copied and read-only;
+    like ClassicalProp, a morphism compares and hashes by identity."""
 
     source: PhaseSpace
     target: PhaseSpace
-    apply: Callable[[ClassicalProp], ClassicalProp]
+    table: np.ndarray
+
+    def __post_init__(self) -> None:
+        table = np.array(self.table)
+        if table.dtype.kind not in "iu" or table.shape != (1 << self.source.size,):
+            raise InvalidParameter("morphism table must hold one integer image per source mask")
+        if table.min() < 0 or table.max() >= 1 << self.target.size:
+            raise InvalidParameter("morphism table has an image outside the target")
+        table = table.astype(np.int64, copy=False)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
     def __call__(self, p: ClassicalProp) -> ClassicalProp:
-        return self.apply(p)
+        """The image of p, a single bitmask or elementwise for a batch."""
+        if p.space != self.source:
+            raise SpaceMismatch("proposition does not live on the morphism source")
+        image = self.table[p.members]
+        return ClassicalProp(self.target, image if isinstance(image, np.ndarray) else int(image))
+
+
+def _extend(op, start, images) -> np.ndarray:
+    """The table T over every mask below 2^len(images) with T[m] = start op
+    images[i] for each bit i of m, built by doubling: the entries with bit
+    i set are those without it, each op images[i]."""
+    table = np.array([start], dtype=np.int64)
+    for image in images:
+        table = np.concatenate((table, op(table, image)))
+    return table
 
 
 def canonical_h_classical(side: int, s1: PhaseSpace, s2: PhaseSpace) -> ClassicalMorphism:
@@ -151,17 +178,7 @@ def canonical_h_classical(side: int, s1: PhaseSpace, s2: PhaseSpace) -> Classica
     cylinders = [0] * source.size
     for k, point in enumerate(product.points):
         cylinders[source.index(point[side - 1])] |= 1 << k
-
-    def extend(p: ClassicalProp) -> ClassicalProp:
-        if p.space != source:
-            raise SpaceMismatch("proposition does not live on the morphism source")
-        mask = 0
-        for i, cylinder in enumerate(cylinders):
-            if p.members >> i & 1:
-                mask |= cylinder
-        return ClassicalProp(product, mask)
-
-    return ClassicalMorphism(source, product, extend)
+    return ClassicalMorphism(source, product, _extend(np.bitwise_or, 0, cylinders))
 
 
 @dataclass
@@ -189,8 +206,9 @@ class ProductIsoReport:
         return {**asdict(self), "passed": self.passed}
 
 
-# Elements per broadcast block: each np.uint16 temporary of a block of
-# lattice-check --classical's triple sweep takes 32 KB, whatever omega.
+# Elements per broadcast block of lattice-check --classical's triple sweep:
+# each np.uint16 temporary of a block takes 32 KB up to omega 7; at omega 8
+# a block is one row of 2^16 elements, 128 KB.
 _CHUNK = 1 << 14
 
 
@@ -204,53 +222,46 @@ def row_blocks(rows: int, width: int):
 
 def _preserves(op, table: np.ndarray) -> bool:
     """Whether table[op(a, b)] == op(table[a], table[b]) for all masks a, b
-    below len(table), decided per mask: T keeps joins iff every T[a] is
-    T[0] | (join of T[{i}], i in a), as T[0] <= T[0 | a]; dually T keeps
-    meets iff every T[a] is T[full] & (meet of T[full - {i}], i not in a)."""
-    full = len(table) - 1
-    acc = table[:1] if op is np.bitwise_or else table[-1:]
-    for i in range(full.bit_length()):
-        if op is np.bitwise_or:
-            acc = np.concatenate((acc, acc | table[1 << i]))
-        else:
-            acc = np.concatenate((acc & table[full ^ 1 << i], acc))
-    return np.array_equal(acc, table)
+    below len(table), decided per mask: T keeps joins iff T is the
+    extension of T[0] by the atom images T[{i}], as T[0] <= T[0 | a];
+    dually T keeps meets iff T reversed, R[m] = T[full - m], is the meet
+    extension of T[full] by the coatom images T[full - {i}]."""
+    t = table if op is np.bitwise_or else table[::-1]
+    n = (len(t) - 1).bit_length()
+    return np.array_equal(_extend(op, t[0], t[1 << np.arange(n)]), t)
 
 
 def _check_classical_axioms(
     s1: PhaseSpace, s2: PhaseSpace, h1: ClassicalMorphism, h2: ClassicalMorphism
-) -> tuple:
-    """Validate the composition conditions; return the tables and atoms.
+) -> np.ndarray:
+    """Validate the composition conditions on the tables of h1 and h2.
 
-    Tabulates each morphism once and returns both tables and, for every
-    pair of factor points in product order, the bitmask of the composite
-    atom h1({x1}) meet h2({x2}).  Raises AxiomViolation naming the failed condition.
+    Returns, for every pair of factor points in product order, the
+    bitmask of the composite atom h1({x1}) meet h2({x2}).  Raises
+    AxiomViolation naming the failed condition, and SpaceMismatch when
+    s1 and s2 are not the sources of h1 and h2.
     """
     if h1.target != h2.target:
         raise AxiomViolation("I_c_morphism: morphism targets differ")
+    if (h1.source, h2.source) != (s1, s2):
+        raise SpaceMismatch("proposition does not live on the morphism source")
     full_target = ClassicalProp.full(h1.target).members
-    tables = []
-    for name, h, s in (("h1", h1, s1), ("h2", h2, s2)):
-        table = np.array([h(ClassicalProp(s, m)).members for m in range(1 << s.size)])
+    for name, table in (("h1", h1.table), ("h2", h2.table)):
         if table[-1] != full_target:
             raise AxiomViolation(f"I_c_morphism: {name} is not unitary")
         if table[0] != 0:
             raise AxiomViolation(f"I_c_morphism: {name} does not send empty to empty")
         if not _preserves(np.bitwise_or, table):
             raise AxiomViolation(f"I_c_morphism: {name} does not preserve joins")
-        tables.append(table)
-    atoms = []
-    for i, x1 in enumerate(s1.points):
-        for j, x2 in enumerate(s2.points):
-            image = int(tables[0][1 << i] & tables[1][1 << j])
-            size = bin(image).count("1")
-            if size != 1:
-                raise AxiomViolation(
-                    "III_atoms: atom images must meet in an atom, got size "
-                    f"{size} for pair ({x1!r}, {x2!r})"
-                )
-            atoms.append(image)
-    return tables, np.array(atoms, dtype=np.int64)
+    atoms = (h1.table[1 << np.arange(s1.size)][:, None] & h2.table[1 << np.arange(s2.size)]).ravel()
+    bad = np.flatnonzero((atoms == 0) | ((atoms & (atoms - 1)) != 0))
+    if bad.size:
+        i, j = divmod(int(bad[0]), s2.size)
+        raise AxiomViolation(
+            "III_atoms: atom images must meet in an atom, got size "
+            f"{bin(int(atoms[bad[0]])).count('1')} for pair ({s1.points[i]!r}, {s2.points[j]!r})"
+        )
+    return atoms
 
 
 def product_space_isomorphism(
@@ -260,15 +271,16 @@ def product_space_isomorphism(
 
     The atom-pair map sends {(x1, x2)} to h1({x1}) meet h2({x2}); the
     induced map eta sends a composite proposition A to the set of pairs
-    whose atom image is contained in A.  eta is one lookup table over every
-    composite bitmask, read by the returned callable.  The check is
-    exhaustive: bijective means every product proposition is hit exactly
-    once, complement is one vector comparison, and union and intersection
-    are decided on every mask from the images of atoms and coatoms.
+    whose atom image is contained in A.  eta is returned as the
+    ClassicalMorphism from the composite space to the product space whose
+    table holds eta of every composite bitmask.  The check is exhaustive:
+    bijective means every product proposition is hit exactly once,
+    complement is one vector comparison, and union and intersection are
+    decided on every mask from the images of atoms and coatoms.
     A point permutation is a Boolean isomorphism too, so eta must also send
     h1(A) to A x Omega2 and h2(B) to Omega1 x B, for every A and B.
     """
-    tables, atoms = _check_classical_axioms(s1, s2, h1, h2)
+    atoms = _check_classical_axioms(s1, s2, h1, h2)
     target = h1.target
     product = product_phase_space(s1, s2)
     full_target = ClassicalProp.full(target).members
@@ -276,18 +288,6 @@ def product_space_isomorphism(
     masks = np.arange(1 << target.size, dtype=np.int64)
     inside = (atoms & ~masks[:, None]) == 0
     table = (inside * (1 << np.arange(product.size, dtype=np.int64))).sum(axis=1)
-
-    def eta(a: ClassicalProp) -> ClassicalProp:
-        if a.space != target:
-            raise SpaceMismatch("input does not live on the composite space")
-        return ClassicalProp(product, int(table[a.members]))
-
-    # the product bit of each pair (x1, x2): rows for A x Omega2, columns for Omega1 x B
-    bit = 1 << np.array([[product.index((x1, x2)) for x2 in s2.points] for x1 in s1.points])
-    carries_cylinders = all(
-        np.array_equal(table[t], ((np.arange(len(t))[:, None] >> np.arange(n)) & 1) @ lines)
-        for t, n, lines in zip(tables, (s1.size, s2.size), (bit.sum(axis=1), bit.sum(axis=0)))
-    )
     report = ProductIsoReport(
         prop_count=len(table),
         bijective=bool((np.bincount(table, minlength=1 << product.size) == 1).all()),
@@ -296,9 +296,12 @@ def product_space_isomorphism(
         preserves_complement=np.array_equal(
             table[full_target ^ masks], table ^ ClassicalProp.full(product).members
         ),
-        carries_cylinders=carries_cylinders,
+        carries_cylinders=all(
+            np.array_equal(table[h.table], canonical_h_classical(side, s1, s2).table)
+            for side, h in ((1, h1), (2, h2))
+        ),
     )
-    return eta, report
+    return ClassicalMorphism(target, product, table), report
 
 
 @dataclass(frozen=True)

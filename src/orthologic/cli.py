@@ -382,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Largest exhaustive classical sizes, measured in process on a 2-core x86
-# machine.  composite-verify is bound by eta's 2^N x N boolean matrix and
-# by tabulating each factor map, one Python call per mask (50 ms at 1x12).
+# machine.  composite-verify builds each factor map's table by doubling and
+# is bound by eta's 2^N x N boolean matrix: 0.3 ms of 0.7-1.0 ms at 1x12.
 # lattice-check checks its 2^(3 omega) triples in classical.row_blocks:
 # 0.008 s for omega = 6, 0.05-0.07 s for 7, 0.28-0.31 s for 8, about 3.5 s
 # for 9.  Its np.uint16 bitmasks hold every mask up to omega = 16.

@@ -33,7 +33,7 @@ that the three routes agree.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional
 
@@ -71,7 +71,6 @@ class LawReport:
     failures: int
     worst_residual: float = 0.0
     counterexample: Optional[dict] = None
-    detail: dict = field(default_factory=dict)
 
     @property
     def applicable(self) -> bool:  # any instance within the law's hypothesis
@@ -87,8 +86,6 @@ class LawReport:
         }
         if self.counterexample is not None:
             out["counterexample"] = self.counterexample
-        if self.detail:
-            out["detail"] = self.detail
         return out
 
 
@@ -312,12 +309,7 @@ def check_covering(p: Ray, a: Subspace, tol: Tolerance = DEFAULT_TOL) -> LawRepo
         between = np.logical_and(sub.leq(a, b, tol), sub.leq(b, top, tol))
         holds = holds & (np.logical_not(between) | sub.equal(b, a, tol) | sub.equal(b, top, tol))
     failed = np.logical_and(inside, np.logical_not(holds))
-    report = _report(
-        "covering",
-        failed,
-        inside,
-        detail={"dim_a": np.asarray(a.dim).tolist(), "dim_join": np.asarray(top.dim).tolist()},
-    )
+    report = _report("covering", failed, inside)
     if not report.holds:
         report.counterexample = _counterexample(_SUBSPACE, {"a": a, "p": ray}, a, top, failed)
     return report

@@ -3,6 +3,7 @@ isomorphism for composed systems, and the sampled oscillator curve."""
 
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
@@ -232,13 +233,8 @@ class TestProductIsomorphism:
         s2 = PhaseSpace(("x", "y", "z"))
         good = canonical_h_classical(1, s1, s2)
         h2 = canonical_h_classical(2, s1, s2)
-
-        def dropping(p):
-            image = good(p)
-            # drop the composite point ("a", "x") from every image
-            return ClassicalProp(image.space, image.members & ~1)
-
-        bad = ClassicalMorphism(s1, good.target, dropping)
+        # drop the composite point ("a", "x") from every image
+        bad = ClassicalMorphism(s1, good.target, good.table & ~1)
         with pytest.raises(AxiomViolation, match="I_c_morphism"):
             product_space_isomorphism(s1, s2, bad, h2)
 
@@ -257,11 +253,59 @@ class TestProductIsomorphism:
             mask &= ~((1 << i) | (1 << j))
             return mask | (bit_i << j) | (bit_j << i)
 
-        scrambled = ClassicalMorphism(
-            s1, target, lambda p: ClassicalProp(target, swap_bits(good(p).members))
-        )
+        scrambled = ClassicalMorphism(s1, target, [swap_bits(int(m)) for m in good.table])
         with pytest.raises(AxiomViolation, match="III_atoms"):
             product_space_isomorphism(s1, s2, scrambled, h2)
+
+    @pytest.mark.parametrize("spaces", ["relabelled", "swapped"])
+    def test_factor_spaces_other_than_the_sources_are_refused(self, spaces):
+        # the check reads the maps' tables, so it must compare the spaces
+        # itself: a relabelled space of equal size would otherwise pass
+        s1, s2 = PhaseSpace(("a", "b")), PhaseSpace(("x", "y", "z"))
+        h1, h2 = canonical_h_classical(1, s1, s2), canonical_h_classical(2, s1, s2)
+        given = (PhaseSpace(("c", "d")), s2) if spaces == "relabelled" else (s2, s1)
+        with pytest.raises(SpaceMismatch, match="proposition does not live on the morphism source"):
+            product_space_isomorphism(*given, h1, h2)
+
+    @pytest.mark.parametrize("n1, n2", [(3, 4), (1, 12)])
+    def test_the_check_maps_no_proposition(self, n1, n2, monkeypatch):
+        # the factor maps are read as tables, never called once per mask
+        s1, s2 = factor_spaces(n1, n2)
+        h1, h2 = canonical_pair(s1, s2)
+
+        def refuse(self, p):
+            raise AssertionError("a classical morphism was called")
+
+        monkeypatch.setattr(ClassicalMorphism, "__call__", refuse)
+        _, report = product_space_isomorphism(s1, s2, h1, h2)
+        assert report.passed
+
+
+class TestMorphismTable:
+    S1 = PhaseSpace(("a", "b"))
+    S2 = PhaseSpace(("x", "y", "z"))
+
+    def test_a_single_bitmask_maps_to_a_python_int(self):
+        h1 = canonical_h_classical(1, self.S1, self.S2)
+        image = h1(of_labels(self.S1, ["b"]))
+        assert type(image.members) is int
+        assert json.loads(json.dumps(image.to_json())) == {"members": [0, 0, 0, 1, 1, 1]}
+
+    def test_a_batch_maps_elementwise(self):
+        h2 = canonical_h_classical(2, self.S1, self.S2)
+        masks = np.array([[0, 5], [7, 2]])
+        images = h2(ClassicalProp(self.S2, masks)).members
+        assert images.shape == masks.shape
+        assert images.tolist() == [[h2(ClassicalProp(self.S2, int(m))).members for m in row]
+                                   for row in masks]
+
+    def test_the_table_is_a_read_only_copy(self):
+        given = canonical_h_classical(1, self.S1, self.S2).table.copy()
+        h = ClassicalMorphism(self.S1, product_phase_space(self.S1, self.S2), given)
+        given[1] = 0
+        assert h.table[1] == 0b111
+        with pytest.raises(ValueError):
+            h.table[1] = 0
 
 
 def loop_product_space_isomorphism(s1, s2, h1, h2):
@@ -340,7 +384,7 @@ def loop_product_space_isomorphism(s1, s2, h1, h2):
 def remapped(h, remap):
     """h with every image mask m replaced by remap(source mask, m)."""
     return ClassicalMorphism(
-        h.source, h.target, lambda p: ClassicalProp(h.target, remap(p.members, h(p).members))
+        h.source, h.target, [remap(m, int(image)) for m, image in enumerate(h.table)]
     )
 
 
@@ -447,10 +491,8 @@ class TestProductIsomorphismOracle:
         # the 2^(n1 n2) product propositions (the loop oracle counts only
         # distinct images and reports it bijective)
         s1, s2 = factor_spaces(2, 3)
-        h2 = ClassicalMorphism(s2, s2, lambda p: p)
-        h1 = ClassicalMorphism(
-            s1, s2, lambda p: ClassicalProp.full(s2) if p.members else ClassicalProp(s2, 0)
-        )
+        h2 = ClassicalMorphism(s2, s2, np.arange(8))
+        h1 = ClassicalMorphism(s1, s2, [0, 7, 7, 7])
         _, report = product_space_isomorphism(s1, s2, h1, h2)
         assert report.prop_count == 8
         assert not report.bijective

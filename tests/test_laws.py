@@ -346,20 +346,21 @@ class TestCovering:
         ray = Ray(span_of([random_vector(4, 3)]))
         report = check_covering(ray, zero_subspace(4))
         assert report.holds
-        assert report.detail["dim_join"] == 1
+        assert sub.join(zero_subspace(4), ray.subspace).dim == 1
 
     def test_coordinate_plane_plus_coordinate_ray(self):
         e = np.eye(4, dtype=complex)
-        report = check_covering(Ray(span_of([e[2]])), span_of([e[0], e[1]]))
+        a, ray = span_of([e[0], e[1]]), Ray(span_of([e[2]]))
+        report = check_covering(ray, a)
         assert report.holds
-        assert report.detail["dim_join"] == 3
+        assert sub.join(a, ray.subspace).dim == 3
 
     def test_generic_instance(self):
         a = random_subspace(5, 2, 11)
         ray = Ray(span_of([random_vector(5, 12)]))
         report = check_covering(ray, a)
         assert report.holds
-        assert report.detail["dim_join"] == 3
+        assert sub.join(a, ray.subspace).dim == 3
 
     def test_precondition(self):
         # an atom inside a is outside the hypothesis: nothing is checked

@@ -66,9 +66,9 @@ def classical_pair(n1=2, n2=2):
 
 def empty_to_nonempty():
     s1, s2, h1, h2 = classical_pair()
-    full = cl.ClassicalProp.full(h1.target)
-    return cl.product_space_isomorphism(
-        s1, s2, cl.ClassicalMorphism(s1, h1.target, lambda p: h1(p) if p.members else full), h2)
+    table = h1.table.copy()
+    table[0] = cl.ClassicalProp.full(h1.target).members
+    return cl.product_space_isomorphism(s1, s2, cl.ClassicalMorphism(s1, h1.target, table), h2)
 
 
 def unequal_targets():
@@ -158,7 +158,19 @@ CASES = {
         lambda: classical_pair()[2](cl.ClassicalProp.full(space(3))),
         SpaceMismatch, "proposition does not live on the morphism source"),
     "eta on a proposition of another space": (
-        eta_of_a_factor_prop, SpaceMismatch, "input does not live on the composite space"),
+        eta_of_a_factor_prop, SpaceMismatch, "proposition does not live on the morphism source"),
+    "a classical morphism table of the wrong length": (
+        lambda: cl.ClassicalMorphism(space(2), space(4), [0, 3, 12]),
+        InvalidParameter, "morphism table must hold one integer image per source mask"),
+    "a fractional classical morphism table": (
+        lambda: cl.ClassicalMorphism(space(2), space(2), [0, 1, 2, 2.5]),
+        InvalidParameter, "morphism table must hold one integer image per source mask"),
+    "a classical morphism image past the target": (
+        lambda: cl.ClassicalMorphism(space(2), space(2), [0, 1, 2, 4]),
+        InvalidParameter, "morphism table has an image outside the target"),
+    "a negative classical morphism image": (
+        lambda: cl.ClassicalMorphism(space(2), space(2), [0, 1, -2, 3]),
+        InvalidParameter, "morphism table has an image outside the target"),
     "product_space_isomorphism with unequal targets": (
         unequal_targets, AxiomViolation, "I_c_morphism: morphism targets differ"),
     "product_space_isomorphism with a map sending empty to nonempty": (
