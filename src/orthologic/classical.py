@@ -10,9 +10,7 @@ composite-system verification needs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +19,6 @@ from .errors import AxiomViolation, InvalidParameter, SpaceMismatch
 __all__ = [
     "PhaseSpace",
     "ClassicalProp",
-    "PhaseCurveSample",
     "ClassicalMorphism",
     "ProductIsoReport",
     "prop_and",
@@ -31,7 +28,6 @@ __all__ = [
     "canonical_h_classical",
     "product_space_isomorphism",
     "row_blocks",
-    "sample_oscillator_curve",
 ]
 
 
@@ -61,21 +57,26 @@ class PhaseSpace:
 class ClassicalProp:
     """A proposition: a subset of a phase space, stored as a bitmask.
 
-    ``members`` is one bitmask (an int) or a batch: a numpy integer array
-    of bitmasks over the same space, each element one proposition.  The
-    connectives act elementwise and broadcast, so prop_and(p, q) on
-    batches of shapes (n, 1) and (1, n) holds all n^2 meets; ``contains``
-    is elementwise too.  The JSON forms are for one bitmask.  Like every
-    array-holding dataclass here, it compares and hashes by identity, a
-    single bitmask too: compare ``members`` instead, as the ``laws``
-    checkers do.
+    ``members`` is one bitmask (an int or a numpy integer scalar) or a
+    batch: a numpy integer array of bitmasks over the same space, each
+    element one proposition; any other type, a bool or a float too, is
+    refused.  The connectives act elementwise and broadcast, so
+    prop_and(p, q) on batches of shapes (n, 1) and (1, n) holds all n^2
+    meets; ``contains`` is elementwise too.  The JSON forms are for one
+    bitmask.  Like every array-holding dataclass here, it compares and
+    hashes by identity, a single bitmask too: compare ``members``
+    instead, as the ``laws`` checkers do.
     """
 
     space: PhaseSpace
     members: int | np.ndarray = field(default=0)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.members)
+        m = self.members
+        if type(m) is not int and not (isinstance(m, (np.ndarray, np.integer))
+                                       and m.dtype.kind in "iu"):
+            raise InvalidParameter("members must be an int or a numpy integer array of bitmasks")
+        m = np.asarray(m)
         if m.size and (m.min() < 0 or m.max() >= 1 << self.space.size):
             raise InvalidParameter("bitmask out of range for this phase space")
 
@@ -231,20 +232,16 @@ def _preserves(op, table: np.ndarray) -> bool:
     return np.array_equal(_extend(op, t[0], t[1 << np.arange(n)]), t)
 
 
-def _check_classical_axioms(
-    s1: PhaseSpace, s2: PhaseSpace, h1: ClassicalMorphism, h2: ClassicalMorphism
-) -> np.ndarray:
+def _check_classical_axioms(h1: ClassicalMorphism, h2: ClassicalMorphism) -> np.ndarray:
     """Validate the composition conditions on the tables of h1 and h2.
 
-    Returns, for every pair of factor points in product order, the
-    bitmask of the composite atom h1({x1}) meet h2({x2}).  Raises
-    AxiomViolation naming the failed condition, and SpaceMismatch when
-    s1 and s2 are not the sources of h1 and h2.
+    Returns, for every pair of points of the sources s1 and s2 in product
+    order, the bitmask of the composite atom h1({x1}) meet h2({x2}).
+    Raises AxiomViolation naming the failed condition.
     """
     if h1.target != h2.target:
         raise AxiomViolation("I_c_morphism: morphism targets differ")
-    if (h1.source, h2.source) != (s1, s2):
-        raise SpaceMismatch("proposition does not live on the morphism source")
+    s1, s2 = h1.source, h2.source
     full_target = ClassicalProp.full(h1.target).members
     for name, table in (("h1", h1.table), ("h2", h2.table)):
         if table[-1] != full_target:
@@ -264,10 +261,9 @@ def _check_classical_axioms(
     return atoms
 
 
-def product_space_isomorphism(
-    s1: PhaseSpace, s2: PhaseSpace, h1: ClassicalMorphism, h2: ClassicalMorphism
-):
-    """Construct the isomorphism onto the product power set and verify it.
+def product_space_isomorphism(h1: ClassicalMorphism, h2: ClassicalMorphism):
+    """Construct the isomorphism onto the product power set of the sources
+    s1 and s2 of h1 and h2, and verify it.
 
     The atom-pair map sends {(x1, x2)} to h1({x1}) meet h2({x2}); the
     induced map eta sends a composite proposition A to the set of pairs
@@ -280,8 +276,8 @@ def product_space_isomorphism(
     A point permutation is a Boolean isomorphism too, so eta must also send
     h1(A) to A x Omega2 and h2(B) to Omega1 x B, for every A and B.
     """
-    atoms = _check_classical_axioms(s1, s2, h1, h2)
-    target = h1.target
+    atoms = _check_classical_axioms(h1, h2)
+    s1, s2, target = h1.source, h2.source, h1.target
     product = product_phase_space(s1, s2)
     full_target = ClassicalProp.full(target).members
     # Atom images cover: their union is h1(full) meet h2(full) (joins preserved) = full (unitary).
@@ -302,40 +298,3 @@ def product_space_isomorphism(
         ),
     )
     return ClassicalMorphism(target, product, table), report
-
-
-@dataclass(frozen=True)
-class PhaseCurveSample:
-    """Sampled phase-space trajectory of a one-dimensional oscillator."""
-
-    times: tuple[float, ...]
-    states: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.times) != len(self.states):
-            raise InvalidParameter("times and states must have equal length")
-
-
-def sample_oscillator_curve(
-    amplitude: float,
-    phase: float,
-    omega0: float,
-    mass: float,
-    times: Sequence[float],
-) -> PhaseCurveSample:
-    """Sample x(t) = A sin(w0 t + phi), p(t) = w0 m A cos(w0 t + phi).
-
-    The samples trace the constant-energy ellipse
-    p^2 / 2m + D x^2 / 2 = E with spring constant D = m w0^2.
-    """
-    if omega0 <= 0 or mass <= 0:
-        raise InvalidParameter("omega0 and mass must be positive")
-    ts = tuple(float(t) for t in times)
-    states = tuple(
-        (
-            amplitude * math.sin(omega0 * t + phase),
-            omega0 * mass * amplitude * math.cos(omega0 * t + phase),
-        )
-        for t in ts
-    )
-    return PhaseCurveSample(ts, states)

@@ -60,6 +60,7 @@ from .oscillator import (
     energies,
     hermite_eigenfunction,
     ladder_operators,
+    phase_curve,
     proposition_from_eigenstates,
 )
 from .truth import EPS_PROB, truth_value
@@ -272,7 +273,7 @@ def cmd_composite_verify(args, tol: Tolerance) -> int:
         s2 = cl.PhaseSpace(tuple(f"b{k}" for k in range(args.n2)))
         h1 = cl.canonical_h_classical(1, s1, s2)
         h2 = cl.canonical_h_classical(2, s1, s2)
-        _, iso = cl.product_space_isomorphism(s1, s2, h1, h2)
+        _, iso = cl.product_space_isomorphism(h1, h2)
         results = {"classical": iso.to_json()}
         passed = iso.passed
     else:
@@ -333,9 +334,7 @@ def cmd_truth_demo(args, tol: Tolerance) -> int:
         results["eigenfunctions_csv"] = args.csv
     if args.curve_csv:
         times = [k * 0.05 for k in range(args.curve_samples)]
-        sample = cl.sample_oscillator_curve(1.0, 0.0, 1.0, 1.0, times)
-        _write_csv(args.curve_csv, ["t", "x", "p"],
-                   ([t, x, p] for t, (x, p) in zip(sample.times, sample.states)))
+        _write_csv(args.curve_csv, ["t", "x", "p"], phase_curve(model, 1.0, 0.0, times))
         results["curve_csv"] = args.curve_csv
     _emit(args, ("nmax",), results)
     ok = max(abs(tv.value - 0.75), abs(tv_complement.value - 0.25)) < EPS_PROB

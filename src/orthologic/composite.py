@@ -285,13 +285,15 @@ def _like(p: Subspace, s: Subspace) -> Subspace:
 
 def _memo(tol: Tolerance) -> SimpleNamespace:
     """The images ``image(h, p)`` and joins ``join(p, q)`` of one run of
-    axiom checks (one _checked call, or one check alone), each computed
-    once, and their ``tol``.  The caches hold their operands, which hash
-    by identity, so no id is reused while the memo lives.  h(p) and
-    sub.join are looked up when called (the benchmark tracer patches
-    them)."""
+    axiom checks (the _checked calls of one side, or one check alone),
+    each computed once, and their ``tol``; ``full(d)`` is one full
+    subspace of C^d per memo, so its image is computed once too.  The
+    caches hold their operands, which hash by identity, so no id is
+    reused while the memo lives.  h(p) and sub.join are looked up when
+    called (the benchmark tracer patches them)."""
     return SimpleNamespace(tol=tol, image=cache(lambda h, p: h(p)),
-                           join=cache(lambda p, q: sub.join(p, q, tol)))
+                           join=cache(lambda p, q: sub.join(p, q, tol)),
+                           full=cache(full_subspace))
 
 
 # Counterexample kind -> its check.  A check takes the _memo it maps and
@@ -300,7 +302,7 @@ def _memo(tol: Tolerance) -> SimpleNamespace:
 # returns (holds, residual), per element for batches.
 _AXIOM_CHECKS = {
     "unitarity": lambda m, h: (
-        sub.equal(m.image(h, full_subspace(h.source_dim)), full_subspace(h.target_dim), m.tol),
+        sub.equal(m.image(h, m.full(h.source_dim)), m.full(h.target_dim), m.tol),
         0.0,
     ),
     "zero": lambda m, h: (m.image(h, zero_subspace(h.source_dim)).dim == 0, 0.0),
@@ -314,7 +316,7 @@ _AXIOM_CHECKS = {
     ),
     "complement": lambda m, h, p: _same(
         m.image(h, sub.ortho(p)),
-        sub.meet(sub.ortho(m.image(h, p)), _like(p, m.image(h, full_subspace(h.source_dim))),
+        sub.meet(sub.ortho(m.image(h, p)), _like(p, m.image(h, m.full(h.source_dim))),
                  m.tol),
         m.tol,
     ),
@@ -339,13 +341,13 @@ def _axiom_ce(kind: str, side, subspaces) -> dict:
     return ce
 
 
-def _checked(morphisms: tuple, samples, tol: Tolerance) -> list:
+def _checked(memo: SimpleNamespace, morphisms: tuple, samples) -> list:
     """Each (kind, subspace batches) of ``samples`` checked once on its
     batches: (kind, verdicts, residuals, batches), one verdict and
-    residual per trial, of a check on no subspaces one.  The checks share
-    one _memo, so a batch that an earlier check mapped or a pair it joined
-    is not computed again."""
-    memo, checks = _memo(tol), []
+    residual per trial, of a check on no subspaces one.  The checks map
+    and join through ``memo`` (a _memo), so a batch that an earlier check
+    on it mapped or a pair it joined is not computed again."""
+    checks = []
     for kind, batches in samples:
         holds, residual = _AXIOM_CHECKS[kind](memo, *morphisms, *batches)
         trials = len(batches[0].elements()) if batches else 1
@@ -429,19 +431,20 @@ def sweep_axioms(
     # unitarity or zero is not sampled; the other map still is.
     c_morphism = []
     for side, h in ((1, h1), (2, h2)):
-        prechecks = _checked((h,), (("unitarity", ()), ("zero", ())), tol)
+        memo = _memo(tol)  # the side's prechecks and trials share it
+        prechecks = _checked(memo, (h,), (("unitarity", ()), ("zero", ())))
         c_morphism += [(side, [check]) for check in prechecks]
         if all(holds[0] for _, holds, _, _ in prechecks):
             d = h.source_dim
             p, q, r = sub.random_family((d, d, d), subseeds(seed, f"axiom1_side{side}", trials),
                                         proper=False)
             cp, cq = sub.compatible_pair(d, subseeds(seed, f"compat{side}", trials))
-            c_morphism.append((side, _checked((h,), (
+            c_morphism.append((side, _checked(memo, (h,), (
                 ("join", (p, q)),
                 ("family_join", (p, q, r)),
                 ("complement", (p,)),
                 ("compat_preservation", (cp, cq)),
-            ), tol)))
+            ))))
 
     # Axiom II: cross-images are compatible.  Axiom III: atom images meet
     # in an atom.
@@ -451,8 +454,8 @@ def sweep_axioms(
     r1, r2 = sub.random_ray(d1, atoms, tol), sub.random_ray(d2, atoms + 1, tol)
     groups = (
         tuple(c_morphism),
-        ((None, _checked((h1, h2), (("compatibility", (p1, p2)),), tol)),),
-        ((None, _checked((h1, h2), (("atom_meet", (r1, r2)),), tol)),),
+        ((None, _checked(_memo(tol), (h1, h2), (("compatibility", (p1, p2)),))),),
+        ((None, _checked(_memo(tol), (h1, h2), (("atom_meet", (r1, r2)),))),),
     )
     return AxiomSweep(h1, h2, seed, tol, trials, groups)
 
@@ -484,15 +487,19 @@ def recheck_axiom_counterexample(
     kinds (axiom I, and the "m_morphism" kind of check_m_morphism, which
     records side 1) replay on the morphism of their side, 1 or 2, so the
     morphism of a check_m_morphism counterexample is passed as h1; the
-    cross kinds of axioms II and III have no side.  ValueError refuses an
-    unknown kind, a side unfit for the kind, or subspaces other than the
-    check's (p, then q, then r, each in its morphism's source space).
+    cross kinds of axioms II and III have no side.  ValueError refuses a
+    ``ce`` that is not a dict, an unknown kind, a side unfit for the kind
+    (of a one-sided kind, anything but the int 1 or 2), or subspaces other
+    than the check's (p, then q, then r, each in its morphism's source
+    space).
     """
+    if not isinstance(ce, dict):
+        raise ValueError(f"a counterexample is a dict, not {type(ce).__name__}")
     kind, side = ce.get("kind"), ce.get("side")
     if not isinstance(kind, str) or kind not in _AXIOM_CHECKS:
         raise ValueError(f"unknown counterexample kind {kind!r}")
     cross = kind in ("compatibility", "atom_meet")
-    if ("side" in ce) if cross else side not in (1, 2):
+    if ("side" in ce) if cross else not (type(side) is int and side in (1, 2)):
         raise ValueError(f"side {side!r} does not fit a {kind!r} counterexample")
     morphisms = (h1, h2) if cross else ((h1, h2)[side - 1],)
     check = _AXIOM_CHECKS[kind]
@@ -614,7 +621,8 @@ def check_m_morphism(
     ys = [2.0 * x if t % 5 == 4 else random_vector(h.source_dim, s + 1)
           for t, (x, s) in enumerate(zip(xs, seeds))]
     rays = [sub.rays(h.source_dim, vs, tol) for vs in (xs, ys, [x - y for x, y in zip(xs, ys)])]
-    return _axiom_report("m_morphism", [(1, _checked((h,), (("m_morphism", rays),), tol))], trials)
+    checks = _checked(_memo(tol), (h,), (("m_morphism", rays),))
+    return _axiom_report("m_morphism", [(1, checks)], trials)
 
 
 def default_anchors(

@@ -3,7 +3,8 @@
 Supplies the realistic propositions and states used by the truth
 valuation: ladder matrices on the lowest n_max + 1 levels, sampled
 Hermite-Gaussian eigenfunctions on a quadrature grid, and coordinate
-subspaces spanned by chosen eigenstates.
+subspaces spanned by chosen eigenstates; and the same oscillator's
+classical phase curve.
 
 Truncation breaks the canonical commutation relation only in the last
 level, so commutator and eigenvalue assertions stay away from it.  The
@@ -28,6 +29,7 @@ __all__ = [
     "energies",
     "hermite_eigenfunction",
     "proposition_from_eigenstates",
+    "phase_curve",
 ]
 
 
@@ -136,3 +138,15 @@ def proposition_from_eigenstates(indices, dim: int) -> Subspace:
     for col, i in enumerate(idx):
         basis[i, col] = 1.0
     return Subspace(dim, basis)
+
+
+def phase_curve(model: OscillatorModel, amplitude: float, phase: float, times) -> list:
+    """The (t, x, p) rows of the classical trajectory with w = model.omega0
+    and m = model.mass: x = A sin(w t + phi), p = w m A cos(w t + phi).
+
+    The rows trace the constant-energy ellipse p^2 / 2m + D x^2 / 2 = E
+    with spring constant D = m w^2.
+    """
+    w, m = model.omega0, model.mass
+    return [(t, amplitude * math.sin(w * t + phase), w * m * amplitude * math.cos(w * t + phase))
+            for t in map(float, times)]

@@ -188,7 +188,7 @@ def test_criterion_06_classical_product_isomorphism():
         s2 = PhaseSpace(("x", "y", "z"))
         h1 = canonical_h_classical(1, s1, s2)
         h2 = canonical_h_classical(2, s1, s2)
-        eta, report = product_space_isomorphism(s1, s2, h1, h2)
+        eta, report = product_space_isomorphism(h1, h2)
         assert report.prop_count == 64
         assert report.bijective
         assert report.preserves_union

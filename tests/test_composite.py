@@ -55,12 +55,13 @@ FULL3 = sub.subspace_to_json(full_subspace(3))
 FULL4 = sub.subspace_to_json(full_subspace(4))
 # counterexamples recheck_axiom_counterexample refuses, by what is wrong
 MALFORMED = {
+    "a list for the counterexample": [["kind", "zero"], ["side", 1]],
     "no kind": {"side": 1},
     "unknown kind": {"kind": "unknown", "side": 1},
     "a list for a kind": {"kind": ["zero"], "side": 1},
     "one-sided kind, no side": {"kind": "zero"},
     **{f"one-sided kind, side {side}": {"kind": "zero", "side": side}
-       for side in (0, -1, 3, None)},
+       for side in (0, -1, 3, None, 1.0, True)},
     "side 1 on axiom II": {"kind": "compatibility", "side": 1, "p": FULL3, "q": FULL3},
     "side 2 on axiom III": {"kind": "atom_meet", "side": 2, "p": FULL3, "q": FULL3},
     "a subspace too many": {"kind": "zero", "side": 1, "p": FULL3},
@@ -1456,6 +1457,17 @@ class TestOneSweepComputesEachImageOnce:
             pairs = [(id(a), id(b)) for (a, b, *_), _ in joins]
             assert pairs.count((id(p), id(q))) == 1
             assert pairs.count((id(images[id(p)]), id(images[id(q)]))) == 1
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_PAIRS))
+    def test_each_side_maps_its_full_space_once(self, monkeypatch, name):
+        # unitarity and complement both read h(full): one memo serves a side
+        h1, h2 = SWEEP_PAIRS[name]()
+        maps = recording(monkeypatch, SubspaceMorphism, "__call__")
+        sweep_axioms(h1, h2, 6, 3)
+        for h in (h1, h2):
+            full = [p for (g, p), _ in maps
+                    if g is h and not p.is_batch and p.dim == h.source_dim]
+            assert len(full) == 1
 
     @pytest.mark.parametrize("name", sorted(SWEEP_PAIRS))
     def test_reports_equal_the_uncached_fold(self, name):

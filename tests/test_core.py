@@ -323,10 +323,15 @@ def loaded_by(statement):
     return ast.literal_eval(done.stdout.decode())
 
 
-# the package root re-exports nothing, so it loads no submodule
+# the package root re-exports nothing, so it loads no submodule; the
+# classical layer needs no subspace or oscillator, and the oscillator's
+# phase curve, which reads its model, lives with the model
 @pytest.mark.parametrize("module, loaded", [
     ("orthologic", ["orthologic"]),
     ("orthologic.core", ["orthologic", "orthologic.core", "orthologic.errors"]),
+    ("orthologic.classical", ["orthologic", "orthologic.classical", "orthologic.errors"]),
+    ("orthologic.oscillator", ["orthologic", "orthologic.core", "orthologic.errors",
+                               "orthologic.oscillator", "orthologic.subspace"]),
 ])
 def test_an_import_loads_only_the_modules_it_uses(module, loaded):
     assert loaded_by(f"import {module}") == loaded

@@ -61,25 +61,24 @@ def space(n):
 
 def classical_pair(n1=2, n2=2):
     s1, s2 = space(n1), space(n2)
-    return s1, s2, cl.canonical_h_classical(1, s1, s2), cl.canonical_h_classical(2, s1, s2)
+    return cl.canonical_h_classical(1, s1, s2), cl.canonical_h_classical(2, s1, s2)
 
 
 def empty_to_nonempty():
-    s1, s2, h1, h2 = classical_pair()
+    h1, h2 = classical_pair()
     table = h1.table.copy()
     table[0] = cl.ClassicalProp.full(h1.target).members
-    return cl.product_space_isomorphism(s1, s2, cl.ClassicalMorphism(s1, h1.target, table), h2)
+    return cl.product_space_isomorphism(cl.ClassicalMorphism(h1.source, h1.target, table), h2)
 
 
 def unequal_targets():
-    s1, s2, h1, _ = classical_pair()
-    return cl.product_space_isomorphism(s1, s2, h1, classical_pair(2, 3)[3])
+    return cl.product_space_isomorphism(classical_pair()[0], classical_pair(2, 3)[1])
 
 
 def eta_of_a_factor_prop():
-    s1, s2, h1, h2 = classical_pair()
-    eta, _ = cl.product_space_isomorphism(s1, s2, h1, h2)
-    return eta(cl.ClassicalProp.full(s1))
+    h1, h2 = classical_pair()
+    eta, _ = cl.product_space_isomorphism(h1, h2)
+    return eta(cl.ClassicalProp.full(h1.source))
 
 
 def commutation(h1, h2, x1=E[0], y1=E[1], x2=E[0], y2=E[1]):
@@ -155,7 +154,7 @@ CASES = {
         lambda: cl.canonical_h_classical(3, space(2), space(2)),
         InvalidParameter, "side must be 1 or 2"),
     "a classical morphism on a proposition of another space": (
-        lambda: classical_pair()[2](cl.ClassicalProp.full(space(3))),
+        lambda: classical_pair()[0](cl.ClassicalProp.full(space(3))),
         SpaceMismatch, "proposition does not live on the morphism source"),
     "eta on a proposition of another space": (
         eta_of_a_factor_prop, SpaceMismatch, "proposition does not live on the morphism source"),
@@ -188,9 +187,11 @@ CASES = {
         lambda data=data: cl.ClassicalProp.from_json(space(3), data), ValueError,
         "members must be a list of 3 entries, each 0 or 1")
        for what, data in BAD_CLASSICAL_JSON},
-    "PhaseCurveSample with unequal lengths": (
-        lambda: cl.PhaseCurveSample((0.0, 1.0), ((0.0, 0.0),)),
-        InvalidParameter, "times and states must have equal length"),
+    **{f"a ClassicalProp of {what}": (
+        lambda members=members: cl.ClassicalProp(space(2), members), InvalidParameter,
+        "members must be an int or a numpy integer array of bitmasks")
+       for what, members in (("a float", 1.5), ("a float batch", np.array([0.5, 2.5])),
+                             ("a bool", True), ("a string", "3"))},
     # tensor
     "TensorIndex with a zero factor": (
         lambda: tensor.TensorIndex(0, 3), DimensionMismatch, "factor dimensions must be positive"),
