@@ -553,6 +553,8 @@ def check_commutation(
     application must land in the stated meets.  The pairs (x1, y1) and
     (x2, y2) must be linearly independent unless
     ``allow_scalar_multiple`` admits the scalar-multiple extension.
+    Each map is called once (see _ray_matrices) and F and K act as
+    matrices, so a failing instance is reported, never raised.
     """
     vecs = [as_vector(v) for v in (x1, y1, x2, y2)]
     if any(float(np.linalg.norm(v)) < tol.eps_rank for v in vecs):
@@ -561,18 +563,17 @@ def check_commutation(
     if not allow_scalar_multiple:
         if span_of([x1v, y1v], tol).dim != 2 or span_of([x2v, y2v], tol).dim != 2:
             raise PreconditionViolated("ray labels must be pairwise linearly independent")
-    start = sub.meet(h1.map_ray(x1v), h2.map_ray(x2v), tol)
+    (f,), (hx1, hy1) = _ray_matrices(h1, [(y1v, x1v)], tol, rays=[x1v, y1v])
+    (k,), (hx2, hy2) = _ray_matrices(h2, [(y2v, x2v)], tol, rays=[x2v, y2v])
+    start = sub.meet(hx1, hx2, tol)
     if start.dim == 0:
         raise PreconditionViolated("the atom meet is empty; axioms fail upstream")
-    f_map = intertwiner_F(h1, y1v, x1v, tol)
-    k_map = intertwiner_F(h2, y2v, x2v, tol)
-    meet_f = sub.meet(h1.map_ray(y1v), h2.map_ray(x2v), tol)
-    meet_k = sub.meet(h1.map_ray(x1v), h2.map_ray(y2v), tol)
+    meet_f, meet_k = sub.meet(hy1, hx2, tol), sub.meet(hx1, hy2, tol)
     worst, failed = 0.0, []
     for u in (start.basis[:, 0], (0.7 - 1.3j) * start.basis[:, 0]):  # one instance each
-        fu, ku = f_map(u), k_map(u)
+        fu, ku = f @ u, k @ u
         lands = meet_f.contains(fu, tol) and meet_k.contains(ku, tol)
-        fk, kf = f_map(ku), k_map(fu)
+        fk, kf = f @ ku, k @ fu
         res = float(np.linalg.norm(fk - kf)) / max(1.0, float(np.linalg.norm(fk)))
         worst = max(worst, res)
         failed.append(not lands or res > tol.eps_eq)

@@ -51,8 +51,8 @@ class OscillatorModel:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.n_max < 2:
-            raise InvalidParameter("n_max must be at least 2")
+        if not np.issubdtype(type(self.n_max), np.integer) or self.n_max < 2:
+            raise InvalidParameter("n_max must be an integer of at least 2")
         if self.hbar <= 0 or self.mass <= 0 or self.omega0 <= 0:
             raise InvalidParameter("hbar, mass and omega0 must be positive")
         grid, weights = _default_grid(self.n_max, self.natural_length)
@@ -112,8 +112,8 @@ def hermite_eigenfunction(model: OscillatorModel, n: int) -> np.ndarray:
     Real-valued; quadrature with the model weights reproduces the unit
     norm and pairwise orthogonality to the grid's accuracy.
     """
-    if not (0 <= n <= model.n_max):
-        raise InvalidIndex(f"need 0 <= n <= {model.n_max}, got {n}")
+    if not (np.issubdtype(type(n), np.integer) and 0 <= n <= model.n_max):
+        raise InvalidIndex(f"need an integer 0 <= n <= {model.n_max}, got {n!r}")
     length = model.natural_length
     xi = model.grid / length
     prefactor = (model.mass * model.omega0 / (math.pi * model.hbar)) ** 0.25
@@ -131,9 +131,10 @@ def proposition_from_eigenstates(indices, dim: int) -> Subspace:
     """Coordinate subspace of C^dim spanned by the chosen number states."""
     if dim < 1:
         raise InvalidDimension("dim must be positive")
-    idx = sorted(set(int(i) for i in indices))
-    if idx and (idx[0] < 0 or idx[-1] >= dim):
-        raise InvalidIndex(f"indices must lie in [0, {dim})")
+    idx = list(indices)
+    if not all(np.issubdtype(type(i), np.integer) and 0 <= i < dim for i in idx):
+        raise InvalidIndex(f"indices must be integers in [0, {dim})")
+    idx = sorted(set(idx))
     basis = np.zeros((dim, len(idx)), dtype=complex)
     for col, i in enumerate(idx):
         basis[i, col] = 1.0

@@ -668,6 +668,42 @@ class TestCommutation:
         assert report.counterexample == {
             name: [[float(x), 0.0] for x in v] for name, v in zip(("x1", "y1", "x2", "y2"), labels)}
 
+    def test_an_image_that_leaves_the_domain_is_reported(self):
+        # the twist fixes only the first coordinate, so K u leaves
+        # h1(<x1>): both instances fail, and neither raises NotInDomain
+        twist = np.eye(9, dtype=complex)
+        twist[1:, 1:] = random_unitary(8, 5)
+        e = np.eye(3)
+        report = check_commutation(canonical_h(1, 3, 3), canonical_h(2, 3, 3, twist=twist),
+                                   e[0], e[1], e[0], e[2])
+        assert (report.holds, report.trials, report.failures) == (False, 2, 2)
+        assert report.worst_residual == pytest.approx(1.145, abs=1e-3)
+
+    def test_each_map_is_called_once(self, monkeypatch, pair33):
+        e = np.eye(3)
+        maps = recording(monkeypatch, SubspaceMorphism, "__call__")
+        assert check_commutation(*pair33, e[0], e[1], e[0], e[2]).holds
+        assert [args[0] for args, _ in maps] == list(pair33)
+
+    @pytest.mark.parametrize("case", ["coordinate", "generic", "twist", "map-only"])
+    def test_the_residual_is_the_closures_residual(self, pair33, case):
+        # the lemma's own route: intertwiner_F closures on the map_ray images
+        e = np.eye(3)
+        w = random_unitary(9, 21)
+        h1, h2 = {"twist": (canonical_h(1, 3, 3, twist=w), canonical_h(2, 3, 3, twist=w)),
+                  "map-only": (map_only(pair33[0]), map_only(pair33[1]))}.get(case, pair33)
+        labels = (e[0], e[1], e[0], e[2]) if case == "coordinate" else tuple(
+            random_vector(3, s) for s in range(4))
+        x1, y1, x2, y2 = labels
+        start = meet(h1.map_ray(x1), h2.map_ray(x2)).basis[:, 0]
+        f, k = intertwiner_F(h1, y1, x1), intertwiner_F(h2, y2, x2)
+        residuals = []
+        for u in (start, (0.7 - 1.3j) * start):
+            fk = f(k(u))
+            scale = max(1.0, float(np.linalg.norm(fk)))
+            residuals.append(float(np.linalg.norm(fk - k(f(u)))) / scale)
+        assert check_commutation(h1, h2, *labels).worst_residual == max(residuals)
+
 
 class TestClassifyLinearity:
     def test_plain_embedding_is_linear(self, pair33):

@@ -369,6 +369,33 @@ class TestCovering:
         report = check_covering(Ray(span_of([e[0]])), a)
         assert (report.holds, report.applicable, report.trials) == (True, False, 0)
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_one_meet_and_one_join_decide_it(self, monkeypatch, batch):
+        # dim(a join p) = dim a + 1 decides the law: no other ray of the
+        # gap is joined with a, however many instances the batch holds
+        if batch:
+            a, ray = cli._covering_instance(8, np.array(range(20), dtype=object))
+        else:
+            a, ray = random_subspace(5, 2, 11), Ray(span_of([random_vector(5, 12)]))
+        calls = {"join": 0, "meet": 0}
+        for name, original in [(name, getattr(sub, name)) for name in calls]:
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(sub, name, counted)
+        assert check_covering(ray, a).holds
+        assert calls == {"join": 1, "meet": 1}
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 4: for rays at angles between eps_rank and 2 eps_rank, meet finds "
+        "no shared direction while join keeps one dimension"))
+    def test_a_ray_at_one_and_a_half_eps_rank_is_covered(self):
+        t = 1.5 * DEFAULT_TOL.eps_rank
+        e = np.eye(4, dtype=complex)
+        ray = Ray(span_of([np.cos(t) * e[0] + np.sin(t) * e[1]]))
+        assert check_covering(ray, span_of([e[0]])).holds
+
 
 class TestModularPairs:
     def test_r_equals_q_reduces_to_q(self):

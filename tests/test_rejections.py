@@ -16,6 +16,7 @@ from orthologic.errors import (
     AxiomViolation,
     DimensionMismatch,
     InvalidDimension,
+    InvalidIndex,
     InvalidParameter,
     NotOrthonormal,
     PreconditionViolated,
@@ -214,6 +215,21 @@ CASES = {
     "a proposition of C^0": (
         lambda: oscillator.proposition_from_eigenstates({0}, 0),
         InvalidDimension, "dim must be positive"),
+    "an oscillator with a fractional n_max": (
+        lambda: oscillator.OscillatorModel(n_max=2.5), InvalidParameter,
+        "n_max must be an integer of at least 2"),
+    "an oscillator with a float n_max": (
+        lambda: oscillator.OscillatorModel(n_max=np.float64(3.0)), InvalidParameter,
+        "n_max must be an integer of at least 2"),
+    **{f"a proposition of {what}": (
+        lambda index=index: oscillator.proposition_from_eigenstates([0, index], 3),
+        InvalidIndex, "indices must be integers in [0, 3)")
+       for what, index in (("a fractional index", 1.5), ("a boolean index", True),
+                           ("a boolean index equal to another", False),
+                           ("a float index", 2.0))},
+    "an eigenfunction of a fractional index": (
+        lambda: oscillator.hermite_eigenfunction(oscillator.OscillatorModel(n_max=3), 1.5),
+        InvalidIndex, "need an integer 0 <= n <= 3, got 1.5"),
 }
 
 
@@ -222,6 +238,15 @@ def test_a_bad_argument_is_refused(name):
     call, exception, message = CASES[name]
     with pytest.raises(exception, match=re.escape(message)):
         call()
+
+
+def test_numpy_integers_index_the_oscillator():
+    model = oscillator.OscillatorModel(n_max=np.int64(3))
+    assert model.levels == 4
+    assert np.array_equal(oscillator.hermite_eigenfunction(model, np.uint8(2)),
+                          oscillator.hermite_eigenfunction(model, 2))
+    assert np.array_equal(oscillator.proposition_from_eigenstates([np.int32(1)], 3).basis,
+                          oscillator.proposition_from_eigenstates([1], 3).basis)
 
 
 def test_an_empty_batch_is_not_refused():
