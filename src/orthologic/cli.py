@@ -21,17 +21,19 @@ isomorphism trials as one batch.
 
 ``main`` parses with one parser per process, built on its first call,
 and looks the command's handler (``cmd_*``) up by name at call time, so
-a rebound handler takes effect on the next call.
+a rebound handler takes effect on the next call.  A handler returns
+``(results, passed)``; ``main`` writes the report (``_emit``) and turns
+``passed`` into the exit code.
 
 Exit codes: 0 when the expected pattern holds, 1 on verification
 failure, 2 on usage errors (including --trials or --curve-samples below
-1, classical sizes past MAX_PRODUCT_POINTS or MAX_OMEGA, and an output
-path that cannot be written).  Identical
-configuration (including the seed) yields a byte-identical report; all
-randomness is derived from the single --seed flag via
-subseed(seed, command_name, trial_index).
-The environment variable ORTHOLOGIC_TOL overrides eps_eq globally; values
-below MIN_TOL, under what double precision resolves, are usage errors.
+1, classical sizes past MAX_PRODUCT_POINTS or MAX_OMEGA, two output
+paths naming one file, and an output path that cannot be written).
+Identical configuration (including the seed) yields a byte-identical
+report; all randomness is derived from the single --seed flag via
+subseed(seed, command_name, trial_index).  The environment variable
+ORTHOLOGIC_TOL overrides eps_eq globally; values below MIN_TOL, under
+what double precision resolves, are usage errors.
 """
 
 from __future__ import annotations
@@ -83,15 +85,16 @@ def _tolerance() -> Tolerance:
         raise SystemExit(2)
 
 
-def _emit(args, config: tuple, results: dict) -> None:
-    """Write the report: the command, the config arguments named in
-    ``config`` and the results, to --output or standard output."""
-    report = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "config": {name: getattr(args, name) for name in config},
-        "results": results,
-    }
+# The options naming an output file: left out of the config, and checked
+# to be distinct and writable before any work runs.
+_PATHS = ("output", "eigenfunctions_csv", "curve_csv")
+
+
+def _emit(args, results: dict) -> None:
+    """Write the report: the command, its config (every parsed option but
+    the command and _PATHS) and the results, to --output or stdout."""
+    config = {k: v for k, v in vars(args).items() if k != "command" and k not in _PATHS}
+    report = {"schema": SCHEMA, "command": args.command, "config": config, "results": results}
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -258,16 +261,15 @@ def _classical_lattice_report(omega: int, tol: Tolerance) -> dict:
     }
 
 
-def cmd_lattice_check(args, tol: Tolerance) -> int:
+def cmd_lattice_check(args, tol: Tolerance) -> tuple:
     if args.classical:
         results = _classical_lattice_report(args.omega, tol)
     else:
         results = _quantum_lattice_report(args.dim1, args.trials, args.seed, tol)
-    _emit(args, ("classical", "dim1", "omega", "trials", "seed"), results)
-    return 0 if results["expected_pattern"] else 1
+    return results, results["expected_pattern"]
 
 
-def cmd_composite_verify(args, tol: Tolerance) -> int:
+def cmd_composite_verify(args, tol: Tolerance) -> tuple:
     if args.classical:
         s1 = cl.PhaseSpace(tuple(f"a{k}" for k in range(args.n1)))
         s2 = cl.PhaseSpace(tuple(f"b{k}" for k in range(args.n2)))
@@ -292,10 +294,7 @@ def cmd_composite_verify(args, tol: Tolerance) -> int:
             "isomorphism": iso.to_json(),
         }
         passed = all(r.holds for r in axioms) and iso.passed
-    config = ("classical", "dim1", "dim2", "n1", "n2", "trials", "seed", "twist",
-              "conjugate_h1", "conjugate_h2")
-    _emit(args, config, results)
-    return 0 if passed else 1
+    return results, passed
 
 
 def _write_csv(path: str, header: list, rows) -> None:
@@ -306,7 +305,7 @@ def _write_csv(path: str, header: list, rows) -> None:
         writer.writerows([f"{v:.12g}" for v in row] for row in rows)
 
 
-def cmd_truth_demo(args, tol: Tolerance) -> int:
+def cmd_truth_demo(args, tol: Tolerance) -> tuple:
     model = OscillatorModel(n_max=args.nmax)
     dim = model.levels
     state = np.zeros(dim, dtype=complex)
@@ -327,18 +326,16 @@ def cmd_truth_demo(args, tol: Tolerance) -> int:
         _, _, _, hamiltonian = ladder_operators(model)
         results["energies"] = [float(e) for e in energies(model)]
         results["hamiltonian_diagonal"] = [float(x.real) for x in np.diag(hamiltonian)]
-    if args.eigenfunctions:
+    if args.eigenfunctions_csv:
         columns = [hermite_eigenfunction(model, n) for n in range(dim)]
-        _write_csv(args.csv, ["x"] + [f"psi{n}" for n in range(dim)],
+        _write_csv(args.eigenfunctions_csv, ["x"] + [f"psi{n}" for n in range(dim)],
                    ([x] + [col[row] for col in columns] for row, x in enumerate(model.grid)))
-        results["eigenfunctions_csv"] = args.csv
+        results["eigenfunctions_csv"] = args.eigenfunctions_csv
     if args.curve_csv:
         times = [k * 0.05 for k in range(args.curve_samples)]
         _write_csv(args.curve_csv, ["t", "x", "p"], phase_curve(model, 1.0, 0.0, times))
         results["curve_csv"] = args.curve_csv
-    _emit(args, ("nmax",), results)
-    ok = max(abs(tv.value - 0.75), abs(tv_complement.value - 0.25)) < EPS_PROB
-    return 0 if ok else 1
+    return results, max(abs(tv.value - 0.75), abs(tv_complement.value - 0.25)) < EPS_PROB
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_truth = subparsers.add_parser("truth-demo", help="oscillator truth-value demo")
     p_truth.add_argument("--nmax", type=int, default=8)
     p_truth.add_argument("--energies", action="store_true")
-    p_truth.add_argument("--eigenfunctions", action="store_true")
-    p_truth.add_argument("--csv", default=None)
+    p_truth.add_argument("--eigenfunctions-csv", default=None, dest="eigenfunctions_csv")
     p_truth.add_argument("--curve-csv", default=None, dest="curve_csv")
     p_truth.add_argument("--curve-samples", type=int, default=200, dest="curve_samples")
     p_truth.add_argument("--output", default=None)
@@ -419,21 +415,21 @@ def main(argv=None) -> int:
         parser.error("--nmax must be at least 2")
     if args.command == "truth-demo" and args.curve_samples < 1:
         parser.error("--curve-samples must be at least 1")
-    if args.command == "truth-demo" and args.eigenfunctions and not args.csv:
-        parser.error("--eigenfunctions requires --csv PATH")
-    if args.command == "truth-demo" and args.csv and not args.eigenfunctions:
-        parser.error("--csv requires --eigenfunctions")
+    paths = [path for path in (getattr(args, name, None) for name in _PATHS) if path]
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        parser.error("output paths must name distinct files")
     tol = _tolerance()
     try:
         # a usage error writes no file and runs no work: every output path is checked first
-        for path in (getattr(args, "csv", None), getattr(args, "curve_csv", None), args.output):
-            if path:
-                _check_writable(path)
-        return globals()["cmd_" + args.command.replace("-", "_")](args, tol)
+        for path in paths:
+            _check_writable(path)
+        results, passed = globals()["cmd_" + args.command.replace("-", "_")](args, tol)
+        _emit(args, results)
+        return 0 if passed else 1
     except OrthologicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # an --output, --csv or --curve-csv path
+    except OSError as exc:  # an output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

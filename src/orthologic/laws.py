@@ -15,13 +15,14 @@ axioms I-III, check_m_morphism and check_commutation included, by one
 rule.  An instance is one batch element (of is_modular_pair, one sampled
 (p, q, r)); ``trials`` counts the instances within the law's hypothesis
 (orthomodularity, covering and triple distributivity have one),
-``applicable`` says whether there is any, and ``failures`` counts the
-failing ones.  ``worst_residual`` is the largest residual of every
-identity on every instance within the hypothesis (of a classical
-instance, the number of points in which the two sides differ), passing
-or not.  The counterexample holds the inputs and sides of the first
-failing instance in C order, at its first failing identity, as single
-propositions, so it replays through the same checker.
+``applicable`` says whether there is any, ``failures`` counts the
+failing ones and ``holds`` whether there is none.  ``worst_residual`` is
+the largest residual of every identity on every instance within the
+hypothesis (of a classical instance, the number of points in which the
+two sides differ), passing or not.  The counterexample holds the inputs
+and sides of the first failing instance in C order, at its first
+failing identity, as single propositions, so it replays through the
+same checker.
 
 Compatibility of two subspaces is decided lattice-theoretically by the
 constructive criterion (a meet b) join (a' meet b) = b; the second
@@ -66,11 +67,14 @@ class LawReport:
     """Verdict of a single lattice-law check."""
 
     law_name: str
-    holds: bool
     trials: int
     failures: int
     worst_residual: float = 0.0
     counterexample: Optional[dict] = None
+
+    @property
+    def holds(self) -> bool:  # no instance within the law's hypothesis fails
+        return self.failures == 0
 
     @property
     def applicable(self) -> bool:  # any instance within the law's hypothesis
@@ -163,7 +167,7 @@ def _report(law_name: str, failed, applies=True, **fields) -> LawReport:
     of those it ``applies`` to."""
     # broadcasting repeats each element of applies equally often
     trials = int(np.count_nonzero(applies) * (np.size(failed) // np.size(applies)))
-    return LawReport(law_name, not np.any(failed), trials, int(np.count_nonzero(failed)), **fields)
+    return LawReport(law_name, trials, int(np.count_nonzero(failed)), **fields)
 
 
 def _compare(ops, law_name: str, inputs: dict, sides: list, tol, applies=True) -> LawReport:

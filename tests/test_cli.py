@@ -174,7 +174,7 @@ class TestTruthDemo:
         target = tmp_path / "eig.csv"
         code, _ = run_cli(
             capsys,
-            "truth-demo", "--eigenfunctions", "--nmax", "3", "--csv", str(target),
+            "truth-demo", "--nmax", "3", "--eigenfunctions-csv", str(target),
         )
         assert code == 0
         with open(target, newline="") as fh:
@@ -185,26 +185,6 @@ class TestTruthDemo:
         for n in range(4):
             column = data[:, n + 1]
             assert np.allclose(column, (-1) ** n * column[::-1], atol=1e-9)
-
-    def test_eigenfunctions_without_csv_is_usage_error(self, capsys, tmp_path):
-        target = tmp_path / "report.json"
-        with pytest.raises(SystemExit) as exc:
-            main(["truth-demo", "--eigenfunctions", "--output", str(target)])
-        captured = capsys.readouterr()
-        assert exc.value.code == 2
-        assert captured.out == ""
-        assert "error: --eigenfunctions requires --csv PATH" in captured.err
-        assert not target.exists()
-
-    def test_csv_without_eigenfunctions_is_usage_error(self, capsys, tmp_path):
-        table, target = tmp_path / "eig.csv", tmp_path / "report.json"
-        with pytest.raises(SystemExit) as exc:
-            main(["truth-demo", "--csv", str(table), "--output", str(target)])
-        captured = capsys.readouterr()
-        assert exc.value.code == 2
-        assert captured.out == ""
-        assert "error: --csv requires --eigenfunctions" in captured.err
-        assert list(tmp_path.iterdir()) == []
 
     def test_curve_csv(self, capsys, tmp_path):
         target = tmp_path / "curve.csv"
@@ -296,7 +276,7 @@ def test_vacuous_or_invalid_runs_are_usage_errors(capsys, argv):
     "argv",
     [
         ["lattice-check", "--dim1", "3", "--trials", "5", "--output"],
-        ["truth-demo", "--eigenfunctions", "--csv"],
+        ["truth-demo", "--eigenfunctions-csv"],
         ["truth-demo", "--curve-csv"],
     ],
 )
@@ -353,11 +333,85 @@ def test_an_output_that_cannot_be_opened_is_a_usage_error(capsys, monkeypatch, t
 
 @pytest.mark.parametrize("bad", ["--curve-csv", "--output"])
 def test_a_usage_error_writes_no_file(capsys, tmp_path, bad):
-    argv = ["truth-demo", "--eigenfunctions", "--csv", str(tmp_path / "ok.csv"),
+    argv = ["truth-demo", "--eigenfunctions-csv", str(tmp_path / "ok.csv"),
             "--curve-csv", str(tmp_path / "curve.csv"), bad, str(tmp_path / "missing" / "x")]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("first,second", [("--output", "--curve-csv"),
+                                          ("--eigenfunctions-csv", "--output"),
+                                          ("--eigenfunctions-csv", "--curve-csv")])
+@pytest.mark.parametrize("spelling", ["folder/../same", "link"])
+def test_two_outputs_at_one_path_are_a_usage_error(capsys, monkeypatch, tmp_path, first, second,
+                                                   spelling):
+    # each file would hold only what was written to it last
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "same")
+    with pytest.raises(SystemExit) as exc:
+        main(["truth-demo", first, "same", second, spelling])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "error: output paths must name distinct files" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder", "link"]
+
+
+def replay_argv(report):
+    """The argv that reruns ``report``: its command, each config option (a
+    flag where its value is a bool) and the CSV paths its results name."""
+    argv, results = [report["command"]], report["results"]
+    paths = [(k, results[k]) for k in ("eigenfunctions_csv", "curve_csv") if k in results]
+    for name, value in [*report["config"].items(), *paths]:
+        option = "--" + name.replace("_", "-")
+        if value is True:
+            argv.append(option)
+        elif value is not False:
+            argv += [option, str(value)]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice-check", "--dim1", "3", "--trials", "5", "--seed", "2"],
+        ["lattice-check", "--classical", "--omega", "3"],
+        ["composite-verify", "--dim1", "3", "--dim2", "4", "--trials", "3", "--seed", "5",
+         "--twist", "--conjugate-h2"],
+        ["composite-verify", "--classical", "--n1", "2", "--n2", "2"],
+        ["truth-demo", "--nmax", "3", "--energies", "--curve-samples", "5",
+         "--curve-csv", "curve.csv"],
+    ],
+)
+def test_the_config_is_every_parsed_option_but_the_paths(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    options = vars(cli.build_parser().parse_args(argv))
+    assert report["command"] == options.pop("command")
+    assert report["config"] == {k: v for k, v in options.items() if k not in cli._PATHS}
+    assert run_cli(capsys, *replay_argv(report)) == (0, out)
+
+
+def test_a_truth_demo_report_replays(capsys, tmp_path):
+    # rerun with its config and the CSV paths its results name, a report
+    # writes the same CSV bytes
+    code, out = run_cli(capsys, "truth-demo", "--nmax", "3", "--curve-samples", "7",
+                        "--eigenfunctions-csv", str(tmp_path / "eig.csv"),
+                        "--curve-csv", str(tmp_path / "curve.csv"))
+    assert code == 0
+    report = json.loads(out)
+    assert sorted(report["config"]) == ["curve_samples", "energies", "nmax"]
+    csvs = [report["results"][key] for key in ("eigenfunctions_csv", "curve_csv")]
+    written = [Path(path).read_bytes() for path in csvs]
+    for path in csvs:
+        os.remove(path)
+    assert run_cli(capsys, *replay_argv(report)) == (0, out)
+    assert [Path(path).read_bytes() for path in csvs] == written
+    assert len(written[1].splitlines()) == 1 + 7
 
 
 def test_output_file_holds_the_stdout_bytes(capsys, tmp_path):
@@ -431,9 +485,10 @@ class TestSharedParser:
         capsys.readouterr()
         assert len(built) <= 1
 
-    def test_a_rebound_handler_runs(self, monkeypatch):
-        monkeypatch.setattr(cli, "cmd_truth_demo", lambda args, tol: 7)
-        assert main(["truth-demo"]) == 7
+    def test_a_rebound_handler_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_truth_demo", lambda args, tol: ({"rebound": True}, False))
+        assert main(["truth-demo"]) == 1
+        assert json.loads(capsys.readouterr().out)["results"] == {"rebound": True}
 
     def test_help_is_formatted_for_the_terminal_at_call_time(self, capsys, monkeypatch):
         def help_of(parse):

@@ -1044,7 +1044,7 @@ def per_trial_axioms(h1, h2, trials, seed, tol=DEFAULT_TOL):
                 samples, failures = samples + 1, failures + bool(failing)
                 if failing and ce is None:
                     ce = failing[0]
-        return LawReport(axiom, not failures, samples, failures, worst, ce)
+        return LawReport(axiom, samples, failures, worst, ce)
 
     c_morphism = []
     for side, h in ((1, h1), (2, h2)):
@@ -1240,7 +1240,7 @@ def per_trial_m_morphism(h, trials, seed, tol=DEFAULT_TOL):
             failures += 1
             counterexample = counterexample or {
                 "kind": "m_morphism", "side": 1, **dict(zip("pqr", map(sub.subspace_to_json, rays)))}
-    return LawReport("m_morphism", not failures, trials=trials, failures=failures,
+    return LawReport("m_morphism", trials=trials, failures=failures,
                      worst_residual=worst, counterexample=counterexample)
 
 

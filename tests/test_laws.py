@@ -464,7 +464,7 @@ def per_sample_modular_pair(p, q, samples, seed, tol=DEFAULT_TOL):
                 "left": sub.subspace_to_json(left),
                 "right": sub.subspace_to_json(right),
             }
-    return LawReport("modular_pair", not failures, trials=samples, worst_residual=worst,
+    return LawReport("modular_pair", trials=samples, worst_residual=worst,
                      counterexample=counterexample, failures=failures)
 
 
@@ -692,7 +692,7 @@ def per_identity_triple(a, b, c, tol=DEFAULT_TOL):
         return compatible(x, y, tol) and compatible(x, z, tol)
 
     if not (both(a, b, c) or both(b, a, c) or both(c, a, b)):
-        return LawReport("triple_distributive", True, trials=0, failures=0)
+        return LawReport("triple_distributive", trials=0, failures=0)
     worst, counterexample = 0.0, None
     for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
         for j, m in ((sub.join, sub.meet), (sub.meet, sub.join)):
@@ -702,7 +702,7 @@ def per_identity_triple(a, b, c, tol=DEFAULT_TOL):
                 inputs = {k: sub.subspace_to_json(v) for k, v in (("a", a), ("b", b), ("c", c))}
                 counterexample = {"inputs": inputs, "left": sub.subspace_to_json(left),
                                   "right": sub.subspace_to_json(right)}
-    return LawReport("triple_distributive", counterexample is None, trials=1,
+    return LawReport("triple_distributive", trials=1,
                      failures=int(counterexample is not None), worst_residual=worst,
                      counterexample=counterexample)
 

@@ -30,7 +30,7 @@ RUNS = (
      "--conjugate-h2"],
     ["composite-verify", "--classical", "--n1", "3", "--n2", "3"],
     ["truth-demo"],
-    ["truth-demo", "--energies", "--eigenfunctions", "--csv", "{out}/eig.csv",
+    ["truth-demo", "--energies", "--eigenfunctions-csv", "{out}/eig.csv",
      "--curve-csv", "{out}/curve.csv"],
 )
 
