@@ -28,7 +28,8 @@ a rebound handler takes effect on the next call.  A handler returns
 Exit codes: 0 when the expected pattern holds, 1 on verification
 failure, 2 on usage errors (including --trials or --curve-samples below
 1, classical sizes past MAX_PRODUCT_POINTS or MAX_OMEGA, two output
-paths naming one file, and an output path that cannot be written).
+paths naming one file, and an output path that ``open`` refuses, the
+empty path among them, with open's own error).
 Identical configuration (including the seed) yields a byte-identical
 report; all randomness is derived from the single --seed flag via
 subseed(seed, command_name, trial_index).  The environment variable
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import errno
 import functools
 import json
 import os
@@ -96,26 +96,11 @@ def _emit(args, results: dict) -> None:
     config = {k: v for k, v in vars(args).items() if k != "command" and k not in _PATHS}
     report = {"schema": SCHEMA, "command": args.command, "config": config, "results": results}
     text = json.dumps(report, indent=2, sort_keys=True)
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
-
-
-def _check_writable(path: str) -> None:
-    """Raise the OSError that opening ``path`` for writing would raise, as
-    far as it shows without creating the file."""
-    folder = os.path.dirname(path) or "."
-    if not os.path.isdir(folder):
-        code = errno.ENOENT
-    elif os.path.isdir(path):
-        code = errno.EISDIR
-    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
-        code = errno.EACCES
-    else:
-        return
-    raise OSError(code, os.strerror(code), path)
 
 
 def _nested_pair(d: int, seed: np.ndarray):
@@ -326,12 +311,12 @@ def cmd_truth_demo(args, tol: Tolerance) -> tuple:
         _, _, _, hamiltonian = ladder_operators(model)
         results["energies"] = [float(e) for e in energies(model)]
         results["hamiltonian_diagonal"] = [float(x.real) for x in np.diag(hamiltonian)]
-    if args.eigenfunctions_csv:
+    if args.eigenfunctions_csv is not None:
         columns = [hermite_eigenfunction(model, n) for n in range(dim)]
         _write_csv(args.eigenfunctions_csv, ["x"] + [f"psi{n}" for n in range(dim)],
                    ([x] + [col[row] for col in columns] for row, x in enumerate(model.grid)))
         results["eigenfunctions_csv"] = args.eigenfunctions_csv
-    if args.curve_csv:
+    if args.curve_csv is not None:
         times = [k * 0.05 for k in range(args.curve_samples)]
         _write_csv(args.curve_csv, ["t", "x", "p"], phase_curve(model, 1.0, 0.0, times))
         results["curve_csv"] = args.curve_csv
@@ -415,14 +400,18 @@ def main(argv=None) -> int:
         parser.error("--nmax must be at least 2")
     if args.command == "truth-demo" and args.curve_samples < 1:
         parser.error("--curve-samples must be at least 1")
-    paths = [path for path in (getattr(args, name, None) for name in _PATHS) if path]
+    paths = [path for path in (getattr(args, name, None) for name in _PATHS) if path is not None]
     if len({os.path.realpath(path) for path in paths}) < len(paths):
         parser.error("output paths must name distinct files")
     tol = _tolerance()
     try:
-        # a usage error writes no file and runs no work: every output path is checked first
+        # a usage error writes no file and runs no work: open checks every
+        # output path first, and a file the check creates is removed again
         for path in paths:
-            _check_writable(path)
+            created = not os.path.exists(path)
+            open(path, "a").close()
+            if created:  # a dangling link keeps its link and loses the target
+                os.remove(os.path.realpath(path))
         results, passed = globals()["cmd_" + args.command.replace("-", "_")](args, tol)
         _emit(args, results)
         return 0 if passed else 1

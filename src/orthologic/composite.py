@@ -259,7 +259,7 @@ def intertwiner_F(h: SubspaceMorphism, y, x, tol: Tolerance = DEFAULT_TOL):
 
     def apply(u) -> np.ndarray:
         uv = as_vector(u)
-        if not domain.contains(uv, tol):
+        if not sub.leq(span_of([uv], tol), domain, tol):
             raise NotInDomain("vector is not in the image of the source ray")
         return matrix @ uv
 
@@ -572,7 +572,7 @@ def check_commutation(
     worst, failed = 0.0, []
     for u in (start.basis[:, 0], (0.7 - 1.3j) * start.basis[:, 0]):  # one instance each
         fu, ku = f @ u, k @ u
-        lands = meet_f.contains(fu, tol) and meet_k.contains(ku, tol)
+        lands = all(sub.leq(span_of([v], tol), m, tol) for v, m in ((fu, meet_f), (ku, meet_k)))
         fk, kf = f @ ku, k @ fu
         res = float(np.linalg.norm(fk - kf)) / max(1.0, float(np.linalg.norm(fk)))
         worst = max(worst, res)
@@ -691,24 +691,15 @@ class BasisMap:
     def lift(self, g: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
         """The span of the images of g's basis vectors; of a batch, of
         each element's."""
-        return self._spans(self._image, g, tol)
+        return Subspace(g.ambient_dim, each(lambda b: orthonormal_bases(
+            self.matrix @ (np.conj(b) if self.antiunitary else b), tol), g.basis))
 
     # Not called here; kept as the binding that bench/tracer.py times.
     def lift_inverse(self, g: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-        """The span of the preimages of g's basis vectors (see lift)."""
-        return self._spans(self._preimage, g, tol)
-
-    def _spans(self, f, g: Subspace, tol: Tolerance) -> Subspace:
-        return Subspace(g.ambient_dim, each(lambda b: orthonormal_bases(f(b), tol), g.basis))
-
-    def _image(self, x: np.ndarray) -> np.ndarray:
-        """The map on a vector, the columns of a matrix or a stack of them."""
-        return self.matrix @ (np.conj(x) if self.antiunitary else x)
-
-    def _preimage(self, y: np.ndarray) -> np.ndarray:
-        """The inverse of _image: the matrix is unitary."""
-        coeffs = self.matrix.conj().T @ y
-        return np.conj(coeffs) if self.antiunitary else coeffs
+        """The lift of the inverse map: the matrix is unitary, and y = M
+        conj(x) gives x = M^T conj(y)."""
+        m = self.matrix
+        return BasisMap(m.T if self.antiunitary else m.conj().T, self.linearity).lift(g, tol)
 
 
 def build_basis_map(h1: SubspaceMorphism, h2: SubspaceMorphism,

@@ -43,7 +43,6 @@ import numpy as np
 from . import classical as cl
 from . import subspace as sub
 from .core import DEFAULT_TOL, Tolerance, _one
-from .errors import DimensionMismatch
 from .subspace import Ray, Subspace
 
 __all__ = [
@@ -324,8 +323,6 @@ def is_modular_pair(
     samples of all elements are checked as one batch, each sample one
     instance.
     """
-    if p.ambient_dim != q.ambient_dim:
-        raise DimensionMismatch("ambient dims differ")
     seeds = seed if isinstance(seed, np.ndarray) else _one(seed)
     trial = np.arange(samples)
 

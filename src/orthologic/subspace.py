@@ -3,7 +3,8 @@
 A subspace is stored as a d x k matrix with orthonormal columns; the
 zero subspace is the d x 0 matrix.  One basis-independent residual,
 ||(I - B_q B_q^dagger) B_p||_F, decides order and equality: p <= q when
-it is below eps_eq sqrt(d), and p = q when also dim p = dim q.
+it is below eps_eq sqrt(d), and p = q when also dim p = dim q; a vector
+lies in q when its span does.
 
 Join and span decide rank through ``core.orthonormal_bases`` (one SVD);
 the complement comes from a complete QR, exact in dimension; meet keeps
@@ -120,15 +121,6 @@ class Subspace:
         """Orthogonal projector onto this subspace (Hermitian, idempotent)."""
         return self.basis @ self.basis.conj().T
 
-    def contains(self, vector, tol: Tolerance = DEFAULT_TOL) -> bool:
-        v = as_vector(vector)
-        if v.shape[0] != self.ambient_dim:
-            raise DimensionMismatch("vector has wrong ambient dimension")
-        residual = v - self.projector() @ v
-        return float(np.linalg.norm(residual)) <= tol.eps_eq * max(
-            1.0, float(np.linalg.norm(v))
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
@@ -165,6 +157,9 @@ def _check_same_ambient(p: Subspace, q: Subspace) -> None:
         raise DimensionMismatch(
             f"ambient dims differ: {p.ambient_dim} vs {q.ambient_dim}"
         )
+    # len(basis) is d for a single subspace, the element count for a batch
+    if p.is_batch != q.is_batch or len(p.basis) != len(q.basis):
+        raise DimensionMismatch("operands must be two subspaces or two batches of one length")
 
 
 def join(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:

@@ -322,13 +322,49 @@ def test_an_output_that_cannot_be_opened_is_a_usage_error(capsys, monkeypatch, t
     if code == 21:
         path = tmp_path  # an existing directory
     else:
-        # as root, os.access grants every write
+        # as root, open grants every write
         path = tmp_path / "out.json"
-        monkeypatch.setattr(cli.os, "access", lambda *args, **kwargs: False)
+
+        def refuse_open(file, *args, **kwargs):
+            raise PermissionError(code, message, file)
+
+        monkeypatch.setattr(cli, "open", refuse_open, raising=False)
     assert main(["lattice-check", "--dim1", "3", "--trials", "5", "--output", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: [Errno {code}] {message}: {str(path)!r}\n"
+
+
+def test_a_path_below_a_file_is_not_a_directory(capsys, tmp_path):
+    (tmp_path / "afile").write_text("kept\n")
+    path = tmp_path / "afile" / "x.json"
+    assert main(["lattice-check", "--trials", "2", "--output", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 20] Not a directory: {str(path)!r}\n"
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("option", ["--output", "--eigenfunctions-csv", "--curve-csv"])
+def test_an_empty_path_is_a_usage_error(capsys, monkeypatch, tmp_path, option):
+    # an empty path names no file: it is refused, not taken as no path
+    monkeypatch.chdir(tmp_path)
+    assert main(["truth-demo", "--nmax", "2", option, ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_path_check_leaves_a_dangling_link_as_it_was(capsys, monkeypatch, tmp_path):
+    # the check opens the link's target, creating it, and removes the
+    # target again when a later path fails
+    monkeypatch.chdir(tmp_path)
+    Path("link").symlink_to(tmp_path / "target.csv")
+    assert main(["truth-demo", "--eigenfunctions-csv", "link", "--curve-csv", "missing/c"]) == 2
+    assert capsys.readouterr().out == ""
+    assert os.path.islink("link") and not os.path.lexists("target.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link"]
 
 
 @pytest.mark.parametrize("bad", ["--curve-csv", "--output"])

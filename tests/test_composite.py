@@ -44,6 +44,7 @@ from orthologic.subspace import (
     equal,
     full_subspace,
     join,
+    leq,
     meet,
     span_of,
     zero_subspace,
@@ -542,6 +543,19 @@ class TestIntertwinerDomain:
         with pytest.raises(NotInDomain):
             f(outside)
 
+    def test_membership_does_not_depend_on_scale(self, pair33):
+        # a vector is in the domain when its span is: 1e-9 e8 lies as far
+        # outside h1(<e0>) as e8 does, and 1e-9 u as far inside as u
+        h1, _ = pair33
+        e = np.eye(3)
+        f = intertwiner_F(h1, e[1], e[0])
+        v = random_vector(3, 2)
+        for scale in (1e-9, 1e-6, 1.0, 1e6):
+            with pytest.raises(NotInDomain):
+                f(scale * np.eye(9)[8])
+            image = f(scale * np.kron(e[0], v))
+            assert np.linalg.norm(image - scale * np.kron(e[1], v)) < 1e-9 * scale
+
     def test_zero_source_label_rejected(self, pair33):
         h1, _ = pair33
         with pytest.raises(ZeroState):
@@ -830,7 +844,7 @@ class TestBuildUV:
         h1, h2 = pair33
         z1, z2, z = default_anchors(h1, h2)
         assert np.allclose(z1, np.eye(3)[0]) and np.allclose(z2, np.eye(3)[0])
-        assert meet(h1.map_ray(z1), h2.map_ray(z2)).contains(z)
+        assert leq(span_of([z]), meet(h1.map_ray(z1), h2.map_ray(z2)))
         # deterministic phase convention: leading coordinate real positive
         lead = z[int(np.argmax(np.abs(z)))]
         assert abs(lead.imag) < 1e-12 and lead.real > 0

@@ -13,7 +13,7 @@ from orthologic.oscillator import (
     ladder_operators,
     proposition_from_eigenstates,
 )
-from orthologic.subspace import equal, full_subspace, ortho, span_of, zero_subspace
+from orthologic.subspace import equal, full_subspace, leq, ortho, span_of, zero_subspace
 from orthologic.tensor import riesz
 from orthologic.truth import EPS_PROB, TruthValue, truth_value
 
@@ -110,7 +110,7 @@ class TestEigenstatePropositions:
     def test_ground_state_ray(self):
         p = proposition_from_eigenstates({0}, 6)
         assert p.dim == 1
-        assert p.contains(np.eye(6)[0])
+        assert leq(span_of([np.eye(6)[0]]), p)
 
     def test_two_level_proposition(self):
         p = proposition_from_eigenstates({0, 1}, 6)

@@ -49,7 +49,6 @@ ALLOWED = {
     "composite.restriction_iso_u.mapped": WIRED,
     "composite.check_commutation": WIRED,
     "composite.check_m_morphism": WIRED,
-    "subspace.Subspace.contains": WIRED,
     "tensor.TensorIndex.__post_init__": WIRED,
     "tensor.TensorIndex.dim": WIRED,
     "tensor.TensorIndex.coefficient_matrix": WIRED,
@@ -69,7 +68,6 @@ ALLOWED = {
     # the benchmark tracer's bindings
     "composite.verify_axioms": BENCH,
     "composite.BasisMap.lift_inverse": BENCH,
-    "composite.BasisMap._preimage": BENCH,
     # failure paths
     "composite._axiom_ce": FAILING,
     # other library code

@@ -91,9 +91,17 @@ CASES = {
     "binary op on C^3 and C^4": (
         lambda: sub.join(sub.full_subspace(3), sub.full_subspace(4)),
         DimensionMismatch, "ambient dims differ: 3 vs 4"),
-    "contains a vector of the wrong length": (
-        lambda: sub.full_subspace(3).contains(np.ones(4)),
-        DimensionMismatch, "vector has wrong ambient dimension"),
+    **{f"{name} of a batch and a single subspace": (
+        lambda op=op: op(sub.rays(3, E), sub.span_of([E[0]])),
+        DimensionMismatch, "operands must be two subspaces or two batches of one length")
+       for name, op in [("meet", sub.meet), ("equal", sub.equal),
+                        ("projector_distance", sub.projector_distance), ("join", sub.join)]},
+    "join of a single subspace and a batch": (
+        lambda: sub.join(sub.span_of([E[0]]), sub.rays(3, E)),
+        DimensionMismatch, "operands must be two subspaces or two batches of one length"),
+    "meet of batches of two lengths": (
+        lambda: sub.meet(sub.rays(3, E), sub.rays(3, E[:2])),
+        DimensionMismatch, "operands must be two subspaces or two batches of one length"),
     "subspace_from_json with a bad entry count": (
         lambda: sub.subspace_from_json({"ambient_dim": 3, "basis": [[1.0, 0.0]] * 4}),
         DimensionMismatch, "basis entry count is not a multiple of ambient_dim"),
@@ -139,6 +147,9 @@ CASES = {
         lambda: commutation(composite.canonical_h(1, 3, 3), composite.canonical_h(1, 3, 3),
                             x2=E[2]),
         PreconditionViolated, "the atom meet is empty; axioms fail upstream"),
+    "intertwiner_F on a vector of the wrong length": (
+        lambda: composite.intertwiner_F(composite.canonical_h(1, 3, 3), E[1], E[0])(np.ones(4)),
+        DimensionMismatch, "ambient dims differ: 4 vs 9"),
     # laws
     "check_distributive on plain numbers": (
         lambda: laws.check_distributive(1, 2, 3), TypeError, "unsupported proposition type"),

@@ -74,7 +74,7 @@ class TestSpan:
     def test_column_reduction(self):
         p = span_of([[1, 0, 0], [1, 1, 0]])
         assert p.dim == 2
-        assert p.contains([0, 1, 0])
+        assert leq(span_of([[0, 1, 0]]), p)
 
     def test_generating_set_independence(self):
         p = span_of([[1, 0, 0], [0, 1, 0]])
@@ -87,7 +87,7 @@ class TestSpan:
         coeffs[1] = np.sqrt(1 / 4)
         p = span_of([coeffs])
         assert p.dim == 1
-        assert p.contains(coeffs)
+        assert leq(span_of([coeffs]), p)
 
     def test_mismatched_dims_rejected(self):
         with pytest.raises(DimensionMismatch):
