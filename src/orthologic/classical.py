@@ -27,7 +27,7 @@ __all__ = [
     "product_phase_space",
     "canonical_h_classical",
     "product_space_isomorphism",
-    "row_blocks",
+    "rotation_cover",
 ]
 
 
@@ -63,9 +63,9 @@ class ClassicalProp:
     refused.  The connectives act elementwise and broadcast, so
     prop_and(p, q) on batches of shapes (n, 1) and (1, n) holds all n^2
     meets; ``contains`` is elementwise too.  The JSON forms are for one
-    bitmask.  Like every array-holding dataclass here, it compares and
-    hashes by identity, a single bitmask too: compare ``members``
-    instead, as the ``laws`` checkers do.
+    bitmask: to_json refuses a batch.  Like every array-holding dataclass
+    here, it compares and hashes by identity, a single bitmask too:
+    compare ``members`` instead, as the ``laws`` checkers do.
     """
 
     space: PhaseSpace
@@ -76,9 +76,7 @@ class ClassicalProp:
         if type(m) is not int and not (isinstance(m, (np.ndarray, np.integer))
                                        and m.dtype.kind in "iu"):
             raise InvalidParameter("members must be an int or a numpy integer array of bitmasks")
-        m = np.asarray(m)
-        if m.size and (m.min() < 0 or m.max() >= 1 << self.space.size):
-            raise InvalidParameter("bitmask out of range for this phase space")
+        _check_range(m, self.space.size, "bitmask out of range for this phase space")
 
     @classmethod
     def full(cls, space: PhaseSpace) -> "ClassicalProp":
@@ -89,7 +87,9 @@ class ClassicalProp:
         return other.members & ~self.members == 0
 
     def to_json(self) -> dict:
-        return {"members": [self.members >> k & 1 for k in range(self.space.size)]}
+        if isinstance(self.members, np.ndarray):
+            raise InvalidParameter("the JSON form holds one bitmask, not a batch")
+        return {"members": [int(self.members) >> k & 1 for k in range(self.space.size)]}
 
     @classmethod
     def from_json(cls, space: PhaseSpace, data: dict) -> "ClassicalProp":
@@ -100,6 +100,15 @@ class ClassicalProp:
                 and all(type(bit) is int and bit in (0, 1) for bit in bits)):
             raise ValueError(f"members must be a list of {space.size} entries, each 0 or 1")
         return cls(space, sum(bit << k for k, bit in enumerate(bits)))
+
+
+def _check_range(masks, size: int, message: str) -> None:
+    """Refuse ``masks`` unless each is a set of the first ``size`` points:
+    then their union, a Python int so that no shift overflows a dtype, is
+    neither negative nor has a bit at ``size`` or past it."""
+    union = int(np.bitwise_or.reduce(masks, axis=None))
+    if union < 0 or union >> size:
+        raise InvalidParameter(message)
 
 
 def _check_space(a: ClassicalProp, b: ClassicalProp) -> None:
@@ -141,8 +150,7 @@ class ClassicalMorphism:
         table = np.array(self.table)
         if table.dtype.kind not in "iu" or table.shape != (1 << self.source.size,):
             raise InvalidParameter("morphism table must hold one integer image per source mask")
-        if table.min() < 0 or table.max() >= 1 << self.target.size:
-            raise InvalidParameter("morphism table has an image outside the target")
+        _check_range(table, self.target.size, "morphism table has an image outside the target")
         table = table.astype(np.int64, copy=False)
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
@@ -207,18 +215,28 @@ class ProductIsoReport:
         return {**asdict(self), "passed": self.passed}
 
 
-# Elements per broadcast block of lattice-check --classical's triple sweep:
-# each np.uint16 temporary of a block takes 32 KB up to omega 7; at omega 8
-# a block is one row of 2^16 elements, 128 KB.
-_CHUNK = 1 << 14
+# Elements per box of lattice-check --classical's triple sweep, the size
+# of each np.uint16 temporary of a box: 64 KB, which holds omega 5's whole
+# cube; at omega 8 a box of one b-value takes up to 2^16 elements, 128 KB.
+_CHUNK = 1 << 15
 
 
-def row_blocks(rows: int, width: int):
-    """Slices that cut range(rows) into blocks of as many rows as fit in
-    _CHUNK elements when each row broadcasts against ``width`` elements;
-    at least one row per block, so a row wider than _CHUNK is its own."""
-    step = max(1, _CHUNK // width)
-    return [slice(start, start + step) for start in range(0, rows, step)]
+def rotation_cover(n: int) -> list:
+    """The boxes (lo, hi) of the triple sweep over n propositions: a and c
+    in range(lo, n), b in range(lo, hi), of as many b-values as fit _CHUNK
+    elements and at least one.  The b-ranges run on from 0 to n, so the
+    boxes hold every triple whose b is least, about n^3 / 3 of them.
+
+    They check every identity of the whole cube, for any connectives:
+    laws.check_triple_distributive checks each at (a; b, c), (b; a, c) and
+    (c; a, b), so the identity at (x; y, z) is checked by the box triple
+    (x, y, z) if y is least, by (y, x, z) if x is, and by (y, z, x) if z is."""
+    boxes, lo = [], 0
+    while lo < n:
+        hi = min(n, lo + max(1, _CHUNK // (n - lo) ** 2))
+        boxes.append((lo, hi))
+        lo = hi
+    return boxes
 
 
 def _preserves(op, table: np.ndarray) -> bool:

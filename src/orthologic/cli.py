@@ -213,15 +213,17 @@ def _quantum_lattice_report(d: int, trials: int, seed: int, tol: Tolerance) -> d
 def _classical_lattice_report(omega: int, tol: Tolerance) -> dict:
     """Every law on every pair or triple of propositions, each decided by
     broadcasting batches: col and row hold all 2^omega bitmasks along one
-    axis each, so a checker call on (col, row) covers every pair, and one
-    on a block of a-values against them covers every triple of the block."""
+    axis each, so a checker call on (col, row) covers every pair, and the
+    calls on the boxes of cl.rotation_cover check every triple identity."""
     space = cl.PhaseSpace(tuple(f"w{k}" for k in range(omega)))
     masks = np.arange(1 << omega, dtype=np.uint16)
     col, row = cl.ClassicalProp(space, masks[:, None]), cl.ClassicalProp(space, masks[None, :])
     ok_dist = all(
         laws.check_triple_distributive(
-            cl.ClassicalProp(space, masks[rows, None, None]), col, row).holds
-        for rows in cl.row_blocks(len(masks), len(masks) ** 2)
+            cl.ClassicalProp(space, masks[lo:, None, None]),
+            cl.ClassicalProp(space, masks[None, lo:hi, None]),
+            cl.ClassicalProp(space, masks[None, None, lo:])).holds
+        for lo, hi in cl.rotation_cover(len(masks))
     )
     # p = q meet s runs over every nested pair p <= q
     ok_om = laws.check_orthomodular(cl.prop_and(col, row), col).holds
@@ -364,9 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
 # Largest exhaustive classical sizes, measured in process on a 2-core x86
 # machine.  composite-verify builds each factor map's table by doubling and
 # is bound by eta's 2^N x N boolean matrix: 0.3 ms of 0.7-1.0 ms at 1x12.
-# lattice-check checks its 2^(3 omega) triples in classical.row_blocks:
-# 0.008 s for omega = 6, 0.05-0.07 s for 7, 0.28-0.31 s for 8, about 3.5 s
-# for 9.  Its np.uint16 bitmasks hold every mask up to omega = 16.
+# lattice-check checks the triple law on the boxes of classical.rotation_cover,
+# about a third of the 2^(3 omega) triples: 0.002-0.004 s for omega = 6,
+# 0.011-0.020 s for 7, 0.09-0.15 s for 8, 0.8-1.2 s for 9.  Its np.uint16
+# bitmasks hold every mask up to omega = 16.
 MAX_PRODUCT_POINTS = 12
 MAX_OMEGA = 8
 

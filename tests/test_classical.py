@@ -21,7 +21,7 @@ from orthologic.classical import (
     prop_and,
     prop_not,
     prop_or,
-    row_blocks,
+    rotation_cover,
 )
 from orthologic.errors import AxiomViolation, InvalidParameter, SpaceMismatch
 from orthologic.oscillator import OscillatorModel, phase_curve
@@ -90,6 +90,15 @@ def test_range_check_refuses_exactly_the_out_of_range_masks(size):
         except InvalidParameter:
             refused = True
         assert refused == out_of_range(members, size), (members, size)
+    # the pairs as tables of a 1-point source, one image per source mask
+    for table in (t for t in candidates if np.shape(t) == (2,)):
+        try:
+            ClassicalMorphism(PhaseSpace(("s",)), space, table)
+            refused = False
+        except InvalidParameter as exc:
+            assert str(exc) == "morphism table has an image outside the target"
+            refused = True
+        assert refused == out_of_range(table, size), (table, size)
 
 
 class TestConnectives:
@@ -111,10 +120,16 @@ class TestConnectives:
         with pytest.raises(SpaceMismatch):
             prop_and(ClassicalProp.full(SPACE3), ClassicalProp.full(other))
 
-    def test_json_round_trip(self):
-        a = ClassicalProp(SPACE3, 0b101)  # {p, r}
-        b = ClassicalProp.from_json(SPACE3, a.to_json())
-        assert a.members == b.members
+    @pytest.mark.parametrize("mask", [5, np.int64(5), np.uint16(5)], ids=type)
+    def test_json_round_trip(self, mask):
+        data = json.dumps(ClassicalProp(SPACE3, mask).to_json())  # {p, r}
+        assert json.loads(data) == {"members": [1, 0, 1]}
+        assert ClassicalProp.from_json(SPACE3, json.loads(data)).members == 5
+
+    def test_a_batch_has_no_json_form(self):
+        for masks in (np.array([1, 2]), np.array(5)):
+            with pytest.raises(InvalidParameter, match="one bitmask"):
+                ClassicalProp(SPACE3, masks).to_json()
 
 
 class TestAtoms:
@@ -524,6 +539,15 @@ class TestProductIsomorphismOracle:
         assert checked == (both if pair is scrambled_pair else len(LARGE_SIZES))
 
 
+def row_blocks(rows: int, width: int):
+    """Slices that cut range(rows) into blocks of as many rows as fit in
+    classical._CHUNK elements when each row broadcasts against ``width``
+    elements; at least one row per block, so a row wider than the budget
+    is its own."""
+    step = max(1, classical._CHUNK // width)
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
 def pairwise_preserves(op, table):
     """Oracle for classical._preserves: table[op(a, b)] against
     op(table[a], table[b]) on all 4^N pairs of masks, broadcasting one
@@ -579,6 +603,34 @@ def test_row_blocks_cover_every_row_once_in_the_fewest_blocks(chunk, monkeypatch
         # as few blocks as the budget allows, and only a lone row exceeds it
         assert len(sizes) == -(-rows // max(1, chunk // width)), (rows, width)
         assert all(size * width <= chunk or size == 1 for size in sizes), (rows, width)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 8, 50, classical._CHUNK])
+def test_rotation_cover_checks_every_triple_of_the_cube(chunk, monkeypatch):
+    monkeypatch.setattr(classical, "_CHUNK", chunk)
+    for n in range(1, 10):
+        boxes = rotation_cover(n)
+        # consecutive b-ranges from 0 to n, each of one b-value at least
+        assert [lo for lo, _ in boxes] == [0] + [hi for _, hi in boxes[:-1]], n
+        assert boxes[-1][1] == n and all(lo < hi for lo, hi in boxes), n
+        # only a box of one b-value exceeds the budget, and one more b-value
+        # would pass it (or the end)
+        assert all((n - lo) ** 2 * (hi - lo) <= chunk or hi - lo == 1 for lo, hi in boxes), n
+        assert all(hi == n or (n - lo) ** 2 * (hi - lo + 1) > chunk for lo, hi in boxes), n
+        # check_triple_distributive checks the box triple (a, b, c)'s
+        # identities at (a; b, c), (b; a, c) and (c; a, b)
+        checked = {
+            rotation
+            for lo, hi in boxes
+            for a, b, c in itertools.product(range(lo, n), range(lo, hi), range(lo, n))
+            for rotation in ((a, b, c), (b, a, c), (c, a, b))
+        }
+        assert checked == set(itertools.product(range(n), repeat=3)), (n, chunk)
+
+
+def test_omega_5_is_one_box():
+    # the benchmark's lattice: its whole cube in one checker call
+    assert rotation_cover(32) == [(0, 32)]
 
 
 class TestComplementAxioms:

@@ -475,6 +475,12 @@ def lossy_join(a, b):
     return ClassicalProp(a.space, union & ~((a.members & b.members | union >> 1) & 1))
 
 
+def lopsided_meet(a, b):
+    """A broken meet that does not commute: a meet b keeps point 0 of a
+    also when b holds point 1 instead."""
+    return ClassicalProp(a.space, a.members & (b.members | b.members >> 1 & 1))
+
+
 def per_a_lattice_report(omega, tol=DEFAULT_TOL):
     """cli._classical_lattice_report with distributivity checked one
     a-value per checker call, over int64 bitmasks: the oracle of the
@@ -486,14 +492,15 @@ def per_a_lattice_report(omega, tol=DEFAULT_TOL):
         check_triple_distributive(ClassicalProp(space, a), col, row).holds
         for a in range(1 << omega)
     )
-    ok_om = check_orthomodular(prop_and(col, row), col).holds
+    ok_om = check_orthomodular(classical.prop_and(col, row), col).holds
     ok_absorb = bool(
-        np.all(classical.prop_or(col, prop_and(col, row)).members == col.members)
-        and np.all(prop_and(col, classical.prop_or(col, row)).members == col.members)
+        np.all(classical.prop_or(col, classical.prop_and(col, row)).members == col.members)
+        and np.all(classical.prop_and(col, classical.prop_or(col, row)).members == col.members)
     )
     nonzero = ClassicalProp(space, masks[1:, None])
     atoms = ClassicalProp(space, 1 << np.arange(omega)[None, :])
-    ok_atomic = bool(np.all(np.any(prop_and(nonzero, atoms).members == atoms.members, axis=1)))
+    below = classical.prop_and(nonzero, atoms).members == atoms.members
+    ok_atomic = bool(np.all(np.any(below, axis=1)))
     ok_dm = check_de_morgan((col, row), tol).holds
     return {
         "omega": omega,
@@ -541,14 +548,16 @@ def replay(check, counterexample, space):
 class TestClassicalBatches:
     """A batch runs the same checker body as a scalar, on every element."""
 
-    @pytest.fixture(params=["intact", "lossy_join"])
-    def join(self, request, monkeypatch):
+    @pytest.fixture(params=["intact", "lossy_join", "lopsided_meet"])
+    def connectives(self, request, monkeypatch):
         if request.param == "lossy_join":
             monkeypatch.setattr(classical, "prop_or", lossy_join)
+        if request.param == "lopsided_meet":
+            monkeypatch.setattr(classical, "prop_and", lopsided_meet)
         return request.param
 
     @pytest.mark.parametrize("omega", [1, 2, 3])
-    def test_batches_match_scalar_sweeps(self, join, omega):
+    def test_batches_match_scalar_sweeps(self, connectives, omega):
         space = PhaseSpace(tuple(f"w{k}" for k in range(omega)))
         props = list(all_props(space))
         col, row = batch_axes(space, 2)
@@ -567,7 +576,9 @@ class TestClassicalBatches:
         triples = check_triple_distributive(*batch_axes(space, 3))
         per_a = [check_triple_distributive(a, col, row) for a in props]
         assert counts(triples) == fold(per_a) == scalar_sweep(check_triple_distributive, props, 3)
-        assert triples.holds == (join == "intact")
+        # on one point the lopsided meet is the meet
+        intact = connectives == "intact" or (connectives, omega) == ("lopsided_meet", 1)
+        assert triples.holds == intact
 
     def test_a_batch_counts_its_failing_elements(self, monkeypatch):
         # a join that drops point 0 fails 18 of the 27 nested pairs of a
@@ -578,14 +589,16 @@ class TestClassicalBatches:
         assert (report.holds, report.trials, report.failures) == (False, 27, 18)
 
     @pytest.mark.parametrize("chunk", [classical._CHUNK, 8])
-    def test_lattice_report_matches_the_per_a_oracle(self, join, chunk, monkeypatch):
-        # the real budget sweeps omega 5 and 6 in 2 and 16 blocks; a budget
-        # of 8 puts one a-value in each block from omega 2 on
+    def test_lattice_report_matches_the_per_a_oracle(self, connectives, chunk, monkeypatch):
+        # the real budget sweeps omega 5 in one box, its whole cube, and
+        # omega 6 in 4 boxes; a budget of 8 splits each omega from 2 on into
+        # boxes of mostly one b-value.  The cover checks the cube's
+        # identities for any connectives, a meet that does not commute too
         monkeypatch.setattr(classical, "_CHUNK", chunk)
         for omega in range(1, 7):
             report = cli._classical_lattice_report(omega, DEFAULT_TOL)
             assert report == per_a_lattice_report(omega), omega
-        assert report["distributive"] == (join == "intact")
+        assert report["distributive"] == (connectives == "intact")
 
     def test_failing_batch_counterexample_replays_on_scalars(self, monkeypatch):
         monkeypatch.setattr(classical, "prop_or", lossy_join)
