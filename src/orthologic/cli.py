@@ -31,10 +31,11 @@ failure, 2 on usage errors (including --trials or --curve-samples below
 paths naming one file, and an output path that ``open`` refuses, the
 empty path among them, with open's own error).
 Identical configuration (including the seed) yields a byte-identical
-report; all randomness is derived from the single --seed flag via
-subseed(seed, command_name, trial_index).  The environment variable
-ORTHOLOGIC_TOL overrides eps_eq globally; values below MIN_TOL, under
-what double precision resolves, are usage errors.
+report; all randomness is derived from the single --seed flag: trial t
+of a check named ``name`` draws from trial_generators(seed, name, n)[t].
+The environment variable ORTHOLOGIC_TOL overrides eps_eq globally;
+values below MIN_TOL, under what double precision resolves, are usage
+errors.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from . import subspace as sub
 from .composite import axiom_to_json, canonical_h, sweep_axioms, verify_tensor_isomorphism
 # Not called here; kept as the module binding that bench/tracer.py patches.
 from .composite import verify_axioms  # noqa: F401
-from .core import DEFAULT_TOL, Tolerance, random_unitary, subseed, subseeds
+from .core import DEFAULT_TOL, Tolerance, generators, random_unitary, trial_generators
 from .errors import OrthologicError
 from .oscillator import (
     OscillatorModel,
@@ -104,11 +105,14 @@ def _emit(args, results: dict) -> None:
 
 
 def _nested_pair(d: int, seed: np.ndarray):
-    rngs = [np.random.default_rng(s) for s in seed]
-    kq = np.array([rng.integers(1, d + 1) for rng in rngs])
-    q = sub.random_subspace(d, kq, seed)
-    kp = [rng.integers(0, k + 1) for rng, k in zip(rngs, kq)]
-    return sub.random_subspace_of(q, kp, seed + 1), q
+    """Nested pairs p < q with 0 < dim p < dim q, one per seed: each
+    generator draws dim q from 2..d and dim p from 1..dim q - 1, then q's
+    frame and p's frame inside q."""
+    rngs = generators(seed)
+    kq = [int(rng.integers(2, d + 1)) for rng in rngs]
+    kp = [int(rng.integers(1, k)) for rng, k in zip(rngs, kq)]
+    q = sub.random_subspace(d, kq, rngs)
+    return sub.random_subspace_of(q, kp, rngs), q
 
 
 def _mixed_pair(d: int, mode: np.ndarray, seed: np.ndarray):
@@ -133,17 +137,18 @@ def _mixed_pair(d: int, mode: np.ndarray, seed: np.ndarray):
 
 def _covering_instance(d: int, seed: np.ndarray):
     """Subspaces of dimension below d - 1 and rays, for the covering law."""
-    a = sub.random_subspace(d, [np.random.default_rng(s).integers(0, d - 1) for s in seed], seed)
-    return a, sub.Ray(sub.random_ray(d, seed + 1))
+    rngs = generators(seed)
+    a = sub.random_subspace(d, [int(rng.integers(0, d - 1)) for rng in rngs], rngs)
+    return a, sub.Ray(sub.random_ray(d, rngs))
 
 
 class _Check(NamedTuple):
-    """One sampled lattice-check law: ``sample(d, trials, seeds, tol)`` draws
-    the batches, one element per trial, that ``check(*batches, seeds, tol)``
-    turns into one LawReport."""
+    """One sampled lattice-check law: ``sample(d, trials, rngs, tol)`` draws
+    the batches, one element per trial, that ``check(*batches, rngs, tol)``
+    turns into one LawReport; both take the same trial generators."""
 
     key: str  # result key
-    tag: str  # subseed name of the trials
+    tag: str  # trial_generators name of the trials
     per: int  # one trial per ``per`` of --trials, at least one
     sample: Callable
     check: Callable
@@ -199,8 +204,8 @@ def _quantum_lattice_report(d: int, trials: int, seed: int, tol: Tolerance) -> d
     expected = True
     for check in _LATTICE_CHECKS:
         n = max(1, trials // check.per)
-        seeds = subseeds(seed, check.tag, n)
-        report = check.check(*check.sample(d, np.arange(n), seeds, tol), seeds, tol)
+        rngs = trial_generators(seed, check.tag, n)
+        report = check.check(*check.sample(d, np.arange(n), rngs, tol), rngs, tol)
         stats = {f: getattr(report, "holds" if f == "agree" else f) for f in check.fields}
         results[check.key] = stats
         expected = expected and (report.holds or not check.votes)
@@ -268,7 +273,7 @@ def cmd_composite_verify(args, tol: Tolerance) -> tuple:
     else:
         twist = None
         if args.twist:
-            twist = random_unitary(args.dim1 * args.dim2, subseed(args.seed, "twist", 0))
+            twist = random_unitary(args.dim1 * args.dim2, *trial_generators(args.seed, "twist", 1))
         h1 = canonical_h(1, args.dim1, args.dim2, twist=twist, conjugate=args.conjugate_h1, tol=tol)
         h2 = canonical_h(2, args.dim1, args.dim2, twist=twist, conjugate=args.conjugate_h2, tol=tol)
         # one axiom sweep serves both reports, each folding a prefix of it

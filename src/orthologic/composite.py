@@ -21,7 +21,7 @@ all its trials; its counterexample records them as side 1, and replays
 like axiom I's.  One fold, _axiom_report, reports each axiom and the
 criterion as a LawReport, by the rule of every LawReport (see ``laws``):
 every instance counts, passing or not.
-Trial t draws from subseed(seed, tag, t) alone, so the reports of the
+Trial t draws from its trial generator alone, so the reports of the
 first n trials fold from any longer sweep: composite-verify sweeps once
 and reports the axioms twice, at --trials and inside the isomorphism,
 which takes the sweep it folds and with it the pair, seed and tol.
@@ -63,7 +63,7 @@ import numpy as np
 
 from . import subspace as sub
 from .core import DEFAULT_TOL, Tolerance, as_columns, as_vector, each, orthonormal_bases
-from .core import random_vector, rank, subseed, subseeds
+from .core import random_vector, rank, trial_generators
 # Not called here: the isomorphism draws its frames through sub.random_family.
 # Imported so that the binding bench/tracer.py lists still resolves.
 from .core import random_unitary  # noqa: F401
@@ -396,9 +396,9 @@ class AxiomSweep:
     ``groups`` holds the (side, checks) groups of each axiom that
     _axiom_report folds: of axiom I, per side, its unitarity and its zero
     precheck and then, if it passes both, its trials; of axioms II and
-    III, their trials.  Trial t draws from subseed(seed, tag, t) alone,
-    so ``reports(n)`` gives exactly the reports of an n-trial sweep, for
-    any n <= trials.
+    III, their trials.  Trial t draws from its own generator alone (see
+    trial_generators), so ``reports(n)`` gives exactly the reports of an
+    n-trial sweep, for any n <= trials.
     """
 
     h1: SubspaceMorphism
@@ -436,9 +436,9 @@ def sweep_axioms(
         c_morphism += [(side, [check]) for check in prechecks]
         if all(holds[0] for _, holds, _, _ in prechecks):
             d = h.source_dim
-            p, q, r = sub.random_family((d, d, d), subseeds(seed, f"axiom1_side{side}", trials),
-                                        proper=False)
-            cp, cq = sub.compatible_pair(d, subseeds(seed, f"compat{side}", trials))
+            rngs = trial_generators(seed, f"axiom1_side{side}", trials)
+            p, q, r = sub.random_family((d, d, d), rngs, proper=False)
+            cp, cq = sub.compatible_pair(d, trial_generators(seed, f"compat{side}", trials))
             c_morphism.append((side, _checked(memo, (h,), (
                 ("join", (p, q)),
                 ("family_join", (p, q, r)),
@@ -449,9 +449,9 @@ def sweep_axioms(
     # Axiom II: cross-images are compatible.  Axiom III: atom images meet
     # in an atom.
     d1, d2 = h1.source_dim, h2.source_dim
-    p1, p2 = sub.random_family((d1, d2), subseeds(seed, "axiom2", trials), proper=False)
-    atoms = subseeds(seed, "axiom3", trials)
-    r1, r2 = sub.random_ray(d1, atoms, tol), sub.random_ray(d2, atoms + 1, tol)
+    p1, p2 = sub.random_family((d1, d2), trial_generators(seed, "axiom2", trials), proper=False)
+    atoms = trial_generators(seed, "axiom3", trials)  # each draws r1, then r2
+    r1, r2 = sub.random_ray(d1, atoms, tol), sub.random_ray(d2, atoms, tol)
     groups = (
         tuple(c_morphism),
         ((None, _checked(_memo(tol), (h1, h2), (("compatibility", (p1, p2)),))),),
@@ -593,7 +593,7 @@ def classify_linearity(
     -i (antilinear); any other action is reported as "gemischt", which
     a valid composite-system morphism never exhibits.  ``seed`` draws x.
     """
-    x = random_vector(h.source_dim, subseed(seed, "classify", 0))
+    x = random_vector(h.source_dim, *trial_generators(seed, "classify", 1))
     (matrix,), (domain,) = _ray_matrices(h, [(1j * x, x)], tol, rays=[x])
     basis = domain.basis
     image = matrix @ basis
@@ -617,10 +617,10 @@ def check_m_morphism(
     failing trial are the counterexample, recorded as side 1 (see
     recheck_axiom_counterexample).
     """
-    seeds = subseeds(seed, "mmorph", trials)
-    xs = [random_vector(h.source_dim, s) for s in seeds]
-    ys = [2.0 * x if t % 5 == 4 else random_vector(h.source_dim, s + 1)
-          for t, (x, s) in enumerate(zip(xs, seeds))]
+    rngs = trial_generators(seed, "mmorph", trials)
+    xs = [random_vector(h.source_dim, rng) for rng in rngs]
+    ys = [2.0 * x if t % 5 == 4 else random_vector(h.source_dim, rng)
+          for t, (x, rng) in enumerate(zip(xs, rngs))]
     rays = [sub.rays(h.source_dim, vs, tol) for vs in (xs, ys, [x - y for x, y in zip(xs, ys)])]
     checks = _checked(_memo(tol), (h,), (("m_morphism", rays),))
     return _axiom_report("m_morphism", [(1, checks)], trials)
@@ -772,7 +772,7 @@ def verify_tensor_isomorphism(sweep: AxiomSweep, trials: int, axiom_trials: int)
     d1, d2 = h1.source_dim, h2.source_dim
     gram, not_unitary = _gram_residual(bm.matrix, tol)
     cylinders = canonical_h(1, d1, d2, conjugate=bm.target == "H1*xH2"), canonical_h(2, d1, d2)
-    factors = sub.random_family((d1, d2), subseeds(seed, "tensoriso", trials), proper=True)
+    factors = sub.random_family((d1, d2), trial_generators(seed, "tensoriso", trials), proper=True)
     checks = [_same(bm.lift(c(p), tol), h(p), tol) for c, h, p in zip(cylinders, (h1, h2), factors)]
     holds, residuals = (np.stack(parts, axis=-1) for parts in zip(*checks))
     failures = ["unitary"] if not_unitary else []

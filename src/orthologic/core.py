@@ -9,11 +9,11 @@ singular values of numpy's SVD.  Kernels take (n, ...) stacks only:
 ``each`` runs one on a batch, stacked by shape, and on one array as a
 stack of one.
 
-All randomness is generated by numpy's PCG64 generator seeded from a
-64-bit integer, so fixtures are reproducible run to run.  A batch takes
-its seeds as an object array of Python ints, so ``seed + k`` is exact;
-``random_unitary`` draws each distinct (size, seed) of a batch once, and
-remembers nothing between calls.
+All randomness comes from numpy's PCG64 generators, so fixtures are
+reproducible run to run.  A sampler takes a seed or a generator (numpy's
+``default_rng`` hands a generator back unchanged), and a batch an object
+array of them, one per element.  Trial t of a check named ``name`` draws
+everything, in program order, from ``trial_generators(seed, name, n)[t]``.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ __all__ = [
     "rank",
     "random_unitary",
     "random_vector",
-    "subseed",
-    "subseeds",
+    "generators",
+    "trial_generators",
 ]
 
 
@@ -146,27 +146,22 @@ def rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
 
 
 def random_unitary(d, seed) -> np.ndarray:
-    """Deterministic pseudo-random d x d unitary for a given seed.
+    """Deterministic pseudo-random d x d unitary for a given seed or generator.
 
     The Q factor of a complex Gaussian matrix G = QR, with the phase of
     each column fixed so that the diagonal of R is real and positive
     (Mezzadri, Notices AMS 2007).  This pins the result uniquely per
-    seed and makes it Haar-distributed.  For an array of seeds, and d
-    one size or one per seed, the tuple of their unitaries: each
-    distinct (d, seed) is drawn once, with one stacked QR per size, and
-    its read-only frame is handed to every element that asks for it.
+    seed and makes it Haar-distributed.  For an array of seeds or
+    generators, and d one size or one per element, the tuple of their
+    unitaries: each drawn from its own element, in element order, with
+    one stacked QR per size.
     """
     if not isinstance(seed, np.ndarray):
         return _haar(_gaussian(d, seed))
-    keys = list(zip(np.broadcast_to(d, seed.shape).tolist(), seed.tolist()))
-    distinct = dict.fromkeys(keys)
-    frames = dict(zip(distinct, each(_haar, tuple(_gaussian(*key) for key in distinct))))
-    for frame in frames.values():
-        frame.flags.writeable = False
-    return tuple(frames[key] for key in keys)
+    return each(_haar, tuple(map(_gaussian, np.broadcast_to(d, seed.shape).tolist(), seed)))
 
 
-def _gaussian(d: int, seed: int) -> np.ndarray:
+def _gaussian(d: int, seed) -> np.ndarray:
     if d < 1:
         raise DimensionMismatch("d must be >= 1")
     rng = np.random.default_rng(seed)
@@ -180,26 +175,25 @@ def _haar(g: np.ndarray) -> np.ndarray:
     return q
 
 
-def random_vector(d: int, seed: int) -> np.ndarray:
-    """Deterministic complex Gaussian vector in C^d."""
+def random_vector(d: int, seed) -> np.ndarray:
+    """Deterministic complex Gaussian vector in C^d, for a seed or generator."""
     rng = np.random.default_rng(seed)
     return rng.standard_normal(d) + 1j * rng.standard_normal(d)
 
 
-def subseed(base: int, name: str, index: int) -> int:
-    """Derive a per-trial seed: base XOR crc32(name) XOR index.
-
-    Every piece of randomness in the CLI flows from one user seed
-    through this function, so runs are reproducible and trials are
-    decorrelated across commands.
-    """
-    return (int(base) ^ zlib.crc32(name.encode("utf-8")) ^ int(index)) & 0xFFFFFFFFFFFFFFFF
+def generators(seed: np.ndarray) -> np.ndarray:
+    """The generator of each element of an array of seeds or generators, a
+    generator being its own, as an object array."""
+    return np.array([np.random.default_rng(s) for s in seed], dtype=object)
 
 
-def subseeds(base: int, name: str, n: int) -> np.ndarray:
-    """The seeds of trials 0..n-1, ``subseed(base, name, t)``, as the
-    object array of Python ints that a batch sampler takes."""
-    return np.array([subseed(base, name, t) for t in range(n)], dtype=object)
+def trial_generators(seed: int, name: str, n: int) -> np.ndarray:
+    """The generators of trials 0..n-1 of the check ``name``: trial t's is
+    keyed by (seed mod 2^64, crc32(name), t), so every (seed, name, t)
+    has its own stream (Salmon et al., SC 2011).  Every piece of the
+    CLI's randomness comes from one user seed through this function."""
+    key = (int(seed) % 2**64, zlib.crc32(name.encode("utf-8")))
+    return generators([[*key, t] for t in range(n)])
 
 
 def _one(seed) -> np.ndarray:

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import classical as cl
 from . import subspace as sub
-from .core import DEFAULT_TOL, Tolerance, _one
+from .core import DEFAULT_TOL, Tolerance, _one, generators
 from .subspace import Ray, Subspace
 
 __all__ = [
@@ -314,24 +314,25 @@ def check_covering(p: Ray, a: Subspace, tol: Tolerance = DEFAULT_TOL) -> LawRepo
 
 
 def is_modular_pair(
-    p: Subspace, q: Subspace, samples: int = 20, seed: int = 0, tol: Tolerance = DEFAULT_TOL
+    p: Subspace, q: Subspace, samples: int = 20, seed=0, tol: Tolerance = DEFAULT_TOL
 ) -> LawReport:
     """Check (p join r) meet q = (p meet q) join r for sampled r <= q.
 
     In finite dimension every pair is modular, so this checker doubles
     as a consistency test of the lattice operations themselves.  All
     samples of all elements are checked as one batch, each sample one
-    instance.
+    instance.  An element's r are drawn, in sample order, from its seed's
+    or generator's one stream, which a generator continues.
     """
-    seeds = seed if isinstance(seed, np.ndarray) else _one(seed)
+    rngs = generators(seed if isinstance(seed, np.ndarray) else _one(seed))
     trial = np.arange(samples)
 
     def repeat(x):  # each element once per sample
         return Subspace.batch(x.ambient_dim, [e for e in x.elements() for _ in trial])
 
     ps, qs = repeat(p), repeat(q)
-    offsets = np.array([s + 7919 * t for s in seeds for t in range(samples)], dtype=object)
-    r = sub.random_subspace_of(qs, np.tile(trial, len(seeds)) % (qs.dim + 1), offsets)
+    ks = np.tile(trial, len(rngs)) % (qs.dim + 1)
+    r = sub.random_subspace_of(qs, ks, np.repeat(rngs, samples))
     left = sub.meet(sub.join(ps, r, tol), qs, tol)
     right = sub.join(repeat(sub.meet(p, q, tol)), r, tol)
     return _compare(_SUBSPACE, "modular_pair", {"p": ps, "q": qs, "r": r}, [(left, right)], tol)

@@ -13,8 +13,9 @@ the directions of p at principal angles to q of sine at most eps_rank.
 A batch holds a tuple of bases: every operation and verdict applies to
 each element, with one numpy call per group of equal basis shapes
 (``core.each``); one subspace runs the same kernels as a stack of one.
-The samplers draw a batch for an array of seeds, and for a scalar seed
-the one element of the batch of that seed.
+The samplers draw a batch for an array of seeds or generators, each
+element from its own, and for a scalar seed or generator the one element
+of the batch of it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DEFAULT_TOL, Tolerance, as_columns, as_vector, each, orthonormal_bases
-from .core import _one, orthonormalize, random_unitary, random_vector
+from .core import _one, generators, orthonormalize, random_unitary, random_vector
 from .errors import DimensionMismatch, InvalidDimension
 
 __all__ = [
@@ -300,23 +301,17 @@ def random_subspace_of(q: Subspace, k, seed) -> Subspace:
 
 
 def random_family(dims, seed, proper: bool) -> list[Subspace]:
-    """``random_subspace(d, k, seed + j)`` for the j-th d in ``dims``, with k
-    drawn by ``default_rng(seed)`` from 1..d-1 if ``proper``, else 1..d.
-
-    A batch draws the frames of all its members in one ``random_unitary``
-    call, so each distinct (d, seed + j) is drawn once.  Its elements are
-    not independent: member j of seed s cuts the frame of member 0 of seed
-    s + j (of equal d), and the trial seeds ``subseed(base, tag, t)`` lie
-    close together, so the 300 members of a 100-trial family of three come
-    from about 100 frames.  A scalar seed gives the members of its batch of
-    one."""
+    """One random subspace of C^d for each d in ``dims``, all drawn from
+    one generator: first each member's dimension k, from 1..d-1 if
+    ``proper``, else 1..d, then each member's frame, whose first k
+    columns it takes.  A batch draws the frames of all its members in
+    one ``random_unitary`` call.  A scalar seed gives the members of its
+    batch of one."""
     if not isinstance(seed, np.ndarray):
         return [p.elements()[0] for p in random_family(dims, _one(seed), proper)]
-    rngs = [np.random.default_rng(s) for s in seed]
+    rngs, n = generators(seed), len(seed)
     ks = [[int(rng.integers(1, d if proper else d + 1)) for rng in rngs] for d in dims]
-    n = len(seed)
-    seeds = np.concatenate([seed + j for j in range(len(dims))])
-    frames = random_unitary(np.repeat(dims, n), seeds)
+    frames = random_unitary(np.repeat(dims, n), np.tile(rngs, len(dims)))
     return [Subspace(d, tuple(u[:, :k] for u, k in zip(frames[j * n:(j + 1) * n], kj)))
             for j, (d, kj) in enumerate(zip(dims, ks))]
 
@@ -329,27 +324,26 @@ def rays(d: int, vectors, tol: Tolerance = DEFAULT_TOL) -> Subspace:
 
 
 def random_ray(d: int, seed: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """``rays`` of ``random_vector(d, s)``, one for each seed s of the array
-    ``seed``."""
+    """``rays`` of ``random_vector(d, s)``, one for each seed or generator s
+    of the array ``seed``."""
     return rays(d, [random_vector(d, s) for s in seed], tol)
 
 
 def compatible_pair(d: int, seed) -> tuple[Subspace, Subspace]:
     """Two subspaces compatible by construction: coordinate subspaces of
-    one seeded random unitary frame, of dimensions drawn from 1..d."""
+    one random unitary frame, of dimensions drawn from 1..d.  One
+    generator draws both dimensions and column sets, then the frame."""
 
-    def coordinates(s, frame):
-        rng = np.random.default_rng(s)
-        k1 = int(rng.integers(1, d + 1))
-        k2 = int(rng.integers(1, d + 1))
-        cols1 = sorted(rng.permutation(d)[:k1].tolist())
-        cols2 = sorted(rng.permutation(d)[:k2].tolist())
-        return frame[:, cols1], frame[:, cols2]
+    def columns(rng):
+        ks = int(rng.integers(1, d + 1)), int(rng.integers(1, d + 1))
+        return [sorted(rng.permutation(d)[:k].tolist()) for k in ks]
 
     if not isinstance(seed, np.ndarray):
         return tuple(p.elements()[0] for p in compatible_pair(d, _one(seed)))
-    pairs = list(map(coordinates, seed, random_unitary(d, seed)))
-    return tuple(Subspace(d, tuple(pair[j] for pair in pairs)) for j in (0, 1))
+    rngs = generators(seed)
+    cols = [columns(rng) for rng in rngs]
+    frames = random_unitary(d, rngs)
+    return tuple(Subspace(d, tuple(u[:, c[j]] for u, c in zip(frames, cols))) for j in (0, 1))
 
 
 def complex_to_json(values) -> list:

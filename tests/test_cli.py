@@ -13,7 +13,7 @@ import pytest
 from orthologic import cli, laws
 from orthologic import subspace as sub
 from orthologic.cli import main
-from orthologic.core import DEFAULT_TOL, Tolerance, random_vector, subseed
+from orthologic.core import DEFAULT_TOL, Tolerance, random_vector, trial_generators
 from orthologic.errors import InvalidDimension
 
 
@@ -39,14 +39,15 @@ class TestLatticeCheck:
         assert results["compatibility_criteria"]["agree"]
         assert results["de_morgan"]["holds"]
 
-    @pytest.mark.parametrize("d", [2, 8, 16])
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
     def test_a_distributive_sampled_triple_does_not_fail_the_run(self, capsys, d):
-        # at --trials 1 --seed 0 the one sampled triple is distributive for
-        # d = 8 and 16: the witness in C^d carries the verdict
+        # at --trials 1 --seed 7 the one sampled triple is distributive for
+        # d = 3 and 16: the witness in C^d carries the verdict
         code, out = run_cli(capsys, "lattice-check", "--dim1", str(d), "--trials", "1",
-                            "--seed", "0")
+                            "--seed", "7")
         assert code == 0
         results = json.loads(out)["results"]
+        assert results["distributive"]["holds"] == (d in (3, 16))
         assert results["expected_pattern"] and not results["nondistributivity_witness"]["holds"]
         inputs = results["nondistributivity_witness"]["counterexample"]["inputs"]
         assert {p["ambient_dim"] for p in inputs.values()} == {d}
@@ -542,34 +543,33 @@ class TestSharedParser:
 
 
 # The per-trial fold lattice-check ran before it checked each law's trials
-# as one batch, with the single-instance samplers of that time: the
-# reference the batched report must reproduce.
+# as one batch, on the single-instance samplers, each trial's generator
+# drawing its instance and then handed to its checker: the reference the
+# batched report must reproduce.
 
 
-def oracle_nested_pair(d, seed):
-    rng = np.random.default_rng(seed)
-    kq = int(rng.integers(1, d + 1))
-    q = sub.random_subspace(d, kq, seed)
-    kp = int(rng.integers(0, kq + 1))
-    return sub.random_subspace_of(q, kp, seed + 1), q
+def oracle_nested_pair(d, rng):
+    kq = int(rng.integers(2, d + 1))
+    kp = int(rng.integers(1, kq))
+    q = sub.random_subspace(d, kq, rng)
+    return sub.random_subspace_of(q, kp, rng), q
 
 
-def oracle_mixed_pair(d, mode, seed):
+def oracle_mixed_pair(d, mode, rng):
     if mode == 0:
-        return sub.compatible_pair(d, seed)
+        return sub.compatible_pair(d, rng)
     if mode == 1:
-        (p,) = sub.random_family((d,), seed, proper=True)
+        (p,) = sub.random_family((d,), rng, proper=True)
         return p, sub.ortho(p)
     if mode == 2:
-        return oracle_nested_pair(d, seed)
-    p, q = sub.random_family((d, d), seed, proper=True)
+        return oracle_nested_pair(d, rng)
+    p, q = sub.random_family((d, d), rng, proper=True)
     return p, q
 
 
-def oracle_covering_instance(d, seed):
-    rng = np.random.default_rng(seed)
-    a = sub.random_subspace(d, int(rng.integers(0, d - 1)), seed)
-    return a, sub.Ray(sub.span_of([random_vector(d, seed + 1)]))
+def oracle_covering_instance(d, rng):
+    a = sub.random_subspace(d, int(rng.integers(0, d - 1)), rng)
+    return a, sub.Ray(sub.span_of([random_vector(d, rng)]))
 
 
 ORACLE_SAMPLERS = {
@@ -587,9 +587,9 @@ def per_trial_report(d, trials, seed, tol):
     expected = True
     for check in cli._LATTICE_CHECKS:
         stats = {"failures": 0, "trials": 0, "worst_residual": 0.0, "counterexample": None}
-        for t in range(max(1, trials // check.per)):
-            s = subseed(seed, check.tag, t)
-            report = check.check(*ORACLE_SAMPLERS[check.key](d, t, s), s, tol)
+        n = max(1, trials // check.per)
+        for t, rng in enumerate(trial_generators(seed, check.tag, n)):
+            report = check.check(*ORACLE_SAMPLERS[check.key](d, t, rng), rng, tol)
             stats["trials"] += report.trials
             stats["failures"] += report.failures
             stats["worst_residual"] = max(stats["worst_residual"], report.worst_residual)
@@ -640,22 +640,25 @@ class TestBatchedReportOracle:
         orthomodular = json.loads(out)["results"]["orthomodular"]
         assert code == 0 and orthomodular["holds"]
         residuals = []
-        for t in range(100):
-            p, q = oracle_nested_pair(8, subseed(101, "lattice-om", t))
+        for rng in trial_generators(101, "lattice-om", 100):
+            p, q = oracle_nested_pair(8, rng)
             rebuilt = sub.join(p, sub.meet(q, sub.ortho(p)))
             residuals.append(sub.projector_distance(rebuilt, q))
         assert orthomodular["worst_residual"] == max(residuals) > 0
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_agrees_under_a_broken_join(self, monkeypatch, d):
-        # join(p, q) = p: orthomodularity, de Morgan and covering fail on
-        # some trials and not others, with residuals and counterexamples
+        # join(p, q) = p: orthomodularity, de Morgan and covering fail, with
+        # residuals and counterexamples, orthomodularity on every trial (every
+        # nested pair is proper), the compatibility criteria on some trials
+        # and not others
         report_every_statistic(monkeypatch)
         monkeypatch.setattr(sub, "join", lambda p, q, tol=DEFAULT_TOL: p)
         for trials in (3, 40):
             batched, oracle = batched_and_per_trial(d, trials, 5)
             assert batched == oracle
-        assert 0 < batched["orthomodular"]["failures"] < 40
+        assert batched["orthomodular"]["failures"] == 40
+        assert 0 < batched["compatibility_criteria"]["failures"] < 40
         assert batched["orthomodular"]["worst_residual"] > 0.5
         assert batched["de_morgan"]["counterexample"] is not None
         assert not batched["covering"]["holds"]
@@ -680,18 +683,21 @@ class TestBatchedReportOracle:
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_samplers_draw_each_trial_alone(self, d):
         trials = np.arange(13)
-        seeds = np.array([subseed(4, "samplers", t) for t in trials], dtype=object)
+
+        def rngs():  # a fresh set of the same generators
+            return trial_generators(4, "samplers", 13)
+
         batches = {
-            "orthomodular": cli._nested_pair(d, seeds),
-            "compatibility_criteria": cli._mixed_pair(d, trials % 4, seeds),
-            "covering": cli._covering_instance(d, seeds),
+            "orthomodular": cli._nested_pair(d, rngs()),
+            "compatibility_criteria": cli._mixed_pair(d, trials % 4, rngs()),
+            "covering": cli._covering_instance(d, rngs()),
         }
         def subspaces(args):
             return [x.subspace if isinstance(x, sub.Ray) else x for x in args]
 
         for key, batch in batches.items():
-            for t, s in zip(trials.tolist(), seeds):
-                for b, x in zip(subspaces(batch), subspaces(ORACLE_SAMPLERS[key](d, t, s))):
+            for t, rng in zip(trials.tolist(), rngs()):
+                for b, x in zip(subspaces(batch), subspaces(ORACLE_SAMPLERS[key](d, t, rng))):
                     assert np.array_equal(b.basis[t], x.basis), (key, t)
 
     @pytest.mark.parametrize("d", [2, 3, 8])
@@ -717,6 +723,67 @@ class TestBatchedReportOracle:
         # 20 instances: the even-dimensional ones skipped, the rest failing
         failures = batched["covering"]["failures"]
         assert failures == 0 if d == 2 else 0 < failures < 20
+
+
+def count_built_generators(monkeypatch) -> list:
+    """The seed of every generator built from now on: numpy's default_rng
+    hands a generator back unchanged, and so builds none for it."""
+    built = []
+    default_rng = np.random.default_rng
+
+    def counted(seed=None):
+        if not isinstance(seed, np.random.Generator):
+            built.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    return built
+
+
+class TestSampling:
+    """Each trial draws from its own generator, keyed by (seed, check, trial)."""
+
+    def test_seeds_sample_different_instances(self, capsys):
+        # XOR-ing the trial index into the seed made seeds 0 to 3 one set of
+        # instances, with one set of statistics
+        stats = set()
+        for seed in range(4):
+            code, out = run_cli(capsys, "lattice-check", "--dim1", "8", "--trials", "100",
+                                "--seed", str(seed))
+            results = json.loads(out)["results"]
+            assert code == 0
+            stats.add((results["orthomodular"]["worst_residual"],
+                       results["de_morgan"]["worst_residual"]))
+        assert len(stats) == 4
+
+    def test_two_seeds_share_no_nested_pair(self):
+        (p0, q0), (p1, q1) = (cli._nested_pair(8, trial_generators(s, "lattice-om", 100))
+                              for s in (0, 1))
+        for first, second in ((p0, p1), (q0, q1)):
+            assert not {b.tobytes() for b in first.basis} & {b.tobytes() for b in second.basis}
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_nested_pairs_are_proper(self, d):
+        # p = 0 or p = q would hold orthomodularity by construction
+        p, q = cli._nested_pair(d, trial_generators(0, "lattice-om", 200))
+        assert np.all(p.dim > 0) and np.all(p.dim < q.dim)
+        assert np.all(sub.leq(p, q))
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_lattice_check_builds_one_generator_per_trial(self, monkeypatch, d):
+        built = count_built_generators(monkeypatch)
+        cli._quantum_lattice_report(d, 100, 0, DEFAULT_TOL)
+        assert len(built) == sum(max(1, 100 // c.per) for c in cli._LATTICE_CHECKS) == 420
+
+    @pytest.mark.parametrize("trials, swept", [(25, 25), (4, 10)])
+    def test_composite_verify_builds_one_generator_per_trial(self, capsys, monkeypatch,
+                                                              trials, swept):
+        built = count_built_generators(monkeypatch)
+        code, _ = run_cli(capsys, "composite-verify", "--dim1", "3", "--dim2", "3", "--twist",
+                          "--trials", str(trials))
+        # six sampled axiom batches, the isomorphism's factor subspaces, the
+        # twist and the two linearity probes of the basis map
+        assert code == 0 and len(built) == 6 * swept + trials + 1 + 2
 
 
 class TestToleranceFloor:

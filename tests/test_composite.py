@@ -29,7 +29,7 @@ from orthologic.composite import (
     verify_tensor_isomorphism,
 )
 from orthologic.core import DEFAULT_TOL, Tolerance, as_vector, random_unitary, random_vector
-from orthologic.core import rank, subseed
+from orthologic.core import rank, trial_generators
 from orthologic.errors import (
     AxiomViolation,
     InvalidDimension,
@@ -310,8 +310,7 @@ def test_batched_canonical_h_equals_the_kron_oracle(side, conjugate, twisted):
     d = h.source_dim
     # zero and full elements, and more rays than one stacked call takes
     ks = [0, d, 2, 0, d - 1] + [1] * (core.MAX_STACK + 5) + [d]
-    seeds = np.array([subseed(6, "oracle", t) for t in range(len(ks))], dtype=object)
-    batch = sub.random_subspace(d, ks, seeds)
+    batch = sub.random_subspace(d, ks, trial_generators(6, "oracle", len(ks)))
     image = h(batch)
     assert image.is_batch and len(image.basis) == len(ks)
     for got, element in zip(image.basis, batch.basis):
@@ -1068,25 +1067,27 @@ def per_trial_axioms(h1, h2, trials, seed, tol=DEFAULT_TOL):
                    for ((kind, _),) in prechecks):
             continue
         d = h.source_dim
+        families = trial_generators(seed, f"axiom1_side{side}", trials)
+        pairs = trial_generators(seed, f"compat{side}", trials)
 
-        def c_morphism_checks(trial, side=side, d=d):
-            p, q, r = sub.random_family((d, d, d), subseed(seed, f"axiom1_side{side}", trial),
-                                        proper=False)
-            cp, cq = sub.compatible_pair(d, subseed(seed, f"compat{side}", trial))
+        def c_morphism_checks(trial, d=d, families=families, pairs=pairs):
+            p, q, r = sub.random_family((d, d, d), families[trial], proper=False)
+            cp, cq = sub.compatible_pair(d, pairs[trial])
             return (("join", (p, q)), ("family_join", (p, q, r)), ("complement", (p,)),
                     ("compat_preservation", (cp, cq)))
 
         c_morphism.append(((h,), side, [c_morphism_checks(t) for t in range(trials)]))
 
+    crosses = trial_generators(seed, "axiom2", trials)
+    atoms = trial_generators(seed, "axiom3", trials)
+
     def cross_checks(trial):
-        s = subseed(seed, "axiom2", trial)
-        p1, p2 = sub.random_family((h1.source_dim, h2.source_dim), s, proper=False)
+        p1, p2 = sub.random_family((h1.source_dim, h2.source_dim), crosses[trial], proper=False)
         return (("compatibility", (p1, p2)),)
 
     def atom_checks(trial):
-        s = subseed(seed, "axiom3", trial)
-        r1 = span_of([random_vector(h1.source_dim, s)], tol)
-        r2 = span_of([random_vector(h2.source_dim, s + 1)], tol)
+        r1 = span_of([random_vector(h1.source_dim, atoms[trial])], tol)
+        r2 = span_of([random_vector(h2.source_dim, atoms[trial])], tol)
         return (("atom_meet", (r1, r2)),)
 
     return [fold("I_c_morphism", c_morphism)] + [
@@ -1154,21 +1155,25 @@ class TestBatchedAxiomSweep:
         batched = report_bytes(verify_axioms(h1, h2, trials=trials, seed=seed))
         assert batched == report_bytes(per_trial_axioms(h1, h2, trials, seed))
 
+    # the seed whose sweeps the prefix checks fold (see the test after them)
+    PREFIX_SEED = 2
+
     @pytest.mark.parametrize("name", ["twist", "sometimes-twisted", "dim-skipping"])
     def test_every_prefix_folds_to_its_own_sweep(self, name):
         h1, h2 = SWEEP_PAIRS[name]()
-        sweep = sweep_axioms(h1, h2, 25, 0)
+        sweep = sweep_axioms(h1, h2, 25, self.PREFIX_SEED)
         for n in range(26):
-            alone = report_bytes(sweep_axioms(h1, h2, n, 0).reports(n))
+            alone = report_bytes(sweep_axioms(h1, h2, n, self.PREFIX_SEED).reports(n))
             assert report_bytes(sweep.reports(n)) == alone, (name, n)
         assert all(r.holds for r in sweep.reports(25)) == (name == "twist")
 
     def test_tampered_maps_fail_on_later_trials(self):
         # the prefix checks above are only as strong as the failing trials
-        # are spread: each axiom of these pairs fails past its first trial
+        # are spread: at their seed, a sampled check of each pair first fails
+        # past its first trial
         for name in ("sometimes-twisted", "dim-skipping"):
             h1, h2 = SWEEP_PAIRS[name]()
-            sweep = sweep_axioms(h1, h2, 25, 0)
+            sweep = sweep_axioms(h1, h2, 25, self.PREFIX_SEED)
             # the first failing trial of each group of sampled checks
             firsts = [np.flatnonzero(~np.stack([c[1] for c in checks]).all(axis=0))[:1].tolist()
                       for groups in sweep.groups for _, checks in groups if checks[0][3]]
@@ -1184,11 +1189,12 @@ class TestBatchedAxiomSweep:
         assert recheck_axiom_counterexample(h1, h2, json.loads(json.dumps(first.counterexample)))
 
     def test_a_failing_axiom_counts_every_instance(self):
-        # axiom I: two prechecks and 25 trials per side, 4 of them failing,
-        # not the 4 instances up to the first failure
+        # axiom I: two prechecks and 25 trials per side, 5 of them failing,
+        # not the instances up to the first failure; at this seed each
+        # axiom fails on more than one instance
         h1, h2 = SWEEP_PAIRS["sometimes-twisted"]()
-        reports = verify_axioms(h1, h2, trials=25, seed=28)
-        assert [(r.trials, r.failures) for r in reports] == [(54, 4), (25, 1), (25, 3)]
+        reports = verify_axioms(h1, h2, trials=25, seed=26)
+        assert [(r.trials, r.failures) for r in reports] == [(54, 5), (25, 2), (25, 6)]
 
     def test_a_prefix_longer_than_the_sweep_is_refused(self, pair33):
         with pytest.raises(ValueError):
@@ -1239,13 +1245,12 @@ def test_one_composite_verify_run_draws_each_axiom_batch_once(capsys, monkeypatc
 
 def per_trial_m_morphism(h, trials, seed, tol=DEFAULT_TOL):
     worst, failures, counterexample = 0.0, 0, None
-    for trial in range(trials):
-        s = subseed(seed, "mmorph", trial)
-        x = random_vector(h.source_dim, s)
+    for trial, rng in enumerate(trial_generators(seed, "mmorph", trials)):
+        x = random_vector(h.source_dim, rng)
         if trial % 5 == 4:
             y = 2.0 * x
         else:
-            y = random_vector(h.source_dim, s + 1)
+            y = random_vector(h.source_dim, rng)
         rays = [span_of([v], tol) for v in (x, y, x - y)]
         p, q, r = (h(ray) for ray in rays)
         included, residual = sub.inclusion(r, join(p, q, tol), tol)
@@ -1267,7 +1272,8 @@ M_MORPHISMS = {
     "slice-embedding": make_slice_embedding,
     "gemischt": make_gemischt,
     "oblique": make_oblique,
-    # fails past trial 1, so a counterexample is read off a later trial
+    # fails on some trials, at seed 4 first past trial 6, so a counterexample
+    # is read off a later trial
     "sometimes-twisted": make_sometimes_twisted,
 }
 
@@ -1286,13 +1292,13 @@ def test_batched_m_morphism_equals_the_per_trial_loop(name, tol):
     assert differ == []
     failing = {(n, failures) for holds, n, failures in runs if not holds}
     assert bool(failing) == (name in ("rank-inflating", "sometimes-twisted"))
-    if name == "sometimes-twisted":
-        assert all(0 < failures < n for n, failures in failing)
+    if name == "sometimes-twisted":  # some trials of each longer run fail, not all
+        assert all(0 < failures < n for n, failures in failing if n > 1)
 
 
 @pytest.mark.parametrize("make, seed, failures", [
     pytest.param(make_rank_inflating, 4, 40, id="make_rank_inflating"),
-    pytest.param(make_sometimes_twisted, 4, 17, id="make_sometimes_twisted"),
+    pytest.param(make_sometimes_twisted, 4, 12, id="make_sometimes_twisted"),
     pytest.param(make_rank_inflating, 0, 40, id="make_rank_inflating-seed0"),
 ])
 def test_m_morphism_counterexample_replays_from_json(make, seed, failures):
@@ -1329,8 +1335,7 @@ def test_batched_lifts_equal_each_element_lift(config):
     bm = build_basis_map(*canonical_pair(*config))
     dim = bm.matrix.shape[0]
     ks = [0, dim, 1, dim - 1, 0, 2, 1, 1, 3, 0, dim]
-    seeds = np.array([subseed(9, "lift", t) for t in range(len(ks))], dtype=object)
-    g = sub.random_subspace(dim, ks, seeds)
+    g = sub.random_subspace(dim, ks, trial_generators(9, "lift", len(ks)))
     for lift in (bm.lift, bm.lift_inverse):
         batch = lift(g)
         assert isinstance(batch.basis, tuple) and len(batch.basis) == len(ks)
@@ -1358,11 +1363,9 @@ def per_trial_isomorphism(bm, h1, h2, trials, seed, tol=DEFAULT_TOL):
     failures = ["unitary"] if worst > tol.eps_eq * d1 * d2 else []
     c1 = canonical_h(1, d1, d2, conjugate=bm.target == "H1*xH2")
     c2 = canonical_h(2, d1, d2)
-    for trial in range(trials):
-        s = subseed(seed, "tensoriso", trial)
-        rng = np.random.default_rng(s)
-        p = sub.random_subspace(d1, int(rng.integers(1, d1)), s)
-        q = sub.random_subspace(d2, int(rng.integers(1, d2)), s + 1)
+    for trial, rng in enumerate(trial_generators(seed, "tensoriso", trials)):
+        k1, k2 = int(rng.integers(1, d1)), int(rng.integers(1, d2))
+        p, q = sub.random_subspace(d1, k1, rng), sub.random_subspace(d2, k2, rng)
         for name, c, h, g in (("h1", c1, h1, p), ("h2", c2, h2, q)):
             ok, residual = composite._same(bm.lift(c(g), tol), h(g), tol)
             worst = max(worst, residual)

@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,7 @@ from orthologic.core import (
     random_unitary,
     random_vector,
     rank,
-    subseed,
-    subseeds,
+    trial_generators,
 )
 from orthologic.errors import DimensionMismatch
 
@@ -228,8 +228,8 @@ class TestRandomUnitary:
         assert not np.allclose(random_unitary(5, 9), random_unitary(5, 10))
 
 
-# repeated and colliding seeds; seed 2^64 - 1 is the largest one
-COLLIDING = np.array([5, 6, 5, 7, 2**64 - 1], dtype=object)
+# repeated seeds; seed 2^64 - 1 is the largest one
+REPEATED = np.array([5, 6, 5, 7, 2**64 - 1], dtype=object)
 
 
 def count_gaussians(monkeypatch) -> list:
@@ -246,34 +246,25 @@ def count_gaussians(monkeypatch) -> list:
 
 
 class TestBatchedRandomUnitary:
-    @pytest.mark.parametrize("d, distinct", [
-        (3, [(3, 5), (3, 6), (3, 7), (3, 2**64 - 1)]),
-        # one seed at two sizes is two frames
-        (np.array([3, 3, 4, 3, 3]), [(3, 5), (3, 6), (4, 5), (3, 7), (3, 2**64 - 1)]),
-    ])
-    def test_each_distinct_frame_is_drawn_once(self, monkeypatch, d, distinct):
+    @pytest.mark.parametrize("d", [3, np.array([3, 3, 4, 3, 3])])
+    def test_each_element_draws_its_own_frame(self, monkeypatch, d):
         drawn = count_gaussians(monkeypatch)
-        frames = random_unitary(d, COLLIDING)
-        assert drawn == distinct
-        keys = list(zip(np.broadcast_to(d, COLLIDING.shape).tolist(), COLLIDING))
+        frames = random_unitary(d, REPEATED)
+        keys = list(zip(np.broadcast_to(d, REPEATED.shape).tolist(), REPEATED))
+        assert drawn == keys
         for u, (size, s) in zip(frames, keys):
-            assert np.array_equal(u, random_unitary(size, s))
-        for i, j in zip(*np.triu_indices(len(keys), 1)):
-            assert (frames[i] is frames[j]) == (keys[i] == keys[j])
+            assert u.flags.writeable and np.array_equal(u, random_unitary(size, s))
+        assert len({id(u) for u in frames}) == len(frames)
 
-    def test_no_frame_outlives_a_call(self, monkeypatch):
-        drawn = count_gaussians(monkeypatch)
-        first = random_unitary(3, COLLIDING)
-        second = random_unitary(3, COLLIDING)
-        assert len(drawn) == 8
-        assert all(a is not b and np.array_equal(a, b) for a, b in zip(first, second))
-
-    def test_shared_frames_are_read_only(self):
-        frames = random_unitary(3, COLLIDING)
-        assert not any(u.flags.writeable for u in frames)
-        with pytest.raises(ValueError):
-            frames[0][0, 0] = 0
-        assert np.array_equal(frames[2], random_unitary(3, 5))
+    def test_a_generator_draws_its_frames_in_element_order(self):
+        # one generator handed to three elements draws three frames in turn,
+        # as it does call by call
+        rng = np.random.default_rng(11)
+        frames = random_unitary(np.array([3, 4, 3]), np.array([rng] * 3, dtype=object))
+        again = np.random.default_rng(11)
+        for u, size in zip(frames, (3, 4, 3)):
+            assert np.array_equal(u, random_unitary(size, again))
+        assert not np.allclose(frames[0], frames[2])
 
 
 class TestTolerance:
@@ -345,11 +336,24 @@ def test_the_module_entry_point_writes_the_report_of_main(capsys):
     assert done.stdout == capsys.readouterr().out.encode("utf-8")
 
 
-def test_subseeds_are_the_subseeds_of_each_trial():
+def test_trial_generators_are_keyed_by_seed_name_and_trial():
     for base in (0, 17, 2**64 - 1):
-        seeds = subseeds(base, "axiom2", 5)
-        assert seeds.dtype == object and seeds.shape == (5,)
-        assert all(type(s) is int for s in seeds)
-        assert list(seeds) == [subseed(base, "axiom2", t) for t in range(5)]
-    assert subseeds(3, "mmorph", 0).shape == (0,)
-    assert list(subseeds(3, "mmorph", 4)) != list(subseeds(3, "axiom3", 4))
+        rngs = trial_generators(base, "axiom2", 5)
+        assert rngs.dtype == object and rngs.shape == (5,)
+        keyed = [np.random.default_rng([base, zlib.crc32(b"axiom2"), t]) for t in range(5)]
+        assert [r.integers(2**63) for r in rngs] == [r.integers(2**63) for r in keyed]
+    assert trial_generators(3, "mmorph", 0).shape == (0,)
+    # the seed is taken mod 2^64
+    (wrapped,), (largest,) = (trial_generators(s, "mmorph", 1) for s in (-1, 2**64 - 1))
+    assert wrapped.random() == largest.random()
+
+
+def test_distinct_keys_give_distinct_streams():
+    # XOR-ing the trial index into the seed made (s, t) and (s ^ 1, t ^ 1)
+    # one stream, so seeds 0 and 1 checked the same instances
+    firsts = {}
+    for seed in range(8):
+        for name in ("lattice-om", "lattice-dist", "axiom3"):
+            for t, rng in enumerate(trial_generators(seed, name, 8)):
+                firsts[seed, name, t] = tuple(rng.integers(2**63, size=2).tolist())
+    assert len(set(firsts.values())) == len(firsts) == 8 * 3 * 8

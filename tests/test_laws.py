@@ -11,7 +11,7 @@ from orthologic import classical, cli
 from orthologic import subspace as sub
 from orthologic.classical import ClassicalProp, PhaseSpace, prop_and
 from orthologic.cli import main
-from orthologic.core import DEFAULT_TOL, Tolerance, random_unitary, random_vector, subseed
+from orthologic.core import DEFAULT_TOL, Tolerance, random_unitary, random_vector, trial_generators
 from orthologic.laws import (
     LawReport,
     check_compatibility_criteria,
@@ -431,14 +431,18 @@ class TestModularPairs:
                 return Subspace(j.ambient_dim, cut(j.basis))
 
             monkeypatch.setattr(sub, "join", lossy)
-        seeds = np.array([101 + 17 * k for k in range(12)], dtype=object)
-        p, q = sub.random_family((6, 6), seeds, proper=True)
-        batch = is_modular_pair(p, q, samples=6, seed=seeds)
-        loops = [per_sample_modular_pair(Subspace(6, a), Subspace(6, b), 6, s)
-                 for a, b, s in zip(p.basis, q.basis, seeds)]
-        for a, b, s, loop in zip(p.basis, q.basis, seeds, loops):
-            single = is_modular_pair(Subspace(6, a), Subspace(6, b), samples=6, seed=s)
-            assert single.to_json() == loop.to_json()
+
+        # as lattice-check runs it: each pair's generator draws the pair,
+        # then its samples
+        def pairs():
+            rngs = trial_generators(101, "modular", 12)
+            return (*sub.random_family((6, 6), rngs, proper=True), rngs)
+
+        p, q, rngs = pairs()
+        batch = is_modular_pair(p, q, samples=6, seed=rngs)
+        loops = [per_sample_modular_pair(a, b, 6, g) for a, b, g in zip(*elements(pairs()))]
+        singles = [is_modular_pair(a, b, samples=6, seed=g) for a, b, g in zip(*elements(pairs()))]
+        assert [r.to_json() for r in singles] == [r.to_json() for r in loops]
         failing = [r for r in loops if not r.holds]
         assert bool(failing) == broken and (not broken or len(failing) < len(loops))
         assert batch.holds == (not failing)
@@ -448,12 +452,18 @@ class TestModularPairs:
         assert batch.counterexample == (failing[0].counterexample if failing else None)
 
 
+def elements(batches):
+    """The elements of each batch of subspaces, and an array as it is."""
+    return [x.elements() if isinstance(x, Subspace) else x for x in batches]
+
+
 def per_sample_modular_pair(p, q, samples, seed, tol=DEFAULT_TOL):
     """is_modular_pair as one sample at a time: each sample one trial, the
     worst residual over all of them, the first failing one's counterexample."""
     worst, failures, counterexample = 0.0, 0, None
+    rng = np.random.default_rng(seed)
     for trial in range(samples):
-        r = sub.random_subspace_of(q, trial % (q.dim + 1), seed + 7919 * trial)
+        r = sub.random_subspace_of(q, trial % (q.dim + 1), rng)
         left = sub.meet(sub.join(p, r, tol), q, tol)
         right = sub.join(sub.meet(p, q, tol), r, tol)
         worst = max(worst, sub.projector_distance(left, right))
@@ -763,7 +773,7 @@ class TestDistributivityHypothesisOnBatches:
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_triple_batch_folds_its_elements(self, ops, d):
-        seeds = np.array([subseed(2, "triple", t) for t in range(24)], dtype=object)
+        seeds = np.arange(2000, 2024, dtype=object)
         batches = frame_triples(d, seeds)
         report = check_triple_distributive(*batches)
         assert batch_fields(report) == fold_elements(per_identity_triple, batches)
@@ -775,7 +785,7 @@ class TestDistributivityHypothesisOnBatches:
         # the distributive law has no hypothesis, so its batch folds every
         # element; the frame elements (even seed values), where b is compatible
         # with a1 and a2, hold by Foulis-Holland unless the join is lossy
-        seeds = np.array([subseed(5, "foulis", t) for t in range(24)], dtype=object)
+        seeds = np.arange(5000, 5024, dtype=object)
         b, a1, a2 = frame_triples(d, seeds)
         report = check_distributive(b, a1, a2)
         assert batch_fields(report) == fold_elements(check_distributive, (b, a1, a2))
@@ -788,6 +798,6 @@ class TestDistributivityHypothesisOnBatches:
         assert all(holds) == (ops == "intact" or d == 3)
 
     def test_generic_triples_are_outside_the_hypothesis(self):
-        seeds = np.array([subseed(3, "generic", t) for t in range(12)], dtype=object)
+        seeds = np.arange(3000, 3012, dtype=object)
         report = check_triple_distributive(*sub.random_family((4, 4, 4), seeds, proper=True))
         assert not report.applicable and report.holds

@@ -240,17 +240,17 @@ class TestEqualArgumentOrder:
     @pytest.mark.parametrize("d", [3, 4, 8, 16])
     def test_generic_pairs(self, d):
         for k in range(1, d):
-            seeds = core.subseeds(d, f"order-{k}", 200)
-            p = random_subspace(d, [k] * 200, seeds)
-            q = random_subspace(d, [k] * 200, seeds + 1000)
+            rngs = core.trial_generators(d, f"order-{k}", 200)
+            p = random_subspace(d, [k] * 200, rngs)
+            q = random_subspace(d, [k] * 200, rngs)
             self.assert_order_gap(p, q)
 
     @pytest.mark.parametrize("d", [3, 4, 8, 16])
     def test_equal_spans_with_rotated_bases(self, d):
         for k in range(1, d):
-            seeds = core.subseeds(d, f"rotated-{k}", 50)
-            p = random_subspace(d, [k] * 50, seeds)
-            q = Subspace(d, tuple(b @ random_unitary(k, s) for b, s in zip(p.basis, seeds)))
+            rngs = core.trial_generators(d, f"rotated-{k}", 50)
+            p = random_subspace(d, [k] * 50, rngs)
+            q = Subspace(d, tuple(b @ random_unitary(k, rng) for b, rng in zip(p.basis, rngs)))
             assert np.all(equal(p, q)) and np.all(equal(q, p))
             self.assert_order_gap(p, q)
 
@@ -504,17 +504,33 @@ class TestBatches:
         assert_orthonormal(inner)
 
     @pytest.mark.parametrize("proper", [True, False])
-    def test_a_family_draws_each_distinct_member_frame_once(self, monkeypatch, proper):
-        # member j of seed s and member 0 of seed s + j cut one frame
+    def test_a_family_draws_every_member_from_its_trial_generator(self, monkeypatch, proper):
+        # one generator per trial: the dimensions of the members, then their
+        # frames in member order
         seeds = np.array([5, 6, 5, 7, 2**64 - 1], dtype=object)
         singles = [random_family((3, 3, 4), s, proper) for s in seeds]
         drawn = []
         gaussian = core._gaussian
         monkeypatch.setattr(core, "_gaussian", lambda d, s: drawn.append((d, s)) or gaussian(d, s))
         family = random_family((3, 3, 4), seeds, proper)
-        assert sorted(drawn) == sorted({(d, s + j) for j, d in enumerate((3, 3, 4)) for s in seeds})
-        for members, single in zip(zip(*(m.basis for m in family)), singles):
+        assert len(drawn) == 3 * len(seeds)
+        for members, single, s in zip(zip(*(m.basis for m in family)), singles, seeds):
             assert all(np.array_equal(b, m.basis) for b, m in zip(members, single))
+            rng = np.random.default_rng(s)
+            ks = [int(rng.integers(1, d if proper else d + 1)) for d in (3, 3, 4)]
+            for b, d, k in zip(members, (3, 3, 4), ks):
+                assert np.array_equal(b, random_unitary(d, rng)[:, :k])
+
+    def test_the_members_of_a_family_are_distinct(self):
+        # 100 trials of three members in C^8 are 300 distinct subspaces
+        family = random_family((8, 8, 8), core.trial_generators(0, "lattice-dist", 100), True)
+        members = [b for m in family for b in m.basis]
+        projectors = np.array([(b @ b.conj().T).ravel() for b in members])
+        # ||P - Q||_F^2 = ||P||_F^2 + ||Q||_F^2 - 2 tr(PQ), from one Gram matrix
+        gram = (projectors @ projectors.conj().T).real
+        gaps = np.diag(gram)[:, None] + np.diag(gram)[None] - 2 * gram
+        assert len(members) == 300
+        assert np.min(gaps + np.eye(300)) > 0.01
 
     def test_rays_are_the_spans_of_their_vectors(self):
         # a zero vector spans the zero subspace, as span_of of it does
