@@ -116,18 +116,27 @@ def _check_space(a: ClassicalProp, b: ClassicalProp) -> None:
         raise SpaceMismatch("propositions refer to different phase spaces")
 
 
+def _connective(space: PhaseSpace, members) -> ClassicalProp:
+    # a connective's result, in range by construction: the and/or of
+    # in-range masks, or a complement masked by the full set
+    prop = object.__new__(ClassicalProp)
+    object.__setattr__(prop, "space", space)
+    object.__setattr__(prop, "members", members)
+    return prop
+
+
 def prop_and(a: ClassicalProp, b: ClassicalProp) -> ClassicalProp:
     _check_space(a, b)
-    return ClassicalProp(a.space, a.members & b.members)
+    return _connective(a.space, a.members & b.members)
 
 
 def prop_or(a: ClassicalProp, b: ClassicalProp) -> ClassicalProp:
     _check_space(a, b)
-    return ClassicalProp(a.space, a.members | b.members)
+    return _connective(a.space, a.members | b.members)
 
 
 def prop_not(a: ClassicalProp) -> ClassicalProp:
-    return ClassicalProp(a.space, ~a.members & ((1 << a.space.size) - 1))
+    return _connective(a.space, ~a.members & ((1 << a.space.size) - 1))
 
 
 def product_phase_space(s1: PhaseSpace, s2: PhaseSpace) -> PhaseSpace:
@@ -216,8 +225,9 @@ class ProductIsoReport:
 
 
 # Elements per box of lattice-check --classical's triple sweep, the size
-# of each np.uint16 temporary of a box: 64 KB, which holds omega 5's whole
-# cube; at omega 8 a box of one b-value takes up to 2^16 elements, 128 KB.
+# of each temporary of a box: 32 KB of the np.uint8 masks that omega up to
+# 8 takes, which holds omega 5's whole cube; at omega 8 a box of one
+# b-value takes up to 2^16 elements, 64 KB.
 _CHUNK = 1 << 15
 
 

@@ -221,7 +221,7 @@ def _classical_lattice_report(omega: int, tol: Tolerance) -> dict:
     axis each, so a checker call on (col, row) covers every pair, and the
     calls on the boxes of cl.rotation_cover check every triple identity."""
     space = cl.PhaseSpace(tuple(f"w{k}" for k in range(omega)))
-    masks = np.arange(1 << omega, dtype=np.uint16)
+    masks = np.arange(1 << omega, dtype=np.min_scalar_type((1 << omega) - 1))
     col, row = cl.ClassicalProp(space, masks[:, None]), cl.ClassicalProp(space, masks[None, :])
     ok_dist = all(
         laws.check_triple_distributive(
@@ -372,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
 # machine.  composite-verify builds each factor map's table by doubling and
 # is bound by eta's 2^N x N boolean matrix: 0.3 ms of 0.7-1.0 ms at 1x12.
 # lattice-check checks the triple law on the boxes of classical.rotation_cover,
-# about a third of the 2^(3 omega) triples: 0.002-0.004 s for omega = 6,
-# 0.011-0.020 s for 7, 0.09-0.15 s for 8, 0.8-1.2 s for 9.  Its np.uint16
-# bitmasks hold every mask up to omega = 16.
+# about a third of the 2^(3 omega) triples, on bitmasks of the smallest
+# unsigned dtype that holds 2^omega - 1 (np.uint8 up to the cap): medians of
+# 1.0 ms for omega = 6, 5.2 ms for 7, 32 ms for 8 and 0.58 s for 9 (np.uint16).
 MAX_PRODUCT_POINTS = 12
 MAX_OMEGA = 8
 

@@ -19,10 +19,12 @@ rule.  An instance is one batch element (of is_modular_pair, one sampled
 failing ones and ``holds`` whether there is none.  ``worst_residual`` is
 the largest residual of every identity on every instance within the
 hypothesis (of a classical instance, the number of points in which the
-two sides differ), passing or not.  The counterexample holds the inputs
-and sides of the first failing instance in C order, at its first
-failing identity, as single propositions, so it replays through the
-same checker.
+two sides differ), passing or not; a classical residual is 0 where the
+sides are equal, so it is counted only when the law fails.  The
+counterexample holds the inputs and sides of the first failing instance
+in C order, at its first failing identity, as single propositions, so it
+replays through the same checker.  The classical connectives' results
+are in range by construction and are not re-checked.
 
 Compatibility of two subspaces is decided lattice-theoretically by the
 constructive criterion (a meet b) join (a' meet b) = b; the second
@@ -111,6 +113,7 @@ _SUBSPACE = SimpleNamespace(
     equal=lambda a, b, tol: sub.equal(a, b, tol),
     leq=lambda a, b, tol: sub.leq(a, b, tol),
     residual=lambda a, b: sub.projector_distance(a, b),
+    exact=False,
     serialize=lambda a: sub.subspace_to_json(a),
     element=lambda p, shape, at: p.elements()[at[0] if at else 0],  # batches are 1-D
 )
@@ -121,6 +124,7 @@ _CLASSICAL = SimpleNamespace(
     equal=lambda a, b, tol: a.members == b.members,
     leq=lambda a, b, tol: b.contains(a),
     residual=lambda a, b: _bit_counts(a.members ^ b.members),
+    exact=True,  # a residual is 0 wherever equal holds: counted only on a failure
     serialize=lambda a: a.to_json(),
     element=lambda p, shape, at: cl.ClassicalProp(
         p.space, int(np.broadcast_to(p.members, shape)[at])),
@@ -175,7 +179,8 @@ def _compare(ops, law_name: str, inputs: dict, sides: list, tol, applies=True) -
     same = np.stack([ops.equal(left, right, tol) for left, right in sides])
     failed = np.less(same.all(axis=0), applies)  # applies (True) but fails (False)
     report = _report(law_name, failed, applies)
-    if report.trials:  # a scalar residual (one instance, or a zero popcount) is every instance's
+    if report.trials and not (ops.exact and report.holds):
+        # a scalar residual (one instance, or a zero popcount) is every instance's
         residuals = (ops.residual(left, right) for left, right in sides)
         report.worst_residual = max(
             float(np.max(r, where=applies, initial=0.0) if np.ndim(r) else r) for r in residuals)
@@ -218,20 +223,20 @@ def check_orthomodular(p, q, tol: Tolerance = DEFAULT_TOL) -> LawReport:
                     applies=ops.leq(p, q, tol))
 
 
-def compatible(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Compatibility via (a meet b) join (a' meet b) = b."""
-    rebuilt = sub.join(
-        sub.meet(a, b, tol), sub.meet(sub.ortho(a), b, tol), tol
-    )
-    return sub.equal(rebuilt, b, tol)
+def compatible(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL, a_meet_b=None) -> bool:
+    """Compatibility via (a meet b) join (a' meet b) = b; a meet b is
+    computed unless given."""
+    a_meet_b = sub.meet(a, b, tol) if a_meet_b is None else a_meet_b
+    return sub.equal(sub.join(a_meet_b, sub.meet(sub.ortho(a), b, tol), tol), b, tol)
 
 
 def compatible_second_criterion(
-    a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL
+    a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL, a_meet_b=None
 ) -> bool:
-    """Compatibility via (a join b') meet b = a meet b."""
+    """Compatibility via (a join b') meet b = a meet b; a meet b is
+    computed unless given."""
     left = sub.meet(sub.join(a, sub.ortho(b), tol), b, tol)
-    return sub.equal(left, sub.meet(a, b, tol), tol)
+    return sub.equal(left, sub.meet(a, b, tol) if a_meet_b is None else a_meet_b, tol)
 
 
 def commuting_projectors(
@@ -244,10 +249,12 @@ def commuting_projectors(
 def check_compatibility_criteria(
     a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL
 ) -> LawReport:
-    """Check that both lattice criteria and the projector oracle agree."""
+    """Check that both lattice criteria and the projector oracle agree;
+    both criteria share one a meet b."""
+    a_meet_b = sub.meet(a, b, tol)
     verdicts = (
-        compatible(a, b, tol),
-        compatible_second_criterion(a, b, tol),
+        compatible(a, b, tol, a_meet_b),
+        compatible_second_criterion(a, b, tol, a_meet_b),
         commuting_projectors(a, b, tol),
     )
     agree = (verdicts[0] == verdicts[1]) & (verdicts[1] == verdicts[2])

@@ -72,8 +72,9 @@ def out_of_range(members, size):
     return bool(np.any((members < 0) | (members >= 1 << size)))
 
 
-@pytest.mark.parametrize("size", [1, 2, 8, 12])
-def test_range_check_refuses_exactly_the_out_of_range_masks(size):
+def range_candidates(size):
+    """Masks at and around the edges of a size-point space: Python ints,
+    and scalars and arrays of each integer dtype."""
     values = [-(1 << 70), -1, 0, 1, (1 << size) - 1, 1 << size, 1 << 70]
     candidates = list(values)
     for dtype in (np.int8, np.int64, np.uint8, np.uint16, np.uint64):
@@ -82,6 +83,12 @@ def test_range_check_refuses_exactly_the_out_of_range_masks(size):
         candidates += [dtype(v) for v in fitting]
         candidates += [np.array(pair, dtype=dtype) for pair in itertools.product(fitting, repeat=2)]
         candidates += [np.array(fitting, dtype=dtype).reshape(-1, 1), np.zeros((0, 2), dtype=dtype)]
+    return candidates
+
+
+@pytest.mark.parametrize("size", [1, 2, 8, 12])
+def test_range_check_refuses_exactly_the_out_of_range_masks(size):
+    candidates = range_candidates(size)
     space = PhaseSpace(tuple(range(size)))
     for members in candidates:
         try:
@@ -99,6 +106,30 @@ def test_range_check_refuses_exactly_the_out_of_range_masks(size):
             assert str(exc) == "morphism table has an image outside the target"
             refused = True
         assert refused == out_of_range(table, size), (table, size)
+
+
+@pytest.mark.parametrize("size", [1, 2, 8, 12])
+def test_connectives_keep_every_in_range_mask_in_range(size):
+    # the connectives build their results unchecked: each result of an
+    # in-range mask, with itself and with every in-range scalar, passes
+    # the check again (a mix of dtypes that numpy refuses builds nothing)
+    space = PhaseSpace(tuple(range(size)))
+    props = [ClassicalProp(space, m) for m in range_candidates(size)
+             if not out_of_range(m, size)]
+    scalars = [p for p in props if np.ndim(p.members) == 0]
+    built = 0
+    for a in props:
+        for make in [lambda: prop_not(a)] + [
+            functools.partial(connective, a, b)
+            for b in [a] + scalars for connective in (prop_and, prop_or)
+        ]:
+            try:
+                result = make()
+            except (TypeError, OverflowError):
+                continue
+            ClassicalProp(space, result.members)
+            built += 1
+    assert built > 20 * len(props)
 
 
 class TestConnectives:

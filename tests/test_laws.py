@@ -3,11 +3,12 @@
 import functools
 import itertools
 import json
+import traceback
 
 import numpy as np
 import pytest
 
-from orthologic import classical, cli
+from orthologic import classical, cli, laws
 from orthologic import subspace as sub
 from orthologic.classical import ClassicalProp, PhaseSpace, prop_and
 from orthologic.cli import main
@@ -244,6 +245,20 @@ class TestCompatibility:
                         commuting_projectors(p, q),
                     )
                     assert verdicts == (expected,) * 3, (d, seed, k)
+
+    def test_the_criteria_share_one_meet_of_the_pair(self, monkeypatch):
+        # a meet b enters both criteria: checking them meets a and b once
+        p, q = cli._mixed_pair(4, np.arange(8) % 4, trial_generators(3, "compat", 8))
+        pairs = []
+        original = sub.meet
+
+        def recorded(x, y, tol=DEFAULT_TOL):
+            pairs.append((x, y))
+            return original(x, y, tol)
+
+        monkeypatch.setattr(sub, "meet", recorded)
+        assert check_compatibility_criteria(p, q).holds
+        assert len(pairs) == 3 and sum(x is p and y is q for x, y in pairs) == 1
 
     def test_nontrivial_elements_admit_incompatible_partner(self):
         # irreducibility spot check: only 0 and the full space commute
@@ -494,7 +509,7 @@ def lopsided_meet(a, b):
 def per_a_lattice_report(omega, tol=DEFAULT_TOL):
     """cli._classical_lattice_report with distributivity checked one
     a-value per checker call, over int64 bitmasks: the oracle of the
-    blocked uint16 sweep."""
+    blocked sweep over the narrowest unsigned bitmasks."""
     space = PhaseSpace(tuple(f"w{k}" for k in range(omega)))
     masks = np.arange(1 << omega, dtype=np.int64)
     col, row = ClassicalProp(space, masks[:, None]), ClassicalProp(space, masks[None, :])
@@ -653,6 +668,34 @@ class TestClassicalBatches:
         assert check_de_morgan((col, row)).worst_residual == 5.0
         pair = (ClassicalProp(space, 0b01010), ClassicalProp.full(space))  # {w1, w3}
         assert check_de_morgan(pair).worst_residual == 3.0
+
+    def test_a_passing_sweep_counts_no_residual(self, monkeypatch, capsys):
+        # where equal holds a classical residual is 0, so a sweep whose
+        # every law holds counts none and reports the same bytes
+        argv = ["lattice-check", "--classical", "--omega", "5"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+
+        def refuse(masks):
+            raise AssertionError("a residual was counted on a passing law")
+
+        monkeypatch.setattr(laws, "_bit_counts", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_no_connective_rechecks_its_result(self, monkeypatch, capsys):
+        # the and/or of in-range masks and a masked complement are in range
+        callers = []
+        original = classical._check_range
+
+        def recorded(*args):
+            callers.append({frame.name for frame in traceback.extract_stack()})
+            return original(*args)
+
+        monkeypatch.setattr(classical, "_check_range", recorded)
+        assert main(["lattice-check", "--classical", "--omega", "5"]) == 0
+        assert callers
+        assert not [names for names in callers if names & {"prop_and", "prop_or", "prop_not"}]
 
     def test_counterexample_is_the_first_failing_element(self, monkeypatch):
         monkeypatch.setattr(classical, "prop_or", lossy_join)
