@@ -53,6 +53,12 @@ class PhaseSpace:
         return self.points.index(label)
 
 
+# The bits of each numpy integer dtype that a bitmask can use (a signed
+# one keeps its sign bit clear); a dtype absent here holds no bitmask.
+_MASK_BITS = {dtype: dtype.itemsize * 8 - (dtype.kind == "i")
+              for dtype in map(np.dtype, np.typecodes["AllInteger"])}
+
+
 @dataclass(frozen=True, eq=False)
 class ClassicalProp:
     """A proposition: a subset of a phase space, stored as a bitmask.
@@ -60,9 +66,12 @@ class ClassicalProp:
     ``members`` is one bitmask (an int or a numpy integer scalar) or a
     batch: a numpy integer array of bitmasks over the same space, each
     element one proposition; any other type, a bool or a float too, is
-    refused.  The connectives act elementwise and broadcast, so
-    prop_and(p, q) on batches of shapes (n, 1) and (1, n) holds all n^2
-    meets; ``contains`` is elementwise too.  The JSON forms are for one
+    refused, and so is a numpy dtype too narrow for the full set (so the
+    full set, and every connective's result, fits the dtype).  The
+    connectives act elementwise and broadcast, so prop_and(p, q) on
+    batches of shapes (n, 1) and (1, n) holds all n^2 meets; ``contains``
+    is elementwise too.  and/or of two dtypes numpy cannot combine, such
+    as int64 and uint64, raise InvalidParameter.  The JSON forms are for one
     bitmask: to_json refuses a batch.  Like every array-holding dataclass
     here, it compares and hashes by identity, a single bitmask too:
     compare ``members`` instead, as the ``laws`` checkers do.
@@ -72,11 +81,12 @@ class ClassicalProp:
     members: int | np.ndarray = field(default=0)
 
     def __post_init__(self) -> None:
-        m = self.members
+        m, size = self.members, self.space.size
         if type(m) is not int and not (isinstance(m, (np.ndarray, np.integer))
-                                       and m.dtype.kind in "iu"):
-            raise InvalidParameter("members must be an int or a numpy integer array of bitmasks")
-        _check_range(m, self.space.size, "bitmask out of range for this phase space")
+                                       and _MASK_BITS.get(m.dtype, 0) >= size):
+            raise InvalidParameter("members must be an int or a numpy integer array of bitmasks"
+                                   f", of a dtype that holds {size} points")
+        _check_range(m, size, "bitmask out of range for this phase space")
 
     @classmethod
     def full(cls, space: PhaseSpace) -> "ClassicalProp":
@@ -127,12 +137,18 @@ def _connective(space: PhaseSpace, members) -> ClassicalProp:
 
 def prop_and(a: ClassicalProp, b: ClassicalProp) -> ClassicalProp:
     _check_space(a, b)
-    return _connective(a.space, a.members & b.members)
+    try:
+        return _connective(a.space, a.members & b.members)
+    except TypeError:
+        raise InvalidParameter("the dtypes of these bitmasks do not combine") from None
 
 
 def prop_or(a: ClassicalProp, b: ClassicalProp) -> ClassicalProp:
     _check_space(a, b)
-    return _connective(a.space, a.members | b.members)
+    try:
+        return _connective(a.space, a.members | b.members)
+    except TypeError:
+        raise InvalidParameter("the dtypes of these bitmasks do not combine") from None
 
 
 def prop_not(a: ClassicalProp) -> ClassicalProp:

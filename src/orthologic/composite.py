@@ -13,9 +13,13 @@ Each axiom sub-check is defined once in _AXIOM_CHECKS, keyed by the
 counterexample kind it records: sweep_axioms runs it once on a batch of
 all its seeded trials (a Subspace batch, see ``subspace``), and
 recheck_axiom_counterexample replays it on the subspaces of the JSON.
-The checks of one side share a memo for that call, an identity cache,
-so each batch is mapped and each pair joined once, however many checks
-read it.  The table also holds the m-morphism criterion, which
+Axiom I checks the sides that share a source dimension as one lane: one
+batch of both sides' trials, mapped piecewise (h1 on side 1's run, h2 on
+side 2's), whose verdicts, residuals and batches split back per side.
+The checks of a lane share a memo, an identity cache, so each batch is
+mapped and each pair joined once, however many checks read it; each
+side's prechecks have their own, which maps its full space once for its
+lane too.  The table also holds the m-morphism criterion, which
 check_m_morphism runs once on the batches of the x, y and x - y rays of
 all its trials; its counterexample records them as side 1, and replays
 like axiom I's.  One fold, _axiom_report, reports each axiom and the
@@ -48,7 +52,7 @@ the distinct rays it needs as one batch.  The isomorphism is verified
 by what the theorem claims: the matrix is unitary (one Gram residual,
 so its lift is a lattice isomorphism), and the lift carries the
 cylinders p tensor C^{d2} and C^{d1} tensor q onto h1(p) and h2(q), on
-all seeded factor subspaces of a side as one batch.
+the images of all seeded factor subspaces of both sides as one batch.
 """
 
 from __future__ import annotations
@@ -285,15 +289,17 @@ def _like(p: Subspace, s: Subspace) -> Subspace:
 
 def _memo(tol: Tolerance) -> SimpleNamespace:
     """The images ``image(h, p)`` and joins ``join(p, q)`` of one run of
-    axiom checks (the _checked calls of one side, or one check alone),
-    each computed once, and their ``tol``; ``full(d)`` is one full
-    subspace of C^d per memo, so its image is computed once too.  The
+    axiom checks (the prechecks of one side, the trials of one lane, or
+    one check alone), each computed once, and their ``tol``; ``full(d)``
+    is one full subspace of C^d per memo, so its image is computed once
+    too, and ``top(h, p)`` holds that image once per element of p.  The
     caches hold their operands, which hash by identity, so no id is
     reused while the memo lives.  h(p) and sub.join are looked up when
     called (the benchmark tracer patches them)."""
-    return SimpleNamespace(tol=tol, image=cache(lambda h, p: h(p)),
+    image, full = cache(lambda h, p: h(p)), cache(full_subspace)
+    return SimpleNamespace(tol=tol, image=image, full=full,
                            join=cache(lambda p, q: sub.join(p, q, tol)),
-                           full=cache(full_subspace))
+                           top=lambda h, p: _like(p, image(h, full(h.source_dim))))
 
 
 # Counterexample kind -> its check.  A check takes the _memo it maps and
@@ -316,8 +322,7 @@ _AXIOM_CHECKS = {
     ),
     "complement": lambda m, h, p: _same(
         m.image(h, sub.ortho(p)),
-        sub.meet(sub.ortho(m.image(h, p)), _like(p, m.image(h, m.full(h.source_dim))),
-                 m.tol),
+        sub.meet(sub.ortho(m.image(h, p)), m.top(h, p), m.tol),
         m.tol,
     ),
     "compat_preservation": lambda m, h, p, q: (
@@ -395,7 +400,8 @@ class AxiomSweep:
 
     ``groups`` holds the (side, checks) groups of each axiom that
     _axiom_report folds: of axiom I, per side, its unitarity and its zero
-    precheck and then, if it passes both, its trials; of axioms II and
+    precheck and then, if it passes both, its trials (checked in its
+    lane, see _sweep_lane, and split back to the side); of axioms II and
     III, their trials.  Trial t draws from its own generator alone (see
     trial_generators), so ``reports(n)`` gives exactly the reports of an
     n-trial sweep, for any n <= trials.
@@ -415,6 +421,45 @@ class AxiomSweep:
         return [_axiom_report(axiom, groups, n) for axiom, groups in zip(_AXIOMS, self.groups)]
 
 
+def _sweep_lane(lane, trials: int, seed: int, tol: Tolerance) -> list:
+    """Axiom I's trials on a lane, the sides (side, h, memo) that share a
+    source dimension, in side order: the trials of every side, each drawn
+    from its side's trial generators, as one batch, and each check run
+    once on it.  The lane maps a batch piecewise, each side's h on its run
+    of trials, and takes each side's image of the full space (``top``)
+    from that side's memo, which mapped it once.  Gives (side, checks) for
+    each side, on its run of trials."""
+    k, memo = len(lane), _memo(tol)
+
+    def runs(p: Subspace):
+        return zip(lane, p.split(k))
+
+    def piecewise(p: Subspace) -> Subspace:
+        return Subspace.concat([h(run) for (_, h, _), run in runs(p)])
+
+    piecewise.batched = True
+    memo.top = lambda _, p: Subspace.concat([m.top(h, run) for (_, h, m), run in runs(p)])
+    d, dim = lane[0][1].source_dim, lane[0][1].target_dim
+
+    def rngs(name: str) -> np.ndarray:
+        return np.concatenate([trial_generators(seed, name + str(side), trials)
+                               for side, _, _ in lane])
+
+    p, q, r = sub.random_family((d, d, d), rngs("axiom1_side"), proper=False)
+    cp, cq = sub.compatible_pair(d, rngs("compat"))
+    checks = _checked(memo, (SubspaceMorphism(d, dim, piecewise),), (
+        ("join", (p, q)),
+        ("family_join", (p, q, r)),
+        ("complement", (p,)),
+        ("compat_preservation", (cp, cq)),
+    ))
+    checks = [(kind, np.split(holds, k), np.split(residual, k), [b.split(k) for b in batches])
+              for kind, holds, residual, batches in checks]
+    return [(side, [(kind, holds[j], residual[j], tuple(b[j] for b in batches))
+                    for kind, holds, residual, batches in checks])
+            for j, (side, _, _) in enumerate(lane)]
+
+
 def sweep_axioms(
     h1: SubspaceMorphism,
     h2: SubspaceMorphism,
@@ -423,28 +468,25 @@ def sweep_axioms(
     tol: Tolerance = DEFAULT_TOL,
 ) -> AxiomSweep:
     """Check axioms I-III on ``trials`` seeded instances: each sampler
-    draws all trials as one batch, and each check runs once on it."""
+    draws all trials as one batch, and each check runs once on it.  The
+    sides of axiom I that pass their prechecks and share a source
+    dimension are one lane, checked on one batch of both sides' trials;
+    other sides each form their own."""
     if h1.target_dim != h2.target_dim:
         raise DimensionMismatch("morphisms must share a target space")
 
     # Axiom I: each h alone must be a unitary c-morphism.  A map failing
     # unitarity or zero is not sampled; the other map still is.
-    c_morphism = []
+    c_morphism, passing = {}, {}
     for side, h in ((1, h1), (2, h2)):
-        memo = _memo(tol)  # the side's prechecks and trials share it
+        memo = _memo(tol)  # the side's prechecks, and its full image in its lane
         prechecks = _checked(memo, (h,), (("unitarity", ()), ("zero", ())))
-        c_morphism += [(side, [check]) for check in prechecks]
+        c_morphism[side] = [(side, [check]) for check in prechecks]
         if all(holds[0] for _, holds, _, _ in prechecks):
-            d = h.source_dim
-            rngs = trial_generators(seed, f"axiom1_side{side}", trials)
-            p, q, r = sub.random_family((d, d, d), rngs, proper=False)
-            cp, cq = sub.compatible_pair(d, trial_generators(seed, f"compat{side}", trials))
-            c_morphism.append((side, _checked(memo, (h,), (
-                ("join", (p, q)),
-                ("family_join", (p, q, r)),
-                ("complement", (p,)),
-                ("compat_preservation", (cp, cq)),
-            ))))
+            passing.setdefault(h.source_dim, []).append((side, h, memo))
+    for lane in passing.values():
+        for side, checks in _sweep_lane(lane, trials, seed, tol):
+            c_morphism[side].append((side, checks))
 
     # Axiom II: cross-images are compatible.  Axiom III: atom images meet
     # in an atom.
@@ -453,7 +495,7 @@ def sweep_axioms(
     atoms = trial_generators(seed, "axiom3", trials)  # each draws r1, then r2
     r1, r2 = sub.random_ray(d1, atoms, tol), sub.random_ray(d2, atoms, tol)
     groups = (
-        tuple(c_morphism),
+        (*c_morphism[1], *c_morphism[2]),
         ((None, _checked(_memo(tol), (h1, h2), (("compatibility", (p1, p2)),))),),
         ((None, _checked(_memo(tol), (h1, h2), (("atom_meet", (r1, r2)),))),),
     )
@@ -760,7 +802,8 @@ def verify_tensor_isomorphism(sweep: AxiomSweep, trials: int, axiom_trials: int)
     so that its lift is a lattice isomorphism, and the lift must carry the
     untwisted cylinders c1 and c2 of canonical_h onto h1 and h2 (c1
     conjugated for the dual-first target) on ``trials`` seeded proper
-    factor subspaces, each side as one batch (failures "h1@t", "h2@t");
+    factor subspaces, with one lift and one comparison on the images of
+    both sides (failures "h1@t", "h2@t");
     the report names which tensor space (plain or dual-first) applied.
     """
     h1, h2, seed, tol = sweep.h1, sweep.h2, sweep.seed, sweep.tol
@@ -773,8 +816,10 @@ def verify_tensor_isomorphism(sweep: AxiomSweep, trials: int, axiom_trials: int)
     gram, not_unitary = _gram_residual(bm.matrix, tol)
     cylinders = canonical_h(1, d1, d2, conjugate=bm.target == "H1*xH2"), canonical_h(2, d1, d2)
     factors = sub.random_family((d1, d2), trial_generators(seed, "tensoriso", trials), proper=True)
-    checks = [_same(bm.lift(c(p), tol), h(p), tol) for c, h, p in zip(cylinders, (h1, h2), factors)]
-    holds, residuals = (np.stack(parts, axis=-1) for parts in zip(*checks))
+    # one lift and one _same on both sides' images, read as (trial, side) arrays
+    lhs, rhs = (Subspace.concat([f(p) for f, p in zip(maps, factors)])
+                for maps in (cylinders, (h1, h2)))
+    holds, residuals = (np.reshape(x, (2, trials)).T for x in _same(bm.lift(lhs, tol), rhs, tol))
     failures = ["unitary"] if not_unitary else []
     failures += [f"h{k + 1}@{t}" for t, k in zip(*np.nonzero(np.logical_not(holds)))]
 

@@ -95,6 +95,25 @@ class Subspace:
         """The batch of the given subspaces of C^ambient_dim, in order."""
         return cls(ambient_dim, tuple(e.basis for e in elements))
 
+    @staticmethod
+    def concat(batches) -> "Subspace":
+        """The batch of the elements of ``batches``, in order.  Their bases
+        were checked when those batches were built, so, as with elements(),
+        they are not checked again; batches of other ambient spaces, or a
+        single subspace, raise DimensionMismatch."""
+        first = batches[0]
+        if any(not b.is_batch or b.ambient_dim != first.ambient_dim for b in batches):
+            raise DimensionMismatch("only batches of one ambient space concatenate")
+        return first._element(sum((b.basis for b in batches), ()))
+
+    def split(self, k: int) -> tuple:
+        """A batch's elements as k batches of equal length, in order.  As
+        with elements(), the bases are not checked again."""
+        n, rest = divmod(len(self.basis), k)
+        if not self.is_batch or rest:
+            raise DimensionMismatch(f"only a batch of a multiple of {k} elements splits into {k}")
+        return tuple(self._element(self.basis[i * n:(i + 1) * n]) for i in range(k))
+
     @property
     def is_batch(self) -> bool:
         return isinstance(self.basis, tuple)
@@ -104,8 +123,9 @@ class Subspace:
         only element."""
         return tuple(map(self._element, self.basis)) if self.is_batch else (self,)
 
-    def _element(self, basis: np.ndarray) -> "Subspace":
-        # the batch checked this basis when it was built
+    def _element(self, basis) -> "Subspace":
+        # the batches that hold this basis, or this tuple of bases (a
+        # batch), checked them when they were built
         element = object.__new__(Subspace)
         object.__setattr__(element, "ambient_dim", self.ambient_dim)
         object.__setattr__(element, "basis", basis)

@@ -72,12 +72,21 @@ def out_of_range(members, size):
     return bool(np.any((members < 0) | (members >= 1 << size)))
 
 
+def too_narrow(members, size):
+    """Whether members has a numpy dtype whose largest value is below the
+    full set of a size-point space: its oracle."""
+    return not isinstance(members, int) and np.iinfo(members.dtype).max < (1 << size) - 1
+
+
+MASK_DTYPES = (np.int8, np.int64, np.uint8, np.uint16, np.uint64)
+
+
 def range_candidates(size):
     """Masks at and around the edges of a size-point space: Python ints,
     and scalars and arrays of each integer dtype."""
     values = [-(1 << 70), -1, 0, 1, (1 << size) - 1, 1 << size, 1 << 70]
     candidates = list(values)
-    for dtype in (np.int8, np.int64, np.uint8, np.uint16, np.uint64):
+    for dtype in MASK_DTYPES:
         info = np.iinfo(dtype)
         fitting = [v for v in values + [info.min, info.max] if info.min <= v <= info.max]
         candidates += [dtype(v) for v in fitting]
@@ -96,7 +105,9 @@ def test_range_check_refuses_exactly_the_out_of_range_masks(size):
             refused = False
         except InvalidParameter:
             refused = True
-        assert refused == out_of_range(members, size), (members, size)
+        # a dtype too narrow for the full set is refused too, even in range
+        assert refused == (out_of_range(members, size) or too_narrow(members, size)), \
+            (members, size)
     # the pairs as tables of a 1-point source, one image per source mask
     for table in (t for t in candidates if np.shape(t) == (2,)):
         try:
@@ -111,11 +122,12 @@ def test_range_check_refuses_exactly_the_out_of_range_masks(size):
 @pytest.mark.parametrize("size", [1, 2, 8, 12])
 def test_connectives_keep_every_in_range_mask_in_range(size):
     # the connectives build their results unchecked: each result of an
-    # in-range mask, with itself and with every in-range scalar, passes
-    # the check again (a mix of dtypes that numpy refuses builds nothing)
+    # accepted mask, with itself and with every accepted scalar, passes the
+    # check again (a mix of dtypes that numpy refuses raises
+    # InvalidParameter and builds nothing)
     space = PhaseSpace(tuple(range(size)))
     props = [ClassicalProp(space, m) for m in range_candidates(size)
-             if not out_of_range(m, size)]
+             if not (out_of_range(m, size) or too_narrow(m, size))]
     scalars = [p for p in props if np.ndim(p.members) == 0]
     built = 0
     for a in props:
@@ -125,11 +137,49 @@ def test_connectives_keep_every_in_range_mask_in_range(size):
         ]:
             try:
                 result = make()
-            except (TypeError, OverflowError):
+            except InvalidParameter:
                 continue
             ClassicalProp(space, result.members)
             built += 1
     assert built > 20 * len(props)
+
+
+@pytest.mark.parametrize("dtype", MASK_DTYPES)
+@pytest.mark.parametrize("size", [1, 7, 8, 12, 15, 16, 63, 64])
+def test_a_mask_dtype_holds_the_full_set_or_is_refused(dtype, size):
+    space = PhaseSpace(tuple(range(size)))
+    ones = [ClassicalProp(space, 1)] + [ClassicalProp(space, other(1)) for other in MASK_DTYPES
+                                        if not too_narrow(other(1), size)]
+    for members in (dtype(1), np.array([0, 1], dtype=dtype)):
+        if too_narrow(members, size):
+            with pytest.raises(InvalidParameter):
+                ClassicalProp(space, members)
+            continue
+        p, bits = ClassicalProp(space, members), np.ravel(members).tolist()
+        # the complement fits the dtype: the exact set, and no numpy error
+        assert np.ravel(prop_not(p).members).tolist() == [~x & (1 << size) - 1 for x in bits]
+        for q in ones:
+            for connective, op in ((prop_and, int.__and__), (prop_or, int.__or__)):
+                try:
+                    result = connective(p, q).members
+                except InvalidParameter:
+                    # numpy has no integer dtype for uint64 with a signed one
+                    kinds = {np.result_type(x).kind for x in (members, q.members)}
+                    assert np.uint64 in (np.result_type(members), np.result_type(q.members))
+                    assert kinds == {"u", "i"}
+                    continue
+                assert np.ravel(result).tolist() == [op(x, 1) for x in bits]
+
+
+def test_the_connectives_raise_no_bare_numpy_error():
+    space = PhaseSpace(tuple(range(12)))
+    with pytest.raises(InvalidParameter):
+        prop_not(ClassicalProp(space, np.uint8(3)))
+    wide, signed = ClassicalProp(space, np.uint64(3)), ClassicalProp(space, np.int64(5))
+    for connective in (prop_and, prop_or):
+        for a, b in ((wide, signed), (signed, wide)):
+            with pytest.raises(InvalidParameter):
+                connective(a, b)
 
 
 class TestConnectives:

@@ -1,6 +1,7 @@
 """Composite-system machinery: axioms, intertwiners, basis maps, isomorphism."""
 
 import dataclasses
+import functools
 import gc
 import itertools
 import json
@@ -1228,9 +1229,10 @@ def test_one_composite_verify_run_draws_each_axiom_batch_once(capsys, monkeypatc
     argv = ["composite-verify", "--dim1", "3", "--dim2", "3", "--twist", "--trials", str(trials)]
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)["results"]
-    # axiom I on both sides, axiom II and the isomorphism's factor
-    # subspaces; the pairs of axiom I; the rays of axiom III (both factors)
-    assert seen == {"random_family": [swept] * 3 + [trials], "compatible_pair": [swept] * 2,
+    # axiom I's one lane, both sides' trials at once (3x3 factors share a
+    # dimension), axiom II and the isomorphism's factor subspaces; the pairs
+    # of axiom I's lane; the rays of axiom III (both factors)
+    assert seen == {"random_family": [2 * swept, swept, trials], "compatible_pair": [2 * swept],
                     "random_ray": [swept, swept]}
     assert report["axioms"][1]["samples"] == trials
     assert report["isomorphism"]["axioms"][1]["samples"] == max(10, trials // 2)
@@ -1495,6 +1497,11 @@ def uncached_sweep(sweep):
 class TestOneSweepComputesEachImageOnce:
     @pytest.mark.parametrize("name", ["plain", "twist", "conjugated", "dim-skipping"])
     def test_each_batch_is_mapped_and_each_pair_joined_once_per_side(self, monkeypatch, name):
+        # the sides of one source dimension form one lane, which draws both
+        # sides' trials as one batch (plain, twist); unequal factors make a
+        # lane of each side (conjugated, dim-skipping).  A lane's piecewise
+        # map takes each of its batches once and hands each side's run of it
+        # to that side's map, and each pair of its batches is joined once
         h1, h2 = SWEEP_PAIRS[name]()
         maps = recording(monkeypatch, SubspaceMorphism, "__call__")
         joins = recording(monkeypatch, sub, "join")
@@ -1502,14 +1509,31 @@ class TestOneSweepComputesEachImageOnce:
         keys = [(id(h), id(p)) for (h, p), _ in maps]
         assert len(keys) == len(set(keys))
         assert len(joins) == len({(id(p), id(q)) for (p, q, *_), _ in joins})
-        sampled = [checks for _, checks in sweep.groups[0] if checks[0][3]]
-        for checks, h in zip(sampled, (h1, h2), strict=True):
-            p, q, r = checks[1][3]
-            images = {id(b): out for (g, b), out in maps if g is h}
-            assert all(id(b) in images for b in (p, q, r))
-            pairs = [(id(a), id(b)) for (a, b, *_), _ in joins]
+        lanes = [(1, 2)] if h1.source_dim == h2.source_dim else [(1,), (2,)]
+        piecewise = {id(g) for (g, _), _ in maps if g not in (h1, h2)}
+        # per lane, its 8 batches: p, q, r, ortho(p), two joins and the
+        # compatible pair; per side, also its two prechecks and one batch
+        # each of axioms II and III
+        assert len(piecewise) == len(lanes)
+        assert len(maps) == 8 * len(lanes) + 2 * (2 + 8 + 2)
+        sampled = {side: checks[1][3] for side, checks in sweep.groups[0] if checks[0][3]}
+        images = {id(b): out for (_, b), out in maps}
+        pairs = [(id(a), id(b)) for (a, b, *_), _ in joins]
+
+        def bases(p):
+            return [id(b) for b in p.basis]
+
+        for lane in lanes:
+            # the lane batch of p, q and r holds its sides' runs, in side order
+            p, q, r = (next(b for (g, b), _ in maps if id(g) in piecewise
+                            and bases(b) == sum((bases(sampled[s][i]) for s in lane), []))
+                       for i in range(3))
             assert pairs.count((id(p), id(q))) == 1
             assert pairs.count((id(images[id(p)]), id(images[id(q)]))) == 1
+            for side in lane:
+                h = (h1, h2)[side - 1]
+                for run in sampled[side]:
+                    assert len([b for (g, b), _ in maps if g is h and bases(b) == bases(run)]) == 1
 
     @pytest.mark.parametrize("name", sorted(SWEEP_PAIRS))
     def test_each_side_maps_its_full_space_once(self, monkeypatch, name):
@@ -1607,6 +1631,98 @@ class TestOneSweepComputesEachImageOnce:
         gc.collect()
         assert key() is not None
         assert memo.image(pair33[0], key()) is image
+
+
+# Axiom I checked side by side, each side with its own memo on its own
+# batches: the oracle of the lanes, which check the sides of one source
+# dimension on one batch and split the results back per side.
+
+
+def per_side_c_morphism(h1, h2, trials, seed, tol=DEFAULT_TOL):
+    groups = []
+    for side, h in ((1, h1), (2, h2)):
+        memo = composite._memo(tol)
+        prechecks = composite._checked(memo, (h,), (("unitarity", ()), ("zero", ())))
+        groups += [(side, [check]) for check in prechecks]
+        if all(holds[0] for _, holds, _, _ in prechecks):
+            d = h.source_dim
+            rngs = trial_generators(seed, f"axiom1_side{side}", trials)
+            p, q, r = sub.random_family((d, d, d), rngs, proper=False)
+            cp, cq = sub.compatible_pair(d, trial_generators(seed, f"compat{side}", trials))
+            groups.append((side, composite._checked(memo, (h,), (
+                ("join", (p, q)), ("family_join", (p, q, r)), ("complement", (p,)),
+                ("compat_preservation", (cp, cq))))))
+    return groups
+
+
+def make_zero_to_full_h2(d1, d2):
+    """Canonical side 2, except that the zero subspace goes to the full space."""
+    base = canonical_h(2, d1, d2)
+    return SubspaceMorphism(d2, d1 * d2, lambda p: base.map(p) if p.dim else full_subspace(d1 * d2))
+
+
+LANE_PAIRS = {
+    **{f"4x4 twisted={twisted} conj={conj}": functools.partial(canonical_pair, 4, 4, twisted, *conj)
+       for twisted in (False, True) for conj in FLAG_PAIRS},
+    "3x5": lambda: canonical_pair(3, 5, True, False, True),
+    # twisted apart, so that the sides' images of the full space differ in
+    # their bases (axiom II fails, but axiom I holds on each side)
+    "4x4 twisted apart": lambda: (canonical_pair(4, 4, True, False, False, twist_seed=41)[0],
+                                  canonical_pair(4, 4, True, False, False, twist_seed=42)[1]),
+    # h2 fails its zero precheck: the lane holds side 1 alone
+    "4x4 h2 not sampled": lambda: (canonical_h(1, 4, 4), make_zero_to_full_h2(4, 4)),
+    "4x4 h2 skips dimensions": lambda: (canonical_h(1, 4, 4), make_dim_skipping(4, 4)),
+}
+
+
+def assert_same_groups(groups, oracle):
+    assert [(side, [c[0] for c in checks]) for side, checks in groups] == \
+        [(side, [c[0] for c in checks]) for side, checks in oracle]
+    for (_, checks), (_, expected) in zip(groups, oracle):
+        for (kind, holds, residual, batches), (_, holds0, residual0, batches0) in zip(checks, expected):
+            assert np.array_equal(holds, holds0), kind
+            assert residual.tobytes() == np.asarray(residual0, dtype=float).tobytes(), kind
+            assert len(batches) == len(batches0), kind
+            for b, b0 in zip(batches, batches0):
+                assert b.ambient_dim == b0.ambient_dim and len(b.basis) == len(b0.basis)
+                assert all(x.tobytes() == y.tobytes() and x.shape == y.shape
+                           for x, y in zip(b.basis, b0.basis)), kind
+
+
+class TestLanesEqualTheSidesAlone:
+    @pytest.mark.parametrize("name", sorted(LANE_PAIRS))
+    @pytest.mark.parametrize("trials, seed", [(0, 3), (1, 4), (12, 5), (40, 7)])
+    def test_groups_equal_the_per_side_checks(self, name, trials, seed):
+        h1, h2 = LANE_PAIRS[name]()
+        sweep = sweep_axioms(h1, h2, trials, seed)
+        oracle = per_side_c_morphism(h1, h2, trials, seed)
+        assert_same_groups(sweep.groups[0], oracle)
+        alone = dataclasses.replace(sweep, groups=(tuple(oracle), *sweep.groups[1:]))
+        for n in sorted({0, trials // 2, trials}):
+            assert report_bytes(sweep.reports(n)) == report_bytes(alone.reports(n)), n
+
+    def test_a_side_failing_a_precheck_leaves_the_other_alone_in_its_lane(self, monkeypatch):
+        h1, h2 = LANE_PAIRS["4x4 h2 not sampled"]()
+        draws = counting(monkeypatch, sub, ("random_family", "compatible_pair"))
+        sweep = sweep_axioms(h1, h2, 9, 2)
+        assert [side for side, checks in sweep.groups[0] if checks[0][3]] == [1]
+        assert sweep.reports(9)[0].counterexample == {"kind": "zero", "side": 2}
+        # side 1's lane draws its 9 trials alone, then axiom II
+        assert draws == {"random_family": [9, 9], "compatible_pair": [9]}
+
+    def test_a_patched_broken_h2_in_a_shared_lane_records_side_2(self, monkeypatch):
+        h1, h2 = canonical_pair(4, 4, True, False, False)
+        base = h2.map
+        top = base(full_subspace(4))
+        monkeypatch.setattr(h2, "map", lambda p: top if p.dim == 3 else base(p))
+        sweep = sweep_axioms(h1, h2, 20, 1)
+        assert_same_groups(sweep.groups[0], per_side_c_morphism(h1, h2, 20, 1))
+        report = sweep.reports(20)[0]
+        ce = report.counterexample
+        assert not report.holds and ce["side"] == 2
+        assert ce["kind"] in ("join", "family_join", "complement")
+        assert recheck_axiom_counterexample(h1, h2, json.loads(json.dumps(ce)))
+        assert not recheck_axiom_counterexample(*canonical_pair(4, 4, True, False, False), ce)
 
 
 def single_ray_matrix(h, y, x, tol=DEFAULT_TOL):

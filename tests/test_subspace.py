@@ -454,6 +454,32 @@ class TestBatches:
         single = pairs[-1][0]
         assert single.elements() == (single,)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_split_and_concat_take_apart_and_rebuild_a_batch(self, k, monkeypatch):
+        pairs = ragged_pairs(3, 0)[:12]
+        batch = batch_of([p for p, _ in pairs])
+        # the bases were checked when the batch was built: neither checks again
+        monkeypatch.setattr("orthologic.subspace._gram_defects", None)
+        runs = batch.split(k)
+        assert len(runs) == k
+        assert all(run.is_batch and run.ambient_dim == 3 and len(run.elements()) == 12 // k
+                   for run in runs)
+        assert [b for run in runs for b in run.basis] == list(batch.basis)
+        whole = Subspace.concat(runs)
+        assert whole.is_batch and all(a is b for a, b in zip(whole.basis, batch.basis))
+        assert len(whole.basis) == len(batch.basis)
+
+    def test_split_and_concat_refuse_what_does_not_fit(self):
+        batch = batch_of([zero_subspace(3)] * 4)
+        for bad in (lambda: batch.split(3), lambda: full_subspace(3).split(1),
+                    lambda: Subspace.concat([batch, batch_of([zero_subspace(4)])]),
+                    lambda: Subspace.concat([batch, full_subspace(3)])):
+            with pytest.raises(DimensionMismatch):
+                bad()
+        # an empty batch splits into empty runs
+        empty = Subspace.batch(3, [])
+        assert [len(run.basis) for run in empty.split(2)] == [0, 0]
+
     @pytest.mark.parametrize("d", [2, 3, 8, 16])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_batched_ops_equal_single_ops(self, d, seed):
