@@ -14,6 +14,8 @@ reproducible run to run.  A sampler takes a seed or a generator (numpy's
 ``default_rng`` hands a generator back unchanged), and a batch an object
 array of them, one per element.  Trial t of a check named ``name`` draws
 everything, in program order, from ``trial_generators(seed, name, n)[t]``.
+A complex Gaussian in C^d, or in the d x d matrices, is one real
+``standard_normal`` draw of shape (2, d) or (2, d, d), real part first.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidParameter
 
 __all__ = [
     "Tolerance",
@@ -154,31 +156,37 @@ def random_unitary(d, seed) -> np.ndarray:
     seed and makes it Haar-distributed.  For an array of seeds or
     generators, and d one size or one per element, the tuple of their
     unitaries: each drawn from its own element, in element order, with
-    one stacked QR per size.
+    one stacked complex build and QR per size; a scalar seed or
+    generator runs as a stack of one.
     """
     if not isinstance(seed, np.ndarray):
-        return _haar(_gaussian(d, seed))
+        return each(_haar, _gaussian(d, seed))
     return each(_haar, tuple(map(_gaussian, np.broadcast_to(d, seed.shape).tolist(), seed)))
 
 
 def _gaussian(d: int, seed) -> np.ndarray:
+    """The real (2, d, d) stack of G's real and imaginary parts: one
+    ``standard_normal`` draw, the stream of a (d, d) draw of each in turn."""
     if d < 1:
         raise DimensionMismatch("d must be >= 1")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return np.random.default_rng(seed).standard_normal((2, d, d))
 
 
 def _haar(g: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(g)
+    """The phase-fixed Q factors of a stack of ``_gaussian`` draws."""
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (diag / np.abs(diag))[..., None, :]
     return q
 
 
 def random_vector(d: int, seed) -> np.ndarray:
-    """Deterministic complex Gaussian vector in C^d, for a seed or generator."""
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    """Deterministic complex Gaussian vector in C^d, for a seed or generator:
+    one (2, d) draw, real part first."""
+    if d < 1:
+        raise DimensionMismatch("d must be >= 1")
+    re, im = np.random.default_rng(seed).standard_normal((2, d))
+    return re + 1j * im
 
 
 def generators(seed: np.ndarray) -> np.ndarray:
@@ -191,9 +199,21 @@ def trial_generators(seed: int, name: str, n: int) -> np.ndarray:
     """The generators of trials 0..n-1 of the check ``name``: trial t's is
     keyed by (seed mod 2^64, crc32(name), t), so every (seed, name, t)
     has its own stream (Salmon et al., SC 2011).  Every piece of the
-    CLI's randomness comes from one user seed through this function."""
-    key = (int(seed) % 2**64, zlib.crc32(name.encode("utf-8")))
-    return generators([[*key, t] for t in range(n)])
+    CLI's randomness comes from one user seed through this function.
+
+    ``default_rng`` gets each key as the uint32 words numpy's SeedSequence
+    derives from the list ``[seed mod 2^64, crc32(name), t]``: each number's
+    words, least significant first, none past its highest nonzero word (one
+    word for 0).  So every state is that of the list, without numpy
+    converting it word by word in Python."""
+    if not np.issubdtype(type(seed), np.integer):
+        raise InvalidParameter(f"seed must be an integer, got {seed!r}")
+    s = int(seed) % 2**64
+    head = [s & 0xFFFFFFFF, *([s >> 32] if s >> 32 else []), zlib.crc32(name.encode("utf-8"))]
+    keys = np.empty((n, len(head) + 1), dtype=np.uint32)
+    keys[:, :-1] = head
+    keys[:, -1] = np.arange(n)
+    return generators(keys)
 
 
 def _one(seed) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerance, as_columns, as_vector, each, orthonormal_bases
+from .core import DEFAULT_TOL, MAX_STACK, Tolerance, as_columns, as_vector, each, orthonormal_bases
 from .core import _one, generators, orthonormalize, random_unitary, random_vector
 from .errors import DimensionMismatch, InvalidDimension
 
@@ -74,21 +74,27 @@ class Subspace:
         # stored C-contiguous: BLAS takes another path for some strided
         # operands, and a batch element must meet the bits of one basis
         batch = isinstance(self.basis, tuple)
-        b = tuple(np.ascontiguousarray(x, dtype=complex) for x in
-                  (self.basis if batch else [self.basis]))
-        for x in b:
+        b, groups = [], {}  # one pass stores, checks the shape of and groups each basis
+        for x in (self.basis if batch else [self.basis]):
+            x = np.ascontiguousarray(x, dtype=complex)
             if x.ndim != 2 or x.shape[0] != self.ambient_dim:
                 raise DimensionMismatch(
                     f"basis shape {x.shape} does not match ambient dim {self.ambient_dim}"
                 )
+            b.append(x)
+            groups.setdefault(x.shape, []).append(x)
         bound = DEFAULT_TOL.eps_eq * max(1, self.ambient_dim)
         with np.errstate(invalid="ignore", over="ignore"):
-            defects = each(_gram_defects, b)
+            defects = []
+            for group in groups.values():
+                for at in range(0, len(group), MAX_STACK):
+                    chunk = group[at:at + MAX_STACK]
+                    defects += _gram_defects(chunk[0][None] if len(chunk) == 1 else np.array(chunk))
         if not all(d <= bound for d in defects):  # a NaN defect fails, wherever it sits
             finite = all(np.isfinite(x).all() for x in b)
             raise ValueError("basis columns are not orthonormal" if finite
                              else "basis entries must be finite")
-        object.__setattr__(self, "basis", b if batch else b[0])
+        object.__setattr__(self, "basis", tuple(b) if batch else b[0])
 
     @classmethod
     def batch(cls, ambient_dim: int, elements) -> "Subspace":

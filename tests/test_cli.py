@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orthologic import cli, laws
+from orthologic import cli, core, laws
 from orthologic import subspace as sub
 from orthologic.cli import main
 from orthologic.core import DEFAULT_TOL, Tolerance, random_vector, trial_generators
@@ -784,6 +784,26 @@ class TestSampling:
         # six sampled axiom batches, the isomorphism's factor subspaces, the
         # twist and the two linearity probes of the basis map
         assert code == 0 and len(built) == 6 * swept + trials + 1 + 2
+
+
+@pytest.mark.parametrize("argv, matrices, calls", [
+    (["lattice-check", "--dim1", "8", "--trials", "100"], 4638, 429),
+    (["composite-verify", "--dim1", "4", "--dim2", "4", "--twist", "--trials", "25"], 1842, 211),
+])
+def test_every_basis_is_gram_checked_in_stacks(capsys, monkeypatch, argv, matrices, calls):
+    # each Subspace built checks each of its bases once, one stacked call per
+    # group of equal shapes and core.MAX_STACK bases (the benchmark's ops)
+    sizes = []
+    gram_defects = sub._gram_defects
+
+    def counted(b):
+        sizes.append(len(b))
+        return gram_defects(b)
+
+    monkeypatch.setattr(sub, "_gram_defects", counted)
+    code, _ = run_cli(capsys, *argv, "--seed", "0")
+    assert code == 0 and (sum(sizes), len(sizes)) == (matrices, calls)
+    assert max(sizes) <= core.MAX_STACK
 
 
 class TestToleranceFloor:

@@ -348,6 +348,60 @@ def test_trial_generators_are_keyed_by_seed_name_and_trial():
     assert wrapped.random() == largest.random()
 
 
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, -1, -2**63, 2**80 + 3,
+                                  np.int64(-5), np.uint64(2**64 - 1)])
+@pytest.mark.parametrize("name", ["lattice-om", ""])  # crc32("") is 0, a one-word key
+def test_trial_states_are_those_of_the_listed_key(seed, name):
+    # the uint32 words handed to default_rng are the ones numpy derives from
+    # the list [seed mod 2^64, crc32(name), t], so every state is that list's
+    listed = [np.random.default_rng([int(seed) % 2**64, zlib.crc32(name.encode()), t])
+              for t in range(3)]
+    for rng, expected in zip(trial_generators(seed, name, 3), listed, strict=True):
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+
+def old_frame(d, rng):
+    """A frame as two (d, d) draws and an unstacked QR drew it."""
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    diag = np.diagonal(r)
+    q *= (diag / np.abs(diag))[None, :]
+    return q
+
+
+class TestDrawsKeepTheirBits:
+    """One real (2, ...) draw per sample gives the bits of two draws."""
+
+    def test_batched_frames_equal_two_draws_and_one_qr_each(self):
+        # 45 frames, sizes 1 to 16 in groups of 9, one generator shared by
+        # every third element (drawing in element order) and seeds for the rest
+        sizes = np.array([1, 2, 3, 8, 16] * 9)
+        shared = np.random.default_rng(3)
+        seeds = np.array([shared if i % 3 == 0 else 100 + i for i in range(45)], dtype=object)
+        frames = random_unitary(sizes, seeds)
+        replay = np.random.default_rng(3)
+        for u, d, s in zip(frames, sizes, seeds, strict=True):
+            rng = replay if s is shared else np.random.default_rng(s)
+            assert u.tobytes() == old_frame(d, rng).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16])
+    def test_one_frame_equals_two_draws_and_one_qr(self, d):
+        assert random_unitary(d, 42).tobytes() == old_frame(d, np.random.default_rng(42)).tobytes()
+        # a frame of 40 of one size, past one stack, from one generator
+        frames = random_unitary(d, np.array([np.random.default_rng(d)] * 40, dtype=object))
+        replay = np.random.default_rng(d)
+        assert all(u.tobytes() == old_frame(d, replay).tobytes() for u in frames)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 16])
+    def test_random_vector_equals_two_draws(self, d):
+        rng, replay = np.random.default_rng(d), np.random.default_rng(d)
+        for _ in range(3):  # a generator drawing several vectors in turn
+            old = replay.standard_normal(d) + 1j * replay.standard_normal(d)
+            assert random_vector(d, rng).tobytes() == old.tobytes()
+        seeded = np.random.default_rng(7)
+        assert random_vector(d, 7).tobytes() == (
+            seeded.standard_normal(d) + 1j * seeded.standard_normal(d)).tobytes()
+
+
 def test_distinct_keys_give_distinct_streams():
     # XOR-ing the trial index into the seed made (s, t) and (s ^ 1, t ^ 1)
     # one stream, so seeds 0 and 1 checked the same instances

@@ -128,6 +128,22 @@ CASES = {
         lambda: core.as_vector([1.0, np.nan]), ValueError, "vector entries must be finite"),
     "random_unitary of size 0": (
         lambda: core.random_unitary(0, 1), DimensionMismatch, "d must be >= 1"),
+    "random_vector of size 0": (
+        lambda: core.random_vector(0, 1), DimensionMismatch, "d must be >= 1"),
+    "random_vector of size -1": (
+        lambda: core.random_vector(-1, 1), DimensionMismatch, "d must be >= 1"),
+    "random_ray in C^0": (
+        lambda: sub.random_ray(0, np.array([1, 2], dtype=object)), DimensionMismatch,
+        "d must be >= 1"),
+    "trial_generators with a fractional seed": (
+        lambda: core.trial_generators(1.7, "axiom2", 3), InvalidParameter,
+        "seed must be an integer, got 1.7"),
+    "trial_generators with a boolean seed": (
+        lambda: core.trial_generators(True, "axiom2", 3), InvalidParameter,
+        "seed must be an integer, got True"),
+    "trial_generators with a float seed of integer value": (
+        lambda: core.trial_generators(np.float64(2.0), "axiom2", 3), InvalidParameter,
+        "seed must be an integer, got"),
     # composite
     "a morphism on the wrong ambient dimension": (
         lambda: composite.canonical_h(1, 3, 3)(sub.full_subspace(4)),

@@ -1,6 +1,7 @@
 """Subspace lattice: span, meet, join, complement, ordering, atoms."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -602,3 +603,26 @@ class TestBatches:
             Subspace(3, (good, 2 * good))
         with pytest.raises(DimensionMismatch):
             Subspace(3, (good, good[:2]))
+
+    def test_the_first_misshapen_element_is_named(self):
+        good = random_subspace(3, 2, 0).basis
+        with pytest.raises(DimensionMismatch,
+                           match=re.escape("basis shape (2, 2) does not match ambient dim 3")):
+            Subspace(3, (good, good[:2], np.zeros((4, 1)), good[0]))
+        with pytest.raises(DimensionMismatch,
+                           match=re.escape("basis shape (3,) does not match ambient dim 3")):
+            Subspace(3, (good, good[:, 0]))
+
+    def test_a_nan_in_a_later_group_is_not_finite(self):
+        # the NaN basis has the shape of neither earlier group
+        bases = (E3[:, :1], E3[:, :2], E3[:, :1], np.full((3, 3), np.nan))
+        with pytest.raises(ValueError, match="basis entries must be finite"):
+            Subspace(3, bases)
+
+    def test_a_skewed_basis_in_a_later_stack_is_refused(self):
+        # 3 MAX_STACK rays: the one non-orthonormal basis sits in the third stack
+        rays = [E3[:, i % 3:i % 3 + 1] for i in range(3 * MAX_STACK)]
+        Subspace(3, tuple(rays))
+        rays[2 * MAX_STACK + 5] = 2 * E3[:, :1]
+        with pytest.raises(ValueError, match="basis columns are not orthonormal"):
+            Subspace(3, tuple(rays))
