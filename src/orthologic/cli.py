@@ -143,7 +143,7 @@ def _covering_instance(d: int, seed: np.ndarray):
 
 
 class _Check(NamedTuple):
-    """One sampled lattice-check law: ``sample(d, trials, rngs, tol)`` draws
+    """One sampled lattice-check law: ``sample(d, trials, rngs)`` draws
     the batches, one element per trial, that ``check(*batches, rngs, tol)``
     turns into one LawReport; both take the same trial generators."""
 
@@ -161,38 +161,38 @@ class _Check(NamedTuple):
 _LATTICE_CHECKS = (
     _Check(
         "orthomodular", "lattice-om", 1,
-        lambda d, t, s, tol: _nested_pair(d, s),
+        lambda d, t, s: _nested_pair(d, s),
         lambda p, q, s, tol: laws.check_orthomodular(p, q, tol),
         ("holds", "trials", "worst_residual"),
     ),
     _Check(
         "distributive", "lattice-dist", 1,
-        lambda d, t, s, tol: sub.random_family((d, d, d), s, proper=True),
+        lambda d, t, s: sub.random_family((d, d, d), s, proper=True),
         lambda a, b, c, s, tol: laws.check_distributive(a, b, c, tol),
         ("holds", "failures", "trials", "counterexample"),
         votes=False,  # a sampled triple may be distributive: the witness decides
     ),
     _Check(
         "compatibility_criteria", "lattice-compat", 1,
-        lambda d, t, s, tol: _mixed_pair(d, t % 4, s),
+        lambda d, t, s: _mixed_pair(d, t % 4, s),
         lambda p, q, s, tol: laws.check_compatibility_criteria(p, q, tol),
         ("agree", "trials"),
     ),
     _Check(
         "de_morgan", "lattice-dm", 1,
-        lambda d, t, s, tol: (sub.random_family((d, d, d), s, proper=True),),
+        lambda d, t, s: (sub.random_family((d, d, d), s, proper=True),),
         lambda family, s, tol: laws.check_de_morgan(family, tol),
         ("holds", "worst_residual"),
     ),
     _Check(
         "modular_pairs", "lattice-mp", 10,
-        lambda d, t, s, tol: sub.random_family((d, d), s, proper=True),
+        lambda d, t, s: sub.random_family((d, d), s, proper=True),
         lambda p, q, s, tol: laws.is_modular_pair(p, q, samples=8, seed=s, tol=tol),
         ("holds",),
     ),
     _Check(
         "covering", "lattice-cov", 10,
-        lambda d, t, s, tol: _covering_instance(d, s),
+        lambda d, t, s: _covering_instance(d, s),
         lambda a, ray, s, tol: laws.check_covering(ray, a, tol),
         ("holds",),
     ),
@@ -205,7 +205,7 @@ def _quantum_lattice_report(d: int, trials: int, seed: int, tol: Tolerance) -> d
     for check in _LATTICE_CHECKS:
         n = max(1, trials // check.per)
         rngs = trial_generators(seed, check.tag, n)
-        report = check.check(*check.sample(d, np.arange(n), rngs, tol), rngs, tol)
+        report = check.check(*check.sample(d, np.arange(n), rngs), rngs, tol)
         stats = {f: getattr(report, "holds" if f == "agree" else f) for f in check.fields}
         results[check.key] = stats
         expected = expected and (report.holds or not check.votes)

@@ -118,7 +118,8 @@ class SubspaceMorphism:
     intertwiners and the linearity class are derived from it.  Called on
     a batch, the morphism hands the whole batch to a map marked
     ``batched = True`` (as canonical_h marks its own) and maps the
-    elements of the batch one at a time through any other map.
+    elements of the batch one at a time through any other map.  An image
+    outside C^target_dim, on any of these paths, raises DimensionMismatch.
     """
 
     source_dim: int
@@ -131,8 +132,12 @@ class SubspaceMorphism:
                 f"morphism source dim {self.source_dim}, got {p.ambient_dim}"
             )
         if not p.is_batch or getattr(self.map, "batched", False):
-            return self.map(p)
-        return Subspace.batch(self.target_dim, [self.map(e) for e in p.elements()])
+            image = self.map(p)
+        else:
+            image = Subspace.batch(self.target_dim, [self.map(e) for e in p.elements()])
+        if image.ambient_dim != self.target_dim:
+            raise DimensionMismatch(f"image in C^{image.ambient_dim}, not C^{self.target_dim}")
+        return image
 
     def map_ray(self, x) -> Subspace:
         return self(span_of([as_vector(x)]))
@@ -282,11 +287,6 @@ def _atom(m: Subspace):
     return m.dim == 1, abs(m.dim - 1) * 1.0
 
 
-def _like(p: Subspace, s: Subspace) -> Subspace:
-    """s, or for a batch p, the batch holding s once per element of p."""
-    return Subspace.batch(s.ambient_dim, [s] * len(p.elements())) if p.is_batch else s
-
-
 def _memo(tol: Tolerance) -> SimpleNamespace:
     """The images ``image(h, p)`` and joins ``join(p, q)`` of one run of
     axiom checks (the prechecks of one side, the trials of one lane, or
@@ -297,9 +297,13 @@ def _memo(tol: Tolerance) -> SimpleNamespace:
     reused while the memo lives.  h(p) and sub.join are looked up when
     called (the benchmark tracer patches them)."""
     image, full = cache(lambda h, p: h(p)), cache(full_subspace)
-    return SimpleNamespace(tol=tol, image=image, full=full,
-                           join=cache(lambda p, q: sub.join(p, q, tol)),
-                           top=lambda h, p: _like(p, image(h, full(h.source_dim))))
+
+    def top(h: SubspaceMorphism, p: Subspace) -> Subspace:
+        s = image(h, full(h.source_dim))
+        return Subspace.batch(h.target_dim, [s] * len(p.basis)) if p.is_batch else s
+
+    return SimpleNamespace(tol=tol, image=image, full=full, top=top,
+                           join=cache(lambda p, q: sub.join(p, q, tol)))
 
 
 # Counterexample kind -> its check.  A check takes the _memo it maps and
@@ -430,16 +434,16 @@ def _sweep_lane(lane, trials: int, seed: int, tol: Tolerance) -> list:
     from that side's memo, which mapped it once.  Gives (side, checks) for
     each side, on its run of trials."""
     k, memo = len(lane), _memo(tol)
+    d, dim = lane[0][1].source_dim, lane[0][1].target_dim
 
     def runs(p: Subspace):
         return zip(lane, p.split(k))
 
     def piecewise(p: Subspace) -> Subspace:
-        return Subspace.concat([h(run) for (_, h, _), run in runs(p)])
+        return Subspace.batch(dim, [h(run) for (_, h, _), run in runs(p)])
 
     piecewise.batched = True
-    memo.top = lambda _, p: Subspace.concat([m.top(h, run) for (_, h, m), run in runs(p)])
-    d, dim = lane[0][1].source_dim, lane[0][1].target_dim
+    memo.top = lambda _, p: Subspace.batch(dim, [m.top(h, run) for (_, h, m), run in runs(p)])
 
     def rngs(name: str) -> np.ndarray:
         return np.concatenate([trial_generators(seed, name + str(side), trials)
@@ -817,7 +821,7 @@ def verify_tensor_isomorphism(sweep: AxiomSweep, trials: int, axiom_trials: int)
     cylinders = canonical_h(1, d1, d2, conjugate=bm.target == "H1*xH2"), canonical_h(2, d1, d2)
     factors = sub.random_family((d1, d2), trial_generators(seed, "tensoriso", trials), proper=True)
     # one lift and one _same on both sides' images, read as (trial, side) arrays
-    lhs, rhs = (Subspace.concat([f(p) for f, p in zip(maps, factors)])
+    lhs, rhs = (Subspace.batch(d1 * d2, [f(p) for f, p in zip(maps, factors)])
                 for maps in (cylinders, (h1, h2)))
     holds, residuals = (np.reshape(x, (2, trials)).T for x in _same(bm.lift(lhs, tol), rhs, tol))
     failures = ["unitary"] if not_unitary else []

@@ -65,7 +65,9 @@ def _gram_defects(b: np.ndarray) -> list:
 class Subspace:
     """A closed subspace of C^d, represented by an orthonormal basis, or a
     batch of them (see above).  ``==`` and ``hash`` go by identity; the
-    lattice equality of two subspaces is ``equal``."""
+    lattice equality of two subspaces is ``equal``.  A basis is checked
+    once, when a Subspace is built from it: batch, split and elements
+    regroup built subspaces and check no basis again."""
 
     ambient_dim: int
     basis: np.ndarray = field(repr=False)
@@ -97,28 +99,21 @@ class Subspace:
         object.__setattr__(self, "basis", tuple(b) if batch else b[0])
 
     @classmethod
-    def batch(cls, ambient_dim: int, elements) -> "Subspace":
-        """The batch of the given subspaces of C^ambient_dim, in order."""
-        return cls(ambient_dim, tuple(e.basis for e in elements))
-
-    @staticmethod
-    def concat(batches) -> "Subspace":
-        """The batch of the elements of ``batches``, in order.  Their bases
-        were checked when those batches were built, so, as with elements(),
-        they are not checked again; batches of other ambient spaces, or a
-        single subspace, raise DimensionMismatch."""
-        first = batches[0]
-        if any(not b.is_batch or b.ambient_dim != first.ambient_dim for b in batches):
-            raise DimensionMismatch("only batches of one ambient space concatenate")
-        return first._element(sum((b.basis for b in batches), ()))
+    def batch(cls, ambient_dim: int, parts) -> "Subspace":
+        """The batch of the elements of ``parts``, subspaces and batches, in order."""
+        parts = tuple(parts)  # read twice
+        if any(p.ambient_dim != ambient_dim for p in parts):
+            raise DimensionMismatch(f"only subspaces of C^{ambient_dim} batch into it")
+        return cls._element(ambient_dim, tuple(
+            b for p in parts for b in (p.basis if p.is_batch else (p.basis,))))
 
     def split(self, k: int) -> tuple:
-        """A batch's elements as k batches of equal length, in order.  As
-        with elements(), the bases are not checked again."""
+        """A batch's elements as k batches of equal length, in order."""
         n, rest = divmod(len(self.basis), k)
         if not self.is_batch or rest:
             raise DimensionMismatch(f"only a batch of a multiple of {k} elements splits into {k}")
-        return tuple(self._element(self.basis[i * n:(i + 1) * n]) for i in range(k))
+        return tuple(self._element(self.ambient_dim, self.basis[i * n:(i + 1) * n])
+                     for i in range(k))
 
     @property
     def is_batch(self) -> bool:
@@ -127,13 +122,13 @@ class Subspace:
     def elements(self) -> tuple:
         """The subspaces of a batch, in order; a single subspace is its own
         only element."""
-        return tuple(map(self._element, self.basis)) if self.is_batch else (self,)
+        d = self.ambient_dim
+        return tuple(self._element(d, b) for b in self.basis) if self.is_batch else (self,)
 
-    def _element(self, basis) -> "Subspace":
-        # the batches that hold this basis, or this tuple of bases (a
-        # batch), checked them when they were built
+    @staticmethod
+    def _element(ambient_dim: int, basis) -> "Subspace":  # of bases checked when built
         element = object.__new__(Subspace)
-        object.__setattr__(element, "ambient_dim", self.ambient_dim)
+        object.__setattr__(element, "ambient_dim", ambient_dim)
         object.__setattr__(element, "basis", basis)
         return element
 

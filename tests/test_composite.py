@@ -33,6 +33,7 @@ from orthologic.core import DEFAULT_TOL, Tolerance, as_vector, random_unitary, r
 from orthologic.core import rank, trial_generators
 from orthologic.errors import (
     AxiomViolation,
+    DimensionMismatch,
     InvalidDimension,
     NotInDomain,
     NotOrthonormal,
@@ -337,6 +338,29 @@ def test_only_a_batched_map_takes_the_batch_whole(pair33):
     record.batched = True
     assert all(np.array_equal(a, b) for a, b in zip(plain(batch).basis, pair33[0](batch).basis))
     assert calls == [False] * 3 + [True]
+
+
+class TestImagesOutsideTheTarget:
+    """A morphism refuses an image outside C^target_dim on each of its paths."""
+
+    def test_of_one_subspace(self):
+        h = SubspaceMorphism(3, 9, lambda p: full_subspace(4))
+        with pytest.raises(DimensionMismatch, match=r"image in C\^4, not C\^9"):
+            h(full_subspace(3))
+
+    def test_of_a_batch_mapped_element_by_element(self):
+        h = SubspaceMorphism(3, 9, lambda p: full_subspace(4))
+        with pytest.raises(DimensionMismatch):
+            h(Subspace.batch(3, [full_subspace(3), zero_subspace(3)]))
+
+    def test_of_a_batch_mapped_whole(self):
+        def whole(p):
+            return Subspace.batch(4, [full_subspace(4)] * len(p.basis))
+
+        whole.batched = True
+        h = SubspaceMorphism(3, 9, whole)
+        with pytest.raises(DimensionMismatch, match=r"image in C\^4, not C\^9"):
+            h(Subspace.batch(3, [full_subspace(3), zero_subspace(3)]))
 
 
 class TestVerifyAxioms:

@@ -456,30 +456,40 @@ class TestBatches:
         assert single.elements() == (single,)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_split_and_concat_take_apart_and_rebuild_a_batch(self, k, monkeypatch):
+    def test_split_and_batch_take_apart_and_rebuild_a_batch(self, k, monkeypatch):
         pairs = ragged_pairs(3, 0)[:12]
         batch = batch_of([p for p, _ in pairs])
-        # the bases were checked when the batch was built: neither checks again
+        single = pairs[0][1]
+        # the bases were checked when their subspaces were built: no
+        # regroup checks them again
         monkeypatch.setattr("orthologic.subspace._gram_defects", None)
         runs = batch.split(k)
         assert len(runs) == k
         assert all(run.is_batch and run.ambient_dim == 3 and len(run.elements()) == 12 // k
                    for run in runs)
         assert [b for run in runs for b in run.basis] == list(batch.basis)
-        whole = Subspace.concat(runs)
-        assert whole.is_batch and all(a is b for a, b in zip(whole.basis, batch.basis))
-        assert len(whole.basis) == len(batch.basis)
+        whole = Subspace.batch(3, runs)
+        assert whole.is_batch and whole.ambient_dim == 3 and len(whole.basis) == 12
+        assert all(a is b for a, b in zip(whole.basis, batch.basis))
+        assert len(Subspace.batch(3, iter(runs)).basis) == 12  # parts read once
+        # single subspaces and batches mix, in order, each basis kept
+        mixed = Subspace.batch(3, [single, *runs, single, *batch.elements()[:2]])
+        expected = [single.basis, *batch.basis, single.basis, *batch.basis[:2]]
+        assert len(mixed.basis) == len(expected)
+        assert all(a is b for a, b in zip(mixed.basis, expected))
 
-    def test_split_and_concat_refuse_what_does_not_fit(self):
+    def test_split_and_batch_refuse_what_does_not_fit(self):
         batch = batch_of([zero_subspace(3)] * 4)
         for bad in (lambda: batch.split(3), lambda: full_subspace(3).split(1),
-                    lambda: Subspace.concat([batch, batch_of([zero_subspace(4)])]),
-                    lambda: Subspace.concat([batch, full_subspace(3)])):
+                    lambda: Subspace.batch(3, [batch, batch_of([zero_subspace(4)])]),
+                    lambda: Subspace.batch(3, [batch, full_subspace(4)]),
+                    lambda: Subspace.batch(4, [full_subspace(4), batch])):
             with pytest.raises(DimensionMismatch):
                 bad()
-        # an empty batch splits into empty runs
-        empty = Subspace.batch(3, [])
-        assert [len(run.basis) for run in empty.split(2)] == [0, 0]
+        # the empty batch, of no parts or of empty parts, splits into empty runs
+        for empty in (Subspace.batch(3, []), Subspace.batch(3, [Subspace.batch(3, [])] * 2)):
+            assert empty.is_batch and empty.ambient_dim == 3 and empty.basis == ()
+            assert [len(run.basis) for run in empty.split(2)] == [0, 0]
 
     @pytest.mark.parametrize("d", [2, 3, 8, 16])
     @pytest.mark.parametrize("seed", [0, 1])
